@@ -5,21 +5,22 @@ events in a trace" (30 minutes to a day on the paper's hardware).
 The benchmark sweeps the background event load and checks the
 monotone-growth shape; absolute times are of course incomparable.
 
-The detection-phase benchmarks at the bottom compare the prefix-mask +
-memo query path against the historical bit-scan on the largest catalog
-workload: the fast path must answer the phase's exact query workload
-at least ``min_replay_speedup`` times faster, bit-for-bit identically,
-and its memoized query work per candidate pair must stay under the
-bound recorded in ``bounds_pr2.json`` (the workload is deterministic,
-so that ratio is exact and machine-independent).
+The detection-phase benchmarks at the bottom compare the offline
+relation's range-probe + memo query path against the bit-scan of the
+streaming view (``IncrementalHB(...).relation()``) on the largest
+catalog workload: the fast path must answer the phase's exact query
+workload at least ``min_replay_speedup`` times faster, bit-for-bit
+identically, and its memoized query work per candidate pair must stay
+under the bound recorded in ``bounds_pr2.json`` (the workload is
+deterministic, so that ratio is exact and machine-independent).
 """
 
 import json
+from functools import lru_cache
 from pathlib import Path
 
 from repro.analysis import analysis_scaling, bench_scale, detection_benchmark
 from repro.apps import CameraApp, MusicApp, MyTracksApp, VlcApp
-from repro.hb import build_happens_before
 
 BASE = bench_scale(default=0.05)
 
@@ -35,6 +36,14 @@ BOUNDS = json.loads(
 BUILD_BOUNDS = json.loads(
     (Path(__file__).parent / "bounds_pr3.json").read_text(encoding="utf-8")
 )
+
+
+@lru_cache(maxsize=None)
+def music_detection(scale, seed):
+    """One detection benchmark per workload: the streaming view's
+    relation is slow to grow op by op at this scale, and both detection
+    benchmarks below measure the same (scale, seed) by default."""
+    return detection_benchmark(MusicApp, scale=scale, seed=seed)
 
 
 def test_analysis_time_grows_with_events(benchmark):
@@ -64,8 +73,7 @@ def test_hb_build_dominates_at_scale(benchmark):
 
 def test_incremental_closure_is_computed_once(benchmark):
     """The fixpoint maintains the closure in place: one full
-    computation regardless of how many rounds the derived rules run
-    (the legacy builder recomputed it at least once per round)."""
+    computation regardless of how many rounds the derived rules run."""
     points = benchmark.pedantic(
         lambda: analysis_scaling(MyTracksApp, scales=[BASE * 2], seed=1),
         rounds=1,
@@ -89,24 +97,6 @@ def test_closure_work_grows_subquadratically(benchmark):
     node_growth = last.key_nodes / first.key_nodes
     bit_growth = last.bits_propagated / max(first.bits_propagated, 1)
     assert bit_growth < node_growth**2
-
-
-def test_incremental_builder_beats_legacy_without_diverging(benchmark):
-    """Before/after comparison: the incremental build must produce the
-    bit-identical relation while doing strictly less closure work than
-    the legacy snapshot-per-round build."""
-
-    def both():
-        run = MyTracksApp(scale=BASE * 2, seed=1).run()
-        fast = build_happens_before(run.trace)
-        slow = build_happens_before(run.trace, incremental=False)
-        return fast, slow
-
-    fast, slow = benchmark.pedantic(both, rounds=1, iterations=1)
-    assert set(fast.graph.edges()) == set(slow.graph.edges())
-    assert fast.graph.reach_vector() == slow.graph.reach_vector()
-    assert fast.graph.closure_recomputations < slow.graph.closure_recomputations
-    assert fast.profile.total_seconds > 0 and slow.profile.total_seconds > 0
 
 
 def test_build_side_counters_stay_under_recorded_bounds(benchmark):
@@ -134,14 +124,12 @@ def test_build_side_counters_stay_under_recorded_bounds(benchmark):
 
 
 def test_detection_query_path_beats_scan(benchmark):
-    """Before/after comparison of the query layer: the prefix-mask +
-    memo path must answer the detection phase's exact query workload
-    ≥3x faster than the historical bit-scan, with bit-identical
-    results, and must not regress the end-to-end detection phase."""
+    """The query layer: the range-probe + memo path must answer the
+    detection phase's exact query workload ≥3x faster than the
+    streaming view's bit-scan, with bit-identical results, and must
+    not regress the end-to-end detection phase."""
     result = benchmark.pedantic(
-        lambda: detection_benchmark(MusicApp, scale=DETECTION_SCALE, seed=1),
-        rounds=1,
-        iterations=1,
+        lambda: music_detection(DETECTION_SCALE, 1), rounds=1, iterations=1
     )
     assert result.reports_identical
     assert result.low_level_identical
@@ -157,9 +145,7 @@ def test_detection_query_work_is_sublinear(benchmark):
     well below one reachability test per pair; the exact ratio is
     deterministic, so it is pinned by the recorded bound."""
     result = benchmark.pedantic(
-        lambda: detection_benchmark(
-            MusicApp, scale=BOUNDS["scale"], seed=BOUNDS["seed"]
-        ),
+        lambda: music_detection(BOUNDS["scale"], BOUNDS["seed"]),
         rounds=1,
         iterations=1,
     )

@@ -1,56 +1,51 @@
-"""The columnar trace store vs. the legacy object list — memory,
-build/serialize/load timings, and the streaming-reader guarantee.
+"""The columnar trace store — memory, build/serialize/load timings, and
+the streaming-reader guarantee.
 
 Run with ``--benchmark-json=BENCH_pr3.json`` (CI uploads the result
-next to ``BENCH_pr2.json``).  The memory comparisons use the
-:class:`~repro.trace.store.TraceProfile` accounting, which deliberately
-*undercounts* the object backend (per-instance cost only, payload
-references excluded), so every ratio asserted here favors the legacy
-path; the columnar store must clear the 2x bar anyway.
+next to ``BENCH_pr2.json``).  The memory bound uses the exact
+:class:`~repro.trace.store.TraceProfile` accounting (column + side-table
+bytes).
 """
 
 import time
 import tracemalloc
 
-from repro.analysis import bench_scale, reproduce_table1
+from repro.analysis import bench_scale
 from repro.apps import MusicApp
 from repro.trace import load_trace_file, save_trace_file
 
 BASE = bench_scale(default=0.05)
 
-#: the memory and streaming measurements run at least at this scale —
-#: below it the columnar store's fixed overhead (one bucket per
-#: occurring kind) distorts the bytes/op amortization
+#: the streaming measurements run at least at this scale — below it the
+#: columnar store's fixed overhead (one bucket per occurring kind)
+#: distorts the bytes/op amortization
 MEMORY_SCALE = max(bench_scale(default=0.1), 0.1)
 
+#: bytes/op ceiling for music at scale 0.1, seed 1: half of the 166.38
+#: bytes/op the one-object-per-operation list needed on CPython 3.11
+#: before it was removed (the columnar store measured 66.03 there), so
+#: the original at-least-2x memory gate holds on the surviving store
+MAX_BYTES_PER_OP = 83.19
 
-def record(scale, columnar=True):
-    return MusicApp(scale=scale, seed=1).run(columnar=columnar).trace
+
+def record(scale):
+    return MusicApp(scale=scale, seed=1).run().trace
 
 
 def test_columnar_store_halves_memory_per_op(benchmark):
-    """The struct-of-arrays layout must hold the same operations in
-    less than half the bytes/op of the object list (exact, deterministic
-    accounting on both sides)."""
-
-    def both():
-        return record(MEMORY_SCALE).profile(), record(
-            MEMORY_SCALE, columnar=False
-        ).profile()
-
-    columnar, legacy = benchmark.pedantic(both, rounds=1, iterations=1)
-    assert columnar.backend == "columnar" and legacy.backend == "object"
-    assert columnar.ops == legacy.ops
-    ratio = legacy.bytes_per_op / columnar.bytes_per_op
-    benchmark.extra_info["columnar_bytes_per_op"] = round(columnar.bytes_per_op, 1)
-    benchmark.extra_info["object_bytes_per_op"] = round(legacy.bytes_per_op, 1)
-    benchmark.extra_info["memory_ratio"] = round(ratio, 2)
-    assert ratio >= 2.0
+    """The struct-of-arrays layout must hold the recorded workload in
+    at most ``MAX_BYTES_PER_OP`` (exact, deterministic accounting)."""
+    profile = benchmark.pedantic(
+        lambda: record(0.1).profile(), rounds=1, iterations=1
+    )
+    benchmark.extra_info["columnar_bytes_per_op"] = round(profile.bytes_per_op, 2)
+    assert profile.ops > 0
+    assert profile.bytes_per_op <= MAX_BYTES_PER_OP
 
 
 def test_trace_build_and_serialize_timings(benchmark, tmp_path):
-    """One build/dump/load cycle per backend and format version, with
-    the wall-clock split recorded for the artifact.  v2 must be the
+    """One build/dump/load cycle per format version, with the
+    wall-clock split recorded for the artifact.  v2 must be the
     smaller wire format."""
 
     def cycle():
@@ -58,9 +53,6 @@ def test_trace_build_and_serialize_timings(benchmark, tmp_path):
         t0 = time.perf_counter()
         trace = record(BASE)
         timings["build_columnar_s"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        record(BASE, columnar=False)
-        timings["build_object_s"] = time.perf_counter() - t0
         paths = {
             "v1": (tmp_path / "t.v1.jsonl", 1),
             "v2": (tmp_path / "t.v2.jsonl", 2),
@@ -85,30 +77,6 @@ def test_trace_build_and_serialize_timings(benchmark, tmp_path):
         benchmark.extra_info[f"size_{name}_bytes"] = size
     assert sizes["v2"] < sizes["v1"]
     assert sizes["v2_gz"] < sizes["v2"]
-
-
-def test_table1_end_to_end_no_slower_on_columnar(benchmark):
-    """The whole reproduce_table1 pipeline on the columnar backend must
-    not be slower than on the object backend (1.25x tolerance for timer
-    noise; in practice the two run at parity while the columnar store
-    holds the trace in less than half the memory)."""
-
-    def both():
-        t0 = time.perf_counter()
-        columnar = reproduce_table1(scale=BASE, seed=0, columnar=True)
-        columnar_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        legacy = reproduce_table1(scale=BASE, seed=0, columnar=False)
-        object_s = time.perf_counter() - t0
-        rows = [e.row() for e in columnar.evaluations]
-        assert rows == [e.row() for e in legacy.evaluations]
-        return columnar_s, object_s
-
-    columnar_s, object_s = benchmark.pedantic(both, rounds=1, iterations=1)
-    benchmark.extra_info["table1_columnar_s"] = round(columnar_s, 3)
-    benchmark.extra_info["table1_object_s"] = round(object_s, 3)
-    benchmark.extra_info["table1_ratio"] = round(columnar_s / object_s, 3)
-    assert columnar_s <= object_s * 1.25
 
 
 def test_v2_reader_streams_in_constant_transient_memory(benchmark, tmp_path):

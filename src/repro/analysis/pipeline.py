@@ -62,11 +62,10 @@ def _evaluate_app(
     scale: float,
     seed: int,
     options: Optional[DetectorOptions],
-    columnar: bool = True,
 ) -> AppEvaluation:
     """One app's simulate → detect → classify pipeline (pool worker)."""
     with span("pipeline.app", app=app_cls.name):
-        run = app_cls(scale=scale, seed=seed).run(columnar=columnar)
+        run = app_cls(scale=scale, seed=seed).run()
         return evaluate_run(run, options)
 
 
@@ -76,15 +75,12 @@ def reproduce_table1(
     seed: int = 0,
     options: Optional[DetectorOptions] = None,
     jobs: int = 1,
-    columnar: bool = True,
 ) -> Table1:
     """Run the precision evaluation over the given apps (default: all ten).
 
     ``jobs > 1`` distributes the per-app pipelines over a process pool;
     ``jobs=1`` (the default) runs serially in this process.  The rows
-    are identical and identically ordered either way.  ``columnar``
-    selects the trace backend of every run (the legacy object path is
-    the differential-testing baseline).
+    are identical and identically ordered either way.
     """
     _validate_jobs(jobs)
     app_list = list(apps) if apps is not None else list(ALL_APPS)
@@ -92,14 +88,14 @@ def reproduce_table1(
     if jobs == 1 or len(app_list) <= 1:
         for app_cls in app_list:
             table.evaluations.append(
-                _evaluate_app(app_cls, scale, seed, options, columnar)
+                _evaluate_app(app_cls, scale, seed, options)
             )
     else:
         table.evaluations.extend(
             _fan_out(
                 _evaluate_app,
                 app_list,
-                (scale, seed, options, columnar),
+                (scale, seed, options),
                 jobs,
                 "table1",
             )
@@ -126,14 +122,12 @@ class ScalingMatrix:
 
     scales: List[float]
     seed: int
-    dense_bits: bool
     rows: Dict[str, List[ScalingPoint]]
 
     def as_dict(self) -> dict:
         return {
             "scales": list(self.scales),
             "seed": self.seed,
-            "dense_bits": self.dense_bits,
             "apps": {
                 name: [dataclasses.asdict(p) for p in points]
                 for name, points in self.rows.items()
@@ -151,7 +145,6 @@ def scaling_matrix(
     scales: Optional[Sequence[float]] = None,
     seed: int = 0,
     jobs: int = 1,
-    dense_bits: bool = False,
 ) -> ScalingMatrix:
     """Run the analysis-time scaling sweep over many apps in one call.
 
@@ -167,21 +160,19 @@ def scaling_matrix(
         raise ValueError("scaling_matrix needs at least one scale")
     if jobs == 1 or len(app_list) <= 1:
         results = [
-            _matrix_cell(app_cls, scale_list, seed, dense_bits)
-            for app_cls in app_list
+            _matrix_cell(app_cls, scale_list, seed) for app_cls in app_list
         ]
     else:
         results = _fan_out(
             _matrix_cell,
             app_list,
-            (scale_list, seed, dense_bits),
+            (scale_list, seed),
             jobs,
             "scaling-matrix",
         )
     return ScalingMatrix(
         scales=scale_list,
         seed=seed,
-        dense_bits=dense_bits,
         rows={
             app_cls.name: points
             for app_cls, points in zip(app_list, results)

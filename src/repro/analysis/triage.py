@@ -135,7 +135,7 @@ class TriageReport:
         return "\n".join(lines)
 
 
-def _load_corpus_trace(path: str, columnar: bool, salvage: bool):
+def _load_corpus_trace(path: str, salvage: bool):
     """One corpus member -> (trace, error, salvaged).
 
     Strict decoding first; with ``salvage`` a damaged file is re-read
@@ -146,12 +146,12 @@ def _load_corpus_trace(path: str, columnar: bool, salvage: bool):
     from ..trace.serialization import AnyTraceDecoder, _open_binary_for
 
     try:
-        return load_trace_file(path, columnar=columnar), None, False
+        return load_trace_file(path), None, False
     except TraceError as exc:
         if not salvage:
             raise
         error = str(exc)
-    decoder = AnyTraceDecoder(columnar=columnar, strict=False)
+    decoder = AnyTraceDecoder(strict=False)
     with _open_binary_for(path, "r") as fp:
         read = getattr(fp, "read1", fp.read)
         while True:
@@ -168,15 +168,12 @@ def _triage_path(
     budget: int,
     seed: int,
     salvage: bool,
-    columnar: bool,
     options: Optional[DetectorOptions],
 ) -> TriageItem:
     """One corpus member's sample -> escalate pipeline (pool worker)."""
     item = TriageItem(name=str(path), status="clean")
     try:
-        trace, item.error, item.salvaged = _load_corpus_trace(
-            path, columnar, salvage
-        )
+        trace, item.error, item.salvaged = _load_corpus_trace(path, salvage)
     except (TraceError, OSError) as exc:
         item.status = "damaged"
         item.error = str(exc)
@@ -210,7 +207,6 @@ def triage_corpus(
     *,
     salvage: bool = False,
     jobs: int = 1,
-    columnar: bool = True,
     options: Optional[DetectorOptions] = None,
 ) -> TriageReport:
     """Triage a corpus of saved trace files (see the module docstring).
@@ -225,13 +221,13 @@ def triage_corpus(
     if jobs == 1 or len(path_list) <= 1:
         for path in path_list:
             report.items.append(
-                _triage_path(path, budget, seed, salvage, columnar, options)
+                _triage_path(path, budget, seed, salvage, options)
             )
     else:
         items, _profile = _fan_out_profiled(
             _triage_path,
             path_list,
-            (budget, seed, salvage, columnar, options),
+            (budget, seed, salvage, options),
             jobs,
             "triage",
             describe=lambda p: f"trace {p!r}",

@@ -307,18 +307,10 @@ class AppModel:
         tracing: bool = True,
         time_model: Optional[TimeModel] = None,
         max_ms: float = 5_000,
-        columnar: bool = True,
     ) -> AppRun:
-        """Build and execute the workload; returns the run record.
-
-        ``columnar`` selects the collected trace's backend (see
-        :class:`~repro.runtime.tracer.Tracer`).
-        """
+        """Build and execute the workload; returns the run record."""
         system = AndroidSystem(
-            seed=self.seed,
-            tracing=tracing,
-            time_model=time_model,
-            columnar_trace=columnar,
+            seed=self.seed, tracing=tracing, time_model=time_model
         )
         run = self.build(system)
         system.run(max_ms=max_ms)

@@ -76,15 +76,6 @@ def _add_format(parser: argparse.ArgumentParser, writing: bool) -> None:
         )
 
 
-def _add_store_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--legacy-store",
-        action="store_true",
-        help="use the legacy object-list trace backend instead of the "
-        "columnar store (differential-testing escape hatch)",
-    )
-
-
 def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
@@ -106,24 +97,12 @@ def _add_memo_capacity(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_dense_bits(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dense-bits",
-        action="store_true",
-        help="store the happens-before closure as dense big-int bitsets "
-        "(the legacy representation) instead of chunked sparse bitsets "
-        "(differential-testing escape hatch; verdicts are identical)",
-    )
-
-
 def _load_input_trace(args):
     from .trace import TraceError
 
     expect = _FORMAT_VERSIONS[args.format] if args.format else None
     try:
-        return load_trace_file(
-            args.trace, expect_version=expect, columnar=not args.legacy_store
-        )
+        return load_trace_file(args.trace, expect_version=expect)
     except TraceError as exc:
         print(
             f"{args.trace}: {exc}\n"
@@ -192,7 +171,7 @@ def _cmd_apps(_args) -> int:
 
 def _cmd_record(args) -> int:
     app = make_app(args.app, scale=args.scale, seed=args.seed)
-    run = app.run(columnar=not args.legacy_store)
+    run = app.run()
     save_trace_file(run.trace, args.output, version=_FORMAT_VERSIONS[args.format])
     print(
         f"recorded {args.app}: {len(run.trace)} operations, "
@@ -204,10 +183,7 @@ def _cmd_record(args) -> int:
 def _cmd_detect(args) -> int:
     trace = _load_input_trace(args)
     detector = UseFreeDetector(
-        trace,
-        DetectorOptions(
-            memo_capacity=args.memo_capacity, dense_bits=args.dense_bits
-        ),
+        trace, DetectorOptions(memo_capacity=args.memo_capacity)
     )
     result = detector.detect()
     print(
@@ -229,9 +205,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_witness(args) -> int:
     trace = load_trace_file(args.trace)
-    detector = UseFreeDetector(
-        trace, DetectorOptions(dense_bits=args.dense_bits)
-    )
+    detector = UseFreeDetector(trace)
     result = detector.detect()
     if not result.reports:
         print("no use-free races to witness")
@@ -269,9 +243,7 @@ def _cmd_stats(args) -> int:
     trace_profile = trace.profile(disk_bytes=os.path.getsize(args.trace))
     if not args.json:
         print(trace_profile.format())
-    hb = build_happens_before(
-        trace, memo_capacity=args.memo_capacity, dense_bits=args.dense_bits
-    )
+    hb = build_happens_before(trace, memo_capacity=args.memo_capacity)
     # Run the detector so the query-side counters describe a real
     # workload rather than an idle relation.
     with span("detect.usefree", ops=len(trace)):
@@ -377,7 +349,6 @@ def _cmd_triage(args) -> int:
         seed=args.sample_seed,
         salvage=args.salvage,
         jobs=args.jobs,
-        columnar=not args.legacy_store,
     )
     print(report.format())
     if args.json:
@@ -919,7 +890,6 @@ def _cmd_scaling_matrix(args) -> int:
         scales=args.scales,
         seed=args.seed,
         jobs=args.jobs,
-        dense_bits=args.dense_bits,
     )
     text = matrix.to_json()
     if args.output:
@@ -985,7 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("-o", "--output", required=True, help="output .jsonl path")
     _add_scale(record)
     _add_format(record, writing=True)
-    _add_store_options(record)
     record.set_defaults(fn=_cmd_record)
 
     detect = sub.add_parser("detect", help="offline analysis of a saved trace")
@@ -996,16 +965,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the conflicting-access baseline",
     )
     _add_format(detect, writing=False)
-    _add_store_options(detect)
     _add_memo_capacity(detect)
-    _add_dense_bits(detect)
     detect.set_defaults(fn=_cmd_detect)
 
     witness = sub.add_parser(
         "witness", help="print violating schedules for each reported race"
     )
     witness.add_argument("trace", help="trace .jsonl path")
-    _add_dense_bits(witness)
     witness.set_defaults(fn=_cmd_witness)
 
     stats = sub.add_parser(
@@ -1053,9 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
         "Perfetto)",
     )
     _add_format(stats, writing=False)
-    _add_store_options(stats)
     _add_memo_capacity(stats)
-    _add_dense_bits(stats)
     _add_sampling(stats)
     stats.set_defaults(fn=_cmd_stats)
 
@@ -1109,7 +1073,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_sampling(triage)
     _add_jobs(triage)
-    _add_store_options(triage)
     triage.set_defaults(fn=_cmd_triage)
 
     stream = sub.add_parser(
@@ -1358,7 +1321,6 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument(
         "-o", "--output", help="write the JSON table to a file instead of stdout"
     )
-    _add_dense_bits(matrix)
     matrix.set_defaults(fn=_cmd_scaling_matrix)
 
     explore = sub.add_parser(

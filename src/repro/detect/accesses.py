@@ -144,8 +144,8 @@ class AccessIndex:
 MATCH_WINDOW = 64
 
 
-#: the only operation kinds the extraction pass reads — on the
-#: columnar backend every other kind is skipped without materialization
+#: the only operation kinds the extraction pass reads — every other
+#: kind is skipped without materialization
 _EXTRACT_KINDS = (
     OpKind.ACQUIRE,
     OpKind.RELEASE,
@@ -191,17 +191,12 @@ class AccessExtractor:
     def feed(self, i: int, op=None) -> None:
         """Process op ``i``; non-access kinds are no-ops.
 
-        On the columnar backend the kind is read from the store's int
-        column, so skipped and high-level read/write ops are never
-        materialized; pass ``op`` when it is already at hand.
+        The kind is read from the store's int column, so skipped and
+        high-level read/write ops are never materialized; pass ``op``
+        when it is already at hand.
         """
         store = self.trace.store
-        if op is None and store is not None:
-            kind = KIND_LIST[store.kinds[i]]
-        else:
-            if op is None:
-                op = self.trace[i]
-            kind = op.kind
+        kind = KIND_LIST[store.kinds[i]] if op is None else op.kind
         if kind not in _EXTRACT_KIND_SET:
             return
         if kind is OpKind.READ or kind is OpKind.WRITE:
@@ -304,18 +299,12 @@ class AccessExtractor:
 def extract_accesses(trace: Trace) -> AccessIndex:
     """Recover uses, frees, allocations, guards, and locksets.
 
-    On the columnar backend only the kinds carrying access facts are
-    materialized (merged per-kind index walk); the legacy object path
-    scans every operation.  Both record lockset snapshots at access
-    and lock operations — the only indices the detectors query.
+    Only the kinds carrying access facts are materialized (merged
+    per-kind index walk); lockset snapshots are recorded at access and
+    lock operations — the only indices the detectors query.
     """
     extractor = AccessExtractor(trace)
-    store = trace.store
-    if store is None:
-        for i, op in enumerate(trace.ops):
-            extractor._step(i, op, op.task)
-        return extractor.index()
-    for i in store.indices_of(*_EXTRACT_KINDS):
+    for i in trace.store.indices_of(*_EXTRACT_KINDS):
         extractor.feed(i)
     return extractor.index()
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 import sys
 from typing import Tuple
 
-from ..trace import BranchKind, Branch, Trace
-from .accesses import AccessIndex, Guard, PointerWrite, Use
+from ..trace import BranchKind
+from .accesses import AccessIndex, PointerWrite, Use
 
 _END_OF_METHOD = sys.maxsize
 
@@ -44,15 +44,6 @@ def branch_safe_region(kind: BranchKind, pc: int, target: int) -> Tuple[int, int
     return (target, pc)
 
 
-def _branch_kind_of(trace: Trace, guard: Guard) -> BranchKind:
-    store = trace.store
-    if store is not None:
-        return store.field_of(guard.index, "branch_kind")
-    op = trace[guard.index]
-    assert isinstance(op, Branch)
-    return op.branch_kind
-
-
 def use_is_guarded(index: AccessIndex, use: Use) -> bool:
     """The if-guard check: is every dereference of this use covered by
     an earlier same-task branch on the same pointer whose safe region
@@ -64,19 +55,15 @@ def use_is_guarded(index: AccessIndex, use: Use) -> bool:
     ]
     if not candidate_guards:
         return False
-    trace = index.trace
-    store = trace.store
+    store = index.trace.store
     for deref_index in use.deref_indices:
-        if store is not None:
-            deref_pc = store.field_of(deref_index, "pc", -1)
-        else:
-            deref_pc = getattr(trace[deref_index], "pc", -1)
+        deref_pc = store.field_of(deref_index, "pc", -1)
         covered = False
         for guard in candidate_guards:
             if guard.index > deref_index:
                 continue  # the guard must execute before the dereference
             lo, hi = branch_safe_region(
-                _branch_kind_of(trace, guard), guard.pc, guard.target
+                store.field_of(guard.index, "branch_kind"), guard.pc, guard.target
             )
             if lo <= deref_pc < hi or lo <= use.read_pc < hi:
                 covered = True

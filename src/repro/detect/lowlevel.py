@@ -35,14 +35,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..hb import (
-    CAFA_MODEL,
-    DEFAULT_DENSE_BITS,
-    HappensBefore,
-    ModelConfig,
-    build_happens_before,
-)
-from ..trace import OpKind, PtrRead, PtrWrite, Read, Trace, Write
+from ..hb import CAFA_MODEL, HappensBefore, ModelConfig, build_happens_before
+from ..trace import OpKind, Trace
 from ..trace.store import KIND_CODES
 from .accesses import AccessIndex, extract_accesses
 from .report import MemoryRace
@@ -67,34 +61,11 @@ class _SiteKey:
 
 
 def _collect_sites(trace: Trace) -> Dict[_SiteKey, List[_Access]]:
+    """Dynamic accesses grouped by static site: the four access kinds
+    are decoded straight from their payload columns, walking the merged
+    index arrays so the dict insertion order — which seeds the
+    detector's site-pair enumeration — is trace order."""
     store = trace.store
-    if store is not None:
-        return _collect_sites_store(store)
-    sites: Dict[_SiteKey, List[_Access]] = defaultdict(list)
-    for i, op in enumerate(trace.ops):
-        if isinstance(op, Read):
-            key = _SiteKey(op.var, op.var, op.site, False)
-        elif isinstance(op, Write):
-            key = _SiteKey(op.var, op.var, op.site, True)
-        elif isinstance(op, PtrRead):
-            key = _SiteKey(
-                f"ptr:{op.address}", f"ptr:*.{op.address[2]}", f"{op.method}:{op.pc}", False
-            )
-        elif isinstance(op, PtrWrite):
-            key = _SiteKey(
-                f"ptr:{op.address}", f"ptr:*.{op.address[2]}", f"{op.method}:{op.pc}", True
-            )
-        else:
-            continue
-        sites[key].append(_Access(i, op.task, key.is_write))
-    return sites
-
-
-def _collect_sites_store(store) -> Dict[_SiteKey, List[_Access]]:
-    """Columnar site collection: decode the four access kinds straight
-    from their payload columns, walking the merged index arrays so the
-    dict insertion order — which seeds the detector's site-pair
-    enumeration — matches the legacy full scan exactly."""
     sites: Dict[_SiteKey, List[_Access]] = defaultdict(list)
     sym = store.symbols.value
     addr = store.addresses.value
@@ -173,23 +144,19 @@ class LowLevelDetector:
         accesses: Optional[AccessIndex] = None,
         lockset_filter: bool = True,
         samples_per_side: int = SAMPLES_PER_SIDE,
-        dense_bits: bool = DEFAULT_DENSE_BITS,
     ) -> None:
         self.trace = trace
         self.model = model
         self._hb = hb
         self.lockset_filter = lockset_filter
         self.samples_per_side = samples_per_side
-        self.dense_bits = dense_bits
         self._access_index = accesses
         self._sites: Optional[Dict[_SiteKey, List[_Access]]] = None
 
     @property
     def hb(self) -> HappensBefore:
         if self._hb is None:
-            self._hb = build_happens_before(
-                self.trace, self.model, dense_bits=self.dense_bits
-            )
+            self._hb = build_happens_before(self.trace, self.model)
         return self._hb
 
     @property

@@ -175,16 +175,7 @@ class _BirthChains:
         self.depth = depth
         births: Dict[str, Tuple[str, int]] = {}
         ambiguous = set()
-        store = trace.store
-        if store is not None:
-            indices = store.indices_of(*self._BIRTH_KINDS)
-        else:
-            indices = [
-                i
-                for i, op in enumerate(trace.ops)
-                if op.kind in self._BIRTH_KINDS
-            ]
-        for i in indices:
+        for i in trace.store.indices_of(*self._BIRTH_KINDS):
             op = trace[i]
             child = op.child if op.kind is OpKind.FORK else op.event
             if child in births or child in ambiguous:
@@ -317,11 +308,7 @@ class SampledDetector:
         profile = result.profile
         accesses = self.accesses
         hb = build_happens_before(
-            self.trace,
-            options.model,
-            fast_queries=options.fast_queries,
-            memo_capacity=options.memo_capacity,
-            dense_bits=options.dense_bits,
+            self.trace, options.model, memo_capacity=options.memo_capacity
         )
         profile.hb_built = 1
         budget = QueryBudget(limit=len(result.suspects))

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Tuple
 from ..hb import (
     CAFA_MODEL,
     CONVENTIONAL_MODEL,
-    DEFAULT_DENSE_BITS,
     HappensBefore,
     ModelConfig,
     build_happens_before,
@@ -55,16 +54,9 @@ class DetectorOptions:
     model: ModelConfig = CAFA_MODEL
     #: model used to decide column (b) vs (c); the Table 1 baseline
     conventional_model: ModelConfig = CONVENTIONAL_MODEL
-    #: use the prefix-mask + memo happens-before query path; False
-    #: selects the historical per-query bit-scan (differential target)
-    fast_queries: bool = True
     #: LRU bound of the query memo tables: None = the default
     #: (:data:`repro.hb.DEFAULT_MEMO_CAPACITY`), 0 = unbounded
     memo_capacity: Optional[int] = None
-    #: store the closure as dense big-int bitsets (the legacy
-    #: representation) instead of chunked sparse bitsets; verdicts are
-    #: identical, only memory/speed differ (differential target)
-    dense_bits: bool = DEFAULT_DENSE_BITS
 
 
 @dataclass
@@ -119,9 +111,7 @@ class UseFreeDetector:
             self._hb = build_happens_before(
                 self.trace,
                 self.options.model,
-                fast_queries=self.options.fast_queries,
                 memo_capacity=self.options.memo_capacity,
-                dense_bits=self.options.dense_bits,
             )
         return self._hb
 
@@ -131,9 +121,7 @@ class UseFreeDetector:
             self._conventional_hb = build_happens_before(
                 self.trace,
                 self.options.conventional_model,
-                fast_queries=self.options.fast_queries,
                 memo_capacity=self.options.memo_capacity,
-                dense_bits=self.options.dense_bits,
             )
         return self._conventional_hb
 

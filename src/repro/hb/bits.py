@@ -34,8 +34,6 @@ Both Roemer & Bond (arXiv:1907.08337) and Mathur et al.
 tuned to the analysis' access pattern beat uniform dense state, and
 HB reasoning stays sound when the closure state is maintained
 incrementally — the representation may change, the relation may not.
-The dense big-int path is preserved behind ``dense_bits=True`` and
-differentially tested against this one.
 """
 
 from __future__ import annotations

@@ -24,10 +24,8 @@ only the members whose own premise node changed are re-read — one
 moving event in a thousand-event looper re-examines one member, not a
 thousand (``events_repropagated`` vs ``group_dirty_events`` in the
 :class:`BuildProfile`).  Edges concluded in a round are still staged
-and applied between rounds, which keeps the produced edge set
-bit-for-bit identical to the historical snapshot-per-round
-implementation (available as ``build_happens_before(...,
-incremental=False)`` for differential testing).
+and applied between rounds, so each round is a function of the closure
+at round entry, exactly as in a snapshot-per-round fixpoint.
 """
 
 from __future__ import annotations
@@ -35,44 +33,22 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..trace import (
-    Acquire,
     Begin,
     End,
-    Fork,
-    IpcCall,
-    IpcHandle,
-    IpcReply,
-    IpcReturn,
-    Join,
-    Notify,
     OpKind,
-    Perform,
-    Register,
-    Release,
     Send,
     SendAtFront,
     SYNC_KINDS,
     TaskKind,
     Trace,
-    Wait,
 )
 from ..obs.spans import span
 from ..trace.store import KIND_LIST
 from .bits import SparseBits
-from .config import CAFA_MODEL, DEFAULT_DENSE_BITS, ModelConfig
+from .config import CAFA_MODEL, ModelConfig
 from .graph import HappensBefore, KeyGraph
 
 # Rule labels used as edge provenance.
@@ -108,7 +84,7 @@ class BuildProfile:
     scan_seconds: float = 0.0
     #: key-graph construction + base-rule edges
     base_seconds: float = 0.0
-    #: full transitive-closure computations (initial + final check)
+    #: the initial transitive closure (and with it the cycle check)
     closure_seconds: float = 0.0
     #: derived-rule fixpoint (rule evaluation + incremental closure upkeep)
     fixpoint_seconds: float = 0.0
@@ -116,7 +92,8 @@ class BuildProfile:
     rounds: int = 0
     #: derived edges applied after each round (excludes the final empty round)
     edges_per_round: List[int] = field(default_factory=list)
-    #: full closure rebuilds (1 for an incremental build, ~rounds+1 legacy)
+    #: full from-scratch closure builds (1 per build: the fixpoint
+    #: maintains the closure in place)
     closure_recomputations: int = 0
     #: reachability bits newly set by incremental propagation
     bits_propagated: int = 0
@@ -124,17 +101,15 @@ class BuildProfile:
     groups_examined: int = 0
     #: rule groups skipped because no premise node's reach set changed
     groups_skipped: int = 0
-    #: whether the closure used the legacy dense big-int representation
-    dense_bits: bool = False
-    #: sparse backend: distinct chunk objects in the final reach vector
+    #: distinct chunk objects in the final reach vector
     chunks_allocated: int = 0
-    #: sparse backend: block-table entries resolved by sharing a chunk
-    #: already owned by another node (copy-on-write adoption)
+    #: block-table entries resolved by sharing a chunk already owned by
+    #: another node (copy-on-write adoption)
     chunks_shared: int = 0
-    #: sparse backend: fraction of chunk references that are the
-    #: all-ones FULL_CHUNK (served by the dense-chunk fast path)
+    #: fraction of chunk references that are the all-ones FULL_CHUNK
+    #: (served by the dense-chunk fast path)
     dense_chunk_ratio: float = 0.0
-    #: bytes retained by the final closure (sharing-aware when sparse)
+    #: bytes retained by the final closure (sharing-aware)
     closure_bytes: int = 0
     #: rule members whose premise reach sets were re-read in dirty
     #: (post-first) fixpoint rounds — the per-event dirty granularity
@@ -185,28 +160,13 @@ class _BuildState:
     events: Dict[str, EventRecord] = field(default_factory=dict)
     task_begin: Dict[str, int] = field(default_factory=dict)
     task_end: Dict[str, int] = field(default_factory=dict)
-    #: per-op key flags, precomputed on the columnar path (None = legacy,
-    #: resolved per op by :func:`_is_key`)
-    is_key: Optional[List[bool]] = None
-
-
-def _effective_task(state: _BuildState, op_index: int) -> str:
-    """The task an op belongs to under the configured event model.
-
-    With ``sequential_events`` (the conventional baseline) every event's
-    operations are folded into its looper thread's program order.
-    """
-    op = state.trace[op_index]
-    if not state.config.sequential_events:
-        return op.task
-    info = state.trace.tasks.get(op.task)
-    if info is not None and info.task_kind is TaskKind.EVENT and info.looper:
-        return info.looper
-    return op.task
+    #: per-op key flags, precomputed by :func:`_scan`
+    is_key: List[bool] = field(default_factory=list)
 
 
 def _harvest(state: _BuildState, i: int, op) -> None:
-    """Record task bounds and event send/dispatch facts for one op."""
+    """Record task bounds and event send/dispatch facts for one op
+    (the streaming builder's per-op form of :func:`_harvest_store`)."""
     trace = state.trace
     if isinstance(op, Begin):
         state.task_begin.setdefault(op.task, i)
@@ -238,26 +198,16 @@ def _harvest(state: _BuildState, i: int, op) -> None:
 
 
 def _scan(state: _BuildState) -> None:
-    """First pass: positions, task bounds, and event records."""
-    trace = state.trace
-    store = trace.store
-    if store is not None:
-        _scan_store(state, store)
-        return
-    for i, op in enumerate(trace.ops):
-        task = _effective_task(state, i)
-        ops = state.task_ops.setdefault(task, [])
-        state.op_task.append(task)
-        state.op_pos.append(len(ops))
-        ops.append(i)
-        _harvest(state, i, op)
+    """First pass: positions, task bounds, and event records.
 
-
-def _scan_store(state: _BuildState, store) -> None:
-    """Columnar first pass: per-op bookkeeping straight from the int
-    columns (no :class:`Operation` materialization), then a sparse
-    harvest over only the kinds that carry event/bound facts."""
+    Per-op bookkeeping comes straight from the int columns (no
+    :class:`Operation` materialization), then a sparse harvest runs
+    over only the kinds that carry event/bound facts.  With
+    ``sequential_events`` (the conventional baseline) every event's
+    operations are folded into its looper thread's program order.
+    """
     trace, config = state.trace, state.config
+    store = trace.store
     tasks = trace.tasks
     sequential = config.sequential_events
     symbols = store.symbols
@@ -361,19 +311,8 @@ def _harvest_store(state: _BuildState, store) -> None:
                 rec.queue = queue
 
 
-def _is_key(state: _BuildState, op_index: int) -> bool:
-    op = state.trace[op_index]
-    if op.kind in SYNC_KINDS:
-        return True
-    if state.config.lock_edges and op.kind in (OpKind.ACQUIRE, OpKind.RELEASE):
-        return True
-    return False
-
-
 def _build_key_graph(
     state: _BuildState,
-    incremental: bool = True,
-    dense_bits: bool = DEFAULT_DENSE_BITS,
 ) -> Tuple[KeyGraph, Dict[str, List[int]], Dict[str, List[int]]]:
     """Create nodes for every key op and chain them per task.
 
@@ -382,20 +321,16 @@ def _build_key_graph(
     *guarantees* the contiguous-id invariant behind the sparse query
     path's range probes (a broken run raises instead of degrading).
     """
-    graph = KeyGraph(incremental=incremental, dense_bits=dense_bits)
+    graph = KeyGraph()
     task_key_positions: Dict[str, List[int]] = {}
     task_key_nodes: Dict[str, List[int]] = {}
-    if state.is_key is not None:
-        is_key = state.is_key.__getitem__
-    else:
-        def is_key(op_index: int) -> bool:
-            return _is_key(state, op_index)
+    is_key = state.is_key
     for task, ops in state.task_ops.items():
         last = len(ops) - 1
         positions = [
             pos
             for pos, op_index in enumerate(ops)
-            if is_key(op_index) or pos == last
+            if is_key[op_index] or pos == last
         ]
         task_key_positions[task] = positions
         task_key_nodes[task] = graph.add_chain(
@@ -417,197 +352,143 @@ def _add_base_edges(state: _BuildState, graph: KeyGraph) -> None:
     def edge(u_op: int, v_op: int, rule: str) -> None:
         graph.add_edge(graph.node_of(u_op), graph.node_of(v_op), rule)
 
-    def step(i: int, op) -> None:
-        if isinstance(op, Fork) and config.fork_join:
-            begin = state.task_begin.get(op.child)
+    store = trace.store
+    # Per-kind handlers over the raw columns — no :class:`Operation`
+    # is ever materialized.  Entries of every enabled kind are merged
+    # back into trace order before dispatch because the base rules are
+    # stateful scans (a Wait pairs with *earlier* Notifies, an Acquire
+    # with the *latest* Release).
+    sym = store.symbols.value
+    handlers: List[Callable[[int, int], None]] = []
+    entries: List[Tuple[int, int, int]] = []
+
+    def add_kind(kind: OpKind, handler: Callable[[int, int], None]) -> None:
+        indices = store.by_kind(kind)
+        if indices:
+            tag = len(handlers)
+            handlers.append(handler)
+            entries.extend((i, tag, r) for r, i in enumerate(indices))
+
+    if config.fork_join:
+        _, fork_child = store.column(OpKind.FORK, "child")
+
+        def h_fork(i: int, r: int) -> None:
+            begin = state.task_begin.get(sym(fork_child[r]))
             if begin is not None:
                 edge(i, begin, RULE_FORK)
-        elif isinstance(op, Join) and config.fork_join:
-            end = state.task_end.get(op.child)
+
+        add_kind(OpKind.FORK, h_fork)
+        _, join_child = store.column(OpKind.JOIN, "child")
+
+        def h_join(i: int, r: int) -> None:
+            end = state.task_end.get(sym(join_child[r]))
             if end is not None:
                 edge(end, i, RULE_JOIN)
-        elif isinstance(op, Notify) and config.signal_wait:
-            if op.ticket >= 0:
-                notify_by_ticket[op.ticket] = i
-            notify_by_monitor.setdefault(op.monitor, []).append(i)
-        elif isinstance(op, Wait) and config.signal_wait:
-            if op.ticket >= 0 and op.ticket in notify_by_ticket:
-                edge(notify_by_ticket[op.ticket], i, RULE_SIGNAL_WAIT)
+
+        add_kind(OpKind.JOIN, h_join)
+    if config.signal_wait:
+        _, notify_mon = store.column(OpKind.NOTIFY, "monitor")
+        _, notify_ticket = store.column(OpKind.NOTIFY, "ticket")
+
+        def h_notify(i: int, r: int) -> None:
+            ticket = notify_ticket[r]
+            if ticket >= 0:
+                notify_by_ticket[ticket] = i
+            notify_by_monitor.setdefault(sym(notify_mon[r]), []).append(i)
+
+        add_kind(OpKind.NOTIFY, h_notify)
+        _, wait_mon = store.column(OpKind.WAIT, "monitor")
+        _, wait_ticket = store.column(OpKind.WAIT, "ticket")
+
+        def h_wait(i: int, r: int) -> None:
+            ticket = wait_ticket[r]
+            if ticket >= 0 and ticket in notify_by_ticket:
+                edge(notify_by_ticket[ticket], i, RULE_SIGNAL_WAIT)
             else:
                 # No pairing information: apply the rule as written —
                 # every earlier notify of the monitor orders the wait.
-                for n in notify_by_monitor.get(op.monitor, ()):
+                for n in notify_by_monitor.get(sym(wait_mon[r]), ()):
                     edge(n, i, RULE_SIGNAL_WAIT)
-        elif isinstance(op, Register) and config.listener:
-            registers.setdefault(op.listener, []).append(i)
-        elif isinstance(op, Perform) and config.listener:
-            for r in registers.get(op.listener, ()):
-                edge(r, i, RULE_LISTENER)
-        elif isinstance(op, (Send, SendAtFront)) and config.send_begin:
-            begin = state.task_begin.get(op.event)
+
+        add_kind(OpKind.WAIT, h_wait)
+    if config.listener:
+        _, reg_listener = store.column(OpKind.REGISTER, "listener")
+
+        def h_register(i: int, r: int) -> None:
+            registers.setdefault(sym(reg_listener[r]), []).append(i)
+
+        add_kind(OpKind.REGISTER, h_register)
+        _, perf_listener = store.column(OpKind.PERFORM, "listener")
+
+        def h_perform(i: int, r: int) -> None:
+            for x in registers.get(sym(perf_listener[r]), ()):
+                edge(x, i, RULE_LISTENER)
+
+        add_kind(OpKind.PERFORM, h_perform)
+    if config.send_begin:
+        _, send_event = store.column(OpKind.SEND, "event")
+
+        def h_send(i: int, r: int) -> None:
+            begin = state.task_begin.get(sym(send_event[r]))
             if begin is not None:
-                rule = RULE_SEND if isinstance(op, Send) else RULE_SEND_AT_FRONT
-                edge(i, begin, rule)
-        elif isinstance(op, IpcCall) and config.ipc:
-            ipc_calls[op.txn] = i
-        elif isinstance(op, IpcHandle) and config.ipc:
-            call = ipc_calls.get(op.txn)
+                edge(i, begin, RULE_SEND)
+
+        add_kind(OpKind.SEND, h_send)
+        _, front_event = store.column(OpKind.SEND_AT_FRONT, "event")
+
+        def h_front(i: int, r: int) -> None:
+            begin = state.task_begin.get(sym(front_event[r]))
+            if begin is not None:
+                edge(i, begin, RULE_SEND_AT_FRONT)
+
+        add_kind(OpKind.SEND_AT_FRONT, h_front)
+    if config.ipc:
+        _, call_txn = store.column(OpKind.IPC_CALL, "txn")
+
+        def h_call(i: int, r: int) -> None:
+            ipc_calls[call_txn[r]] = i
+
+        add_kind(OpKind.IPC_CALL, h_call)
+        _, handle_txn = store.column(OpKind.IPC_HANDLE, "txn")
+
+        def h_handle(i: int, r: int) -> None:
+            call = ipc_calls.get(handle_txn[r])
             if call is not None:
                 edge(call, i, RULE_IPC_CALL)
-        elif isinstance(op, IpcReply) and config.ipc:
-            ipc_replies[op.txn] = i
-        elif isinstance(op, IpcReturn) and config.ipc:
-            reply = ipc_replies.get(op.txn)
+
+        add_kind(OpKind.IPC_HANDLE, h_handle)
+        _, reply_txn = store.column(OpKind.IPC_REPLY, "txn")
+
+        def h_reply(i: int, r: int) -> None:
+            ipc_replies[reply_txn[r]] = i
+
+        add_kind(OpKind.IPC_REPLY, h_reply)
+        _, return_txn = store.column(OpKind.IPC_RETURN, "txn")
+
+        def h_return(i: int, r: int) -> None:
+            reply = ipc_replies.get(return_txn[r])
             if reply is not None:
                 edge(reply, i, RULE_IPC_REPLY)
-        elif isinstance(op, Release) and config.lock_edges:
-            last_release[op.lock] = i
-        elif isinstance(op, Acquire) and config.lock_edges:
-            rel = last_release.get(op.lock)
+
+        add_kind(OpKind.IPC_RETURN, h_return)
+    if config.lock_edges:
+        _, release_lock = store.column(OpKind.RELEASE, "lock")
+
+        def h_release(i: int, r: int) -> None:
+            last_release[sym(release_lock[r])] = i
+
+        add_kind(OpKind.RELEASE, h_release)
+        _, acquire_lock = store.column(OpKind.ACQUIRE, "lock")
+
+        def h_acquire(i: int, r: int) -> None:
+            rel = last_release.get(sym(acquire_lock[r]))
             if rel is not None:
                 edge(rel, i, RULE_LOCK)
 
-    store = trace.store
-    if store is None:
-        for i, op in enumerate(trace.ops):
-            step(i, op)
-    else:
-        # Columnar path: per-kind handlers over the raw columns — no
-        # :class:`Operation` is ever materialized.  Entries of every
-        # enabled kind are merged back into trace order before dispatch
-        # because the base rules are stateful scans (a Wait pairs with
-        # *earlier* Notifies, an Acquire with the *latest* Release).
-        sym = store.symbols.value
-        handlers: List[Callable[[int, int], None]] = []
-        entries: List[Tuple[int, int, int]] = []
-
-        def add_kind(kind: OpKind, handler: Callable[[int, int], None]) -> None:
-            indices = store.by_kind(kind)
-            if indices:
-                tag = len(handlers)
-                handlers.append(handler)
-                entries.extend((i, tag, r) for r, i in enumerate(indices))
-
-        if config.fork_join:
-            _, fork_child = store.column(OpKind.FORK, "child")
-
-            def h_fork(i: int, r: int) -> None:
-                begin = state.task_begin.get(sym(fork_child[r]))
-                if begin is not None:
-                    edge(i, begin, RULE_FORK)
-
-            add_kind(OpKind.FORK, h_fork)
-            _, join_child = store.column(OpKind.JOIN, "child")
-
-            def h_join(i: int, r: int) -> None:
-                end = state.task_end.get(sym(join_child[r]))
-                if end is not None:
-                    edge(end, i, RULE_JOIN)
-
-            add_kind(OpKind.JOIN, h_join)
-        if config.signal_wait:
-            _, notify_mon = store.column(OpKind.NOTIFY, "monitor")
-            _, notify_ticket = store.column(OpKind.NOTIFY, "ticket")
-
-            def h_notify(i: int, r: int) -> None:
-                ticket = notify_ticket[r]
-                if ticket >= 0:
-                    notify_by_ticket[ticket] = i
-                notify_by_monitor.setdefault(sym(notify_mon[r]), []).append(i)
-
-            add_kind(OpKind.NOTIFY, h_notify)
-            _, wait_mon = store.column(OpKind.WAIT, "monitor")
-            _, wait_ticket = store.column(OpKind.WAIT, "ticket")
-
-            def h_wait(i: int, r: int) -> None:
-                ticket = wait_ticket[r]
-                if ticket >= 0 and ticket in notify_by_ticket:
-                    edge(notify_by_ticket[ticket], i, RULE_SIGNAL_WAIT)
-                else:
-                    # No pairing information: apply the rule as written —
-                    # every earlier notify of the monitor orders the wait.
-                    for n in notify_by_monitor.get(sym(wait_mon[r]), ()):
-                        edge(n, i, RULE_SIGNAL_WAIT)
-
-            add_kind(OpKind.WAIT, h_wait)
-        if config.listener:
-            _, reg_listener = store.column(OpKind.REGISTER, "listener")
-
-            def h_register(i: int, r: int) -> None:
-                registers.setdefault(sym(reg_listener[r]), []).append(i)
-
-            add_kind(OpKind.REGISTER, h_register)
-            _, perf_listener = store.column(OpKind.PERFORM, "listener")
-
-            def h_perform(i: int, r: int) -> None:
-                for x in registers.get(sym(perf_listener[r]), ()):
-                    edge(x, i, RULE_LISTENER)
-
-            add_kind(OpKind.PERFORM, h_perform)
-        if config.send_begin:
-            _, send_event = store.column(OpKind.SEND, "event")
-
-            def h_send(i: int, r: int) -> None:
-                begin = state.task_begin.get(sym(send_event[r]))
-                if begin is not None:
-                    edge(i, begin, RULE_SEND)
-
-            add_kind(OpKind.SEND, h_send)
-            _, front_event = store.column(OpKind.SEND_AT_FRONT, "event")
-
-            def h_front(i: int, r: int) -> None:
-                begin = state.task_begin.get(sym(front_event[r]))
-                if begin is not None:
-                    edge(i, begin, RULE_SEND_AT_FRONT)
-
-            add_kind(OpKind.SEND_AT_FRONT, h_front)
-        if config.ipc:
-            _, call_txn = store.column(OpKind.IPC_CALL, "txn")
-
-            def h_call(i: int, r: int) -> None:
-                ipc_calls[call_txn[r]] = i
-
-            add_kind(OpKind.IPC_CALL, h_call)
-            _, handle_txn = store.column(OpKind.IPC_HANDLE, "txn")
-
-            def h_handle(i: int, r: int) -> None:
-                call = ipc_calls.get(handle_txn[r])
-                if call is not None:
-                    edge(call, i, RULE_IPC_CALL)
-
-            add_kind(OpKind.IPC_HANDLE, h_handle)
-            _, reply_txn = store.column(OpKind.IPC_REPLY, "txn")
-
-            def h_reply(i: int, r: int) -> None:
-                ipc_replies[reply_txn[r]] = i
-
-            add_kind(OpKind.IPC_REPLY, h_reply)
-            _, return_txn = store.column(OpKind.IPC_RETURN, "txn")
-
-            def h_return(i: int, r: int) -> None:
-                reply = ipc_replies.get(return_txn[r])
-                if reply is not None:
-                    edge(reply, i, RULE_IPC_REPLY)
-
-            add_kind(OpKind.IPC_RETURN, h_return)
-        if config.lock_edges:
-            _, release_lock = store.column(OpKind.RELEASE, "lock")
-
-            def h_release(i: int, r: int) -> None:
-                last_release[sym(release_lock[r])] = i
-
-            add_kind(OpKind.RELEASE, h_release)
-            _, acquire_lock = store.column(OpKind.ACQUIRE, "lock")
-
-            def h_acquire(i: int, r: int) -> None:
-                rel = last_release.get(sym(acquire_lock[r]))
-                if rel is not None:
-                    edge(rel, i, RULE_LOCK)
-
-            add_kind(OpKind.ACQUIRE, h_acquire)
-        entries.sort()
-        for i, tag, r in entries:
-            handlers[tag](i, r)
+        add_kind(OpKind.ACQUIRE, h_acquire)
+    entries.sort()
+    for i, tag, r in entries:
+        handlers[tag](i, r)
 
     if config.external_input:
         external = trace.external_events()
@@ -677,10 +558,6 @@ def _check_one_looper_per_queue(state: _BuildState) -> None:
             )
 
 
-#: a candidate mask in the active closure representation
-_Mask = Union[int, SparseBits]
-
-
 @dataclass
 class _AtomicityGroup:
     """One looper's dispatched events, in execution order."""
@@ -688,7 +565,7 @@ class _AtomicityGroup:
     recs: List[EventRecord]
     begin_node: List[int]
     #: end-node suffix masks: suffix[i] = OR of end nodes after position i-1
-    suffix: List[_Mask]
+    suffix: List[SparseBits]
     event_of_end_node: Dict[int, EventRecord]
     #: nodes whose reach sets the rule's premise reads
     premise: FrozenSet[int]
@@ -703,9 +580,9 @@ class _QueueGroup:
     delays: List[int]
     send_node: List[int]
     #: send-node suffix masks over the delay-sorted sends
-    suffix: List[_Mask]
+    suffix: List[SparseBits]
     event_of_send_node: Dict[int, EventRecord]
-    all_sends_mask: _Mask
+    all_sends_mask: SparseBits
     front_node: List[int]
     front_begin_node: List[int]
     #: premise node sets per rule — re-examine only when one of these
@@ -716,41 +593,10 @@ class _QueueGroup:
     premise_any: FrozenSet[int]
 
 
-# Representation adapters: the derived rules are written once against
-# these four operations and bound to the dense or sparse implementation
-# when the rule engine is constructed, so both closure backends run the
-# exact same rule logic.
-
-def _dense_node_mask(node: int) -> int:
-    return 1 << node
-
-
-def _dense_extend_mask(mask: int, node: int) -> int:
-    return mask | (1 << node)
-
-
-def _sparse_extend_mask(mask: SparseBits, node: int) -> SparseBits:
+def _extend_mask(mask: SparseBits, node: int) -> SparseBits:
     out = mask.copy()
     out.set(node)
     return out
-
-
-def _dense_and_nodes(reach_row: int, mask: int) -> Iterator[int]:
-    candidates = reach_row & mask
-    while candidates:
-        low = candidates & -candidates
-        candidates ^= low
-        yield low.bit_length() - 1
-
-
-def _dense_test(reach_row: int, node: int) -> bool:
-    return bool((reach_row >> node) & 1)
-
-
-_sparse_and_nodes: Callable[[SparseBits, SparseBits], Iterator[int]] = (
-    SparseBits.and_iter
-)
-_sparse_test: Callable[[SparseBits, int], bool] = SparseBits.test
 
 
 class _DerivedRules:
@@ -780,17 +626,6 @@ class _DerivedRules:
         self.events_repropagated = 0
         #: rule members the per-group scheme would have re-examined
         self.group_dirty_events = 0
-        dense = graph.dense_bits
-        if dense:
-            self._node_mask = _dense_node_mask
-            self._extend_mask = _dense_extend_mask
-            self._and_nodes = _dense_and_nodes
-            self._test = _dense_test
-        else:
-            self._node_mask = SparseBits.single
-            self._extend_mask = _sparse_extend_mask
-            self._and_nodes = _sparse_and_nodes
-            self._test = _sparse_test
         config = state.config
         dispatched = [
             rec for rec in state.events.values() if rec.dispatched and rec.queue
@@ -801,7 +636,7 @@ class _DerivedRules:
             for rec in dispatched:
                 if rec.looper:
                     per_looper.setdefault(rec.looper, []).append(rec)
-        empty: _Mask = 0 if dense else SparseBits()
+        empty = SparseBits()
         self.atom_groups: List[_AtomicityGroup] = []
         for recs in per_looper.values():
             if len(recs) < 2:
@@ -809,9 +644,9 @@ class _DerivedRules:
             recs.sort(key=lambda r: r.begin_index)  # type: ignore[arg-type, return-value]
             begin_node = [self._node(r.begin_index) for r in recs]  # type: ignore[arg-type]
             end_node = [self._node(r.end_index) for r in recs]  # type: ignore[arg-type]
-            suffix: List[_Mask] = [empty] * (len(recs) + 1)
+            suffix = [empty] * (len(recs) + 1)
             for i in range(len(recs) - 1, -1, -1):
-                suffix[i] = self._extend_mask(suffix[i + 1], end_node[i])
+                suffix[i] = _extend_mask(suffix[i + 1], end_node[i])
             self.atom_groups.append(
                 _AtomicityGroup(
                     recs=recs,
@@ -835,9 +670,9 @@ class _DerivedRules:
             s = sorted(sends.get(queue, []), key=lambda r: r.delay)
             f = fronts.get(queue, [])
             send_node = [self._node(r.send_index) for r in s]  # type: ignore[arg-type]
-            qsuffix: List[_Mask] = [empty] * (len(s) + 1)
+            qsuffix = [empty] * (len(s) + 1)
             for i in range(len(s) - 1, -1, -1):
-                qsuffix[i] = self._extend_mask(qsuffix[i + 1], send_node[i])
+                qsuffix[i] = _extend_mask(qsuffix[i + 1], send_node[i])
             front_node = [self._node(r.send_index) for r in f]  # type: ignore[arg-type]
             premise_sends = frozenset(send_node)
             premise_fronts = frozenset(front_node)
@@ -880,13 +715,12 @@ class _DerivedRules:
         node changed are re-examined (``None`` examines everything, as
         in round one).  Concluded edges are returned, *not* added:
         staging them keeps each round a function of the closure at
-        round entry, so the edge set matches the historical
-        snapshot-per-round builder exactly.
+        round entry, as in a snapshot-per-round fixpoint.
         """
         reach = self.graph.reach_vector()
         new_edges: List[Tuple[int, int, str]] = []
         seen = set()
-        test = self._test
+        test = SparseBits.test
 
         def conclude(e1: EventRecord, e2: EventRecord, rule: str) -> None:
             """Record conclusion end(e1) < begin(e2) unless implied."""
@@ -920,7 +754,7 @@ class _DerivedRules:
     # begin(e_i) with the end-nodes of later events in one bitset AND.
 
     def _atomicity(self, reach, conclude, dirty) -> None:
-        and_nodes = self._and_nodes
+        and_nodes = SparseBits.and_iter
         for g in self.atom_groups:
             if not self._fresh(dirty, g.premise):
                 continue
@@ -942,7 +776,7 @@ class _DerivedRules:
     # send(t1,e1,d1) < send(t2,e2,d2) and d1 <= d2  =>  end(e1) < begin(e2).
 
     def _queue_rule_1(self, reach, conclude, dirty) -> None:
-        and_nodes = self._and_nodes
+        and_nodes = SparseBits.and_iter
         for g in self.queue_groups:
             if len(g.sends) < 2:
                 continue
@@ -969,7 +803,7 @@ class _DerivedRules:
     #   =>  end(e2) < begin(e1).
 
     def _queue_rule_2(self, reach, conclude, dirty) -> None:
-        test = self._test
+        test = SparseBits.test
         for g in self.queue_groups:
             if not g.fronts or not g.sends:
                 continue
@@ -1000,7 +834,7 @@ class _DerivedRules:
     # sendAtFront(t1,e1) < send(t2,e2,d2)  =>  end(e1) < begin(e2).
 
     def _queue_rule_3(self, reach, conclude, dirty) -> None:
-        and_nodes = self._and_nodes
+        and_nodes = SparseBits.and_iter
         for g in self.queue_groups:
             if not g.fronts or not g.sends:
                 continue
@@ -1022,7 +856,7 @@ class _DerivedRules:
     # sendAtFront(t2,e2) < begin(e1)  =>  end(e2) < begin(e1).
 
     def _queue_rule_4(self, reach, conclude, dirty) -> None:
-        test = self._test
+        test = SparseBits.test
         for g in self.queue_groups:
             if len(g.fronts) < 2:
                 continue
@@ -1052,10 +886,7 @@ class _DerivedRules:
 def build_happens_before(
     trace: Trace,
     config: ModelConfig = CAFA_MODEL,
-    incremental: bool = True,
-    fast_queries: bool = True,
     memo_capacity: Optional[int] = None,
-    dense_bits: bool = DEFAULT_DENSE_BITS,
 ) -> HappensBefore:
     """Build the happens-before relation of ``trace`` under ``config``.
 
@@ -1066,22 +897,9 @@ def build_happens_before(
     configuration, including the ablations that disable the derived
     rules.
 
-    ``incremental=False`` selects the historical
-    full-closure-recompute-per-round fixpoint; it produces the exact
-    same relation and exists as a differential-testing target and
-    performance baseline.  ``fast_queries=False`` likewise restores the
-    historical per-query bit-scan in place of the prefix-mask +
-    memoization query path — same verdicts, kept for differential
-    testing and before/after measurement.
-
     ``memo_capacity`` bounds the query memoization tables (LRU):
     ``None`` uses :data:`~repro.hb.graph.DEFAULT_MEMO_CAPACITY`, ``0``
     keeps them unbounded, any positive value is the entry cap.
-
-    ``dense_bits=True`` stores the closure as one big int per key node
-    (the historical representation) instead of the default chunked
-    sparse bitsets; same edges and verdicts, different memory and speed
-    profile — see :mod:`repro.hb.bits`.
     """
     profile = BuildProfile()
     tick = time.perf_counter
@@ -1094,9 +912,7 @@ def build_happens_before(
 
     t0 = tick()
     with span("hb.base_edges"):
-        graph, task_key_positions, task_key_nodes = _build_key_graph(
-            state, incremental, dense_bits
-        )
+        graph, task_key_positions, task_key_nodes = _build_key_graph(state)
         _add_base_edges(state, graph)
     profile.base_seconds = tick() - t0
 
@@ -1106,7 +922,7 @@ def build_happens_before(
     t0 = tick()
     with span("hb.closure"):
         graph.close()
-    profile.closure_seconds += tick() - t0
+    profile.closure_seconds = tick() - t0
 
     iterations = 0
     derived_edges = 0
@@ -1128,24 +944,16 @@ def build_happens_before(
                 derived_edges += added
                 profile.edges_per_round.append(added)
                 # Only candidates whose reachability changed need another look.
-                dirty = graph.drain_dirty() if incremental else None
+                dirty = graph.drain_dirty()
         profile.fixpoint_seconds = tick() - t0
         profile.groups_examined = rules.groups_examined
         profile.groups_skipped = rules.groups_skipped
         profile.events_repropagated = rules.events_repropagated
         profile.group_dirty_events = rules.group_dirty_events
-        # Legacy mode invalidated the closure on every added edge; make
-        # sure the final state is closed and cycle-checked.  A no-op for
-        # incremental builds, whose closure is maintained live.
-        t0 = tick()
-        with span("hb.closure"):
-            graph.close()
-        profile.closure_seconds += tick() - t0
 
     profile.rounds = iterations
     profile.closure_recomputations = graph.closure_recomputations
     profile.bits_propagated = graph.bits_propagated
-    profile.dense_bits = graph.dense_bits
     profile.closure_bytes = graph.closure_bytes()
     chunk_stats = graph.chunk_stats()
     if chunk_stats is not None:
@@ -1171,7 +979,6 @@ def build_happens_before(
         iterations=iterations,
         derived_edges=derived_edges,
         profile=profile,
-        fast_queries=fast_queries,
         memo_capacity=memo_capacity,
     )
 

@@ -11,15 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-#: Default closure representation: ``False`` selects the chunked
-#: sparse bitsets of :mod:`repro.hb.bits`, ``True`` the legacy dense
-#: big-int-per-node storage.  Overridable per build
-#: (``build_happens_before(..., dense_bits=True)``), per detector
-#: (``DetectorOptions(dense_bits=True)``), and per CLI invocation
-#: (``--dense-bits``); the two paths are differentially tested for
-#: identical HB edges and verdicts on every stock app.
-DEFAULT_DENSE_BITS = False
-
 
 @dataclass(frozen=True)
 class ModelConfig:

@@ -16,16 +16,12 @@ operation equals the reachable set of the first key node at or after it
 in the same task, so ordering queries between arbitrary operations
 reduce to key-node reachability plus two index comparisons.
 
-Reachability over key nodes is kept as one bitset per node, in one of
-two interchangeable representations.  The default is the chunked
-sparse bitset of :mod:`repro.hb.bits` — fixed-width word chunks keyed
-by block index, with chunk-level copy-on-write sharing between a node
-and its successors, so the closure's memory tracks how much each node
-actually reaches instead of the key-node count squared.
-``dense_bits=True`` restores the historical one-big-int-per-node
-storage, kept as a differential-testing target and because big-int ORs
-still win on small, saturated graphs.  Either way the *first* closure
-is computed in reverse topological order and from then on the index is
+Reachability over key nodes is kept as one chunked sparse bitset per
+node (:mod:`repro.hb.bits`) — fixed-width word chunks keyed by block
+index, with chunk-level copy-on-write sharing between a node and its
+successors, so the closure's memory tracks how much each node actually
+reaches instead of the key-node count squared.  The *first* closure is
+computed in reverse topological order and from then on the index is
 maintained *incrementally*: ``add_edge(u, v)`` on a closed graph ORs
 ``reach[v]`` into ``reach[u]`` and propagates the gained bits backward
 through predecessors with a worklist, stopping as soon as a bitset
@@ -37,27 +33,23 @@ real traces; see ``docs/model.md`` for the algorithm's invariants).
 Two counters make the closure work observable:
 ``closure_recomputations`` (full from-scratch closure builds) and
 ``bits_propagated`` (reachability bits newly set by incremental
-propagation — identical across both representations by construction).
-``benchmarks/test_analysis_scaling.py`` asserts the former stays
-constant across the fixpoint, and ``benchmarks/test_closure_engine.py``
-pins the sparse representation's memory ratio.
+propagation).  ``benchmarks/test_analysis_scaling.py`` asserts the
+former stays constant across the fixpoint, and
+``benchmarks/test_closure_engine.py`` bounds the closure's memory.
 
-Querying is O(1) big-int operations per lookup.  Historically
-``ordered(a, b)`` scanned the target task's key-node prefix one
-``reach >> node & 1`` test at a time — each test shifts a K-bit
-integer, so one query cost O(prefix · K/64) words.  The fast path
-(``fast_queries=True``, the default) instead precomputes, per task,
-*prefix bitmasks* over that task's key nodes: ``prefix[t][i]`` ORs the
-node bits of the first ``i`` key nodes, so the scan collapses to a
-single ``reach & prefix[t][hi]`` AND.  Because an arbitrary operation
-pair ``(a, b)`` reduces to the triple ``(ka, tb, hi)`` — first key
-node at-or-after ``a``, ``b``'s task, ``b``'s key-prefix length — the
-result is memoized at that granularity, which makes the detector's
-repeated event-pair queries dictionary lookups.  A
-:class:`QueryProfile` (query counts, memo hits, mask memory) makes the
-query work observable, and ``fast_queries=False`` keeps the historical
-scan alive as a differential-testing target, mirroring the builder's
-``incremental=False`` escape hatch.
+Querying is O(1) bitset operations per lookup.  An arbitrary
+operation pair ``(a, b)`` reduces to the triple ``(ka, tb, hi)`` —
+first key node at-or-after ``a``, ``b``'s task, ``b``'s key-prefix
+length — and because :meth:`KeyGraph.add_chain` gives each task's key
+nodes contiguous ids, "does ``ka`` reach one of ``tb``'s first ``hi``
+key nodes" is a single chunk-level range probe.  The result is
+memoized at that granularity, which makes the detector's repeated
+event-pair queries dictionary lookups.  A :class:`QueryProfile`
+(query counts, memo hits, per-task query structures) makes the query
+work observable.  ``fast_queries=False`` selects the bit-scan over the
+target task's key-node prefix instead; it needs no contiguity and no
+precomputed index, which is why the streaming view over a live graph
+(:meth:`repro.stream.IncrementalHB.relation`) uses it.
 """
 
 from __future__ import annotations
@@ -66,12 +58,9 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .bits import ChunkStats, SparseBits, vector_stats
-
-#: a closure row: big int (``dense_bits=True``) or chunked sparse bitset
-ReachBits = Union[int, SparseBits]
 
 #: default LRU bound of the two query memo tables (entries each).  At
 #: roughly 100 bytes per entry this caps memo memory near 100 MB where
@@ -110,12 +99,12 @@ class QueryProfile:
 
     Attached to every :class:`HappensBefore` and surfaced by
     ``repro.hb.stats`` / ``python -m repro stats``, the counters make
-    the cost of ordering queries — and the effect of the prefix-mask +
+    the cost of ordering queries — and the effect of the range-probe +
     memoization fast path — observable without a profiler, the query
     counterpart of the builder's ``BuildProfile``.
     """
 
-    #: whether the prefix-mask + memo path is active
+    #: whether the range-probe + memo path is active
     fast: bool = True
     #: total ``ordered()`` calls (including via ``concurrent``)
     queries: int = 0
@@ -129,9 +118,9 @@ class QueryProfile:
     memo_misses: int = 0
     #: pairs answered through :meth:`HappensBefore.concurrent_pairs`
     batched_pairs: int = 0
-    #: tasks whose prefix masks have been materialized
+    #: tasks whose key-node range has been resolved
     mask_tasks: int = 0
-    #: memory held by the materialized prefix masks
+    #: memory held by the resolved per-task ranges
     mask_bytes: int = 0
     #: memo entries dropped by the LRU bound (0 when unbounded)
     memo_evictions: int = 0
@@ -185,41 +174,25 @@ class KeyGraph:
     one trace operation index.  Edges carry a provenance label (the
     name of the rule that created them) for explanation output.
 
-    With ``incremental=True`` (the default) the transitive closure is
-    maintained across ``add_node``/``add_edge`` once it has been
-    computed; ``incremental=False`` restores the historical behaviour
-    of invalidating and rebuilding the whole closure, kept only as a
-    differential-testing target.
-
-    ``dense_bits`` selects the closure representation: ``False`` (the
-    default) stores one chunked :class:`~repro.hb.bits.SparseBits` per
-    node, ``True`` the historical one-big-int-per-node storage.  The
-    two are verdict-identical by construction and differentially
-    tested; only memory and per-operation cost differ.
+    The transitive closure is computed once, by :meth:`close` or the
+    first query, and maintained across ``add_node``/``add_edge`` from
+    then on; each node's row is a chunked
+    :class:`~repro.hb.bits.SparseBits`.
     """
 
-    def __init__(
-        self, incremental: bool = True, dense_bits: bool = False
-    ) -> None:
+    def __init__(self) -> None:
         self._op_of_node: List[int] = []
         self._node_of_op: Dict[int, int] = {}
         self._succ: List[List[int]] = []
         self._pred: List[List[int]] = []
         self._edge_rule: Dict[Tuple[int, int], str] = {}
-        self._reach: Optional[List[ReachBits]] = None
-        self._incremental = incremental
-        self._dense = dense_bits
+        self._reach: Optional[List[SparseBits]] = None
         #: nodes whose reach set changed since the last :meth:`drain_dirty`
         self._dirty: Set[int] = set()
         #: full from-scratch transitive-closure builds performed
         self.closure_recomputations = 0
         #: reachability bits newly set by incremental edge propagation
         self.bits_propagated = 0
-
-    @property
-    def dense_bits(self) -> bool:
-        """True when the closure uses the legacy big-int representation."""
-        return self._dense
 
     # -- construction -----------------------------------------------------
 
@@ -233,15 +206,10 @@ class KeyGraph:
         self._node_of_op[op_index] = node
         self._succ.append([])
         self._pred.append([])
-        if self._incremental and self._reach is not None:
+        if self._reach is not None:
             # A fresh node has no edges yet: it reaches only itself.
-            if self._dense:
-                self._reach.append(1 << node)
-            else:
-                self._reach.append(SparseBits.single(node))
+            self._reach.append(SparseBits.single(node))
             self._dirty.add(node)
-        else:
-            self._reach = None
         return node
 
     def add_chain(self, op_indices: Sequence[int], rule: str) -> List[int]:
@@ -282,21 +250,18 @@ class KeyGraph:
     def add_edge(self, u: int, v: int, rule: str) -> bool:
         """Add edge ``u -> v`` between node ids; returns False if present.
 
-        On a graph whose closure is already computed (incremental mode)
-        the reachability index is updated in place, and an edge that
-        closes a cycle raises :class:`HBCycleError` immediately; on a
-        never-closed graph cycles are detected by the next closure
-        computation, as before.
+        On a graph whose closure is already computed the reachability
+        index is updated in place, and an edge that closes a cycle raises
+        :class:`HBCycleError` immediately; on a never-closed graph cycles
+        are detected by the first closure computation.
         """
         if (u, v) in self._edge_rule:
             return False
         self._succ[u].append(v)
         self._pred[v].append(u)
         self._edge_rule[(u, v)] = rule
-        if self._incremental and self._reach is not None:
+        if self._reach is not None:
             self._propagate(u, v)
-        else:
-            self._reach = None
         return True
 
     def edge_rule(self, u: int, v: int) -> Optional[str]:
@@ -323,37 +288,15 @@ class KeyGraph:
         OR ``reach[v]`` into ``reach[u]``, then push the gained bits
         backward through predecessors with a worklist; a node is
         revisited only while its bitset actually changes, so already-
-        implied edges cost one big-int AND and nothing else.
+        implied edges cost one chunk-level union and nothing else.
         """
         reach = self._reach
-        if reach is None:  # pragma: no cover - guarded by add_edge/add_node
+        if reach is None:  # pragma: no cover - guarded by add_edge
             raise HBInvariantError("_propagate called without a closure")
-        if self._dense:
-            if (reach[v] >> u) & 1:  # type: ignore[operator]
-                # v already reaches u, so u -> v closes a cycle.
-                raise HBCycleError(self._find_cycle())
-            gained = reach[v] & ~reach[u]  # type: ignore[operator]
-            if not gained:
-                return
-            reach[u] |= gained  # type: ignore[operator]
-            self.bits_propagated += gained.bit_count()
-            self._dirty.add(u)
-            stack = [u]
-            while stack:
-                x = stack.pop()
-                rx = reach[x]
-                for p in self._pred[x]:
-                    gained = rx & ~reach[p]  # type: ignore[operator]
-                    if gained:
-                        reach[p] |= gained  # type: ignore[operator]
-                        self.bits_propagated += gained.bit_count()
-                        self._dirty.add(p)
-                        stack.append(p)
-            return
-        if reach[v].test(u):  # type: ignore[union-attr]
+        if reach[v].test(u):
             # v already reaches u, so u -> v closes a cycle.
             raise HBCycleError(self._find_cycle())
-        count = reach[u].ior(reach[v])  # type: ignore[union-attr, arg-type]
+        count = reach[u].ior(reach[v])
         if not count:
             return
         self.bits_propagated += count
@@ -363,7 +306,7 @@ class KeyGraph:
             x = stack.pop()
             rx = reach[x]
             for p in self._pred[x]:
-                count = reach[p].ior(rx)  # type: ignore[union-attr, arg-type]
+                count = reach[p].ior(rx)
                 if count:
                     self.bits_propagated += count
                     self._dirty.add(p)
@@ -418,42 +361,33 @@ class KeyGraph:
                     stack.pop()
         return []
 
-    def _closure(self) -> List[ReachBits]:
+    def _closure(self) -> List[SparseBits]:
         if self._reach is not None:
             return self._reach
         order = self._toposort()
         n = self.node_count
-        reach: List[ReachBits]
-        if self._dense:
-            reach = [0] * n
-            for v in reversed(order):
-                mask = 1 << v
-                for w in self._succ[v]:
-                    mask |= reach[w]  # type: ignore[operator]
-                reach[v] = mask
-        else:
-            # Reverse-topological pass, seeding each node from its
-            # *widest* successor via a shallow copy: the successor's
-            # chunks are adopted by reference, so along the program-
-            # order chains that dominate real traces a node's blocks
-            # alias its successor's until a mutation diverges one.
-            reach = [SparseBits()] * n
-            for v in reversed(order):
-                succ = self._succ[v]
-                if succ:
-                    base = succ[0]
-                    if len(succ) > 1:
-                        for w in succ[1:]:
-                            if len(reach[w].chunks) > len(reach[base].chunks):  # type: ignore[union-attr]
-                                base = w
-                    bits = reach[base].copy()  # type: ignore[union-attr]
-                    for w in succ:
-                        if w != base:
-                            bits.ior(reach[w])  # type: ignore[arg-type]
-                else:
-                    bits = SparseBits()
-                bits.set(v)
-                reach[v] = bits
+        # Reverse-topological pass, seeding each node from its *widest*
+        # successor via a shallow copy: the successor's chunks are
+        # adopted by reference, so along the program-order chains that
+        # dominate real traces a node's blocks alias its successor's
+        # until a mutation diverges one.
+        reach = [SparseBits()] * n
+        for v in reversed(order):
+            succ = self._succ[v]
+            if succ:
+                base = succ[0]
+                if len(succ) > 1:
+                    for w in succ[1:]:
+                        if len(reach[w].chunks) > len(reach[base].chunks):
+                            base = w
+                bits = reach[base].copy()
+                for w in succ:
+                    if w != base:
+                        bits.ior(reach[w])
+            else:
+                bits = SparseBits()
+            bits.set(v)
+            reach[v] = bits
         self._reach = reach
         self.closure_recomputations += 1
         self._dirty = set(range(n))
@@ -468,13 +402,12 @@ class KeyGraph:
         if self.node_count:
             self._closure()
 
-    def reach_vector(self) -> List[ReachBits]:
+    def reach_vector(self) -> List[SparseBits]:
         """The live list of per-node reach bitsets, indexed by node id.
 
         This is the graph's own closure storage, not a copy: entries
         change under ``add_edge``/``add_node``.  Callers must treat it
-        as read-only.  Entries are big ints under ``dense_bits=True``
-        and :class:`~repro.hb.bits.SparseBits` otherwise.
+        as read-only.
         """
         return self._closure()
 
@@ -493,42 +426,29 @@ class KeyGraph:
 
     def reaches(self, u: int, v: int) -> bool:
         """Reflexive-transitive reachability between node ids."""
-        row = self._closure()[u]
-        if self._dense:
-            return bool((row >> v) & 1)  # type: ignore[operator]
-        return row.test(v)  # type: ignore[union-attr]
+        return self._closure()[u].test(v)
 
-    def reach_set(self, u: int) -> ReachBits:
-        """The reachability bitset of node ``u`` (includes ``u``).
-
-        A big int under ``dense_bits=True``, a
-        :class:`~repro.hb.bits.SparseBits` otherwise; both compare
-        equal to the same big-int value and expose ``bit_count()``.
-        """
+    def reach_set(self, u: int) -> SparseBits:
+        """The reachability bitset of node ``u`` (includes ``u``); it
+        compares equal to the same big-int value and exposes
+        ``bit_count()``."""
         return self._closure()[u]
 
     def closure_bytes(self) -> int:
-        """Memory retained by the closure's reach vector, in bytes.
-
-        Sparse storage is measured sharing-aware (a chunk referenced
-        from several block tables is counted once); dense storage is
-        the sum of the big ints' sizes.  Returns 0 when no closure has
-        been computed yet.
-        """
+        """Memory retained by the closure's reach vector, in bytes,
+        measured sharing-aware (a chunk referenced from several block
+        tables is counted once).  Returns 0 when no closure has been
+        computed yet."""
         if self._reach is None:
             return 0
-        if self._dense:
-            return sum(sys.getsizeof(r) for r in self._reach)
-        return vector_stats(self._reach).bytes  # type: ignore[arg-type]
+        return vector_stats(self._reach).bytes
 
     def chunk_stats(self) -> Optional[ChunkStats]:
-        """Chunk-level storage accounting of the sparse closure.
-
-        None when the closure is dense or not yet computed.
-        """
-        if self._dense or self._reach is None:
+        """Chunk-level storage accounting of the closure, or None when
+        it is not yet computed."""
+        if self._reach is None:
             return None
-        return vector_stats(self._reach)  # type: ignore[arg-type]
+        return vector_stats(self._reach)
 
     def find_path(self, u: int, v: int) -> Optional[List[int]]:
         """A shortest edge path ``u -> ... -> v`` (node ids), or None."""
@@ -589,12 +509,8 @@ class HappensBefore:
         #: query-side work counters (see :class:`QueryProfile`)
         self.query_profile = QueryProfile(fast=fast_queries)
         self._fast = fast_queries
-        #: task -> prefix masks over its key nodes; masks[i] ORs the
-        #: node bits of the first i key nodes (built lazily per task,
-        #: dense backend only — the sparse backend range-probes)
-        self._prefix_masks: Dict[str, List[int]] = {}
-        #: sparse backend: task -> base node id of its (contiguous)
-        #: key-node id range (built lazily per task)
+        #: task -> base node id of its (contiguous) key-node id range
+        #: (built lazily per task)
         self._task_range: Dict[str, int] = {}
         # Memo tables: bounded LRU (OrderedDict) by default, plain dicts
         # when memo_capacity=0 keeps them unbounded (the historical
@@ -693,8 +609,8 @@ class HappensBefore:
         all operation pairs between the same key-node neighborhoods
         (for event tasks, effectively one entry per event pair) into a
         single integer-keyed dictionary probe.  Only a pair-memo miss
-        touches the reachability bitsets, with at most two prefix-mask
-        ANDs.  Returns verdicts in input order; identical to calling
+        touches the reachability bitsets, with at most two range
+        probes.  Returns verdicts in input order; identical to calling
         :meth:`concurrent` per pair (which the ``fast_queries=False``
         path literally does).
         """
@@ -779,8 +695,8 @@ class HappensBefore:
         """Drop the memoized query verdicts (both the directional memo
         and the batch's pair memo).
 
-        The per-op indexes and prefix masks are kept — they are derived
-        structure, not caches of answers.  Used by the benchmarks to
+        The per-op indexes and per-task ranges are kept — they are
+        derived structure, not caches of answers.  Used by the benchmarks to
         measure steady-state query cost with a cold memo.
         """
         self._memo.clear()
@@ -796,24 +712,19 @@ class HappensBefore:
         return self._task_key_nodes[task][i]
 
     def _first_reachable_key(
-        self, reach: ReachBits, task: str, hi: int
+        self, reach: SparseBits, task: str, hi: int
     ) -> Optional[int]:
         """First of ``task``'s initial ``hi`` key nodes present in
         ``reach``, or None.
 
         The one scan shared by the ``fast_queries=False`` query path
         and :meth:`explain` (which needs the *witness node*, not just
-        existence, so it cannot use the prefix-mask AND).
+        existence, so it cannot use the range probe).
         """
         nodes = self._task_key_nodes[task]
-        if isinstance(reach, SparseBits):
-            test = reach.test
-            for i in range(hi):
-                if test(nodes[i]):
-                    return nodes[i]
-            return None
+        test = reach.test
         for i in range(hi):
-            if (reach >> nodes[i]) & 1:
+            if test(nodes[i]):
                 return nodes[i]
         return None
 
@@ -821,19 +732,14 @@ class HappensBefore:
         """Does node ``ka`` reach any of ``task``'s first ``hi`` key
         nodes?  The one reachability probe of the fast query path.
 
-        Dense backend: one AND against the task's materialized prefix
-        mask.  Sparse backend: :meth:`KeyGraph.add_chain` guarantees
-        each task's key nodes hold *contiguous* node ids, so the probe
-        is a chunk-level range test — no mask materialization at all.
+        :meth:`KeyGraph.add_chain` guarantees each task's key nodes hold
+        *contiguous* node ids, so the probe is a chunk-level range test.
         A graph that breaks the contiguity invariant fails loudly in
         :meth:`_range_of` rather than being silently range-probed
         against the wrong nodes.
         """
-        reach = self.graph.reach_set(ka)
-        if isinstance(reach, int):
-            return bool(reach & self._masks_of(task)[hi])
         base = self._range_of(task)
-        return reach.any_in_range(base, base + hi)
+        return self.graph.reach_set(ka).any_in_range(base, base + hi)
 
     def _op_index(self) -> Tuple[List[int], List[int]]:
         """Per-operation key-node lookup arrays (built lazily, O(n)).
@@ -900,40 +806,17 @@ class HappensBefore:
             self._sig_parts = sig_parts
         return self._op_sig, self._sig_parts
 
-    def _masks_of(self, task: str) -> List[int]:
-        """The task's prefix masks, materializing them on first use.
-
-        ``masks[i]`` ORs ``1 << node`` for the task's first ``i`` key
-        nodes, so "is any key node at-or-before a position reachable"
-        is one AND against ``masks[hi]`` instead of ``hi`` shifted bit
-        tests.
-        """
-        masks = self._prefix_masks.get(task)
-        if masks is None:
-            acc = 0
-            masks = [0]
-            for node in self._task_key_nodes.get(task, ()):
-                acc |= 1 << node
-                masks.append(acc)
-            self._prefix_masks[task] = masks
-            prof = self.query_profile
-            prof.mask_tasks += 1
-            prof.mask_bytes += sum(sys.getsizeof(m) for m in masks)
-        return masks
-
     def _range_of(self, task: str) -> int:
         """Base node id of the task's contiguous key-node id range.
 
-        Replaces the dense backend's prefix masks: the ids being
-        contiguous — guaranteed by :meth:`KeyGraph.add_chain`, which
-        allocates each task's nodes in one uninterrupted run — the
-        first ``hi`` key nodes are exactly ``[base, base + hi)``.
-        Raises :class:`HBInvariantError` on a gap: a hand-assembled
-        graph that interleaved ``add_node`` calls across tasks must be
-        queried with ``fast_queries=False`` (the scan path has no
-        contiguity assumption).  Counted in ``mask_tasks``/
-        ``mask_bytes`` as the sparse backend's per-task query
-        structure.
+        The ids being contiguous — guaranteed by
+        :meth:`KeyGraph.add_chain`, which allocates each task's nodes in
+        one uninterrupted run — the first ``hi`` key nodes are exactly
+        ``[base, base + hi)``.  Raises :class:`HBInvariantError` on a
+        gap: a hand-assembled graph that interleaved ``add_node`` calls
+        across tasks must be queried with ``fast_queries=False`` (the
+        scan path has no contiguity assumption).  Counted in
+        ``mask_tasks``/``mask_bytes`` as the per-task query structure.
         """
         base = self._task_range.get(task)
         if base is None:

@@ -17,9 +17,8 @@ every ordering query.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
-from .bits import SparseBits
 from ..trace import (
     Begin,
     End,
@@ -44,30 +43,24 @@ from .config import CAFA_MODEL, ModelConfig
 class ReferenceHappensBefore:
     """The literal model.  Query with :meth:`ordered`.
 
-    ``dense_bits`` mirrors the optimized builder's representation
-    switch so *both* closure backends can be differentially tested
-    against an oracle using the same storage they use: ``True`` keeps
-    the rows as big ints, ``False`` (the default, matching the
-    builder) stores them as chunked :class:`~repro.hb.bits.SparseBits`.
-    The Floyd-Warshall staging and the computed relation are identical
-    either way.
+    The reachability rows are plain Python ints, deliberately sharing
+    no code with the builder's :class:`~repro.hb.bits.SparseBits`
+    closure it is differentially tested against.
     """
 
     def __init__(
         self,
         trace: Trace,
         config: ModelConfig = CAFA_MODEL,
-        dense_bits: bool = False,
     ) -> None:
         self.trace = trace
         self.config = config
-        self.dense_bits = dense_bits
         n = len(trace)
         self._n = n
         #: adjacency: edge[i][j] True if i -> j directly
         self._edge: List[Set[int]] = [set() for _ in range(n)]
         #: per-row reachability bitsets: bit j of _reach[i] set iff i ->* j
-        self._reach: Optional[List[Union[int, SparseBits]]] = None
+        self._reach: Optional[List[int]] = None
         self._build()
 
     # -- construction -----------------------------------------------------
@@ -79,32 +72,20 @@ class ReferenceHappensBefore:
         self._reach = None
         return True
 
-    def _closure(self) -> List[Union[int, SparseBits]]:
+    def _closure(self) -> List[int]:
         if self._reach is not None:
             return self._reach
         n = self._n
-        reach: List[Union[int, SparseBits]]
-        if self.dense_bits:
-            reach = [(1 << i) for i in range(n)]
+        reach = [(1 << i) for i in range(n)]
+        for i in range(n):
+            for j in self._edge[i]:
+                reach[i] |= 1 << j
+        # Floyd-Warshall, one big-int row per vertex
+        for k in range(n):
+            row_k = reach[k]
             for i in range(n):
-                for j in self._edge[i]:
-                    reach[i] |= 1 << j  # type: ignore[operator]
-            # Floyd-Warshall, one big-int row per vertex
-            for k in range(n):
-                row_k = reach[k]
-                for i in range(n):
-                    if (reach[i] >> k) & 1:  # type: ignore[operator]
-                        reach[i] |= row_k  # type: ignore[operator]
-        else:
-            reach = [
-                SparseBits.from_indices([i, *self._edge[i]]) for i in range(n)
-            ]
-            # Floyd-Warshall, one sparse row per vertex
-            for k in range(n):
-                row_k = reach[k]
-                for i in range(n):
-                    if reach[i].test(k):  # type: ignore[union-attr]
-                        reach[i].ior(row_k)  # type: ignore[union-attr, arg-type]
+                if (reach[i] >> k) & 1:
+                    reach[i] |= row_k
         self._reach = reach
         return reach
 
@@ -112,10 +93,7 @@ class ReferenceHappensBefore:
         """Strict: a < b (reflexive closure minus identity)."""
         if a == b:
             return False
-        row = self._closure()[a]
-        if isinstance(row, SparseBits):
-            return row.test(b)
-        return (row >> b) & 1 == 1
+        return (self._closure()[a] >> b) & 1 == 1
 
     def _build(self) -> None:
         trace, config = self.trace, self.config
@@ -259,13 +237,7 @@ class ReferenceHappensBefore:
             reach = self._closure()
             changed = False
             for src, dst in staged:
-                row = reach[src]
-                implied = (
-                    row.test(dst)
-                    if isinstance(row, SparseBits)
-                    else (row >> dst) & 1
-                )
-                if not implied:
+                if not (reach[src] >> dst) & 1:
                     if self._add(src, dst):
                         changed = True
 

@@ -85,17 +85,12 @@ class HBStats:
         )
         if self.profile is not None:
             p = self.profile
-            backend = "dense big-int" if p.dense_bits else "chunked sparse"
-            line = (
-                f"closure storage [{backend}]: {p.closure_bytes} bytes"
+            lines.append(
+                f"closure storage [chunked sparse]: {p.closure_bytes} bytes, "
+                f"{p.chunks_allocated} chunks allocated, "
+                f"{p.chunks_shared} shared (copy-on-write), "
+                f"{p.dense_chunk_ratio:.0%} dense"
             )
-            if not p.dense_bits:
-                line += (
-                    f", {p.chunks_allocated} chunks allocated, "
-                    f"{p.chunks_shared} shared (copy-on-write), "
-                    f"{p.dense_chunk_ratio:.0%} dense"
-                )
-            lines.append(line)
         if self.edges_per_round:
             lines.append(
                 "derived edges per round: "
@@ -124,7 +119,7 @@ class HBStats:
                 )
         if self.query_profile is not None:
             q = self.query_profile
-            path = "prefix-mask+memo" if q.fast else "bit-scan (legacy)"
+            path = "prefix-mask+memo" if q.fast else "bit-scan (streaming view)"
             lines.append(
                 f"query path [{path}]: {q.queries} queries "
                 f"({q.same_task} same-task, {q.batched_pairs} batched), "

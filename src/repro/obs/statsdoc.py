@@ -20,7 +20,9 @@ Schema (``repro-stats/1``)::
 
 Every section is either present with its full field set or ``null`` —
 consumers can rely on the key existing.  New fields may be appended in
-later schema revisions; existing keys are never renamed.
+later schema revisions; existing keys are never renamed.  Two keys
+that had become constants were dropped from the ``trace`` and
+``build.profile`` sections (see ``docs/observability.md``).
 """
 
 from __future__ import annotations

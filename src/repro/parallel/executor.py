@@ -101,6 +101,13 @@ def _describe_default(item) -> str:
     return f"app {item.name!r}"
 
 
+def _never_returned(future) -> bool:
+    """Did this future end without a result because its pool broke?"""
+    if not future.done() or future.cancelled():
+        return True
+    return isinstance(future.exception(), BrokenProcessPool)
+
+
 def _run(
     fn: Callable[..., T],
     items: Sequence,
@@ -129,11 +136,15 @@ def _run(
             try:
                 outcome = future.result()
             except BrokenProcessPool as exc:
-                # The pool cannot tell which process died; the first
-                # future to observe the breakage is the best available
-                # attribution, and every sibling was aborted with it.
+                # The pool cannot tell which process died, and the first
+                # future to observe the breakage may be a sibling that
+                # was still in flight — so name every item that never
+                # returned a result; the one that died is among them.
+                lost = " or ".join(
+                    describe(it) for _, it, f in futures if _never_returned(f)
+                )
                 raise RuntimeError(
-                    f"{label} worker process for {describe(item)} died "
+                    f"{label} worker process for {lost} died "
                     "before returning a result (killed by the operating "
                     "system — e.g. out of memory — or crashed without "
                     "raising); the remaining items were aborted. "

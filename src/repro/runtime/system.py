@@ -146,10 +146,9 @@ class AndroidSystem:
         seed: int = 0,
         tracing: bool = True,
         time_model: Optional[TimeModel] = None,
-        columnar_trace: bool = True,
     ) -> None:
         self.clock = VirtualClock()
-        self.tracer = Tracer(enabled=tracing, columnar=columnar_trace)
+        self.tracer = Tracer(enabled=tracing)
         self.time_model = time_model or TimeModel()
         self.scheduler = Scheduler(self, seed=seed)
         self.processes: Dict[str, Process] = {}

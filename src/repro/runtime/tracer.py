@@ -15,19 +15,12 @@ from ..trace import Operation, TaskInfo, Trace
 
 
 class Tracer:
-    """Collects operations and task metadata during a simulation.
+    """Collects operations and task metadata during a simulation; the
+    runtime appends straight into the trace's typed columns."""
 
-    ``columnar`` selects the backend of the collected trace: the
-    columnar :class:`~repro.trace.TraceStore` (default — the runtime
-    appends straight into the typed columns) or the legacy
-    one-object-per-operation list.
-    """
-
-    def __init__(self, enabled: bool = True, columnar: bool = True) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.trace: Optional[Trace] = (
-            Trace(columnar=columnar) if enabled else None
-        )
+        self.trace: Optional[Trace] = Trace() if enabled else None
         #: number of records emitted (counted even when disabled would
         #: have skipped them — callers check ``enabled`` first)
         self.records = 0
@@ -48,8 +41,8 @@ class Tracer:
     def emit_fields(self, op_cls: type, task: str, time: int, fields: dict) -> bool:
         """Record one operation from its class and keyword payload.
 
-        The runtime's hot path: on the columnar backend the payload
-        goes straight into the typed columns and no
+        The runtime's hot path: the payload goes straight into the
+        typed columns and no
         :class:`~repro.trace.Operation` instance is ever built.
         """
         if self.trace is None:

@@ -4,7 +4,7 @@
 the whole trace, allocate the key graph, add every base edge, close,
 then run the derived-rule fixpoint.  :class:`IncrementalHB` runs the
 same passes *op by op* against the live incremental closure that
-:class:`~repro.hb.graph.KeyGraph` already maintains (``incremental=True``
+:class:`~repro.hb.graph.KeyGraph` already maintains (once closed, it
 appends self-only closure rows on ``add_node`` and worklist-propagates
 on ``add_edge``), so the relation is extended as records arrive instead
 of rebuilt.
@@ -81,7 +81,7 @@ from ..hb.builder import (
     _effective_task_of_id,
     _harvest,
 )
-from ..hb.config import CAFA_MODEL, DEFAULT_DENSE_BITS, ModelConfig
+from ..hb.config import CAFA_MODEL, ModelConfig
 from ..hb.graph import HappensBefore, KeyGraph
 from ..trace import (
     Acquire,
@@ -136,11 +136,10 @@ class IncrementalHB:
         self,
         trace: Trace,
         config: ModelConfig = CAFA_MODEL,
-        dense_bits: bool = DEFAULT_DENSE_BITS,
     ) -> None:
         self.trace = trace
         self.config = config
-        self.graph = KeyGraph(incremental=True, dense_bits=dense_bits)
+        self.graph = KeyGraph()
         self.state = _BuildState(trace=trace, config=config)
         self.task_key_positions: Dict[str, List[int]] = {}
         self.task_key_nodes: Dict[str, List[int]] = {}

@@ -185,7 +185,7 @@ class StreamAnalyzer:
         self.poll_every = poll_every
         self.profile = StreamProfile()
         self.decoder = AnyTraceDecoder(
-            expect_version=expect_version, columnar=True, strict=strict
+            expect_version=expect_version, strict=strict
         )
         self.epochs: List[EpochSummary] = []
         #: session-global task table, shared by every epoch's trace
@@ -210,12 +210,8 @@ class StreamAnalyzer:
             self.cafa = None
             self.conventional = None
         else:
-            self.cafa = IncrementalHB(
-                trace, options.model, dense_bits=options.dense_bits
-            )
-            self.conventional = IncrementalHB(
-                trace, options.conventional_model, dense_bits=options.dense_bits
-            )
+            self.cafa = IncrementalHB(trace, options.model)
+            self.conventional = IncrementalHB(trace, options.conventional_model)
         self.extractor = AccessExtractor(trace)
         self._processed = 0
         self._epoch_ops = 0
@@ -405,7 +401,7 @@ class StreamAnalyzer:
         # stream-level interning and appends to the new store.
         self._epoch_index += 1
         old, done = self.trace, self._processed
-        fresh = Trace(columnar=old.store is not None)
+        fresh = Trace()
         fresh.tasks = self._tasks
         self.decoder.trace = fresh
         self._attach(fresh)

@@ -85,7 +85,6 @@ def _renamed_info(info: TaskInfo, prefix: str, offset: int) -> TaskInfo:
 def concat_sessions(
     trace: Trace,
     sessions: int,
-    columnar: bool = True,
     ids: Optional[Sequence[str]] = None,
 ) -> Trace:
     """``sessions`` disjoint renamed copies of ``trace``, back to back.
@@ -109,7 +108,7 @@ def concat_sessions(
         if session in seen:
             raise DuplicateSessionError(session)
         seen.add(session)
-    out = Trace(columnar=columnar)
+    out = Trace()
     span = (max((op.time for op in trace.ops), default=0)) + 1
     for k, session in enumerate(ids):
         prefix = f"{session}:"

@@ -490,12 +490,11 @@ class BinaryTraceDecoder:
     def __init__(
         self,
         expect_version: Optional[int] = None,
-        columnar: bool = True,
         strict: bool = True,
         trace: Optional[Trace] = None,
         sink=None,
     ) -> None:
-        self.trace = trace if trace is not None else Trace(columnar=columnar)
+        self.trace = trace if trace is not None else Trace()
         self.expect_version = expect_version
         self.strict = strict
         self.sink = sink
@@ -514,11 +513,7 @@ class BinaryTraceDecoder:
         self._ops_seen = 0
         self._tasks_seen = 0
         # adoption bookkeeping
-        self._adopt_trace = (
-            self.trace
-            if sink is None and self.trace.store is not None
-            else None
-        )
+        self._adopt_trace = self.trace if sink is None else None
         self._adopt_ok = self._adopt_trace is not None
         self._adopted_syms = 0
         self._adopted_addrs = 0
@@ -597,6 +592,11 @@ class BinaryTraceDecoder:
         the trace."""
         self.flush()
         if self.header is None:
+            if self._bytes_fed:
+                raise TraceFormatError(
+                    f"stream ends at byte {self._bytes_fed}, before the v3 "
+                    "header frame; the file is truncated"
+                )
             raise TraceError("empty trace stream")
         if self.strict:
             if not self._trailer_ok:
@@ -824,8 +824,7 @@ class BinaryTraceDecoder:
             return False
         store = trace.store
         if (
-            store is None
-            or len(store) != self._adopted_store_ops
+            len(store) != self._adopted_store_ops
             or len(store.symbols) != self._adopted_syms
             or len(store.addresses) != self._adopted_addrs
         ):

@@ -271,13 +271,12 @@ class SessionDemuxer:
     def __init__(
         self,
         strict: bool = True,
-        columnar: bool = True,
         expect_version: Optional[int] = None,
     ) -> None:
         from .serialization import AnyTraceDecoder
 
         self._make_decoder = lambda: AnyTraceDecoder(
-            expect_version=expect_version, columnar=columnar, strict=strict
+            expect_version=expect_version, strict=strict
         )
         self.mux = MuxDecoder(strict=strict)
         self.decoders: Dict[str, "AnyTraceDecoder"] = {}

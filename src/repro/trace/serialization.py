@@ -179,15 +179,8 @@ class _V2Writer:
 
 
 def _iter_encoded_rows(trace: Trace):
-    """``(kind code, time, task, payload values)`` per op, backend-agnostic."""
-    store = trace.store
-    if store is not None:
-        yield from store.rows_encoded()
-        return
-    for op in trace.ops:
-        code = KIND_CODES[op.kind]
-        values = [getattr(op, name) for name, _typ in _SCHEMA_LIST[code]]
-        yield code, op.time, op.task, values
+    """``(kind code, time, task, payload values)`` per op."""
+    return trace.store.rows_encoded()
 
 
 def _make_writer(fp, version: int, tasks: int, ops: int):
@@ -276,12 +269,11 @@ class TraceStreamDecoder:
     def __init__(
         self,
         expect_version: Optional[int] = None,
-        columnar: bool = True,
         strict: bool = True,
         trace: Optional[Trace] = None,
         sink=None,
     ):
-        self.trace = trace if trace is not None else Trace(columnar=columnar)
+        self.trace = trace if trace is not None else Trace()
         self.expect_version = expect_version
         self.strict = strict
         self.sink = sink
@@ -591,13 +583,11 @@ class AnyTraceDecoder:
     def __init__(
         self,
         expect_version: Optional[int] = None,
-        columnar: bool = True,
         strict: bool = True,
         sink=None,
     ):
-        self._trace = Trace(columnar=columnar)
+        self._trace = Trace()
         self._expect_version = expect_version
-        self._columnar = columnar
         self._strict = strict
         self._sink = sink
         self._inner = None
@@ -631,7 +621,6 @@ class AnyTraceDecoder:
 
         nested = AnyTraceDecoder(
             expect_version=self._expect_version,
-            columnar=self._columnar,
             strict=self._strict,
             sink=self._sink,
         )
@@ -756,7 +745,6 @@ class AnyTraceDecoder:
 def load_trace(
     fp,
     expect_version: Optional[int] = None,
-    columnar: bool = True,
     strict: bool = True,
 ) -> Trace:
     """Read a trace previously written by :func:`dump_trace` /
@@ -764,8 +752,7 @@ def load_trace(
 
     ``fp`` may be a text or a binary stream; the format version is
     negotiated from the first bytes (pass ``expect_version`` to
-    *require* one — the CLI's ``--format`` flag).  ``columnar`` selects
-    the backend of the returned :class:`Trace`.
+    *require* one — the CLI's ``--format`` flag).
 
     Damaged input — truncated files (including one that merely ends
     mid-line or mid-frame: the writers terminate every record, so a
@@ -776,9 +763,7 @@ def load_trace(
     sessions still analyze, just on fewer events).  Header problems
     always raise.
     """
-    decoder = AnyTraceDecoder(
-        expect_version=expect_version, columnar=columnar, strict=strict
-    )
+    decoder = AnyTraceDecoder(expect_version=expect_version, strict=strict)
     is_text = isinstance(fp, io.TextIOBase) or isinstance(
         getattr(fp, "read", lambda *_a: "")(0), str
     )
@@ -848,7 +833,6 @@ def save_trace_file(
 def load_trace_file(
     path: Union[str, Path],
     expect_version: Optional[int] = None,
-    columnar: bool = True,
     strict: bool = True,
 ) -> Trace:
     """Load a trace from ``path`` (gzip when it ends in .gz).
@@ -858,9 +842,7 @@ def load_trace_file(
     :func:`load_trace`.
     """
     with _open_binary_for(path, "r") as fp:
-        return load_trace(
-            fp, expect_version=expect_version, columnar=columnar, strict=strict
-        )
+        return load_trace(fp, expect_version=expect_version, strict=strict)
 
 
 def dumps_trace(trace: Trace, version: int = FORMAT_VERSION) -> str:
@@ -882,7 +864,6 @@ def dumps_trace_bytes(trace: Trace, version: int = FORMAT_VERSION) -> bytes:
 def loads_trace(
     data: Union[str, bytes],
     expect_version: Optional[int] = None,
-    columnar: bool = True,
     strict: bool = True,
 ) -> Trace:
     """Deserialize a trace from a string or bytes.
@@ -890,19 +871,8 @@ def loads_trace(
     ``strict=False`` salvages the valid prefix of a damaged stream; see
     :func:`load_trace`.
     """
-    if isinstance(data, str):
-        return load_trace(
-            io.StringIO(data),
-            expect_version=expect_version,
-            columnar=columnar,
-            strict=strict,
-        )
-    return load_trace(
-        io.BytesIO(data),
-        expect_version=expect_version,
-        columnar=columnar,
-        strict=strict,
-    )
+    stream = io.StringIO(data) if isinstance(data, str) else io.BytesIO(data)
+    return load_trace(stream, expect_version=expect_version, strict=strict)
 
 
 # ---------------------------------------------------------------------------

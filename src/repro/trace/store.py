@@ -589,13 +589,11 @@ class TraceProfile:
     """Size report of one trace's in-memory representation, surfaced by
     ``python -m repro stats`` and the trace-store benchmarks."""
 
-    #: "columnar" or "object"
-    backend: str
     ops: int
     tasks: int
-    #: interned strings (0 for the object backend)
+    #: interned strings
     symbols: int
-    #: interned address tuples (0 for the object backend)
+    #: interned address tuples
     addresses: int
     #: bytes held in memory by the operation storage
     memory_bytes: int
@@ -610,7 +608,7 @@ class TraceProfile:
 
     def format(self) -> str:
         lines = [
-            f"trace store [{self.backend}]: {self.ops} ops, "
+            f"trace store: {self.ops} ops, "
             f"{self.tasks} tasks, {self.symbols} interned symbols, "
             f"{self.addresses} interned addresses",
             f"memory: {self.memory_bytes} bytes "
@@ -624,38 +622,15 @@ class TraceProfile:
 
 
 def trace_profile(trace, disk_bytes: Optional[int] = None) -> TraceProfile:
-    """Measure a trace's in-memory operation storage.
-
-    For the columnar backend the count is exact column + side-table
-    bytes; for the legacy object backend it is the per-instance cost
-    (object header + ``__dict__``) of every operation, *excluding* the
-    payload objects the fields reference — a deliberate undercount, so
-    columnar-vs-object comparisons favor the object path.
-    """
-    store = getattr(trace, "store", None)
-    decode = getattr(trace, "decode_stats", None)
-    if store is not None:
-        return TraceProfile(
-            backend="columnar",
-            ops=len(store),
-            tasks=len(trace.tasks),
-            symbols=len(store.symbols),
-            addresses=len(store.addresses),
-            memory_bytes=store.memory_bytes(),
-            disk_bytes=disk_bytes,
-            decode=decode,
-        )
-    ops = trace.ops
-    total = sys.getsizeof(ops)
-    for op in ops:
-        total += sys.getsizeof(op) + sys.getsizeof(op.__dict__)
+    """Measure a trace's in-memory operation storage: exact column +
+    side-table bytes."""
+    store = trace.store
     return TraceProfile(
-        backend="object",
-        ops=len(ops),
+        ops=len(store),
         tasks=len(trace.tasks),
-        symbols=0,
-        addresses=0,
-        memory_bytes=total,
+        symbols=len(store.symbols),
+        addresses=len(store.addresses),
+        memory_bytes=store.memory_bytes(),
         disk_bytes=disk_bytes,
-        decode=decode,
+        decode=trace.decode_stats,
     )

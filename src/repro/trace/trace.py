@@ -12,13 +12,10 @@ A :class:`Trace` is the interchange format between the online tracer
   external world (the external-input rule of Section 3.3 applies only
   to those).
 
-Since the columnar refactor the operations live in a
-:class:`~repro.trace.store.TraceStore` (struct-of-arrays; see
-``docs/trace.md``) by default: ``trace.ops`` is then a sequence *view*
-that materializes the frozen dataclasses on demand, while
+The operations live in a :class:`~repro.trace.store.TraceStore`
+(struct-of-arrays; see ``docs/trace.md``): ``trace.ops`` is a sequence
+*view* that materializes the frozen dataclasses on demand, while
 ``trace.store`` exposes the raw columns to the analysis hot paths.
-``Trace(columnar=False)`` keeps the historical one-object-per-operation
-list, preserved as a differential-testing target.
 """
 
 from __future__ import annotations
@@ -28,8 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from .operations import OpKind, Operation
-from .store import KIND_CODES, KIND_LIST, TraceProfile, TraceStore, trace_profile
-from .store import _CLASS_LIST  # shared kind-code -> class table
+from .store import TraceProfile, TraceStore, trace_profile
 
 
 class TaskKind(enum.Enum):
@@ -109,7 +105,7 @@ class OpsView(Sequence):
 
     Materializes frozen :class:`~repro.trace.operations.Operation`
     instances on demand, so ``trace.ops`` keeps list semantics
-    (indexing, slicing, iteration, equality) over the columnar backend.
+    (indexing, slicing, iteration, equality) over the columnar store.
     """
 
     __slots__ = ("_store",)
@@ -159,57 +155,35 @@ class OpsView(Sequence):
 
 
 class Trace:
-    """An execution trace: operations in observation order + task table.
-
-    ``columnar=True`` (the default) stores operations in a
-    :class:`~repro.trace.store.TraceStore`; ``columnar=False`` keeps
-    the legacy per-operation object list.  Both expose the identical
-    API and produce byte-identical analysis results (differentially
-    tested on every stock app).
-    """
+    """An execution trace: operations in observation order + task table,
+    the operations held in a :class:`~repro.trace.store.TraceStore`."""
 
     def __init__(
         self,
         ops: Optional[Iterable[Operation]] = None,
         tasks: Optional[Dict[str, TaskInfo]] = None,
-        columnar: bool = True,
     ) -> None:
         self.tasks: Dict[str, TaskInfo] = dict(tasks) if tasks else {}
         #: counters of the decode that produced this trace (set by the
         #: load entry points; None for traces built in-process)
         self.decode_stats = None
-        if columnar:
-            self._store: Optional[TraceStore] = TraceStore()
-            self._ops_list: Optional[List[Operation]] = None
-            self._ops_view: Optional[OpsView] = OpsView(self._store)
-        else:
-            self._store = None
-            self._ops_list = []
-            self._ops_view = None
+        self._store = TraceStore()
+        self._ops_view = OpsView(self._store)
         if ops:
             self.extend(ops)
 
-    # -- backends ------------------------------------------------------
+    # -- storage -------------------------------------------------------
 
     @property
-    def store(self) -> Optional[TraceStore]:
-        """The columnar backend, or ``None`` on the legacy object path."""
+    def store(self) -> TraceStore:
+        """The columnar operation store."""
         return self._store
 
     @property
-    def columnar(self) -> bool:
-        return self._store is not None
-
-    @property
     def ops(self) -> Sequence[Operation]:
-        """The operations, in observation order.
-
-        A plain list on the legacy path; an :class:`OpsView` over the
-        columnar store otherwise.
-        """
-        if self._ops_list is not None:
-            return self._ops_list
-        return self._ops_view  # type: ignore[return-value]
+        """The operations, in observation order: an :class:`OpsView`
+        materializing them from the store on demand."""
+        return self._ops_view
 
     def profile(self, disk_bytes: Optional[int] = None) -> TraceProfile:
         """Size report of the operation storage (see
@@ -220,37 +194,22 @@ class Trace:
 
     def append(self, op: Operation) -> int:
         """Append an operation; returns its global index."""
-        if self._store is not None:
-            return self._store.append(op)
-        ops = self._ops_list
-        ops.append(op)  # type: ignore[union-attr]
-        return len(ops) - 1  # type: ignore[arg-type]
+        return self._store.append(op)
 
     def append_fields(self, op_cls: type, task: str, time: int, **fields: Any) -> int:
         """Append from an operation class plus keyword payload.
 
-        The online tracer's fast path: on the columnar backend the
-        values go straight into the typed columns and no
-        :class:`Operation` instance is ever built.
+        The online tracer's fast path: the values go straight into the
+        typed columns and no :class:`Operation` instance is ever built.
         """
-        if self._store is not None:
-            return self._store.append_fields(op_cls, task, time, fields)
-        return self.append(op_cls(task=task, time=time, **fields))
+        return self._store.append_fields(op_cls, task, time, fields)
 
     def _append_decoded(
         self, code: int, time: int, task: str, values: List[Any]
     ) -> int:
-        """Streaming-reader fast path: append a pre-decomposed row.
-
-        On the columnar backend no :class:`Operation` is ever built;
-        the legacy backend materializes the dataclass.
-        """
-        if self._store is not None:
-            return self._store.append_row(code, time, task, values)
-        op = _CLASS_LIST[code](task, time, *values)
-        ops = self._ops_list
-        ops.append(op)  # type: ignore[union-attr]
-        return len(ops) - 1  # type: ignore[arg-type]
+        """Streaming-reader fast path: append a pre-decomposed row
+        without building an :class:`Operation`."""
+        return self._store.append_row(code, time, task, values)
 
     def add_task(self, info: TaskInfo) -> None:
         if info.task in self.tasks:
@@ -264,9 +223,7 @@ class Trace:
     # -- sequence protocol ---------------------------------------------
 
     def __len__(self) -> int:
-        if self._store is not None:
-            return len(self._store)
-        return len(self._ops_list)  # type: ignore[arg-type]
+        return len(self._store)
 
     def __iter__(self) -> Iterator[Operation]:
         return iter(self.ops)
@@ -277,51 +234,31 @@ class Trace:
     # -- payload-free per-op accessors ---------------------------------
 
     def kind_of(self, i: int) -> OpKind:
-        """Op ``i``'s kind without materializing it (both backends)."""
-        if self._store is not None:
-            return self._store.kind_of(i)
-        return self._ops_list[i].kind  # type: ignore[index]
+        """Op ``i``'s kind without materializing it."""
+        return self._store.kind_of(i)
 
     def task_of(self, i: int) -> str:
-        """Op ``i``'s task without materializing it (both backends)."""
-        if self._store is not None:
-            return self._store.task_of(i)
-        return self._ops_list[i].task  # type: ignore[index]
+        """Op ``i``'s task without materializing it."""
+        return self._store.task_of(i)
 
     def time_of(self, i: int) -> int:
-        """Op ``i``'s timestamp without materializing it (both backends)."""
-        if self._store is not None:
-            return self._store.time_of(i)
-        return self._ops_list[i].time  # type: ignore[index]
+        """Op ``i``'s timestamp without materializing it."""
+        return self._store.time_of(i)
 
     def __repr__(self) -> str:
-        backend = "columnar" if self.columnar else "object"
-        return (
-            f"Trace({len(self)} ops, {len(self.tasks)} tasks, "
-            f"backend={backend})"
-        )
+        return f"Trace({len(self)} ops, {len(self.tasks)} tasks)"
 
     # -- convenience views ---------------------------------------------
 
     def ops_of(self, task: str) -> List[int]:
-        """Indices of all operations executed by ``task``, in order.
-
-        A cached index lookup on the columnar backend; an O(n) scan on
-        the legacy path.
-        """
-        if self._store is not None:
-            return self._store.ops_of(task)
-        return [i for i, op in enumerate(self._ops_list) if op.task == task]
+        """Indices of all operations executed by ``task``, in order (a
+        cached index lookup)."""
+        return self._store.ops_of(task)
 
     def by_kind(self, kind: OpKind) -> List[int]:
-        """Indices of all operations of the given kind, in order.
-
-        A cached index lookup on the columnar backend; an O(n) scan on
-        the legacy path.
-        """
-        if self._store is not None:
-            return self._store.by_kind(kind)
-        return [i for i, op in enumerate(self._ops_list) if op.kind is kind]
+        """Indices of all operations of the given kind, in order (a
+        cached index lookup)."""
+        return self._store.by_kind(kind)
 
     def events(self) -> List[str]:
         """Ids of all event tasks, in task-table insertion order."""
@@ -346,15 +283,6 @@ class Trace:
             raise TraceError(f"unknown task {task!r}") from None
 
     # -- validation ------------------------------------------------------
-
-    def _iter_meta(self) -> Iterator[Any]:
-        """``(index, kind, task, time)`` per op, payload-free."""
-        if self._store is not None:
-            return self._store.iter_meta()
-        return (
-            (i, op.kind, op.task, op.time)
-            for i, op in enumerate(self._ops_list)  # type: ignore[arg-type]
-        )
 
     def validate(self) -> None:
         """Check well-formedness; raises :class:`TraceError` on failure.
@@ -399,7 +327,7 @@ class Trace:
         # Track which event is currently open per looper for atomicity.
         open_event: Dict[str, str] = {}
         tasks = self.tasks
-        for i, kind, task, time in self._iter_meta():
+        for i, kind, task, time in self._store.iter_meta():
             if task not in tasks:
                 raise TraceError(f"op #{i} references unknown task {task!r}")
             if time < last_time:

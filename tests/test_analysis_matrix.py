@@ -1,6 +1,5 @@
 """The cross-app scaling matrix: determinism across worker counts,
-the JSON table shape, the dense-bits escape hatch, and the CLI
-subcommand."""
+the JSON table shape, and the CLI subcommand."""
 
 import json
 
@@ -49,24 +48,12 @@ class TestScalingMatrix:
         for point in points:
             assert point.key_nodes > 0
             assert point.closure_bytes > 0
-            assert point.chunks_allocated > 0  # sparse is the default
-
-    def test_dense_bits_flag_reaches_the_build(self):
-        sparse = scaling_matrix(apps=APPS[:1], scales=[0.02])
-        dense = scaling_matrix(apps=APPS[:1], scales=[0.02], dense_bits=True)
-        assert not sparse.dense_bits and dense.dense_bits
-        s, d = sparse.rows[APPS[0].name][0], dense.rows[APPS[0].name][0]
-        assert d.chunks_allocated == 0  # dense storage has no chunks
-        assert s.chunks_allocated > 0
-        # The representations do identical logical work.
-        assert s.key_nodes == d.key_nodes
-        assert s.fixpoint_rounds == d.fixpoint_rounds
-        assert s.bits_propagated == d.bits_propagated
+            assert point.chunks_allocated > 0
 
     def test_to_json_is_one_table(self):
         matrix = scaling_matrix(apps=APPS[:2], scales=[0.02])
         table = json.loads(matrix.to_json())
-        assert set(table) == {"scales", "seed", "dense_bits", "apps"}
+        assert set(table) == {"scales", "seed", "apps"}
         assert list(table["apps"]) == [a.name for a in APPS[:2]]
         point = table["apps"][APPS[0].name][0]
         assert {"events", "closure_bytes", "events_repropagated"} <= set(point)
@@ -85,7 +72,6 @@ class TestScalingMatrixCLI:
         ) == 0
         table = json.loads(capsys.readouterr().out)
         assert list(table["apps"]) == ["vlc"]
-        assert table["dense_bits"] is False
 
     def test_writes_json_file_with_jobs(self, tmp_path, capsys):
         out = tmp_path / "matrix.json"
@@ -95,14 +81,12 @@ class TestScalingMatrixCLI:
                 "--apps", "vlc", "mytracks",
                 "--scales", "0.02",
                 "--jobs", "2",
-                "--dense-bits",
                 "-o", str(out),
             ]
         ) == 0
         assert f"wrote {out}" in capsys.readouterr().out
         table = json.loads(out.read_text())
         assert list(table["apps"]) == ["vlc", "mytracks"]
-        assert table["dense_bits"] is True
 
     def test_unknown_app_is_a_usage_error(self, capsys):
         assert main(["scaling-matrix", "--apps", "ghost"]) == 2

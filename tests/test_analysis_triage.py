@@ -115,13 +115,6 @@ class TestTriageCorpus:
         for item in doc["items"]:
             assert {"name", "status", "budget_spent", "races"} <= set(item)
 
-    def test_legacy_store_matches_columnar(self, corpus):
-        columnar = triage_corpus(corpus[:2], budget=BUDGET)
-        legacy = triage_corpus(corpus[:2], budget=BUDGET, columnar=False)
-        assert [(i.status, i.races) for i in columnar.items] == [
-            (i.status, i.races) for i in legacy.items
-        ]
-
 
 class TestBudgetCurve:
     def test_fidelity_columns_are_deterministic(self):

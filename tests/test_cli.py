@@ -34,6 +34,13 @@ class TestRecordDetectWitness:
         assert "use-free races reported: 8" in out
         assert "providerUtils" in out
 
+    @pytest.mark.parametrize("flag", ["--dense-bits", "--legacy-store"])
+    def test_removed_engine_flags_are_usage_errors(self, trace_path, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["detect", str(trace_path), flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_detect_low_level_flag(self, trace_path, capsys):
         assert main(["detect", str(trace_path), "--low-level"]) == 0
         out = capsys.readouterr().out

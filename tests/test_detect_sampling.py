@@ -1,6 +1,5 @@
 """The sampled detector: budget semantics, screen soundness, seed
-determinism, and the all-apps differential against full detection
-(columnar/legacy store x sparse/dense closure bits)."""
+determinism, and the all-apps differential against full detection."""
 
 import pytest
 
@@ -182,32 +181,19 @@ class TestDeterminism:
         assert len(draws) > 1
 
 
-@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "legacy"])
-@pytest.mark.parametrize("dense_bits", [False, True], ids=["sparse", "dense"])
 class TestDifferentialAllApps:
-    """Acceptance: sampled vs full on all ten apps x store x bits."""
+    """Acceptance: sampled vs full detection on all ten apps."""
 
-    def test_confirmed_races_subset_and_exhaustively_equal(
-        self, columnar, dense_bits
-    ):
-        detector = DetectorOptions(dense_bits=dense_bits)
-        for app_cls in ALL_APPS:
-            trace = app_cls(scale=0.02, seed=0).run(columnar=columnar).trace
-            full_keys = keys_of(
-                UseFreeDetector(trace, detector).detect()
-            )
-            exhaustive = detect_sampled(
-                trace,
-                SamplerOptions(
-                    budget=AMPLE, confirm=True, detector=detector
-                ),
-            )
-            assert race_keys(exhaustive) == full_keys, app_cls.name
-            partial = detect_sampled(
-                trace,
-                SamplerOptions(budget=3, confirm=True, detector=detector),
-            )
-            assert race_keys(partial) <= full_keys, app_cls.name
+    @pytest.mark.parametrize("app_cls", ALL_APPS, ids=lambda a: a.name)
+    def test_confirmed_races_subset_and_exhaustively_equal(self, app_cls):
+        trace = app_cls(scale=0.02, seed=0).run().trace
+        full_keys = keys_of(UseFreeDetector(trace).detect())
+        exhaustive = detect_sampled(
+            trace, SamplerOptions(budget=AMPLE, confirm=True)
+        )
+        assert race_keys(exhaustive) == full_keys
+        partial = detect_sampled(trace, SamplerOptions(budget=3, confirm=True))
+        assert race_keys(partial) <= full_keys
 
 
 class TestQueryBudget:

@@ -74,11 +74,6 @@ class TestBuildTimeCycleCheck:
             build_happens_before(cyclic_trace(), config)
         assert len(excinfo.value.cycle) >= 2
 
-    @pytest.mark.parametrize("config", ABLATIONS)
-    def test_cycle_raises_at_build_time_legacy_builder(self, config):
-        with pytest.raises(HBCycleError):
-            build_happens_before(cyclic_trace(), config, incremental=False)
-
     def test_acyclic_trace_still_builds_under_ablations(self):
         b = TraceBuilder()
         b.thread("A")

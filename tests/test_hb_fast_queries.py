@@ -1,8 +1,11 @@
-"""Differential testing: the prefix-mask + memo query path vs. the
-historical bit-scan.
+"""Differential testing: the batch relation's range-probe + memo query
+path vs. the bit-scan path of the streaming view.
 
-``fast_queries=False`` keeps the original per-query scan alive exactly
-so these tests can demand bit-for-bit agreement on ``ordered``,
+:func:`build_happens_before` answers queries through per-task
+contiguous key-node ranges and memo tables;
+:meth:`repro.stream.IncrementalHB.relation` — the same relation grown
+op by op — answers them by scanning the target task's key-node prefix.
+These tests demand bit-for-bit agreement on ``ordered``,
 ``concurrent``, ``concurrent_pairs``, and ``event_ordered`` — for
 generated traces under the stock models and a set of rule ablations,
 and for the full batched detector on a real workload.
@@ -14,6 +17,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
+from repro.analysis.performance import scan_relation
 from repro.apps import MusicApp
 from repro.detect import DetectorOptions, UseFreeDetector
 from repro.hb import (
@@ -42,8 +46,8 @@ MODELS = [
 
 
 def assert_query_paths_agree(trace, config):
-    fast = build_happens_before(trace, config, fast_queries=True)
-    scan = build_happens_before(trace, config, fast_queries=False)
+    fast = build_happens_before(trace, config)
+    scan = scan_relation(trace, config)
     n = len(trace)
     pairs = [(i, j) for i in range(n) for j in range(n)]
     for i, j in pairs:
@@ -147,8 +151,8 @@ class TestQueryProfile:
 
     def test_batched_pairs_counted_in_both_modes(self):
         trace = self._two_event_trace()
-        for fast in (True, False):
-            hb = build_happens_before(trace, fast_queries=fast)
+        relations = [build_happens_before(trace), scan_relation(trace, CAFA_MODEL)]
+        for hb, fast in zip(relations, (True, False)):
             hb.concurrent_pairs([(0, 1), (1, 2), (2, 3)])
             assert hb.query_profile.batched_pairs == 3
             assert hb.query_profile.fast is fast
@@ -170,9 +174,10 @@ class TestQueryProfile:
         text = hb_stats(trace, hb).format()
         assert "query path [prefix-mask+memo]" in text
         assert "prefix masks:" in text
-        scan = build_happens_before(trace, fast_queries=False)
+        scan = scan_relation(trace, CAFA_MODEL)
         scan.ordered(0, 1)
-        assert "query path [bit-scan (legacy)]" in hb_stats(trace, scan).format()
+        text = hb_stats(trace, scan).format()
+        assert "query path [bit-scan (streaming view)]" in text
 
 
 class TestBatchedDetectorRegression:
@@ -195,25 +200,27 @@ class TestBatchedDetectorRegression:
             result.dynamic_candidates,
         )
 
+    def _scan_detect(self, trace, options):
+        """The detector over the streaming view's scan relations."""
+        return UseFreeDetector(
+            trace,
+            options=options,
+            hb=scan_relation(trace, options.model),
+            conventional_hb=scan_relation(trace, options.conventional_model),
+        ).detect()
+
     def test_reports_identical_under_both_query_paths(self, run):
-        fast = UseFreeDetector(
-            run.trace, options=DetectorOptions(fast_queries=True)
-        ).detect()
-        scan = UseFreeDetector(
-            run.trace, options=DetectorOptions(fast_queries=False)
-        ).detect()
+        options = DetectorOptions()
+        fast = UseFreeDetector(run.trace, options=options).detect()
+        scan = self._scan_detect(run.trace, options)
         assert self._fingerprint(fast) == self._fingerprint(scan)
 
     def test_ablation_options_identical_under_both_query_paths(self, run):
         options = DetectorOptions(
             if_guard=False, intra_event_allocation=False, lockset_filter=False
         )
-        fast = UseFreeDetector(
-            run.trace, options=replace(options, fast_queries=True)
-        ).detect()
-        scan = UseFreeDetector(
-            run.trace, options=replace(options, fast_queries=False)
-        ).detect()
+        fast = UseFreeDetector(run.trace, options=options).detect()
+        scan = self._scan_detect(run.trace, options)
         assert self._fingerprint(fast) == self._fingerprint(scan)
 
 

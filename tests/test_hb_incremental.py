@@ -1,11 +1,11 @@
 """The incremental reachability index vs. rebuild-from-scratch.
 
-``KeyGraph(incremental=True)`` maintains its transitive closure across
-``add_node``/``add_edge`` once computed; ``incremental=False`` is the
-historical invalidate-and-rebuild behaviour.  The two must agree on
-every query and produce identical reach bitsets under any interleaving
-of construction and queries — hypothesis drives randomized scripts,
-and the app traces exercise the full builder both ways.
+:class:`KeyGraph` maintains its transitive closure across
+``add_node``/``add_edge`` once computed.  At every point the live
+closure must equal the closure of a fresh graph built from the same
+nodes and edges and closed once — hypothesis drives randomized
+interleavings of construction and queries, and the app traces exercise
+the full builder, which must also agree with the reference oracle.
 """
 
 import random
@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.analysis import bench_scale
+from repro.apps import ALL_APPS, MyTracksApp
 from repro.hb import HBCycleError, KeyGraph, build_happens_before
 from repro.hb.reference import ReferenceHappensBefore
 
@@ -42,47 +43,58 @@ def graph_scripts(draw):
     return initial, steps
 
 
+def rebuilt(graph):
+    """A fresh graph with ``graph``'s nodes and edges, closed once."""
+    fresh = KeyGraph()
+    for node in range(graph.node_count):
+        fresh.add_node(graph.op_of(node))
+    for u, v, rule in graph.edges():
+        fresh.add_edge(u, v, rule)
+    fresh.close()
+    return fresh
+
+
 def replay(script):
-    """Run one script on an incremental and a legacy graph in lockstep."""
+    """Run one script on a live graph, checking every query against a
+    rebuild of the graph as it stands at that point."""
     initial, steps = script
-    inc = KeyGraph(incremental=True)
-    legacy = KeyGraph(incremental=False)
+    inc = KeyGraph()
     count = 0
     for _ in range(initial):
         inc.add_node(count)
-        legacy.add_node(count)
         count += 1
     for kind, x, y in steps:
         if kind == "node":
             inc.add_node(count)
-            legacy.add_node(count)
             count += 1
         elif kind == "edge":
             a, b = x % count, y % count
             if a == b:
                 continue
             u, v = min(a, b), max(a, b)
-            assert inc.add_edge(u, v, "r") == legacy.add_edge(u, v, "r")
+            fresh_edge = inc.edge_rule(u, v) is None
+            assert inc.add_edge(u, v, "r") == fresh_edge
         else:  # query — forces closure at an arbitrary point
             a, b = x % count, y % count
-            assert inc.reaches(a, b) == legacy.reaches(a, b), (a, b)
-    return inc, legacy
+            assert inc.reaches(a, b) == rebuilt(inc).reaches(a, b), (a, b)
+    return inc, rebuilt(inc)
 
 
 @settings(max_examples=200, deadline=None)
 @given(graph_scripts())
 def test_incremental_closure_matches_rebuild(script):
-    inc, legacy = replay(script)
-    assert inc.reach_vector() == legacy.reach_vector()
-    assert inc.edge_count == legacy.edge_count
+    inc, fresh = replay(script)
+    assert inc.reach_vector() == fresh.reach_vector()
+    assert inc.edge_count == fresh.edge_count
 
 
 @settings(max_examples=100, deadline=None)
 @given(graph_scripts())
 def test_incremental_computes_at_most_one_full_closure(script):
-    inc, legacy = replay(script)
+    inc, fresh = replay(script)
     assert inc.closure_recomputations <= 1
-    assert legacy.bits_propagated == 0
+    assert fresh.closure_recomputations == 1
+    assert fresh.bits_propagated == 0
 
 
 class TestIncrementalMechanics:
@@ -142,37 +154,22 @@ def _sample_pairs(n, k, seed=0):
 
 
 class TestBuilderDifferential:
-    """The incremental builder vs. the legacy builder vs. the oracle."""
+    """The builder's live closure vs. a rebuild, and vs. the oracle."""
 
-    APPS = None  # filled lazily to keep import time down
-
-    @classmethod
-    def apps(cls):
-        if cls.APPS is None:
-            from repro.apps import ALL_APPS
-
-            cls.APPS = ALL_APPS
-        return cls.APPS
-
-    @pytest.mark.parametrize(
-        "app_name", "connectbot mytracks zxing todolist browser firefox "
-        "vlc fbreader camera music".split()
-    )
-    def test_incremental_build_is_bit_identical(self, app_name):
-        app_cls = next(a for a in self.apps() if a.name == app_name)
+    @pytest.mark.parametrize("app_cls", ALL_APPS, ids=lambda a: a.name)
+    def test_incremental_build_is_bit_identical(self, app_cls):
+        """The closure the fixpoint maintained edge by edge equals the
+        closure of its final edge set computed from scratch."""
         run = app_cls(scale=SCALE, seed=0).run()
-        fast = build_happens_before(run.trace)
-        slow = build_happens_before(run.trace, incremental=False)
-        assert set(fast.graph.edges()) == set(slow.graph.edges())
-        assert fast.graph.reach_vector() == slow.graph.reach_vector()
-        assert fast.iterations == slow.iterations
-        assert fast.derived_edges == slow.derived_edges
-        for a, b in _sample_pairs(len(run.trace), 500):
-            assert fast.ordered(a, b) == slow.ordered(a, b), (a, b)
+        hb = build_happens_before(run.trace)
+        fresh = rebuilt(hb.graph)
+        assert hb.graph.reach_vector() == fresh.reach_vector()
+        assert hb.graph.closure_recomputations == 1
 
-    @pytest.mark.parametrize("app_name", ["mytracks", "browser", "camera"])
-    def test_incremental_build_matches_reference_oracle(self, app_name):
-        app_cls = next(a for a in self.apps() if a.name == app_name)
+    @pytest.mark.parametrize("app_cls", ALL_APPS, ids=lambda a: a.name)
+    def test_incremental_build_matches_reference_oracle(self, app_cls):
+        """The builder agrees with the literal §3.3 model (the staged-
+        round oracle, plain-int rows) on sampled ordering queries."""
         run = app_cls(scale=0.01, seed=0).run()
         fast = build_happens_before(run.trace)
         oracle = ReferenceHappensBefore(run.trace)
@@ -185,10 +182,7 @@ class TestBuilderDifferential:
             )
 
     def test_incremental_build_closes_once_despite_rounds(self):
-        app_cls = next(a for a in self.apps() if a.name == "mytracks")
-        run = app_cls(scale=0.05, seed=0).run()
+        run = MyTracksApp(scale=0.05, seed=0).run()
         hb = build_happens_before(run.trace)
         assert hb.iterations >= 2  # the fixpoint does real work here
         assert hb.graph.closure_recomputations == 1
-        legacy = build_happens_before(run.trace, incremental=False)
-        assert legacy.graph.closure_recomputations > hb.graph.closure_recomputations

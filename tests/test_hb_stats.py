@@ -99,9 +99,3 @@ class TestHbStats:
         assert "phase timings: scan" in text
         assert "fixpoint groups:" in text
 
-    def test_legacy_build_reports_its_recomputations(self):
-        trace = build_mixed_trace()
-        hb = build_happens_before(trace, incremental=False)
-        stats = hb_stats(trace, hb)
-        assert stats.closure_recomputations >= 1
-        assert stats.bits_propagated == 0

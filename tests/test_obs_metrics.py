@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from repro.hb import QueryProfile
 from repro.hb.builder import BuildProfile
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
@@ -145,10 +146,12 @@ class TestProfileAdaptation:
         snap = MetricsSnapshot()
         profile_snapshot(snap, "b", BuildProfile(scan_seconds=0.5))
         assert snap.counters["b_scan_seconds"] == 0.5
-        # edges_per_round is a list, dense_bits a bool: neither exports
+        # edges_per_round is a list, QueryProfile.fast a bool: neither exports
+        profile_snapshot(snap, "q", QueryProfile(queries=3))
+        assert snap.counters["q_queries"] == 3
         names = set(snap.counters) | set(snap.gauges)
         assert not any("edges_per_round" in n for n in names)
-        assert not any("dense_bits" in n for n in names)
+        assert "q_fast" not in names
 
 
 class TestSnapshots:

@@ -23,8 +23,8 @@ from tests.test_property_structures import operation_st
 from hypothesis import given, settings
 
 
-def rich_trace(columnar=True):
-    """One of every interesting payload shape, on either backend."""
+def rich_trace():
+    """One of every interesting payload shape."""
     b = TraceBuilder()
     b.looper("L")
     b.thread("T")
@@ -44,21 +44,17 @@ def rich_trace(columnar=True):
     b.ptr_write("E", ("obj", 4, "p"), value=None, container=4, method="onE", pc=4)
     b.ipc_call("E", txn=7, service="svc", oneway=True)
     b.end("E")
-    trace = b.build()
-    if columnar:
-        return trace
-    legacy = Trace(ops=list(trace.ops), tasks=trace.tasks, columnar=False)
-    return legacy
+    return b.build()
 
 
 class TestRoundTrip:
     def test_every_op_materializes_identically(self):
-        columnar = rich_trace()
-        legacy = rich_trace(columnar=False)
-        assert len(columnar) == len(legacy)
-        for i in range(len(columnar)):
-            assert columnar.ops[i] == legacy.ops[i]
-            assert type(columnar.ops[i]) is type(legacy.ops[i])
+        ops = list(rich_trace().ops)
+        trace = Trace(ops=ops)
+        assert len(trace) == len(ops)
+        for i, op in enumerate(ops):
+            assert trace.ops[i] == op
+            assert type(trace.ops[i]) is type(op)
 
     @settings(max_examples=200)
     @given(operation_st)
@@ -82,15 +78,19 @@ class TestRoundTrip:
 
 
 class TestIndexViews:
+    """The cached index views against a linear scan of the ops."""
+
     def test_ops_of_matches_legacy_scan(self):
-        columnar, legacy = rich_trace(), rich_trace(columnar=False)
+        trace = rich_trace()
         for task in ("T", "E", "absent"):
-            assert columnar.ops_of(task) == legacy.ops_of(task)
+            scan = [i for i, op in enumerate(trace.ops) if op.task == task]
+            assert trace.ops_of(task) == scan
 
     def test_by_kind_matches_legacy_scan(self):
-        columnar, legacy = rich_trace(), rich_trace(columnar=False)
+        trace = rich_trace()
         for kind in OpKind:
-            assert columnar.by_kind(kind) == legacy.by_kind(kind)
+            scan = [i for i, op in enumerate(trace.ops) if op.kind is kind]
+            assert trace.by_kind(kind) == scan
 
     def test_indices_of_merges_ascending(self):
         store = rich_trace().store
@@ -125,17 +125,13 @@ class TestOpsView:
             view[len(view)]
 
     def test_equality_against_lists_and_views(self):
-        columnar, legacy = rich_trace(), rich_trace(columnar=False)
-        assert columnar.ops == list(legacy.ops)
-        assert not (columnar.ops != rich_trace().ops)
-        assert columnar.ops != list(legacy.ops)[:-1]
+        trace, ops = rich_trace(), list(rich_trace().ops)
+        assert trace.ops == ops
+        assert not (trace.ops != rich_trace().ops)
+        assert trace.ops != ops[:-1]
 
 
 class TestProfile:
-    def test_backends_are_labelled(self):
-        assert rich_trace().profile().backend == "columnar"
-        assert rich_trace(columnar=False).profile().backend == "object"
-
     def test_profile_counts_and_format(self):
         trace = rich_trace()
         profile = trace.profile(disk_bytes=123)
@@ -144,7 +140,7 @@ class TestProfile:
         assert profile.symbols == len(trace.store.symbols)
         assert profile.memory_bytes > 0
         text = profile.format()
-        assert "columnar" in text and "on disk: 123 bytes" in text
+        assert "trace store: " in text and "on disk: 123 bytes" in text
 
     def test_trace_profile_free_function_matches_method(self):
         trace = rich_trace()
@@ -156,9 +152,8 @@ class TestExternalSeqValidation:
     events must be rejected — a duplicate makes the external-input
     chain order ambiguous."""
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_duplicate_external_seq_rejected(self, columnar):
-        trace = Trace(columnar=columnar)
+    def test_duplicate_external_seq_rejected(self):
+        trace = Trace()
         trace.add_task(TaskInfo(task="L", task_kind=TaskKind.LOOPER))
         for name in ("E1", "E2"):
             trace.add_task(
@@ -174,13 +169,12 @@ class TestExternalSeqValidation:
         with pytest.raises(TraceError, match="share external_seq 7"):
             trace.validate()
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_duplicate_external_seq_error_names_colliding_ops(self, columnar):
+    def test_duplicate_external_seq_error_names_colliding_ops(self):
         """The error must point at the colliding operations: each
         event's first operation index and kind (or "no operations" for
         an event never dispatched), so the offending records can be
         found in the trace without a manual scan."""
-        trace = Trace(columnar=columnar)
+        trace = Trace()
         trace.add_task(TaskInfo(task="L", task_kind=TaskKind.LOOPER))
         for name in ("E1", "E2"):
             trace.add_task(

@@ -1,6 +1,6 @@
 """The v2 positional trace format: property-based round-trips across
-both versions and backends, version negotiation, the streaming kind
-table, gzip transparency, and malformed-record diagnostics."""
+both versions, version negotiation, the streaming kind table, gzip
+transparency, and malformed-record diagnostics."""
 
 import gzip
 import io
@@ -29,23 +29,20 @@ from tests.test_trace_serialization import sample_trace
 ops_st = st.lists(operation_st, max_size=30)
 
 
-def bare_trace(ops, columnar=True):
-    trace = Trace(columnar=columnar)
+def bare_trace(ops):
+    trace = Trace()
     trace.extend(ops)
     return trace
 
 
 class TestPropertyRoundTrips:
     @settings(max_examples=150, deadline=None)
-    @given(ops_st, st.sampled_from(SUPPORTED_VERSIONS), st.booleans(), st.booleans())
-    def test_any_ops_round_trip_both_versions_both_backends(
-        self, ops, version, write_columnar, read_columnar
-    ):
-        trace = bare_trace(ops, columnar=write_columnar)
+    @given(ops_st, st.sampled_from(SUPPORTED_VERSIONS))
+    def test_any_ops_round_trip_both_versions(self, ops, version):
+        trace = bare_trace(ops)
         blob = dumps_trace_bytes(trace, version=version)
-        back = loads_trace(blob, columnar=read_columnar)
+        back = loads_trace(blob)
         assert list(back.ops) == ops
-        assert back.columnar is read_columnar
 
     @settings(max_examples=100, deadline=None)
     @given(ops_st)

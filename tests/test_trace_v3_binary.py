@@ -73,8 +73,8 @@ any_kind_op_st = st.one_of([_op_st(kind) for kind in KIND_LIST])
 ops_st = st.lists(any_kind_op_st, max_size=40)
 
 
-def bare_trace(ops, columnar=True):
-    trace = Trace(columnar=columnar)
+def bare_trace(ops):
+    trace = Trace()
     trace.extend(ops)
     return trace
 
@@ -87,12 +87,10 @@ def v3_bytes(trace):
 
 class TestPropertyRoundTrips:
     @settings(max_examples=200, deadline=None)
-    @given(ops_st, st.booleans(), st.booleans())
-    def test_v3_round_trips_any_ops(self, ops, write_columnar, read_columnar):
-        trace = bare_trace(ops, columnar=write_columnar)
-        back = loads_trace(v3_bytes(trace), columnar=read_columnar)
+    @given(ops_st)
+    def test_v3_round_trips_any_ops(self, ops):
+        back = loads_trace(v3_bytes(bare_trace(ops)))
         assert list(back.ops) == ops
-        assert back.columnar is read_columnar
 
     @settings(max_examples=100, deadline=None)
     @given(ops_st)
@@ -306,15 +304,6 @@ class TestDecodeStats:
         assert stats is not None and stats.version == 2
         assert stats.ops_decoded == len(trace)
         assert stats.ops_adopted == 0
-
-    def test_legacy_backend_falls_back_to_rows(self, tmp_path):
-        trace = make_app("connectbot", scale=0.05, seed=1).run().trace
-        path = tmp_path / "t.v3"
-        save_trace_file(trace, path, version=3)
-        back = load_trace_file(path, columnar=False)
-        assert back.ops == trace.ops
-        assert back.decode_stats.ops_decoded == len(trace)
-        assert back.decode_stats.ops_adopted == 0
 
 
 class TestAnyTraceDecoder:

@@ -87,6 +87,20 @@ class TestArbitraryByteCuts:
             salvaged = loads_trace(prefix, strict=False)
             assert race_keys(salvaged) <= full_keys
 
+    def test_every_cut_through_the_header_rejected(self):
+        """Cuts inside the magic, exactly after it, and anywhere in the
+        header frame are truncation, not an empty stream — strict and
+        salvage alike."""
+        blob, _ = app_blob("connectbot")
+        for cut in range(1, header_end(blob) + 1):
+            for strict in (True, False):
+                if cut == header_end(blob) and not strict:
+                    continue  # a complete header: salvage keeps it
+                with pytest.raises(TraceFormatError):
+                    loads_trace(blob[:cut], strict=strict)
+        with pytest.raises(TraceError, match="empty trace stream"):
+            loads_trace(b"")
+
     @pytest.mark.parametrize("name", APP_NAMES[:3])
     def test_trailer_cuts_are_truncation_evidence(self, name):
         blob, _ = app_blob(name)
