@@ -1,138 +1,47 @@
-"""Differential testing: the chunked sparse-bitset closure engine vs.
-the legacy dense big-int representation.
+"""Differential testing: the builder's chunked sparse-bitset closure vs.
+the reference oracle's plain-int reachability rows.
 
-The sparse refactor claims *exact* behavioral equivalence: on every
-stock app, whichever representation stores the closure, the
-happens-before edge set, the reachability vectors, the incremental
-propagation work, the detector verdicts, and the reproduced Table 1
-row must be identical — on both trace store backends, and asserted in
-both orderings so neither representation quietly becomes the
-reference.  The staged-round oracle must agree with the builder under
-either representation as well."""
+The two share no closure code, so agreement on every ordering query
+checks the key-node reduction, the incremental closure and the query
+indexes against the literal model.  Each app is queried on a sparse
+set (pairs sampled across the whole trace) and a dense one (every pair
+inside one window of consecutive operations), through both the
+single-pair and the batched query paths."""
 
 import random
 
 import pytest
 
-from repro.analysis import reproduce_table1
 from repro.apps import ALL_APPS
-from repro.detect import DetectorOptions, LowLevelDetector, UseFreeDetector
 from repro.hb import build_happens_before
 from repro.hb.reference import ReferenceHappensBefore
 
-SCALE, SEED = 0.02, 0
+SEED = 0
+WINDOW = 120
 
 
-def app_trace(app_cls, columnar=True):
-    return app_cls(scale=SCALE, seed=SEED).run(columnar=columnar).trace
-
-
-def build_both(trace):
-    sparse = build_happens_before(trace)  # dense_bits=False is the default
-    dense = build_happens_before(trace, dense_bits=True)
-    assert not sparse.graph.dense_bits and dense.graph.dense_bits
-    return sparse, dense
-
-
-def detect_fingerprint(trace, dense_bits):
-    """Every observable of a detection run, comparably."""
-    options = DetectorOptions(dense_bits=dense_bits)
-    result = UseFreeDetector(trace, options).detect()
-    low = LowLevelDetector(trace, dense_bits=dense_bits).detect()
-    return (
-        [(str(r.key), r.verdict) for r in result.reports],
-        [(str(r.key), r.witnesses[0].filtered_by) for r in result.filtered_reports],
-        result.dynamic_candidates,
-        sorted(str(r) for r in low.races),
-    )
-
-
-def _sample_pairs(n, k, seed=0):
-    rng = random.Random(seed)
-    return [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
-
-
-class TestPerAppEquivalence:
-    @pytest.mark.parametrize(
-        "columnar", [True, False], ids=["columnar", "legacy-store"]
-    )
-    @pytest.mark.parametrize("app_cls", ALL_APPS, ids=lambda a: a.name)
-    def test_hb_edges_and_closure_identical(self, app_cls, columnar):
-        trace = app_trace(app_cls, columnar=columnar)
-        sparse, dense = build_both(trace)
-        assert sorted(sparse.graph.edges()) == sorted(dense.graph.edges())
-        # SparseBits == int compares the materialized bit pattern, so
-        # the vectors are comparable elementwise in either ordering.
-        assert sparse.graph.reach_vector() == dense.graph.reach_vector()
-        assert dense.graph.reach_vector() == sparse.graph.reach_vector()
-        assert sparse.iterations == dense.iterations
-        assert sparse.derived_edges == dense.derived_edges
-        # The incremental propagation does the same work bit for bit.
-        assert sparse.graph.bits_propagated == dense.graph.bits_propagated
-
-    @pytest.mark.parametrize("app_cls", ALL_APPS, ids=lambda a: a.name)
-    def test_query_verdicts_identical(self, app_cls):
-        trace = app_trace(app_cls)
-        sparse, dense = build_both(trace)
-        pairs = _sample_pairs(len(trace), 400, seed=3)
-        for a, b in pairs:
-            assert sparse.ordered(a, b) == dense.ordered(a, b), (a, b)
-        assert sparse.concurrent_pairs(pairs) == dense.concurrent_pairs(pairs)
-
-    @pytest.mark.parametrize("app_cls", ALL_APPS, ids=lambda a: a.name)
-    def test_detector_verdicts_identical(self, app_cls):
-        trace = app_trace(app_cls)
-        assert detect_fingerprint(trace, False) == detect_fingerprint(trace, True)
-        assert detect_fingerprint(trace, True) == detect_fingerprint(trace, False)
+def query_pairs(n, density):
+    if density == "sparse":
+        rng = random.Random(7)
+        return [(rng.randrange(n), rng.randrange(n)) for _ in range(600)]
+    lo = max(0, n // 2 - WINDOW // 2)
+    window = range(lo, min(n, lo + WINDOW))
+    return [(a, b) for a in window for b in window]
 
 
 class TestOracleAgreement:
-    """The staged-round oracle agrees with the builder under either
-    representation — and with itself across representations."""
-
     @pytest.mark.parametrize("app_name", ["mytracks", "browser", "camera"])
-    @pytest.mark.parametrize("dense_bits", [False, True], ids=["sparse", "dense"])
-    def test_builder_matches_reference_oracle(self, app_name, dense_bits):
+    @pytest.mark.parametrize("density", ["sparse", "dense"])
+    def test_builder_matches_reference_oracle(self, app_name, density):
         app_cls = next(a for a in ALL_APPS if a.name == app_name)
         trace = app_cls(scale=0.01, seed=SEED).run().trace
-        hb = build_happens_before(trace, dense_bits=dense_bits)
-        oracle = ReferenceHappensBefore(trace, dense_bits=dense_bits)
-        for a, b in _sample_pairs(len(trace), 600, seed=7):
+        hb = build_happens_before(trace)
+        oracle = ReferenceHappensBefore(trace)
+        pairs = query_pairs(len(trace), density)
+        for a, b in pairs:
             assert hb.ordered(a, b) == oracle.ordered(a, b), (a, b)
-
-    def test_oracle_agrees_with_itself_across_representations(self):
-        app_cls = next(a for a in ALL_APPS if a.name == "mytracks")
-        trace = app_cls(scale=0.01, seed=SEED).run().trace
-        sparse = ReferenceHappensBefore(trace)
-        dense = ReferenceHappensBefore(trace, dense_bits=True)
-        for a, b in _sample_pairs(len(trace), 600, seed=11):
-            assert sparse.ordered(a, b) == dense.ordered(a, b), (a, b)
-
-
-class TestTable1Equivalence:
-    def fingerprint(self, table):
-        return [
-            (
-                e.name,
-                e.events,
-                e.row(),
-                [(str(r.key), r.verdict) for r in e.result.reports],
-                [str(r.key) for r in e.unmatched],
-                list(e.missed),
-            )
-            for e in table.evaluations
+        expected = [
+            not oracle.ordered(a, b) and not oracle.ordered(b, a)
+            for a, b in pairs
         ]
-
-    @pytest.mark.parametrize(
-        "columnar", [True, False], ids=["columnar", "legacy-store"]
-    )
-    def test_table1_rows_identical_across_representations(self, columnar):
-        sparse = reproduce_table1(scale=SCALE, seed=SEED, columnar=columnar)
-        dense = reproduce_table1(
-            scale=SCALE,
-            seed=SEED,
-            columnar=columnar,
-            options=DetectorOptions(dense_bits=True),
-        )
-        assert self.fingerprint(sparse) == self.fingerprint(dense)
-        assert self.fingerprint(dense) == self.fingerprint(sparse)
+        assert hb.concurrent_pairs(pairs) == expected
