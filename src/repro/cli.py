@@ -1354,8 +1354,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .hb import HBCycleError, ModelNotApplicableError
+
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (HBCycleError, ModelNotApplicableError) as exc:
+        # A trace the model cannot order: one line, not a traceback.
+        source = getattr(args, "trace", None)
+        where = f"{source}: " if source else ""
+        print(f"error: {where}{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

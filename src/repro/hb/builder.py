@@ -12,6 +12,17 @@ a fixpoint — each round finds every rule instance whose premise holds
 and whose conclusion is not yet implied, adds the concluded edges, and
 repeats until no rule fires.
 
+Every rule is implemented once, here, over the store's columns (no
+:class:`Operation` is materialized): :func:`_scan` places ops in
+their tasks' program order and harvests the event facts they carry,
+:class:`_BaseRules` adds the base edges one op enables,
+:func:`_add_chain_edges` adds the edges read off whole chains (the
+external-input chain and the queue-rule-1 seeding), and
+:func:`_fixpoint` runs the derived rules.  :func:`build_happens_before`
+runs these passes over a complete trace;
+:class:`repro.stream.IncrementalHB` runs the same functions as ops
+arrive and closes the graph only when polled.
+
 The fixpoint is *incremental*: the transitive closure is computed once
 before round one and maintained in place by
 :meth:`repro.hb.graph.KeyGraph.add_edge` as conclusions land, so the
@@ -33,20 +44,12 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from itertools import compress
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..trace import (
-    Begin,
-    End,
-    OpKind,
-    Send,
-    SendAtFront,
-    SYNC_KINDS,
-    TaskKind,
-    Trace,
-)
+from ..trace import OpKind, SYNC_KINDS, TaskKind, Trace
 from ..obs.spans import span
-from ..trace.store import KIND_LIST
+from ..trace.store import KIND_CODES, KIND_LIST, TraceStore
 from .bits import SparseBits
 from .config import CAFA_MODEL, ModelConfig
 from .graph import HappensBefore, KeyGraph
@@ -68,6 +71,13 @@ RULE_QUEUE_1 = "queue-rule-1"
 RULE_QUEUE_2 = "queue-rule-2"
 RULE_QUEUE_3 = "queue-rule-3"
 RULE_QUEUE_4 = "queue-rule-4"
+
+_BEGIN = KIND_CODES[OpKind.BEGIN]
+_END = KIND_CODES[OpKind.END]
+_SEND = KIND_CODES[OpKind.SEND]
+_SEND_AT_FRONT = KIND_CODES[OpKind.SEND_AT_FRONT]
+#: kind codes whose ops carry task-bound or event facts
+_HARVESTED = frozenset({_BEGIN, _END, _SEND, _SEND_AT_FRONT})
 
 
 @dataclass
@@ -150,7 +160,7 @@ class EventRecord:
 
 @dataclass
 class _BuildState:
-    """Internal indices shared by the edge-derivation passes."""
+    """The scan so far, shared by the edge-derivation passes."""
 
     trace: Trace
     config: ModelConfig
@@ -160,159 +170,104 @@ class _BuildState:
     events: Dict[str, EventRecord] = field(default_factory=dict)
     task_begin: Dict[str, int] = field(default_factory=dict)
     task_end: Dict[str, int] = field(default_factory=dict)
-    #: per-op key flags, precomputed by :func:`_scan`
-    is_key: List[bool] = field(default_factory=list)
+    #: task symbol id -> the task whose program order its ops join
+    task_of_id: Dict[int, str] = field(default_factory=dict)
+    store: TraceStore = field(init=False)
+    #: per kind code: are ops of this kind key ops (graph nodes)?
+    key_by_code: List[bool] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.store = self.trace.store
+        locks = (OpKind.ACQUIRE, OpKind.RELEASE) if self.config.lock_edges else ()
+        self.key_by_code = [
+            kind in SYNC_KINDS or kind in locks for kind in KIND_LIST
+        ]
 
 
-def _harvest(state: _BuildState, i: int, op) -> None:
-    """Record task bounds and event send/dispatch facts for one op
-    (the streaming builder's per-op form of :func:`_harvest_store`)."""
-    trace = state.trace
-    if isinstance(op, Begin):
-        state.task_begin.setdefault(op.task, i)
-        info = trace.tasks.get(op.task)
-        if info is not None and info.task_kind is TaskKind.EVENT:
-            rec = state.events.setdefault(op.task, EventRecord(op.task))
+def _effective_task(state: _BuildState, task: str) -> str:
+    """The task whose program order ``task``'s ops join: with
+    ``sequential_events`` (the conventional baseline) an event's ops
+    are folded into its looper thread's."""
+    if state.config.sequential_events:
+        info = state.trace.tasks.get(task)
+        if info is not None and info.task_kind is TaskKind.EVENT and info.looper:
+            return info.looper
+    return task
+
+
+def _scan(state: _BuildState, start: int, stop: int) -> List[bool]:
+    """Scan ops ``start`` to ``stop - 1``, in trace order: append each
+    to its task's program order and harvest the task bound or event
+    fact it carries.  Returns their key flags (is the op a graph node?).
+    """
+    store = state.store
+    kinds, task_ids = store.kinds, store.task_ids
+    task_of_id, task_ops = state.task_of_id, state.task_ops
+    op_task, op_pos = state.op_task, state.op_pos
+    for i in range(start, stop):
+        tid = task_ids[i]
+        task = task_of_id.get(tid)
+        if task is None:
+            task = task_of_id[tid] = _effective_task(
+                state, store.symbols.value(tid)
+            )
+        ops = task_ops.get(task)
+        if ops is None:
+            ops = task_ops[task] = []
+        op_task.append(task)
+        op_pos.append(len(ops))
+        ops.append(i)
+        code = kinds[i]
+        if code in _HARVESTED:
+            _harvest(state, i, code)
+    key_by_code = state.key_by_code
+    return [key_by_code[code] for code in kinds[start:stop]]
+
+
+def _event_record(state: _BuildState, event: str) -> EventRecord:
+    rec = state.events.get(event)
+    if rec is None:
+        rec = state.events[event] = EventRecord(event)
+    return rec
+
+
+def _harvest(state: _BuildState, i: int, code: int) -> None:
+    """Record the task bound or event send/dispatch fact of op ``i``.
+
+    Facts are overwritten in trace order: a Send after a SendAtFront of
+    the same event rewrites ``send_index``/``at_front`` (and vice
+    versa), and ``queue`` is written by a Begin (from the task table)
+    and by sends (from the op) — the last writer wins.
+    """
+    store = state.store
+    if code == _BEGIN or code == _END:
+        task = store.task_of(i)
+        if code == _BEGIN:
+            state.task_begin.setdefault(task, i)
+        else:
+            state.task_end[task] = i
+        info = state.trace.tasks.get(task)
+        if info is None or info.task_kind is not TaskKind.EVENT:
+            return
+        rec = _event_record(state, task)
+        if code == _BEGIN:
             rec.begin_index = i
             rec.looper = info.looper
             rec.queue = info.queue
-    elif isinstance(op, End):
-        state.task_end[op.task] = i
-        info = trace.tasks.get(op.task)
-        if info is not None and info.task_kind is TaskKind.EVENT:
-            state.events.setdefault(op.task, EventRecord(op.task)).end_index = i
-    elif isinstance(op, Send):
-        rec = state.events.setdefault(op.event, EventRecord(op.event))
-        rec.send_index = i
-        rec.delay = op.delay
-        rec.at_front = False
-        if op.queue:
-            rec.queue = op.queue
-    elif isinstance(op, SendAtFront):
-        rec = state.events.setdefault(op.event, EventRecord(op.event))
-        rec.send_index = i
-        rec.delay = 0
-        rec.at_front = True
-        if op.queue:
-            rec.queue = op.queue
-
-
-def _scan(state: _BuildState) -> None:
-    """First pass: positions, task bounds, and event records.
-
-    Per-op bookkeeping comes straight from the int columns (no
-    :class:`Operation` materialization), then a sparse harvest runs
-    over only the kinds that carry event/bound facts.  With
-    ``sequential_events`` (the conventional baseline) every event's
-    operations are folded into its looper thread's program order.
-    """
-    trace, config = state.trace, state.config
-    store = trace.store
-    tasks = trace.tasks
-    sequential = config.sequential_events
-    symbols = store.symbols
-    # task symbol id -> effective task name, resolved lazily (the
-    # symbol table also interns non-task strings).
-    effective: List[Optional[str]] = [None] * len(symbols)
-    op_task, op_pos, task_ops = state.op_task, state.op_pos, state.task_ops
-    for i, tid in enumerate(store.task_ids):
-        name = effective[tid]
-        if name is None:
-            name = symbols.value(tid)
-            if sequential:
-                info = tasks.get(name)
-                if (
-                    info is not None
-                    and info.task_kind is TaskKind.EVENT
-                    and info.looper
-                ):
-                    name = info.looper
-            effective[tid] = name
-        ops = task_ops.get(name)
-        if ops is None:
-            ops = task_ops[name] = []
-        op_task.append(name)
-        op_pos.append(len(ops))
-        ops.append(i)
-    # Key-op flags from the kind column alone; _build_key_graph indexes
-    # this instead of materializing one op per candidate.
-    lock_kinds = (OpKind.ACQUIRE, OpKind.RELEASE)
-    key_by_code = [
-        kind in SYNC_KINDS or (config.lock_edges and kind in lock_kinds)
-        for kind in KIND_LIST
-    ]
-    state.is_key = [key_by_code[code] for code in store.kinds]
-    _harvest_store(state, store)
-
-
-def _harvest_store(state: _BuildState, store) -> None:
-    """Columnar :func:`_harvest`: the same facts in the same overwrite
-    order, read straight from the kind buckets.
-
-    The four kinds' entries are merged back into trace order because
-    their writes interact: a Send after a SendAtFront overwrites
-    ``send_index``/``at_front`` (and vice versa), and ``rec.queue`` is
-    written by Begin (from the task table) *and* by sends (from the op)
-    — last writer in trace order must win, exactly as in the
-    materializing sweep.
-    """
-    tasks = state.trace.tasks
-    events = state.events
-    task_begin, task_end = state.task_begin, state.task_end
-    sym = store.symbols.value
-    task_of = store.task_of
-
-    begin_idx = store.by_kind(OpKind.BEGIN)
-    end_idx = store.by_kind(OpKind.END)
-    send_idx, send_event = store.column(OpKind.SEND, "event")
-    _, send_delay = store.column(OpKind.SEND, "delay")
-    _, send_queue = store.column(OpKind.SEND, "queue")
-    front_idx, front_event = store.column(OpKind.SEND_AT_FRONT, "event")
-    _, front_queue = store.column(OpKind.SEND_AT_FRONT, "queue")
-
-    entries = [(i, 0, r) for r, i in enumerate(begin_idx)]
-    entries += [(i, 1, r) for r, i in enumerate(end_idx)]
-    entries += [(i, 2, r) for r, i in enumerate(send_idx)]
-    entries += [(i, 3, r) for r, i in enumerate(front_idx)]
-    entries.sort()
-    for i, tag, r in entries:
-        if tag == 0:  # Begin
-            task = task_of(i)
-            task_begin.setdefault(task, i)
-            info = tasks.get(task)
-            if info is not None and info.task_kind is TaskKind.EVENT:
-                rec = events.setdefault(task, EventRecord(task))
-                rec.begin_index = i
-                rec.looper = info.looper
-                rec.queue = info.queue
-        elif tag == 1:  # End
-            task = task_of(i)
-            task_end[task] = i
-            info = tasks.get(task)
-            if info is not None and info.task_kind is TaskKind.EVENT:
-                events.setdefault(task, EventRecord(task)).end_index = i
-        elif tag == 2:  # Send
-            event = sym(send_event[r])
-            rec = events.setdefault(event, EventRecord(event))
-            rec.send_index = i
-            rec.delay = send_delay[r]
-            rec.at_front = False
-            queue = sym(send_queue[r])
-            if queue:
-                rec.queue = queue
-        else:  # SendAtFront
-            event = sym(front_event[r])
-            rec = events.setdefault(event, EventRecord(event))
-            rec.send_index = i
-            rec.delay = 0
-            rec.at_front = True
-            queue = sym(front_queue[r])
-            if queue:
-                rec.queue = queue
+        else:
+            rec.end_index = i
+        return
+    rec = _event_record(state, store.field_of(i, "event"))
+    rec.send_index = i
+    rec.at_front = code == _SEND_AT_FRONT
+    rec.delay = 0 if rec.at_front else store.field_of(i, "delay")
+    queue = store.field_of(i, "queue")
+    if queue:
+        rec.queue = queue
 
 
 def _build_key_graph(
-    state: _BuildState,
+    state: _BuildState, is_key: List[bool]
 ) -> Tuple[KeyGraph, Dict[str, List[int]], Dict[str, List[int]]]:
     """Create nodes for every key op and chain them per task.
 
@@ -320,11 +275,12 @@ def _build_key_graph(
     allocates its nodes in one uninterrupted run and thereby
     *guarantees* the contiguous-id invariant behind the sparse query
     path's range probes (a broken run raises instead of degrading).
+    Each task also gets a node at its last op, so it has one at its
+    very end.
     """
     graph = KeyGraph()
     task_key_positions: Dict[str, List[int]] = {}
     task_key_nodes: Dict[str, List[int]] = {}
-    is_key = state.is_key
     for task, ops in state.task_ops.items():
         last = len(ops) - 1
         positions = [
@@ -339,165 +295,170 @@ def _build_key_graph(
     return graph, task_key_positions, task_key_nodes
 
 
-def _add_base_edges(state: _BuildState, graph: KeyGraph) -> None:
-    """Edges whose premises are syntactic facts of the trace."""
-    trace, config = state.trace, state.config
-    notify_by_ticket: Dict[int, int] = {}
-    notify_by_monitor: Dict[str, List[int]] = {}
-    registers: Dict[str, List[int]] = {}
-    ipc_calls: Dict[int, int] = {}
-    ipc_replies: Dict[int, int] = {}
-    last_release: Dict[str, int] = {}
+class _BaseRules:
+    """The base rules whose premises are syntactic facts of the trace,
+    as one :meth:`step` per key op in trace order.
 
-    def edge(u_op: int, v_op: int, rule: str) -> None:
-        graph.add_edge(graph.node_of(u_op), graph.node_of(v_op), rule)
+    The rules are stateful scans — a Wait pairs with *earlier*
+    Notifies, an Acquire with the *latest* Release.  Fork, join and
+    send edges look their partner BEGIN or END up in the scan; when it
+    has not been scanned yet the edge is parked until it is.  A batch
+    build scans the whole trace first, so there an edge is parked only
+    when its partner never appears.
+    """
 
-    store = trace.store
-    # Per-kind handlers over the raw columns — no :class:`Operation`
-    # is ever materialized.  Entries of every enabled kind are merged
-    # back into trace order before dispatch because the base rules are
-    # stateful scans (a Wait pairs with *earlier* Notifies, an Acquire
-    # with the *latest* Release).
-    sym = store.symbols.value
-    handlers: List[Callable[[int, int], None]] = []
-    entries: List[Tuple[int, int, int]] = []
+    def __init__(self, state: _BuildState, graph: KeyGraph) -> None:
+        self.state = state
+        self.graph = graph
+        self.store = state.store
+        self._field = state.store.field_of
+        self._notify_by_ticket: Dict[int, int] = {}
+        self._notify_by_monitor: Dict[str, List[int]] = {}
+        self._registers: Dict[str, List[int]] = {}
+        self._ipc_calls: Dict[int, int] = {}
+        self._ipc_replies: Dict[int, int] = {}
+        self._last_release: Dict[str, int] = {}
+        #: task -> (source op, rule) of the edges waiting for its BEGIN
+        self._await_begin: Dict[str, List[Tuple[int, str]]] = {}
+        #: task -> the joins waiting for its END
+        self._await_end: Dict[str, List[int]] = {}
+        config = state.config
+        # Plain functions, called with ``self``: a table of bound methods
+        # would be a reference cycle, keeping the scan and the graph
+        # alive until the cyclic collector runs.
+        cls = type(self)
+        handlers = {OpKind.BEGIN: cls._begin, OpKind.END: cls._end}
+        if config.fork_join:
+            handlers[OpKind.FORK] = cls._fork
+            handlers[OpKind.JOIN] = cls._join
+        if config.signal_wait:
+            handlers[OpKind.NOTIFY] = cls._notify
+            handlers[OpKind.WAIT] = cls._wait
+        if config.listener:
+            handlers[OpKind.REGISTER] = cls._register
+            handlers[OpKind.PERFORM] = cls._perform
+        if config.send_begin:
+            handlers[OpKind.SEND] = cls._send
+            handlers[OpKind.SEND_AT_FRONT] = cls._send_at_front
+        if config.ipc:
+            handlers[OpKind.IPC_CALL] = cls._ipc_call
+            handlers[OpKind.IPC_HANDLE] = cls._ipc_handle
+            handlers[OpKind.IPC_REPLY] = cls._ipc_reply
+            handlers[OpKind.IPC_RETURN] = cls._ipc_return
+        if config.lock_edges:
+            handlers[OpKind.RELEASE] = cls._release
+            handlers[OpKind.ACQUIRE] = cls._acquire
+        self._handlers = [handlers.get(kind) for kind in KIND_LIST]
 
-    def add_kind(kind: OpKind, handler: Callable[[int, int], None]) -> None:
-        indices = store.by_kind(kind)
-        if indices:
-            tag = len(handlers)
-            handlers.append(handler)
-            entries.extend((i, tag, r) for r, i in enumerate(indices))
+    def step(self, i: int) -> None:
+        """Add the base edges key op ``i`` enables."""
+        handler = self._handlers[self.store.kinds[i]]
+        if handler is not None:
+            handler(self, i)
 
-    if config.fork_join:
-        _, fork_child = store.column(OpKind.FORK, "child")
+    def _edge(self, u_op: int, v_op: int, rule: str) -> None:
+        node_of = self.graph.node_of
+        self.graph.add_edge(node_of(u_op), node_of(v_op), rule)
 
-        def h_fork(i: int, r: int) -> None:
-            begin = state.task_begin.get(sym(fork_child[r]))
-            if begin is not None:
-                edge(i, begin, RULE_FORK)
+    def _to_begin(self, i: int, task: str, rule: str) -> None:
+        begin = self.state.task_begin.get(task)
+        if begin is None:
+            self._await_begin.setdefault(task, []).append((i, rule))
+        else:
+            self._edge(i, begin, rule)
 
-        add_kind(OpKind.FORK, h_fork)
-        _, join_child = store.column(OpKind.JOIN, "child")
+    def _begin(self, i: int) -> None:
+        for u, rule in self._await_begin.pop(self.store.task_of(i), ()):
+            self._edge(u, i, rule)
 
-        def h_join(i: int, r: int) -> None:
-            end = state.task_end.get(sym(join_child[r]))
-            if end is not None:
-                edge(end, i, RULE_JOIN)
+    def _end(self, i: int) -> None:
+        for join in self._await_end.pop(self.store.task_of(i), ()):
+            self._edge(i, join, RULE_JOIN)
 
-        add_kind(OpKind.JOIN, h_join)
-    if config.signal_wait:
-        _, notify_mon = store.column(OpKind.NOTIFY, "monitor")
-        _, notify_ticket = store.column(OpKind.NOTIFY, "ticket")
+    def _fork(self, i: int) -> None:
+        self._to_begin(i, self._field(i, "child"), RULE_FORK)
 
-        def h_notify(i: int, r: int) -> None:
-            ticket = notify_ticket[r]
-            if ticket >= 0:
-                notify_by_ticket[ticket] = i
-            notify_by_monitor.setdefault(sym(notify_mon[r]), []).append(i)
+    def _join(self, i: int) -> None:
+        child = self._field(i, "child")
+        end = self.state.task_end.get(child)
+        if end is None:
+            self._await_end.setdefault(child, []).append(i)
+        else:
+            self._edge(end, i, RULE_JOIN)
 
-        add_kind(OpKind.NOTIFY, h_notify)
-        _, wait_mon = store.column(OpKind.WAIT, "monitor")
-        _, wait_ticket = store.column(OpKind.WAIT, "ticket")
+    def _notify(self, i: int) -> None:
+        ticket = self._field(i, "ticket")
+        if ticket >= 0:
+            self._notify_by_ticket[ticket] = i
+        self._notify_by_monitor.setdefault(self._field(i, "monitor"), []).append(i)
 
-        def h_wait(i: int, r: int) -> None:
-            ticket = wait_ticket[r]
-            if ticket >= 0 and ticket in notify_by_ticket:
-                edge(notify_by_ticket[ticket], i, RULE_SIGNAL_WAIT)
-            else:
-                # No pairing information: apply the rule as written —
-                # every earlier notify of the monitor orders the wait.
-                for n in notify_by_monitor.get(sym(wait_mon[r]), ()):
-                    edge(n, i, RULE_SIGNAL_WAIT)
+    def _wait(self, i: int) -> None:
+        ticket = self._field(i, "ticket")
+        if ticket >= 0 and ticket in self._notify_by_ticket:
+            self._edge(self._notify_by_ticket[ticket], i, RULE_SIGNAL_WAIT)
+        else:
+            # No pairing information: apply the rule as written —
+            # every earlier notify of the monitor orders the wait.
+            for n in self._notify_by_monitor.get(self._field(i, "monitor"), ()):
+                self._edge(n, i, RULE_SIGNAL_WAIT)
 
-        add_kind(OpKind.WAIT, h_wait)
-    if config.listener:
-        _, reg_listener = store.column(OpKind.REGISTER, "listener")
+    def _register(self, i: int) -> None:
+        self._registers.setdefault(self._field(i, "listener"), []).append(i)
 
-        def h_register(i: int, r: int) -> None:
-            registers.setdefault(sym(reg_listener[r]), []).append(i)
+    def _perform(self, i: int) -> None:
+        for r in self._registers.get(self._field(i, "listener"), ()):
+            self._edge(r, i, RULE_LISTENER)
 
-        add_kind(OpKind.REGISTER, h_register)
-        _, perf_listener = store.column(OpKind.PERFORM, "listener")
+    def _send(self, i: int) -> None:
+        self._to_begin(i, self._field(i, "event"), RULE_SEND)
 
-        def h_perform(i: int, r: int) -> None:
-            for x in registers.get(sym(perf_listener[r]), ()):
-                edge(x, i, RULE_LISTENER)
+    def _send_at_front(self, i: int) -> None:
+        self._to_begin(i, self._field(i, "event"), RULE_SEND_AT_FRONT)
 
-        add_kind(OpKind.PERFORM, h_perform)
-    if config.send_begin:
-        _, send_event = store.column(OpKind.SEND, "event")
+    def _ipc_call(self, i: int) -> None:
+        self._ipc_calls[self._field(i, "txn")] = i
 
-        def h_send(i: int, r: int) -> None:
-            begin = state.task_begin.get(sym(send_event[r]))
-            if begin is not None:
-                edge(i, begin, RULE_SEND)
+    def _ipc_handle(self, i: int) -> None:
+        call = self._ipc_calls.get(self._field(i, "txn"))
+        if call is not None:
+            self._edge(call, i, RULE_IPC_CALL)
 
-        add_kind(OpKind.SEND, h_send)
-        _, front_event = store.column(OpKind.SEND_AT_FRONT, "event")
+    def _ipc_reply(self, i: int) -> None:
+        self._ipc_replies[self._field(i, "txn")] = i
 
-        def h_front(i: int, r: int) -> None:
-            begin = state.task_begin.get(sym(front_event[r]))
-            if begin is not None:
-                edge(i, begin, RULE_SEND_AT_FRONT)
+    def _ipc_return(self, i: int) -> None:
+        reply = self._ipc_replies.get(self._field(i, "txn"))
+        if reply is not None:
+            self._edge(reply, i, RULE_IPC_REPLY)
 
-        add_kind(OpKind.SEND_AT_FRONT, h_front)
-    if config.ipc:
-        _, call_txn = store.column(OpKind.IPC_CALL, "txn")
+    def _release(self, i: int) -> None:
+        self._last_release[self._field(i, "lock")] = i
 
-        def h_call(i: int, r: int) -> None:
-            ipc_calls[call_txn[r]] = i
+    def _acquire(self, i: int) -> None:
+        release = self._last_release.get(self._field(i, "lock"))
+        if release is not None:
+            self._edge(release, i, RULE_LOCK)
 
-        add_kind(OpKind.IPC_CALL, h_call)
-        _, handle_txn = store.column(OpKind.IPC_HANDLE, "txn")
 
-        def h_handle(i: int, r: int) -> None:
-            call = ipc_calls.get(handle_txn[r])
-            if call is not None:
-                edge(call, i, RULE_IPC_CALL)
+def _add_chain_edges(state: _BuildState, graph: KeyGraph) -> None:
+    """Edges read off whole chains of the scan rather than one op: the
+    external-input chain and the queue-rule-1 seeding.
 
-        add_kind(OpKind.IPC_HANDLE, h_handle)
-        _, reply_txn = store.column(OpKind.IPC_REPLY, "txn")
-
-        def h_reply(i: int, r: int) -> None:
-            ipc_replies[reply_txn[r]] = i
-
-        add_kind(OpKind.IPC_REPLY, h_reply)
-        _, return_txn = store.column(OpKind.IPC_RETURN, "txn")
-
-        def h_return(i: int, r: int) -> None:
-            reply = ipc_replies.get(return_txn[r])
-            if reply is not None:
-                edge(reply, i, RULE_IPC_REPLY)
-
-        add_kind(OpKind.IPC_RETURN, h_return)
-    if config.lock_edges:
-        _, release_lock = store.column(OpKind.RELEASE, "lock")
-
-        def h_release(i: int, r: int) -> None:
-            last_release[sym(release_lock[r])] = i
-
-        add_kind(OpKind.RELEASE, h_release)
-        _, acquire_lock = store.column(OpKind.ACQUIRE, "lock")
-
-        def h_acquire(i: int, r: int) -> None:
-            rel = last_release.get(sym(acquire_lock[r]))
-            if rel is not None:
-                edge(rel, i, RULE_LOCK)
-
-        add_kind(OpKind.ACQUIRE, h_acquire)
-    entries.sort()
-    for i, tag, r in entries:
-        handlers[tag](i, r)
-
+    Both cover only what has been scanned, and may be re-run as the
+    scan grows (``add_edge`` skips edges already present).
+    """
+    config = state.config
     if config.external_input:
-        external = trace.external_events()
+        # External inputs are delivered in generation order: each
+        # external event ends before the next one begins.
+        external = state.trace.external_events()
         for e1, e2 in zip(external, external[1:]):
             end1 = state.task_end.get(e1)
             begin2 = state.task_begin.get(e2)
             if end1 is not None and begin2 is not None:
-                edge(end1, begin2, RULE_EXTERNAL)
-
+                graph.add_edge(
+                    graph.node_of(end1), graph.node_of(begin2), RULE_EXTERNAL
+                )
     if config.queue_rule_1 and not config.sequential_events:
         _seed_queue_rule_1_chains(state, graph)
 
@@ -883,6 +844,58 @@ class _DerivedRules:
                         conclude(f2, f1, RULE_QUEUE_4)
 
 
+
+def _fixpoint(state: _BuildState, graph: KeyGraph, profile: BuildProfile) -> int:
+    """Apply the derived rules to the closed ``graph`` until none fires.
+
+    The first round examines every rule group; later rounds re-read
+    only the members whose premise nodes' reach sets changed.  Rounds,
+    per-round edge counts, the rule-group counters and the time spent
+    accumulate into ``profile``.  Returns the derived edges added (0,
+    without a round, for models with no derived rule).
+    """
+    config = state.config
+    if config.sequential_events or not (config.atomicity or config.any_queue_rule):
+        return 0
+    t0 = time.perf_counter()
+    derived = 0
+    with span("hb.fixpoint"):
+        rules = _DerivedRules(state, graph)
+        graph.drain_dirty()  # marks left by the closure and earlier edges
+        dirty: Optional[Set[int]] = None  # round one examines every group
+        while True:
+            profile.rounds += 1
+            with span("hb.fixpoint.rules"):
+                new_edges = rules.apply(dirty)
+            if not new_edges:
+                break
+            with span("hb.fixpoint.propagate"):
+                added = sum(graph.add_edge(u, v, rule) for u, v, rule in new_edges)
+            derived += added
+            profile.edges_per_round.append(added)
+            # Only candidates whose reachability changed need another look.
+            dirty = graph.drain_dirty()
+    profile.fixpoint_seconds += time.perf_counter() - t0
+    profile.groups_examined += rules.groups_examined
+    profile.groups_skipped += rules.groups_skipped
+    profile.events_repropagated += rules.events_repropagated
+    profile.group_dirty_events += rules.group_dirty_events
+    return derived
+
+
+def _task_bounds(state: _BuildState) -> Dict[str, Tuple[int, int]]:
+    """(begin op, end op) of every begun task; a task with no END
+    scanned ends at the last op of its program order."""
+    bounds: Dict[str, Tuple[int, int]] = {}
+    for task, begin in state.task_begin.items():
+        end = state.task_end.get(task)
+        if end is None:
+            ops = state.task_ops.get(_effective_task(state, task), [])
+            end = ops[-1] if ops else begin
+        bounds[task] = (begin, end)
+    return bounds
+
+
 def build_happens_before(
     trace: Trace,
     config: ModelConfig = CAFA_MODEL,
@@ -906,14 +919,17 @@ def build_happens_before(
     t0 = tick()
     with span("hb.scan", ops=len(trace)):
         state = _BuildState(trace=trace, config=config)
-        _scan(state)
+        is_key = _scan(state, 0, len(trace))
         _check_one_looper_per_queue(state)
     profile.scan_seconds = tick() - t0
 
     t0 = tick()
     with span("hb.base_edges"):
-        graph, task_key_positions, task_key_nodes = _build_key_graph(state)
-        _add_base_edges(state, graph)
+        graph, task_key_positions, task_key_nodes = _build_key_graph(state, is_key)
+        base = _BaseRules(state, graph)
+        for i in compress(range(len(trace)), is_key):
+            base.step(i)
+        _add_chain_edges(state, graph)
     profile.base_seconds = tick() - t0
 
     # Build-time consistency check: close (and thereby cycle-check) the
@@ -924,34 +940,8 @@ def build_happens_before(
         graph.close()
     profile.closure_seconds = tick() - t0
 
-    iterations = 0
-    derived_edges = 0
-    if not config.sequential_events and (config.atomicity or config.any_queue_rule):
-        t0 = tick()
-        with span("hb.fixpoint"):
-            rules = _DerivedRules(state, graph)
-            graph.drain_dirty()  # the initial closure marked every node dirty
-            dirty: Optional[Set[int]] = None  # round one examines every group
-            while True:
-                iterations += 1
-                new_edges = rules.apply(dirty)
-                if not new_edges:
-                    break
-                added = 0
-                for u, v, rule in new_edges:
-                    if graph.add_edge(u, v, rule):
-                        added += 1
-                derived_edges += added
-                profile.edges_per_round.append(added)
-                # Only candidates whose reachability changed need another look.
-                dirty = graph.drain_dirty()
-        profile.fixpoint_seconds = tick() - t0
-        profile.groups_examined = rules.groups_examined
-        profile.groups_skipped = rules.groups_skipped
-        profile.events_repropagated = rules.events_repropagated
-        profile.group_dirty_events = rules.group_dirty_events
+    derived_edges = _fixpoint(state, graph, profile)
 
-    profile.rounds = iterations
     profile.closure_recomputations = graph.closure_recomputations
     profile.bits_propagated = graph.bits_propagated
     profile.closure_bytes = graph.closure_bytes()
@@ -961,32 +951,15 @@ def build_happens_before(
         profile.chunks_shared = chunk_stats.chunks_shared
         profile.dense_chunk_ratio = chunk_stats.dense_chunk_ratio
 
-    bounds: Dict[str, Tuple[int, int]] = {}
-    for task, begin in state.task_begin.items():
-        end = state.task_end.get(task)
-        if end is None:
-            ops = state.task_ops.get(_effective_task_of_id(state, task), [])
-            end = ops[-1] if ops else begin
-        bounds[task] = (begin, end)
-
     return HappensBefore(
         graph=graph,
         op_task=state.op_task,
         op_pos=state.op_pos,
         task_key_positions=task_key_positions,
         task_key_nodes=task_key_nodes,
-        event_bounds=bounds,
-        iterations=iterations,
+        event_bounds=_task_bounds(state),
+        iterations=profile.rounds,
         derived_edges=derived_edges,
         profile=profile,
         memo_capacity=memo_capacity,
     )
-
-
-def _effective_task_of_id(state: _BuildState, task: str) -> str:
-    if not state.config.sequential_events:
-        return task
-    info = state.trace.tasks.get(task)
-    if info is not None and info.task_kind is TaskKind.EVENT and info.looper:
-        return info.looper
-    return task

@@ -11,7 +11,6 @@ from .router import (
     SessionRouter,
 )
 from .service import (
-    DEFAULT_POLL_EVERY,
     EpochSummary,
     StreamAnalyzer,
     StreamProfile,
@@ -30,7 +29,6 @@ __all__ = [
     "Backoff",
     "DEFAULT_BACKOFF_CAP",
     "DEFAULT_BACKOFF_INITIAL",
-    "DEFAULT_POLL_EVERY",
     "DaemonReport",
     "DuplicateSessionError",
     "EpochSummary",

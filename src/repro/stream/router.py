@@ -27,9 +27,11 @@ the multi-process daemon against.
 
 A session whose stream is damaged is isolated: under ``strict=True``
 its :class:`SessionReport` records the error (and salvages nothing);
-under ``strict=False`` the valid prefix is analyzed.  Either way the
-other sessions on the shard are untouched — a daemon must not let one
-corrupt uploader poison its neighbours.
+under ``strict=False`` the valid prefix is analyzed.  A session whose
+ops violate the model (a happens-before cycle, or one queue drained by
+two loopers) closes with the error named and no reports.  Either way
+the other sessions on the shard are untouched — a daemon must not let
+one corrupt uploader poison its neighbours.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..detect import DetectorOptions, SamplerOptions
+from ..hb import HBCycleError, ModelNotApplicableError
 from ..obs.metrics import Histogram, MetricsSnapshot, merge_snapshots
 from ..obs.spans import span
 from ..parallel import (
@@ -48,9 +51,12 @@ from ..parallel import (
     WorkerPool,
     WorkerProfile,
 )
-from ..trace import TraceError, TraceFormatError
+from ..trace import TraceError
 from ..trace.envelope import MUX_FIRST_BYTE, MuxDecoder
 from .service import StreamAnalyzer, StreamProfile, merge_profiles
+
+#: errors that end one session without touching the shard's others
+_SESSION_ERRORS = (TraceError, HBCycleError, ModelNotApplicableError)
 
 
 @dataclass
@@ -224,9 +230,9 @@ def _close_session(
     degraded = False
     try:
         reports = [str(r) for r in analyzer.finish()]
-    except (TraceFormatError, TraceError) as exc:
+    except _SESSION_ERRORS as exc:
         reports = []
-        error = str(exc)
+        error = f"{type(exc).__name__}: {exc}"
         degraded = True
     if analyzer.decoder.degraded:
         degraded = True
@@ -268,10 +274,10 @@ def _shard_handle(state: _ShardState, msg: tuple) -> None:
             )
         try:
             analyzer.feed(msg[2])
-        except (TraceFormatError, TraceError) as exc:
+        except _SESSION_ERRORS as exc:
             # Session-level fault isolation: this stream is damaged
-            # beyond its salvageable prefix; the shard's other
-            # sessions must not be affected.
+            # beyond its salvageable prefix, or its ops violate the
+            # model; the shard's other sessions must not be affected.
             del state.analyzers[sid]
             state.done[sid] = SessionReport(
                 session=sid,
@@ -281,7 +287,7 @@ def _shard_handle(state: _ShardState, msg: tuple) -> None:
                 reports=[],
                 ended=False,
                 degraded=True,
-                error=str(exc),
+                error=f"{type(exc).__name__}: {exc}",
                 profile=analyzer.profile,
             )
         if state.feed_latency is not None and len(msg) > 3:

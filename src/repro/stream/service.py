@@ -11,7 +11,7 @@ Ingestion path::
     bytes/lines ──> AnyTraceDecoder ──> columnar TraceStore
                                    │
                  per-op drive      ▼
-        IncrementalHB (CAFA model)   ─ live closure, dirty-driven fixpoint
+        IncrementalHB (CAFA model)   ─ key graph + base edges, closed when polled
         IncrementalHB (conventional) ─ for report classification
         AccessExtractor              ─ uses/frees/guards/locksets
 
@@ -63,11 +63,6 @@ from ..obs.spans import span
 from ..trace import AnyTraceDecoder, OpKind, Trace
 from ..trace.trace import TaskInfo
 from .incremental import IncrementalHB
-
-#: drive the dirty-driven fixpoint every N ingested ops; polls with no
-#: dirty nodes and no membership change are near-free, so this mostly
-#: bounds how much dirt a single poll has to drain
-DEFAULT_POLL_EVERY = 64
 
 
 @dataclass
@@ -168,12 +163,9 @@ class StreamAnalyzer:
         strict: bool = True,
         gc: bool = True,
         expect_version: Optional[int] = None,
-        poll_every: int = DEFAULT_POLL_EVERY,
         mode: str = "full",
         sampling: Optional[SamplerOptions] = None,
     ) -> None:
-        if poll_every < 1:
-            raise ValueError("poll_every must be >= 1")
         if mode not in ("full", "sampled"):
             raise ValueError(f"mode must be 'full' or 'sampled', got {mode!r}")
         self.options = options or DetectorOptions()
@@ -182,7 +174,6 @@ class StreamAnalyzer:
             sampling or SamplerOptions(), detector=self.options
         )
         self.gc = gc
-        self.poll_every = poll_every
         self.profile = StreamProfile()
         self.decoder = AnyTraceDecoder(
             expect_version=expect_version, strict=strict
@@ -278,8 +269,6 @@ class StreamAnalyzer:
         elif kind is OpKind.PTR_READ or kind is OpKind.PTR_WRITE:
             if self._retired_addresses and op.address in self._retired_addresses:
                 self.profile.cross_epoch_accesses += 1
-        if self._epoch_ops % self.poll_every == 0:
-            self._poll()
         if (
             self.gc
             and kind is OpKind.END
@@ -289,6 +278,8 @@ class StreamAnalyzer:
             self._retire_epoch()
 
     def _poll(self) -> None:
+        """Catch both relations up before a detection pass — the only
+        place the closure is built — and sample the closure footprint."""
         if self.cafa is None:
             return
         self.cafa.poll()

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.trace import save_trace_file
+from tests.test_hb_build_checks import cyclic_trace, shared_queue_trace
 
 
 class TestApps:
@@ -119,3 +121,25 @@ class TestExplore:
         out = capsys.readouterr().out
         assert "stability 100%" in out
         assert "stable:" in out
+
+
+class TestModelViolations:
+    """A trace the model cannot order ends the load/detect commands
+    with a one-line error, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["detect", "stream", "stats"])
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (cyclic_trace, "HBCycleError"),
+            (shared_queue_trace, "ModelNotApplicableError"),
+        ],
+        ids=["cyclic", "shared-queue"],
+    )
+    def test_one_line_error_and_exit_1(self, tmp_path, capsys, command, make, error):
+        path = tmp_path / "bad.trace"
+        save_trace_file(make(), path, version=2)
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {error}: ")
+        assert err.count("\n") == 1

@@ -49,6 +49,24 @@ def cyclic_trace():
     return b.build(validate=False)
 
 
+def shared_queue_trace():
+    """Two loopers draining one queue: outside the model (§3.1)."""
+    b = TraceBuilder()
+    b.looper("L1")
+    b.looper("L2")
+    b.thread("T")
+    b.event("A", looper="L1", queue="shared")
+    b.event("B", looper="L2", queue="shared")
+    b.begin("T")
+    b.send("T", "A")
+    b.send("T", "B")
+    b.end("T")
+    for event in ("A", "B"):
+        b.begin(event)
+        b.end(event)
+    return b.build()
+
+
 ABLATIONS = [
     pytest.param(CAFA_MODEL, id="cafa"),
     pytest.param(CONVENTIONAL_MODEL, id="conventional"),

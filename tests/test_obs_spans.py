@@ -2,6 +2,8 @@
 (repro.obs.spans)."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -118,7 +120,7 @@ class TestEngineIntegration:
         UseFreeDetector(trace, hb=hb).detect()
         names = {event[0] for event in recorder.events}
         assert {"hb.scan", "hb.base_edges", "hb.closure",
-                "hb.fixpoint"} <= names
+                "hb.fixpoint", "hb.fixpoint.rules"} <= names
 
     def test_stream_analyzer_emits_stream_spans(self):
         from repro.apps import make_app
@@ -135,3 +137,19 @@ class TestEngineIntegration:
         names = {event[0] for event in recorder.events}
         assert "trace.decode" in names
         assert "stream.detect" in names
+        assert "hb.fixpoint" in names  # the poll runs the shared fixpoint
+
+
+def test_every_emitted_span_is_in_the_catalog():
+    """docs/observability.md's span catalog names every span the
+    package emits."""
+    root = Path(__file__).resolve().parent.parent
+    emitted = set()
+    for path in (root / "src" / "repro").rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        emitted |= set(re.findall(r'\bspan\(\s*"([^"]+)"', text))
+    doc = (root / "docs" / "observability.md").read_text(encoding="utf-8")
+    section = doc.split("## Span tracing", 1)[1].split("\n## ", 1)[0]
+    catalog = set(re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE))
+    assert "hb.fixpoint.propagate" in emitted  # the scan sees the call sites
+    assert emitted - catalog == set()

@@ -32,6 +32,7 @@ from repro.trace import (
     encode_mux_header,
     encode_session,
 )
+from tests.test_hb_build_checks import cyclic_trace, shared_queue_trace
 
 SCALE = 0.02
 SEED = 1
@@ -148,6 +149,28 @@ class TestFaultIsolation:
         assert report.sessions["bad"].degraded
         assert report.sessions[sid].error is None
         assert report.sessions[sid].reports == ref["reports"]
+
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_model_violating_sessions_do_not_poison_neighbours(self, shards):
+        """A cyclic session and a shared-queue session close with the
+        error named and no reports; the good session on the same shard
+        keeps its reports."""
+        sid, payload = next(iter(app_payloads().items()))
+        ref = reference_reports(True)[sid]
+        bad = {
+            "cyclic": ("HBCycleError", cyclic_trace()),
+            "shared-queue": ("ModelNotApplicableError", shared_queue_trace()),
+        }
+        payloads = {name: dumps_trace(t).encode("utf-8") for name, (_, t) in bad.items()}
+        payloads[sid] = payload
+        router = SessionRouter(shards)
+        router.feed(mux_stream(payloads))
+        report = router.drain()
+        assert report.sessions[sid].error is None
+        assert report.sessions[sid].reports == ref["reports"]
+        for name, (error, _) in bad.items():
+            assert report.sessions[name].error.startswith(error + ": ")
+            assert report.sessions[name].reports == []
 
     def test_unended_session_is_marked_drained(self):
         sid, payload = next(iter(app_payloads().items()))

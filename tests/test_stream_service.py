@@ -70,10 +70,6 @@ class TestInProcessFeed:
             analyzer.feed_line(line)
         assert [str(r) for r in analyzer.finish()] == offline_reports(trace)
 
-    def test_poll_every_validated(self):
-        with pytest.raises(ValueError, match="poll_every"):
-            StreamAnalyzer(poll_every=0)
-
     def test_finish_is_idempotent_reports_accessor(self):
         trace = app_trace()
         analyzer, online = stream_reports(trace)
