@@ -92,10 +92,8 @@ class ScalingPoint:
     query_memo_misses: int = 0
     #: bytes held by the closure's reachability bitsets (sharing-aware)
     closure_bytes: int = 0
-    #: group members actually re-examined by the per-event dirty sets
+    #: rule members the fixpoint evaluated in rounds after the first
     events_repropagated: int = 0
-    #: members per-group granularity would have re-examined instead
-    group_dirty_events: int = 0
     #: distinct chunk objects backing the sparse closure
     chunks_allocated: int = 0
     #: chunk references satisfied by copy-on-write sharing
@@ -139,7 +137,6 @@ def analysis_scaling(
                 query_memo_misses=query_profile.memo_misses,
                 closure_bytes=profile.closure_bytes,
                 events_repropagated=profile.events_repropagated,
-                group_dirty_events=profile.group_dirty_events,
                 chunks_allocated=profile.chunks_allocated,
                 chunks_shared=profile.chunks_shared,
             )

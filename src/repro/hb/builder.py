@@ -23,20 +23,17 @@ runs these passes over a complete trace;
 :class:`repro.stream.IncrementalHB` runs the same functions as ops
 arrive and closes the graph only when polled.
 
-The fixpoint is *incremental*: the transitive closure is computed once
-before round one and maintained in place by
-:meth:`repro.hb.graph.KeyGraph.add_edge` as conclusions land, so the
-rules read live reach sets instead of per-round snapshots.  Dirty
-tracking makes later rounds cheap, at two granularities: a looper's
-atomicity group or a queue's rule group is only re-examined when the
-reach set of one of its premise nodes (event begins, send operations)
-actually changed since the group last ran, and *inside* a dirty group
-only the members whose own premise node changed are re-read — one
-moving event in a thousand-event looper re-examines one member, not a
-thousand (``events_repropagated`` vs ``group_dirty_events`` in the
-:class:`BuildProfile`).  Edges concluded in a round are still staged
-and applied between rounds, so each round is a function of the closure
-at round entry, exactly as in a snapshot-per-round fixpoint.
+The fixpoint is *output-sensitive*: the transitive closure is computed
+once before round one and maintained in place by
+:meth:`repro.hb.graph.KeyGraph.add_edge` as conclusions land, and each
+round makes one reverse-topological pass over the closed graph that
+projects every node's reach set onto the END, BEGIN and send nodes of
+the grouped events (:class:`_DerivedRules`).  Each rule then reads
+its *new* conclusions for an event as an AND-NOT of two projections,
+so a round costs the pass plus its output, not one probe per pair the
+graph already orders.  Edges concluded in a round are staged and
+applied between rounds, so each round is a function of the closure at
+round entry, exactly as in a snapshot-per-round fixpoint.
 """
 
 from __future__ import annotations
@@ -45,12 +42,11 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..trace import OpKind, SYNC_KINDS, TaskKind, Trace
 from ..obs.spans import span
 from ..trace.store import KIND_CODES, KIND_LIST, TraceStore
-from .bits import SparseBits
 from .config import CAFA_MODEL, ModelConfig
 from .graph import HappensBefore, KeyGraph
 
@@ -107,10 +103,8 @@ class BuildProfile:
     closure_recomputations: int = 0
     #: reachability bits newly set by incremental propagation
     bits_propagated: int = 0
-    #: rule groups (per looper / per queue) evaluated across all rounds
+    #: rule groups (per looper / per queue) evaluated, per rule and round
     groups_examined: int = 0
-    #: rule groups skipped because no premise node's reach set changed
-    groups_skipped: int = 0
     #: distinct chunk objects in the final reach vector
     chunks_allocated: int = 0
     #: block-table entries resolved by sharing a chunk already owned by
@@ -121,14 +115,9 @@ class BuildProfile:
     dense_chunk_ratio: float = 0.0
     #: bytes retained by the final closure (sharing-aware)
     closure_bytes: int = 0
-    #: rule members whose premise reach sets were re-read in dirty
-    #: (post-first) fixpoint rounds — the per-event dirty granularity
+    #: rule members (the events whose premise node a rule reads)
+    #: evaluated in fixpoint rounds after the first
     events_repropagated: int = 0
-    #: rule members the historical per-group dirty tracking would have
-    #: re-read in those same rounds (every member of a dirty group);
-    #: ``events_repropagated <= group_dirty_events`` always, and the
-    #: gap is the win of per-event tracking
-    group_dirty_events: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -469,10 +458,10 @@ def _seed_queue_rule_1_chains(state: _BuildState, graph: KeyGraph) -> None:
     A task that sends many events to one queue orders them pairwise by
     rule 1 (its sends are in program order).  Left to the fixpoint this
     produces a quadratic number of derived edges for event-dense traces;
-    seeding the *consecutive* conclusions here keeps the later rounds'
-    implied-edge check effective, so the fixpoint only adds the edges
-    transitivity cannot reach.  This is purely an optimization: the
-    edges added are ordinary rule-1 conclusions.
+    seeding the *consecutive* conclusions here makes the rest implied
+    before the first round, so the fixpoint only adds the edges
+    transitivity cannot reach.  The edges added are ordinary rule-1
+    conclusions, and the golden fixture pins the edge set they give.
     """
     per_task_queue: Dict[Tuple[str, str], List[EventRecord]] = {}
     task_of = state.trace.task_of
@@ -519,75 +508,53 @@ def _check_one_looper_per_queue(state: _BuildState) -> None:
             )
 
 
-@dataclass
-class _AtomicityGroup:
-    """One looper's dispatched events, in execution order."""
-
-    recs: List[EventRecord]
-    begin_node: List[int]
-    #: end-node suffix masks: suffix[i] = OR of end nodes after position i-1
-    suffix: List[SparseBits]
-    event_of_end_node: Dict[int, EventRecord]
-    #: nodes whose reach sets the rule's premise reads
-    premise: FrozenSet[int]
+def _mask(events: List[int], slot: int) -> int:
+    """The projection bits of ``slot`` (0 END, 1 BEGIN, 2 send) for
+    ``events``."""
+    bits = 0
+    for k in events:
+        bits |= 1 << (3 * k + slot)
+    return bits
 
 
-@dataclass
-class _QueueGroup:
-    """One queue's dispatched sends (sorted by delay) and sendAtFronts."""
-
-    sends: List[EventRecord]
-    fronts: List[EventRecord]
-    delays: List[int]
-    send_node: List[int]
-    #: send-node suffix masks over the delay-sorted sends
-    suffix: List[SparseBits]
-    event_of_send_node: Dict[int, EventRecord]
-    all_sends_mask: SparseBits
-    front_node: List[int]
-    front_begin_node: List[int]
-    #: premise node sets per rule — re-examine only when one of these
-    #: nodes' reach set changed
-    premise_sends: FrozenSet[int]
-    premise_fronts: FrozenSet[int]
-    #: union of both premise sets, for the either-sided rule 2
-    premise_any: FrozenSet[int]
-
-
-def _extend_mask(mask: SparseBits, node: int) -> SparseBits:
-    out = mask.copy()
-    out.set(node)
-    return out
+def _events_in(bits: int) -> Iterator[int]:
+    """The indices of the events with a bit set in ``bits``."""
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        yield (low.bit_length() - 1) // 3
 
 
 class _DerivedRules:
     """Applies the atomicity + event-queue rules to a fixpoint.
 
-    All per-looper / per-queue candidate structures (suffix masks,
-    node maps, premise sets) are precomputed once; each round then
-    reads the graph's *live* reach vector.  When the caller hands a
-    ``dirty`` node set, skipping happens at two granularities.  First
-    per group, as before: a group none of whose premise nodes changed
-    cannot produce a new conclusion.  Second — the refinement — *per
-    event inside a dirty group*: a rule instance's premise is a
-    reachability fact read from specific source nodes, so only members
-    whose own premise node is in ``dirty`` are re-examined.  One huge
-    looper with a single moving event no longer repays its whole
-    group; ``events_repropagated`` (members actually re-read) against
-    ``group_dirty_events`` (what group granularity would have re-read)
-    makes the gap observable.
+    Every premise and conclusion of these rules is a reachability fact
+    between the END, BEGIN and send nodes of *grouped* events (per
+    looper for atomicity, per queue for the queue rules).  Each such
+    event gets one index ``k`` and three projection bits: END at
+    ``3k``, BEGIN at ``3k + 1`` and its send or sendAtFront at
+    ``3k + 2``.  Later-beginning events get lower indices, so a node's
+    projection is about as wide as the events after it.
+
+    Each round, one pass over the closed graph
+    (:meth:`~repro.hb.graph.KeyGraph.project`) gives every node ``x``
+    the bits ``P[x]`` of the event nodes it reaches, and each rule
+    reads a member's *new* conclusions as an AND-NOT of two
+    projections: the partners its premise reaches, minus the events
+    whose BEGIN the concluded END already reaches.  A round costs the
+    pass plus word operations per member and per conclusion, never a
+    probe per already-implied pair.
     """
 
     def __init__(self, state: _BuildState, graph: KeyGraph) -> None:
-        self.state = state
+        self.config = config = state.config
         self.graph = graph
+        #: rounds applied so far
+        self.rounds = 0
+        #: rule groups evaluated, per rule and round
         self.groups_examined = 0
-        self.groups_skipped = 0
-        #: rule members re-examined in dirty rounds (per-event tracking)
+        #: rule members evaluated in rounds after the first
         self.events_repropagated = 0
-        #: rule members the per-group scheme would have re-examined
-        self.group_dirty_events = 0
-        config = state.config
         dispatched = [
             rec for rec in state.events.values() if rec.dispatched and rec.queue
         ]
@@ -597,259 +564,223 @@ class _DerivedRules:
             for rec in dispatched:
                 if rec.looper:
                     per_looper.setdefault(rec.looper, []).append(rec)
-        empty = SparseBits()
-        self.atom_groups: List[_AtomicityGroup] = []
-        for recs in per_looper.values():
-            if len(recs) < 2:
-                continue
+        loopers = [recs for recs in per_looper.values() if len(recs) >= 2]
+        for recs in loopers:
             recs.sort(key=lambda r: r.begin_index)  # type: ignore[arg-type, return-value]
-            begin_node = [self._node(r.begin_index) for r in recs]  # type: ignore[arg-type]
-            end_node = [self._node(r.end_index) for r in recs]  # type: ignore[arg-type]
-            suffix = [empty] * (len(recs) + 1)
-            for i in range(len(recs) - 1, -1, -1):
-                suffix[i] = _extend_mask(suffix[i + 1], end_node[i])
-            self.atom_groups.append(
-                _AtomicityGroup(
-                    recs=recs,
-                    begin_node=begin_node,
-                    suffix=suffix,
-                    event_of_end_node={n: r for n, r in zip(end_node, recs)},
-                    premise=frozenset(begin_node[:-1]),
-                )
-            )
         # Sends grouped per queue for the queue rules.
         sends: Dict[str, List[EventRecord]] = {}
         fronts: Dict[str, List[EventRecord]] = {}
         if config.any_queue_rule:
             for rec in dispatched:
-                if rec.send_index is None:
-                    continue
-                bucket = fronts if rec.at_front else sends
-                bucket.setdefault(rec.queue, []).append(rec)  # type: ignore[arg-type]
-        self.queue_groups: List[_QueueGroup] = []
-        for queue in sorted(sends.keys() | fronts.keys()):
-            s = sorted(sends.get(queue, []), key=lambda r: r.delay)
-            f = fronts.get(queue, [])
-            send_node = [self._node(r.send_index) for r in s]  # type: ignore[arg-type]
-            qsuffix = [empty] * (len(s) + 1)
-            for i in range(len(s) - 1, -1, -1):
-                qsuffix[i] = _extend_mask(qsuffix[i + 1], send_node[i])
-            front_node = [self._node(r.send_index) for r in f]  # type: ignore[arg-type]
-            premise_sends = frozenset(send_node)
-            premise_fronts = frozenset(front_node)
-            self.queue_groups.append(
-                _QueueGroup(
-                    sends=s,
-                    fronts=f,
-                    delays=[r.delay for r in s],
-                    send_node=send_node,
-                    suffix=qsuffix,
-                    event_of_send_node={n: r for n, r in zip(send_node, s)},
-                    all_sends_mask=qsuffix[0],
-                    front_node=front_node,
-                    front_begin_node=[self._node(r.begin_index) for r in f],  # type: ignore[arg-type]
-                    premise_sends=premise_sends,
-                    premise_fronts=premise_fronts,
-                    premise_any=premise_sends | premise_fronts,
-                )
-            )
+                if rec.send_index is not None:
+                    bucket = fronts if rec.at_front else sends
+                    bucket.setdefault(rec.queue, []).append(rec)  # type: ignore[arg-type]
+        queues = [
+            (sorted(sends.get(queue, []), key=lambda r: r.delay), fronts.get(queue, []))
+            for queue in sorted(sends.keys() | fronts.keys())
+        ]
+        grouped = {rec.event: rec for recs in loopers for rec in recs}
+        for s, f in queues:
+            grouped.update((rec.event, rec) for rec in s + f)
+        events = sorted(
+            grouped.values(), key=lambda r: r.begin_index, reverse=True  # type: ignore[arg-type, return-value]
+        )
+        index = {rec.event: k for k, rec in enumerate(events)}
+        node = graph.node_of
+        #: END and BEGIN node of each event
+        self.end = [node(rec.end_index) for rec in events]  # type: ignore[arg-type]
+        self.begin = [node(rec.begin_index) for rec in events]  # type: ignore[arg-type]
+        #: node -> the projection bit it owns
+        self.own_bit: Dict[int, int] = {}
+        for k in range(len(events)):
+            self.own_bit[self.end[k]] = 3 * k
+            self.own_bit[self.begin[k]] = 3 * k + 1
+        #: event -> its send or sendAtFront node (queue-grouped events)
+        self.send: Dict[int, int] = {}
+        for s, f in queues:
+            for rec in s + f:
+                k = index[rec.event]
+                self.send[k] = node(rec.send_index)  # type: ignore[arg-type]
+                self.own_bit[self.send[k]] = 3 * k + 2
+        #: each looper's events, in execution order
+        self.loopers = [[index[rec.event] for rec in recs] for recs in loopers]
+        #: each queue's sends (sorted by delay), their delays, and its
+        #: sendAtFronts
+        self.queues = [
+            ([index[r.event] for r in s], [r.delay for r in s], [index[r.event] for r in f])
+            for s, f in queues
+        ]
 
-    def _node(self, op_index: int) -> int:
-        return self.graph.node_of(op_index)
-
-    def _fresh(self, dirty: Optional[Set[int]], premise: FrozenSet[int]) -> bool:
-        """Should a group with these premise nodes run this round?"""
-        if dirty is None or not premise.isdisjoint(dirty):
-            self.groups_examined += 1
-            return True
-        self.groups_skipped += 1
-        return False
-
-    def apply(
-        self, dirty: Optional[Set[int]] = None
-    ) -> List[Tuple[int, int, str]]:
+    def apply(self) -> List[Tuple[int, int, str]]:
         """One round: all rule instances enabled by the current closure.
 
-        ``dirty`` is the node set from ``KeyGraph.drain_dirty`` —
-        groups none of whose premise nodes appear in it are skipped,
-        and inside a surviving group only the members whose own premise
-        node changed are re-examined (``None`` examines everything, as
-        in round one).  Concluded edges are returned, *not* added:
-        staging them keeps each round a function of the closure at
-        round entry, as in a snapshot-per-round fixpoint.
+        Concluded edges are returned, *not* added: staging them keeps
+        each round a function of the closure at round entry, as in a
+        snapshot-per-round fixpoint.  The rules run in a fixed order
+        (atomicity, then queue rules 1–4), and the first to conclude an
+        edge labels it.
         """
+        self.rounds += 1
+        if not self.own_bit:
+            return []
+        with span("hb.fixpoint.project"):
+            proj = self.graph.project(self.own_bit)
         reach = self.graph.reach_vector()
+        end, begin = self.end, self.begin
         new_edges: List[Tuple[int, int, str]] = []
         seen = set()
-        test = SparseBits.test
 
-        def conclude(e1: EventRecord, e2: EventRecord, rule: str) -> None:
-            """Record conclusion end(e1) < begin(e2) unless implied."""
-            u = self._node(e1.end_index)  # type: ignore[arg-type]
-            v = self._node(e2.begin_index)  # type: ignore[arg-type]
-            if (u, v) in seen:
-                return
-            if test(reach[u], v):
+        def conclude(k1: int, k2: int, rule: str) -> None:
+            """Record conclusion end(k1) < begin(k2) unless implied."""
+            u, v = end[k1], begin[k2]
+            if (u, v) in seen or reach[u].test(v):
                 return
             seen.add((u, v))
             new_edges.append((u, v, rule))
 
-        config = self.state.config
+        config = self.config
         if config.atomicity:
-            self._atomicity(reach, conclude, dirty)
+            self._atomicity(proj, conclude)
         if config.queue_rule_1:
-            self._queue_rule_1(reach, conclude, dirty)
+            self._queue_rule_1(proj, conclude)
         if config.queue_rule_2:
-            self._queue_rule_2(reach, conclude, dirty)
+            self._queue_rule_2(proj, conclude)
         if config.queue_rule_3:
-            self._queue_rule_3(reach, conclude, dirty)
+            self._queue_rule_3(proj, conclude)
         if config.queue_rule_4:
-            self._queue_rule_4(reach, conclude, dirty)
+            self._queue_rule_4(proj, conclude)
         return new_edges
+
+    def _examine(self, members: int) -> None:
+        self.groups_examined += 1
+        if self.rounds > 1:
+            self.events_repropagated += members
+
+    # Each rule concludes in the order a pairwise scan of its premise
+    # would (members in group order, partners by node id): successor
+    # lists keep insertion order, and find_path explanations and cycle
+    # reports follow them.
 
     # -- Atomicity rule ---------------------------------------------------
     # If begin(e1) < end(e2) then end(e1) < begin(e2), for events of the
     # same looper thread.  Only pairs in actual execution order can
-    # satisfy the premise in a consistent trace, so we scan each looper's
-    # events in dispatch order and intersect the reachability set of
-    # begin(e_i) with the end-nodes of later events in one bitset AND.
+    # satisfy the premise in a consistent trace, so each event reads the
+    # END bits of the looper's later events in P[begin(e1)].
 
-    def _atomicity(self, reach, conclude, dirty) -> None:
-        and_nodes = SparseBits.and_iter
-        for g in self.atom_groups:
-            if not self._fresh(dirty, g.premise):
-                continue
-            track = dirty is not None
-            if track:
-                self.group_dirty_events += len(g.recs) - 1
-            for i, rec in enumerate(g.recs[:-1]):
-                # Per-event: the premise begin(e_i) < end(e_j) is a
-                # fact about reach[begin(e_i)] — unchanged reach set,
-                # no new conclusions from this member.
-                if track:
-                    if g.begin_node[i] not in dirty:
-                        continue
-                    self.events_repropagated += 1
-                for n in and_nodes(reach[g.begin_node[i]], g.suffix[i + 1]):
-                    conclude(rec, g.event_of_end_node[n], RULE_ATOMICITY)
+    def _atomicity(self, proj, conclude) -> None:
+        begin, end = self.begin, self.end
+        for ks in self.loopers:
+            self._examine(len(ks) - 1)
+            later = 0  # END bits of the events after ks[i]
+            found = []
+            for i in range(len(ks) - 2, -1, -1):
+                later |= 1 << 3 * ks[i + 1]
+                k = ks[i]
+                new = proj[begin[k]] & later
+                if new:
+                    new &= ~(proj[end[k]] >> 1)
+                    if new:
+                        found.append((k, new))
+            for k, new in reversed(found):
+                for j in sorted(_events_in(new), key=end.__getitem__):
+                    conclude(k, j, RULE_ATOMICITY)
 
     # -- Queue rule 1 -------------------------------------------------------
     # send(t1,e1,d1) < send(t2,e2,d2) and d1 <= d2  =>  end(e1) < begin(e2).
 
-    def _queue_rule_1(self, reach, conclude, dirty) -> None:
-        and_nodes = SparseBits.and_iter
-        for g in self.queue_groups:
-            if len(g.sends) < 2:
+    def _queue_rule_1(self, proj, conclude) -> None:
+        send, end = self.send, self.end
+        for ks, delays, _ in self.queues:
+            if len(ks) < 2:
                 continue
-            if not self._fresh(dirty, g.premise_sends):
-                continue
-            track = dirty is not None
-            if track:
-                self.group_dirty_events += len(g.sends)
-            for i, rec in enumerate(g.sends):
-                self_node = g.send_node[i]
-                if track:
-                    if self_node not in dirty:
-                        continue
-                    self.events_repropagated += 1
-                # Candidate partners: delay >= d1 (sends sorted by delay).
-                mask = g.suffix[bisect_left(g.delays, rec.delay)]
-                for n in and_nodes(reach[self_node], mask):
-                    if n == self_node:
-                        continue
-                    conclude(rec, g.event_of_send_node[n], RULE_QUEUE_1)
+            self._examine(len(ks))
+            found = []
+            partners = 0  # send bits of the sends with delay >= delays[lo]
+            hi = len(ks)
+            while hi:
+                lo = bisect_left(delays, delays[hi - 1])
+                partners |= _mask(ks[lo:hi], 2)
+                for i in range(lo, hi):
+                    k = ks[i]
+                    # partners includes k's own send, which P[send] has
+                    new = (proj[send[k]] & partners) ^ (1 << (3 * k + 2))
+                    if new:
+                        new &= ~(proj[end[k]] << 1)
+                        if new:
+                            found.append((i, new))
+                hi = lo
+            for i, new in sorted(found):
+                for j in sorted(_events_in(new), key=send.__getitem__):
+                    conclude(ks[i], j, RULE_QUEUE_1)
 
     # -- Queue rule 2 -------------------------------------------------------
     # send(t1,e1,d1) < sendAtFront(t2,e2) and sendAtFront(t2,e2) < begin(e1)
     #   =>  end(e2) < begin(e1).
 
-    def _queue_rule_2(self, reach, conclude, dirty) -> None:
-        test = SparseBits.test
-        for g in self.queue_groups:
-            if not g.fronts or not g.sends:
+    def _queue_rule_2(self, proj, conclude) -> None:
+        send, end = self.send, self.end
+        for ks, _, fronts in self.queues:
+            if not fronts or not ks:
                 continue
-            if not self._fresh(dirty, g.premise_any):
-                continue
-            track = dirty is not None
-            if track:
-                self.group_dirty_events += len(g.fronts) * len(g.sends)
-            for j, front in enumerate(g.fronts):
-                f_node = g.front_node[j]
-                # The pair's premise reads reach[send] (send < front)
-                # and reach[front] (front < begin) — re-examine when
-                # either side moved.
-                front_dirty = track and f_node in dirty
-                for i, send in enumerate(g.sends):
-                    s_node = g.send_node[i]
-                    if track:
-                        if not front_dirty and s_node not in dirty:
-                            continue
-                        self.events_repropagated += 1
-                    b_node = self._node(send.begin_index)  # type: ignore[arg-type]
-                    if test(reach[s_node], f_node) and test(
-                        reach[f_node], b_node
-                    ):
-                        conclude(front, send, RULE_QUEUE_2)
+            self._examine(len(fronts))
+            begins = _mask(ks, 1)
+            position = {k: i for i, k in enumerate(ks)}
+            for f in fronts:
+                new = proj[send[f]] & begins
+                if new:
+                    new &= ~proj[end[f]]
+                front_bit = 3 * f + 2
+                hits = [k for k in _events_in(new) if proj[send[k]] >> front_bit & 1]
+                for k in sorted(hits, key=position.__getitem__):
+                    conclude(f, k, RULE_QUEUE_2)
 
     # -- Queue rule 3 -------------------------------------------------------
     # sendAtFront(t1,e1) < send(t2,e2,d2)  =>  end(e1) < begin(e2).
 
-    def _queue_rule_3(self, reach, conclude, dirty) -> None:
-        and_nodes = SparseBits.and_iter
-        for g in self.queue_groups:
-            if not g.fronts or not g.sends:
+    def _queue_rule_3(self, proj, conclude) -> None:
+        send, end = self.send, self.end
+        for ks, _, fronts in self.queues:
+            if not fronts or not ks:
                 continue
-            if not self._fresh(dirty, g.premise_fronts):
-                continue
-            track = dirty is not None
-            if track:
-                self.group_dirty_events += len(g.fronts)
-            for j, front in enumerate(g.fronts):
-                if track:
-                    if g.front_node[j] not in dirty:
-                        continue
-                    self.events_repropagated += 1
-                for n in and_nodes(reach[g.front_node[j]], g.all_sends_mask):
-                    conclude(front, g.event_of_send_node[n], RULE_QUEUE_3)
+            self._examine(len(fronts))
+            sends = _mask(ks, 2)
+            for f in fronts:
+                new = proj[send[f]] & sends
+                if new:
+                    new &= ~(proj[end[f]] << 1)
+                    for k in sorted(_events_in(new), key=send.__getitem__):
+                        conclude(f, k, RULE_QUEUE_3)
 
     # -- Queue rule 4 -------------------------------------------------------
     # sendAtFront(t1,e1) < sendAtFront(t2,e2) and
     # sendAtFront(t2,e2) < begin(e1)  =>  end(e2) < begin(e1).
 
-    def _queue_rule_4(self, reach, conclude, dirty) -> None:
-        test = SparseBits.test
-        for g in self.queue_groups:
-            if len(g.fronts) < 2:
+    def _queue_rule_4(self, proj, conclude) -> None:
+        send, end = self.send, self.end
+        for _, _, fronts in self.queues:
+            if len(fronts) < 2:
                 continue
-            if not self._fresh(dirty, g.premise_fronts):
-                continue
-            track = dirty is not None
-            if track:
-                self.group_dirty_events += len(g.fronts) * (len(g.fronts) - 1)
-            for i, f1 in enumerate(g.fronts):
-                n1 = g.front_node[i]
-                b1 = g.front_begin_node[i]
-                # Premise reads reach[n1] and reach[n2]; skip pairs
-                # where neither moved.
-                n1_dirty = track and n1 in dirty
-                for j, f2 in enumerate(g.fronts):
-                    if f1 is f2:
-                        continue
-                    n2 = g.front_node[j]
-                    if track:
-                        if not n1_dirty and n2 not in dirty:
-                            continue
-                        self.events_repropagated += 1
-                    if test(reach[n1], n2) and test(reach[n2], b1):
-                        conclude(f2, f1, RULE_QUEUE_4)
-
+            self._examine(len(fronts))
+            begins = _mask(fronts, 1)
+            position = {k: i for i, k in enumerate(fronts)}
+            pairs = []
+            for f2 in fronts:
+                new = proj[send[f2]] & begins
+                if new:
+                    new &= ~proj[end[f2]]
+                front_bit = 3 * f2 + 2
+                for f1 in _events_in(new):
+                    if f1 != f2 and proj[send[f1]] >> front_bit & 1:
+                        pairs.append((position[f1], position[f2]))
+            for i, j in sorted(pairs):
+                conclude(fronts[j], fronts[i], RULE_QUEUE_4)
 
 
 def _fixpoint(state: _BuildState, graph: KeyGraph, profile: BuildProfile) -> int:
     """Apply the derived rules to the closed ``graph`` until none fires.
 
-    The first round examines every rule group; later rounds re-read
-    only the members whose premise nodes' reach sets changed.  Rounds,
+    Every round evaluates every rule group afresh; the first round
+    that concludes nothing new ends the fixpoint.  Rounds,
     per-round edge counts, the rule-group counters and the time spent
     accumulate into ``profile``.  Returns the derived edges added (0,
     without a round, for models with no derived rule).
@@ -861,25 +792,19 @@ def _fixpoint(state: _BuildState, graph: KeyGraph, profile: BuildProfile) -> int
     derived = 0
     with span("hb.fixpoint"):
         rules = _DerivedRules(state, graph)
-        graph.drain_dirty()  # marks left by the closure and earlier edges
-        dirty: Optional[Set[int]] = None  # round one examines every group
         while True:
             profile.rounds += 1
             with span("hb.fixpoint.rules"):
-                new_edges = rules.apply(dirty)
+                new_edges = rules.apply()
             if not new_edges:
                 break
             with span("hb.fixpoint.propagate"):
                 added = sum(graph.add_edge(u, v, rule) for u, v, rule in new_edges)
             derived += added
             profile.edges_per_round.append(added)
-            # Only candidates whose reachability changed need another look.
-            dirty = graph.drain_dirty()
     profile.fixpoint_seconds += time.perf_counter() - t0
     profile.groups_examined += rules.groups_examined
-    profile.groups_skipped += rules.groups_skipped
     profile.events_repropagated += rules.events_repropagated
-    profile.group_dirty_events += rules.group_dirty_events
     return derived
 
 

@@ -58,7 +58,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bits import ChunkStats, SparseBits, vector_stats
 
@@ -187,8 +187,9 @@ class KeyGraph:
         self._pred: List[List[int]] = []
         self._edge_rule: Dict[Tuple[int, int], str] = {}
         self._reach: Optional[List[SparseBits]] = None
-        #: nodes whose reach set changed since the last :meth:`drain_dirty`
-        self._dirty: Set[int] = set()
+        #: a topological order of the current edge set, or None once an
+        #: added node or edge may have broken it
+        self._order: Optional[List[int]] = None
         #: full from-scratch transitive-closure builds performed
         self.closure_recomputations = 0
         #: reachability bits newly set by incremental edge propagation
@@ -206,10 +207,10 @@ class KeyGraph:
         self._node_of_op[op_index] = node
         self._succ.append([])
         self._pred.append([])
+        self._order = None
         if self._reach is not None:
             # A fresh node has no edges yet: it reaches only itself.
             self._reach.append(SparseBits.single(node))
-            self._dirty.add(node)
         return node
 
     def add_chain(self, op_indices: Sequence[int], rule: str) -> List[int]:
@@ -260,6 +261,7 @@ class KeyGraph:
         self._succ[u].append(v)
         self._pred[v].append(u)
         self._edge_rule[(u, v)] = rule
+        self._order = None
         if self._reach is not None:
             self._propagate(u, v)
         return True
@@ -300,7 +302,6 @@ class KeyGraph:
         if not count:
             return
         self.bits_propagated += count
-        self._dirty.add(u)
         stack = [u]
         while stack:
             x = stack.pop()
@@ -309,7 +310,6 @@ class KeyGraph:
                 count = reach[p].ior(rx)
                 if count:
                     self.bits_propagated += count
-                    self._dirty.add(p)
                     stack.append(p)
 
     def _toposort(self) -> List[int]:
@@ -364,7 +364,7 @@ class KeyGraph:
     def _closure(self) -> List[SparseBits]:
         if self._reach is not None:
             return self._reach
-        order = self._toposort()
+        order = self.topological_order()
         n = self.node_count
         # Reverse-topological pass, seeding each node from its *widest*
         # successor via a shallow copy: the successor's chunks are
@@ -390,7 +390,6 @@ class KeyGraph:
             reach[v] = bits
         self._reach = reach
         self.closure_recomputations += 1
-        self._dirty = set(range(n))
         return reach
 
     def close(self) -> None:
@@ -411,18 +410,40 @@ class KeyGraph:
         """
         return self._closure()
 
-    def drain_dirty(self) -> Set[int]:
-        """Node ids whose reach set changed since the last drain.
+    def topological_order(self) -> List[int]:
+        """A topological order of the node ids (raises
+        :class:`HBCycleError` on a cyclic graph).  The order the first
+        closure computed is reused until a node or edge is added."""
+        if self._order is None:
+            self._order = self._toposort()
+        return self._order
 
-        A full closure recomputation marks every node dirty.  The
-        per-event granularity (one id per changed key node, not one
-        flag per looper/queue group) is what lets the builder's
-        fixpoint re-examine only the rule members whose premise
-        actually moved.
+    def project(self, own_bit: Dict[int, int]) -> List[int]:
+        """For every node ``x``, the Python-int bitset with bit
+        ``own_bit[y]`` set for each node ``y`` that ``x`` reaches
+        (``x`` itself included) and that ``own_bit`` lists.
+
+        One reverse-topological pass: a node's projection is its own
+        bit ORed with its successors'.  A node with one successor and
+        no own bit shares that successor's int, so program-order runs
+        cost no copies.
         """
-        dirty = self._dirty
-        self._dirty = set()
-        return dirty
+        succ = self._succ
+        proj = [0] * self.node_count
+        own = own_bit.get
+        for v in reversed(self.topological_order()):
+            ws = succ[v]
+            if len(ws) == 1:
+                p = proj[ws[0]]
+            else:
+                p = 0
+                for w in ws:
+                    p |= proj[w]
+            bit = own(v)
+            if bit is not None:
+                p |= 1 << bit
+            proj[v] = p
+        return proj
 
     def reaches(self, u: int, v: int) -> bool:
         """Reflexive-transitive reachability between node ids."""

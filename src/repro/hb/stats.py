@@ -10,9 +10,10 @@ When the relation was produced by
 :func:`repro.hb.builder.build_happens_before`, the stats also carry
 the build's :class:`~repro.hb.builder.BuildProfile` — per-phase wall
 times (scan, base edges, closure, fixpoint), derived edges per round,
-and the closure-work counters (full recomputations, bits propagated
-incrementally, dirty-groups skipped) that make the incremental
-fixpoint's speedup observable from ``python -m repro stats``.
+the closure-work counters (full recomputations, bits propagated
+incrementally) that make the incremental closure observable from
+``python -m repro stats``, and the rule groups the fixpoint
+evaluated.
 """
 
 from __future__ import annotations
@@ -106,17 +107,8 @@ class HBStats:
                 f"fixpoint {p.fixpoint_seconds * 1e3:.1f} ms "
                 f"(total {p.total_seconds * 1e3:.1f} ms)"
             )
-            if p.groups_examined or p.groups_skipped:
-                lines.append(
-                    f"fixpoint groups: {p.groups_examined} examined, "
-                    f"{p.groups_skipped} skipped as clean"
-                )
-            if p.group_dirty_events:
-                lines.append(
-                    f"dirty tracking: {p.events_repropagated} events "
-                    f"re-propagated (per-group granularity would have "
-                    f"re-read {p.group_dirty_events})"
-                )
+            if p.groups_examined:
+                lines.append(f"fixpoint groups: {p.groups_examined} examined")
         if self.query_profile is not None:
             q = self.query_profile
             path = "prefix-mask+memo" if q.fast else "bit-scan (streaming view)"

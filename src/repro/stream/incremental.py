@@ -31,8 +31,8 @@ nodes and edges and the closure is built once, as in a batch build.
 After that poll the closure is maintained live: later ingests extend
 it edge by edge (:meth:`repro.hb.graph.KeyGraph.add_edge`), and every
 later poll re-runs the chain edges and the fixpoint from a full first
-round, whose implied-edge checks skip everything the closure already
-knows.
+round, whose projection pass reads only the conclusions the closure
+does not already imply.
 """
 
 from __future__ import annotations

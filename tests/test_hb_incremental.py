@@ -97,6 +97,29 @@ def test_incremental_computes_at_most_one_full_closure(script):
     assert fresh.bits_propagated == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(graph_scripts(), st.randoms(use_true_random=False))
+def test_projection_ors_own_bits_over_the_reach_set(script, rnd):
+    """The fixpoint's projection pass runs over the cached topological
+    order, which nodes and edges added after the closure invalidate."""
+    inc, fresh = replay(script)
+    position = {v: i for i, v in enumerate(inc.topological_order())}
+    assert sorted(position) == list(range(inc.node_count))
+    assert all(position[u] < position[v] for u, v, _ in inc.edges())
+    own = {
+        v: rnd.randrange(3 * inc.node_count)
+        for v in range(inc.node_count)
+        if rnd.random() < 0.5
+    }
+    proj = inc.project(own)
+    for x in range(inc.node_count):
+        expected = 0
+        for y in fresh.reach_set(x):
+            if y in own:
+                expected |= 1 << own[y]
+        assert proj[x] == expected, x
+
+
 class TestIncrementalMechanics:
     def closed_chain(self, n=4):
         g = KeyGraph()
@@ -132,14 +155,15 @@ class TestIncrementalMechanics:
         with pytest.raises(HBCycleError):
             g.add_edge(nodes[1], nodes[1], "self")
 
-    def test_drain_dirty_reports_changed_nodes_once(self):
-        g, nodes = self.closed_chain()
-        assert g.drain_dirty() == set(range(g.node_count))  # initial closure
-        assert g.drain_dirty() == set()
-        g.add_edge(g.add_node(50), nodes[0], "pre")
-        dirty = g.drain_dirty()
-        assert dirty  # the new source node gained reach bits
-        assert g.drain_dirty() == set()
+    def test_projection_follows_edges_added_after_the_closure(self):
+        g = KeyGraph()
+        a, b, c = (g.add_node(i) for i in range(3))
+        g.add_edge(b, a, "x")
+        g.close()  # caches an order with c before a
+        g.add_edge(a, c, "y")
+        order = g.topological_order()
+        assert order.index(b) < order.index(a) < order.index(c)
+        assert g.project({c: 0, b: 1}) == [0b01, 0b11, 0b01]
 
     def test_close_is_idempotent(self):
         g, nodes = self.closed_chain()

@@ -3,9 +3,15 @@ fan-out determinism and diagnostics, consistent hashing, and the
 long-running worker machinery the daemon shards run on."""
 
 import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.parallel import (
     FanOutProfile,
@@ -198,6 +204,48 @@ class TestWorker:
     def test_queue_size_validated(self):
         with pytest.raises(ValueError, match="queue_size"):
             Worker("acc-3", _acc_init, _acc_handle, _acc_finish, queue_size=0)
+
+    def test_process_exits_after_a_worker_dies_with_a_full_inbox(self, tmp_path):
+        """A worker that dies with messages still in its pipe must not
+        hang the parent at interpreter exit, where multiprocessing
+        joins each queue's feeder thread."""
+        script = tmp_path / "die_with_full_inbox.py"
+        script.write_text(textwrap.dedent('''
+            import os
+
+            from repro.parallel import Worker, WorkerCrash
+
+            def init(name):
+                return None
+
+            def handle(state, msg):
+                os._exit(1)
+
+            def finish(state):
+                return None
+
+            if __name__ == "__main__":
+                worker = Worker("doomed", init, handle, finish)
+                try:
+                    # far more than a pipe holds: the feeder thread is
+                    # left blocked writing to the dead worker
+                    for _ in range(8):
+                        worker.send(b"x" * (1 << 20))
+                    worker.drain()
+                except WorkerCrash as exc:
+                    print("crash:", exc.worker)
+        '''))
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "crash: doomed"
 
 
 class TestWorkerPool:

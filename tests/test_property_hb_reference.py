@@ -6,11 +6,21 @@ reference implementation of Section 3.3 on *every* ordering query, for
 every generated trace and for several model configurations.
 """
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from repro import build_happens_before
 from repro.hb import CAFA_MODEL, CONVENTIONAL_MODEL, NO_QUEUE_MODEL, ModelConfig
+from repro.hb.builder import (
+    RULE_ATOMICITY,
+    RULE_QUEUE_1,
+    RULE_QUEUE_2,
+    RULE_QUEUE_3,
+    RULE_QUEUE_4,
+)
 from repro.hb.reference import ReferenceHappensBefore
+from repro.runtime import AndroidSystem
 from repro.testing import TraceBuilder
 
 from tests.test_property_runtime_hb import program_specs, run_program
@@ -57,6 +67,90 @@ def test_builder_matches_reference_no_queue_model(spec):
     if len(trace) > 120:
         return
     assert_equivalent(trace, NO_QUEUE_MODEL)
+
+
+# ---------------------------------------------------------------------------
+# programs where every derived rule can fire
+# ---------------------------------------------------------------------------
+#
+# ``program_specs`` has one looper and handlers that never post, so it
+# never exercises queue rules 2-4.  Here handlers post too, to their
+# own looper or another one, with mixed delays and sendAtFront: a
+# handler that posts to its own looper orders its posts before the
+# events it posted begin (atomicity), which is the premise rules 2 and
+# 4 need.
+
+VARIABLES = ("x", "y", "z")
+
+
+def _actions(rng, n_loopers, depth):
+    """A task's actions; the handlers its posts run nest ``depth`` deep."""
+    kinds = ["read", "write"] + ["post", "front"] * 2 * (depth > 0)
+    actions = []
+    for _ in range(rng.randrange(5)):
+        kind = rng.choice(kinds)
+        if kind in ("read", "write"):
+            actions.append((kind, rng.randrange(len(VARIABLES))))
+        elif kind == "post":
+            actions.append((kind, rng.randrange(n_loopers), rng.randrange(4),
+                            _actions(rng, n_loopers, depth - 1)))
+        else:
+            actions.append((kind, rng.randrange(n_loopers),
+                            _actions(rng, n_loopers, depth - 1)))
+    return actions
+
+
+def run_multi_looper_program(seed):
+    """Simulate the program ``seed`` picks: two or three loopers, one or
+    two threads, and handlers that post up to two levels deep."""
+    rng = random.Random(seed)
+    n_loopers = rng.randint(2, 3)
+    threads = [_actions(rng, n_loopers, 2) for _ in range(rng.randint(1, 2))]
+    system = AndroidSystem(seed=seed)
+    app = system.process("app")
+    loopers = [app.looper(f"L{i}") for i in range(n_loopers)]
+
+    def perform(ctx, actions):
+        for action in actions:
+            kind = action[0]
+            if kind == "read":
+                ctx.read(VARIABLES[action[1]])
+            elif kind == "write":
+                ctx.write(VARIABLES[action[1]], 0)
+            elif kind == "post":
+                ctx.post(loopers[action[1]], handler(action[3]), delay_ms=action[2])
+            else:
+                ctx.post_at_front(loopers[action[1]], handler(action[2]))
+
+    def handler(actions):
+        return lambda ctx: perform(ctx, actions)
+
+    for t, actions in enumerate(threads):
+        app.thread(f"t{t}", lambda ctx, actions=actions: perform(ctx, actions))
+    system.run(max_ms=2000)
+    return system.trace()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_builder_matches_reference_with_posting_handlers(seed):
+    trace = run_multi_looper_program(seed)
+    if len(trace) > 120:
+        return
+    assert_equivalent(trace, CAFA_MODEL)
+    assert_equivalent(trace, NO_QUEUE_MODEL)
+
+
+def test_posting_handler_programs_fire_every_derived_rule():
+    """The generator above reaches every derived rule: over a fixed
+    seed list, each rule labels at least one edge."""
+    labels = set()
+    for seed in range(16):
+        hb = build_happens_before(run_multi_looper_program(seed))
+        labels.update(rule for _, _, rule in hb.graph.edges())
+    assert {
+        RULE_ATOMICITY, RULE_QUEUE_1, RULE_QUEUE_2, RULE_QUEUE_3, RULE_QUEUE_4
+    } <= labels
 
 
 class TestCuratedEquivalence:
