@@ -199,16 +199,12 @@ class Worker:
     def alive(self) -> bool:
         return self._process.is_alive()
 
-    def _abandon_inbox(self) -> None:
-        """Let the interpreter exit without flushing the inbox: no one
-        reads a dead worker's pipe, so the queue's feeder thread would
-        block on it forever and hang the exit-time join."""
-        self._inbox.cancel_join_thread()
-
     def _crash(self) -> WorkerCrash:
         """Build the named-death error, recovering the remote traceback
         when the worker managed to ship one before dying."""
-        self._abandon_inbox()
+        # No one reads a dead worker's pipe: the inbox's feeder thread
+        # would block on it forever and hang the join at interpreter exit.
+        self._inbox.cancel_join_thread()
         detail = None
         summary = None
         try:
@@ -338,7 +334,7 @@ class Worker:
         if self._process.is_alive():
             self._process.terminate()
         self._process.join()
-        self._abandon_inbox()
+        self._inbox.cancel_join_thread()  # as in _crash
 
 
 class WorkerPool:

@@ -120,7 +120,15 @@ class TestEngineIntegration:
         UseFreeDetector(trace, hb=hb).detect()
         names = {event[0] for event in recorder.events}
         assert {"hb.scan", "hb.base_edges", "hb.closure",
-                "hb.fixpoint", "hb.fixpoint.rules"} <= names
+                "hb.fixpoint", "hb.fixpoint.rules",
+                "hb.fixpoint.project"} <= names
+        # every projection pass runs inside one round's rule evaluation
+        rounds = [(s, s + d) for n, s, d, _, _ in recorder.events
+                  if n == "hb.fixpoint.rules"]
+        for name, start, duration, _, _ in recorder.events:
+            if name == "hb.fixpoint.project":
+                assert any(lo <= start and start + duration <= hi
+                           for lo, hi in rounds)
 
     def test_stream_analyzer_emits_stream_spans(self):
         from repro.apps import make_app
