@@ -22,14 +22,6 @@ from .pipeline import (
 from .precision import AppEvaluation, Table1, evaluate_run
 from .soak import SoakResult, soak_all, soak_app, soak_trace
 from .tables import format_scaling, format_slowdowns, format_table1
-from .triage import (
-    BudgetCurve,
-    BudgetPoint,
-    TriageItem,
-    TriageReport,
-    budget_curve,
-    triage_corpus,
-)
 from .witness import ViolationWitness, WitnessError, build_witness
 
 __all__ = [
@@ -48,17 +40,11 @@ __all__ = [
     "soak_all",
     "soak_app",
     "soak_trace",
-    "BudgetCurve",
-    "BudgetPoint",
-    "TriageItem",
-    "TriageReport",
     "ViolationWitness",
     "WitnessError",
     "analysis_scaling",
-    "budget_curve",
     "build_witness",
     "bench_scale",
-    "triage_corpus",
     "evaluate_run",
     "format_scaling",
     "format_slowdowns",

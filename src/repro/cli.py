@@ -133,26 +133,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_sampling(parser: argparse.ArgumentParser) -> None:
-    from .detect import DEFAULT_BUDGET
-
-    parser.add_argument(
-        "--budget",
-        type=_positive_int,
-        default=DEFAULT_BUDGET,
-        metavar="N",
-        help="per-trace allowance of sampled (use, free) pair "
-        f"inspections (default: {DEFAULT_BUDGET}; see docs/sampling.md)",
-    )
-    parser.add_argument(
-        "--sample-seed",
-        type=_nonnegative_int,
-        default=0,
-        metavar="N",
-        help="seed of the deterministic pair sampler (default: 0)",
-    )
-
-
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
@@ -284,20 +264,6 @@ def _cmd_stats(args) -> int:
         if not args.json:
             print("column-sparse scan (global columns only):")
             print(sparse_stats.format())
-    sample_profile = None
-    if args.sampled:
-        from .detect import SamplerOptions, detect_sampled
-
-        with span("detect.sampled", ops=len(trace)):
-            sampled = detect_sampled(
-                trace,
-                SamplerOptions(
-                    budget=args.budget, seed=args.sample_seed, confirm=True
-                ),
-            )
-        sample_profile = sampled.profile
-        if not args.json:
-            print(sample_profile.format())
     if args.json:
         import json
 
@@ -310,7 +276,6 @@ def _cmd_stats(args) -> int:
                     hb_stats=stats,
                     stream_profile=stream_profile,
                     sparse_stats=sparse_stats,
-                    sample_profile=sample_profile,
                 ),
                 indent=2,
                 sort_keys=True,
@@ -321,48 +286,6 @@ def _cmd_stats(args) -> int:
         print(f"wrote {args.trace_out} ({len(recorder)} spans)",
               file=sys.stderr)
     return 0
-
-
-def _cmd_triage(args) -> int:
-    if args.curve:
-        from .analysis import budget_curve
-
-        curve = budget_curve(
-            budgets=args.budgets,
-            scale=args.scale,
-            seed=args.seed,
-            sample_seed=args.sample_seed,
-            jobs=args.jobs,
-        )
-        print(curve.format())
-        if args.json:
-            _write_json_output(args.json, curve.to_json())
-        return 0
-    if not args.traces:
-        print("triage: provide trace files or --curve", file=sys.stderr)
-        return 2
-    from .analysis import triage_corpus
-
-    report = triage_corpus(
-        args.traces,
-        budget=args.budget,
-        seed=args.sample_seed,
-        salvage=args.salvage,
-        jobs=args.jobs,
-    )
-    print(report.format())
-    if args.json:
-        _write_json_output(args.json, report.to_json())
-    return 1 if report.damaged and not args.salvage else 0
-
-
-def _write_json_output(path: str, text: str) -> None:
-    if path == "-":
-        print(text)
-        return
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(text + "\n")
-    print(f"wrote {path}")
 
 
 def _print_new_epochs(analyzer, printed: int) -> int:
@@ -485,19 +408,12 @@ def _cmd_serve(args) -> int:
     log = get_logger("serve")
 
     expect = _FORMAT_VERSIONS[args.format] if args.format else None
-    sampling = None
-    if args.mode == "sampled":
-        from .detect import SamplerOptions
-
-        sampling = SamplerOptions(budget=args.budget, seed=args.sample_seed)
     router = SessionRouter(
         args.shards,
         gc=not args.no_gc,
         strict=not args.salvage,
         expect_version=expect,
         metrics=metrics_on,
-        mode=args.mode,
-        sampling=sampling,
     )
     source = None
     metrics_server = None
@@ -991,13 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(mmap) and report bytes read vs skipped",
     )
     stats.add_argument(
-        "--sampled",
-        action="store_true",
-        help="also run the sampled detector (confirm mode) and report "
-        "its budget/screen/confirmation counters (the `sampling` "
-        "section of --json)",
-    )
-    stats.add_argument(
         "--daemon",
         action="store_true",
         help="treat the positional argument as a daemon report JSON "
@@ -1020,60 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_format(stats, writing=False)
     _add_memo_capacity(stats)
-    _add_sampling(stats)
     stats.set_defaults(fn=_cmd_stats)
-
-    triage = sub.add_parser(
-        "triage",
-        help="two-stage corpus triage: budgeted pair sampling per "
-        "trace, full detection only on flagged traces "
-        "(see docs/sampling.md)",
-    )
-    triage.add_argument(
-        "traces",
-        nargs="*",
-        metavar="TRACE",
-        help="saved trace files (any supported format); omit with "
-        "--curve",
-    )
-    triage.add_argument(
-        "--salvage",
-        action="store_true",
-        help="triage the decodable prefix of damaged traces instead "
-        "of reporting them as damaged (items are marked 'salvaged')",
-    )
-    triage.add_argument(
-        "--json",
-        metavar="PATH",
-        help="also write the corpus report (or the --curve sweep) as "
-        "JSON ('-' for stdout)",
-    )
-    triage.add_argument(
-        "--curve",
-        action="store_true",
-        help="instead of triaging files, sweep sampling budgets "
-        "across the ten-app catalog and print the recorded "
-        "precision/recall-vs-budget curve",
-    )
-    triage.add_argument(
-        "--budgets",
-        type=_positive_int,
-        nargs="+",
-        metavar="N",
-        help="budgets of the --curve sweep (default: 1 2 4 8 16 64 256)",
-    )
-    triage.add_argument(
-        "--scale",
-        type=float,
-        default=0.1,
-        help="--curve workload scale (default: 0.1)",
-    )
-    triage.add_argument(
-        "--seed", type=int, default=0, help="--curve scheduler seed"
-    )
-    _add_sampling(triage)
-    _add_jobs(triage)
-    triage.set_defaults(fn=_cmd_triage)
 
     stream = sub.add_parser(
         "stream",
@@ -1208,15 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable telemetry entirely: no latency recording, no "
         "shard snapshots (the instrumentation-overhead escape hatch)",
     )
-    serve.add_argument(
-        "--mode",
-        choices=("full", "sampled"),
-        default="full",
-        help="per-session detection mode: 'sampled' triages each "
-        "epoch with the budgeted pair sampler and escalates flagged "
-        "epochs to full detection (see docs/sampling.md)",
-    )
-    _add_sampling(serve)
     _add_format(serve, writing=False)
     serve.set_defaults(fn=_cmd_serve)
 

@@ -29,15 +29,6 @@ from .report import (
     UseFreeRace,
     Verdict,
 )
-from .sampling import (
-    DEFAULT_BUDGET,
-    DEFAULT_CHAIN_DEPTH,
-    SampleProfile,
-    SampledDetector,
-    SampledResult,
-    SamplerOptions,
-    detect_sampled,
-)
 from .usefree import (
     DetectionResult,
     DetectorOptions,
@@ -48,8 +39,6 @@ from .usefree import (
 __all__ = [
     "AccessExtractor",
     "AccessIndex",
-    "DEFAULT_BUDGET",
-    "DEFAULT_CHAIN_DEPTH",
     "DetectionResult",
     "DetectorOptions",
     "ExpectedRace",
@@ -61,17 +50,12 @@ __all__ = [
     "RaceClass",
     "RaceReport",
     "RaceSiteKey",
-    "SampleProfile",
-    "SampledDetector",
-    "SampledResult",
-    "SamplerOptions",
     "Use",
     "UseFreeDetector",
     "UseFreeRace",
     "Verdict",
     "branch_safe_region",
     "detect_low_level_races",
-    "detect_sampled",
     "detect_use_free_races",
     "extract_accesses",
     "free_has_intra_event_realloc",

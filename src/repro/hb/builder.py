@@ -869,9 +869,9 @@ def build_happens_before(
 
     profile.closure_recomputations = graph.closure_recomputations
     profile.bits_propagated = graph.bits_propagated
-    profile.closure_bytes = graph.closure_bytes()
     chunk_stats = graph.chunk_stats()
     if chunk_stats is not None:
+        profile.closure_bytes = chunk_stats.bytes
         profile.chunks_allocated = chunk_stats.chunks_allocated
         profile.chunks_shared = chunk_stats.chunks_shared
         profile.dense_chunk_ratio = chunk_stats.dense_chunk_ratio

@@ -134,39 +134,6 @@ class QueryProfile:
         return self.memo_hits / total if total else 0.0
 
 
-@dataclass
-class QueryBudget:
-    """A bounded allowance of batched concurrency queries.
-
-    The sampled detector (:mod:`repro.detect.sampling`) answers at most
-    ``limit`` pairs per trace; passing a budget to
-    :meth:`HappensBefore.concurrent_pairs` truncates the batch at the
-    allowance and charges one unit per *answered* pair, so the returned
-    verdict list may be shorter than the input iterable.  ``spent``
-    accumulates across batches — one budget object can meter several
-    calls (e.g. one per epoch of a streamed session).
-    """
-
-    limit: int
-    spent: int = 0
-
-    @property
-    def remaining(self) -> int:
-        return max(0, self.limit - self.spent)
-
-    @property
-    def exhausted(self) -> bool:
-        return self.spent >= self.limit
-
-    def take(self, pairs: Iterable[Tuple[int, int]]):
-        """Yield pairs while allowance remains, charging one per pair."""
-        for pair in pairs:
-            if self.spent >= self.limit:
-                break
-            self.spent += 1
-            yield pair
-
-
 class KeyGraph:
     """A DAG over key operations with bitset transitive closure.
 
@@ -611,16 +578,9 @@ class HappensBefore:
         return not self.ordered(a, b) and not self.ordered(b, a)
 
     def concurrent_pairs(
-        self,
-        pairs: Iterable[Tuple[int, int]],
-        budget: Optional[QueryBudget] = None,
+        self, pairs: Iterable[Tuple[int, int]]
     ) -> List[bool]:
         """Batched :meth:`concurrent` over ``(a, b)`` operation pairs.
-
-        With a :class:`QueryBudget` the batch stops once the allowance
-        is spent: verdicts are returned for the answered prefix only
-        (the list may be shorter than the input) and ``budget.spent``
-        records how many pairs were charged.
 
         The workhorse of the batched detector.  A cross-task pair's
         verdict is fully determined by the two operations' query
@@ -636,8 +596,6 @@ class HappensBefore:
         path literally does).
         """
         prof = self.query_profile
-        if budget is not None:
-            pairs = budget.take(pairs)
         if not self._fast:
             verdicts = []
             for a, b in pairs:

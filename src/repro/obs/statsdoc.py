@@ -14,15 +14,17 @@ Schema (``repro-stats/1``)::
       "build":  {graph summary + BuildProfile fields} | null,
       "query":  {QueryProfile fields} | null,
       "stream": {StreamProfile fields} | null,
-      "sparse": {column-sparse scan DecodeStats fields} | null,
-      "sampling": {SampleProfile fields} | null
+      "sparse": {column-sparse scan DecodeStats fields} | null
     }
 
 Every section is either present with its full field set or ``null`` —
 consumers can rely on the key existing.  New fields may be appended in
-later schema revisions; existing keys are never renamed.  Two keys
-that had become constants were dropped from the ``trace`` and
-``build.profile`` sections (see ``docs/observability.md``).
+later schema revisions; existing keys are never renamed.  Keys were
+dropped only when the code that filled them went: two constants from
+``trace`` and ``build.profile``, two fixpoint counters from
+``build.profile``, and the ``sampling`` section with three ``stream``
+counters when the sampled detector was deleted (see
+``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional
 
 SCHEMA = "repro-stats/1"
 
-_SECTIONS = ("trace", "decode", "build", "query", "stream", "sparse", "sampling")
+_SECTIONS = ("trace", "decode", "build", "query", "stream", "sparse")
 
 
 def _asdict(obj) -> Optional[dict]:
@@ -46,7 +48,6 @@ def stats_document(
     hb_stats=None,
     stream_profile=None,
     sparse_stats=None,
-    sample_profile=None,
 ) -> dict:
     """Assemble the document from whatever sections were computed.
 
@@ -54,11 +55,8 @@ def stats_document(
     (its nested decode counters become the ``decode`` section),
     ``hb_stats`` an :class:`~repro.hb.stats.HBStats` (split into
     ``build`` and ``query``), ``stream_profile`` a
-    :class:`~repro.stream.StreamProfile`, ``sparse_stats`` the
-    :class:`~repro.trace.store.DecodeStats` of a column-sparse scan,
-    and ``sample_profile`` a
-    :class:`~repro.detect.sampling.SampleProfile` (the ``sampling``
-    section: budget, pairs sampled/screened/queried, flagged verdict).
+    :class:`~repro.stream.StreamProfile` and ``sparse_stats`` the
+    :class:`~repro.trace.store.DecodeStats` of a column-sparse scan.
     """
     doc = {"schema": SCHEMA}
     for section in _SECTIONS:
@@ -78,8 +76,5 @@ def stats_document(
 
     if sparse_stats is not None:
         doc["sparse"] = _asdict(sparse_stats)
-
-    if sample_profile is not None:
-        doc["sampling"] = _asdict(sample_profile)
 
     return doc

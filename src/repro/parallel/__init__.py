@@ -6,11 +6,10 @@ fragmented: the batch fan-out lived in ``repro.analysis.pipeline``
 streaming service had none.  ``repro.parallel`` is the one home for
 all of it:
 
-* :func:`fan_out` / :func:`fan_out_profiled` — run one picklable
-  function over a sequence of items across worker processes, with
-  deterministic item-order results, item-named worker errors (both
-  raised exceptions and silent process deaths), and optional
-  per-item/per-worker profile collection.  Every batch caller
+* :func:`fan_out` — run one picklable function over a sequence of
+  items across worker processes, with deterministic item-order
+  results and item-named worker errors (both raised exceptions and
+  silent process deaths).  Every batch caller
   (``reproduce_table1``, ``reproduce_figure8``, ``explore_seeds``,
   ``generate_report``, ``scaling_matrix``) runs on it.
 * :class:`ShardRing` — deterministic consistent hashing of string
@@ -23,11 +22,8 @@ all of it:
 """
 
 from .executor import (
-    FanOutProfile,
-    ItemProfile,
     default_jobs,
     fan_out,
-    fan_out_profiled,
     pool_size,
     validate_jobs,
 )
@@ -45,8 +41,6 @@ from .workers import (
 __all__ = [
     "DEFAULT_QUEUE_SIZE",
     "DEFAULT_TELEMETRY_INTERVAL",
-    "FanOutProfile",
-    "ItemProfile",
     "ShardRing",
     "Worker",
     "WorkerCrash",
@@ -54,7 +48,6 @@ __all__ = [
     "WorkerProfile",
     "default_jobs",
     "fan_out",
-    "fan_out_profiled",
     "merge_worker_profiles",
     "pool_size",
     "validate_jobs",

@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..detect import DetectorOptions, SamplerOptions
+from ..detect import DetectorOptions
 from ..hb import HBCycleError, ModelNotApplicableError
 from ..obs.metrics import Histogram, MetricsSnapshot, merge_snapshots
 from ..obs.spans import span
@@ -85,7 +85,7 @@ class SessionReport:
     @classmethod
     def from_dict(cls, data: dict) -> "SessionReport":
         data = dict(data)
-        data["profile"] = StreamProfile(**data.get("profile", {}))
+        data["profile"] = StreamProfile.from_dict(data.get("profile", {}))
         return cls(**data)
 
     def format(self) -> str:
@@ -171,7 +171,8 @@ class DaemonReport:
                 for sid, rep in data.get("sessions", {}).items()
             },
             shard_profiles=[
-                StreamProfile(**p) for p in data.get("shard_profiles", [])
+                StreamProfile.from_dict(p)
+                for p in data.get("shard_profiles", [])
             ],
             worker_profiles=[
                 WorkerProfile(**w) for w in data.get("workers", [])
@@ -196,10 +197,6 @@ class _ShardConfig:
     options: Optional[DetectorOptions] = None
     #: record feed-to-detect latencies and ship telemetry snapshots
     metrics: bool = False
-    #: "full" or "sampled" — every session analyzer's detection mode
-    mode: str = "full"
-    #: sampled-mode budget/seed (None = the sampler's defaults)
-    sampling: Optional["SamplerOptions"] = None
 
 
 class _ShardState:
@@ -269,8 +266,6 @@ def _shard_handle(state: _ShardState, msg: tuple) -> None:
                 strict=config.strict,
                 gc=config.gc,
                 expect_version=config.expect_version,
-                mode=config.mode,
-                sampling=config.sampling,
             )
         try:
             analyzer.feed(msg[2])
@@ -449,18 +444,14 @@ class SessionRouter:
         vnodes: int = 64,
         metrics: bool = False,
         telemetry_interval: float = DEFAULT_TELEMETRY_INTERVAL,
-        mode: str = "full",
-        sampling: Optional[SamplerOptions] = None,
     ) -> None:
         if shards < 0:
             raise ValueError(f"shards must be >= 0, got {shards}")
-        if mode not in ("full", "sampled"):
-            raise ValueError(f"mode must be 'full' or 'sampled', got {mode!r}")
         self.shards = shards
         self.metrics = metrics
         config = _ShardConfig(
             gc=gc, strict=strict, expect_version=expect_version,
-            options=options, metrics=metrics, mode=mode, sampling=sampling,
+            options=options, metrics=metrics,
         )
         self.ring = ShardRing(max(shards, 1), vnodes=vnodes)
         self.queue_frames = queue_frames

@@ -46,18 +46,10 @@ exactly what the batch detector emits for those ops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Set
 
-import dataclasses
-
-from ..detect import (
-    AccessExtractor,
-    DetectorOptions,
-    SamplerOptions,
-    UseFreeDetector,
-    detect_sampled,
-)
+from ..detect import AccessExtractor, DetectorOptions, UseFreeDetector
 from ..detect.report import RaceReport
 from ..obs.spans import span
 from ..trace import AnyTraceDecoder, OpKind, Trace
@@ -80,10 +72,14 @@ class StreamProfile:
     retired_addresses: int = 0
     cross_epoch_accesses: int = 0
     reports_emitted: int = 0
-    #: sampled-mode counters (zero in full mode)
-    sampled_pairs: int = 0
-    sampled_suspects: int = 0
-    escalations: int = 0
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "StreamProfile":
+        """A profile from its ``asdict`` form.  Keys this class does not
+        define are ignored, so reports saved by versions with other
+        counters still load."""
+        fields = cls.__dataclass_fields__
+        return cls(**{k: v for k, v in data.items() if k in fields})
 
     def format(self) -> str:
         lines = ["stream profile:"]
@@ -98,10 +94,6 @@ class StreamProfile:
         lines.append(f"  retired addresses    {self.retired_addresses:>12}")
         lines.append(f"  cross-epoch accesses {self.cross_epoch_accesses:>12}")
         lines.append(f"  reports emitted      {self.reports_emitted:>12}")
-        if self.sampled_pairs or self.escalations:
-            lines.append(f"  sampled pairs        {self.sampled_pairs:>12}")
-            lines.append(f"  sampled suspects     {self.sampled_suspects:>12}")
-            lines.append(f"  escalations          {self.escalations:>12}")
         return "\n".join(lines)
 
 
@@ -143,17 +135,6 @@ class StreamAnalyzer:
     it is analyzed (the degraded path for crash-truncated inputs).
     ``gc=False`` disables epoch retirement (one epoch spans the whole
     session; memory grows like offline mode).
-
-    ``mode="sampled"`` runs the session as cheap triage: no incremental
-    happens-before is maintained at all — only the access extractor and
-    the quiescence tracker run per op.  At each epoch close the sampled
-    detector screens a budgeted random pair sample
-    (:mod:`repro.detect.sampling`); a flagged epoch *escalates* to one
-    offline full-detection pass over the epoch's ops, so escalated
-    reports are exactly the full-mode reports of that epoch and a clean
-    verdict skips closure work entirely.  ``sampling`` carries the
-    budget/seed; its nested detector options are overridden by
-    ``options`` so triage and escalation always agree.
     """
 
     def __init__(
@@ -163,16 +144,8 @@ class StreamAnalyzer:
         strict: bool = True,
         gc: bool = True,
         expect_version: Optional[int] = None,
-        mode: str = "full",
-        sampling: Optional[SamplerOptions] = None,
     ) -> None:
-        if mode not in ("full", "sampled"):
-            raise ValueError(f"mode must be 'full' or 'sampled', got {mode!r}")
         self.options = options or DetectorOptions()
-        self.mode = mode
-        self.sampling = dataclasses.replace(
-            sampling or SamplerOptions(), detector=self.options
-        )
         self.gc = gc
         self.profile = StreamProfile()
         self.decoder = AnyTraceDecoder(
@@ -195,14 +168,8 @@ class StreamAnalyzer:
         """Point the analysis structures at (a fresh) epoch trace."""
         self.trace = trace
         options = self.options
-        if self.mode == "sampled":
-            # Triage keeps no live closure: detection work happens only
-            # at epoch close, and only for flagged epochs.
-            self.cafa = None
-            self.conventional = None
-        else:
-            self.cafa = IncrementalHB(trace, options.model)
-            self.conventional = IncrementalHB(trace, options.conventional_model)
+        self.cafa = IncrementalHB(trace, options.model)
+        self.conventional = IncrementalHB(trace, options.conventional_model)
         self.extractor = AccessExtractor(trace)
         self._processed = 0
         self._epoch_ops = 0
@@ -246,9 +213,8 @@ class StreamAnalyzer:
         )
 
     def _ingest(self, i: int, op) -> None:
-        if self.cafa is not None:
-            self.cafa.ingest(i)
-            self.conventional.ingest(i)
+        self.cafa.ingest(i)
+        self.conventional.ingest(i)
         self.extractor.feed(i, op)
         self.profile.ops_ingested += 1
         self._epoch_ops += 1
@@ -280,8 +246,6 @@ class StreamAnalyzer:
     def _poll(self) -> None:
         """Catch both relations up before a detection pass — the only
         place the closure is built — and sample the closure footprint."""
-        if self.cafa is None:
-            return
         self.cafa.poll()
         self.conventional.poll()
         self.profile.polls += 1
@@ -300,8 +264,6 @@ class StreamAnalyzer:
 
     def _detect(self) -> List[RaceReport]:
         """Run the batch detector over the current epoch's live state."""
-        if self.cafa is None:
-            return self._detect_sampled()
         with span("stream.detect", epoch=self._epoch_index):
             self._poll()
             detector = UseFreeDetector(
@@ -310,31 +272,6 @@ class StreamAnalyzer:
                 hb=self.cafa.relation(),
                 accesses=self.extractor.index(),
                 conventional_hb=self.conventional.relation(),
-            )
-            return detector.detect().reports
-
-    def _detect_sampled(self) -> List[RaceReport]:
-        """Sampled-mode epoch close: screen a budgeted pair sample, and
-        only a flagged epoch pays for an offline full-detection pass.
-
-        The escalation runs the unmodified batch detector over exactly
-        the epoch's ops, so escalated reports are byte-identical to the
-        full-mode reports of that epoch; a clean verdict means no
-        sampled pair survived the screens (with an exhaustive budget
-        that proves the epoch reports nothing at all).
-        """
-        with span("stream.sample", epoch=self._epoch_index):
-            sampled = detect_sampled(
-                self.trace, self.sampling, accesses=self.extractor.index()
-            )
-        self.profile.sampled_pairs += sampled.profile.pairs_sampled
-        self.profile.sampled_suspects += sampled.profile.suspects
-        if not sampled.flagged:
-            return []
-        self.profile.escalations += 1
-        with span("stream.escalate", epoch=self._epoch_index):
-            detector = UseFreeDetector(
-                self.trace, self.options, accesses=self.extractor.index()
             )
             return detector.detect().reports
 
@@ -347,16 +284,12 @@ class StreamAnalyzer:
 
     def _close_epoch(self, retired: bool) -> EpochSummary:
         reports = self._detect()
-        closure = 0
-        if self.cafa is not None:
-            closure = (
-                self.cafa.closure_bytes() + self.conventional.closure_bytes()
-            )
         summary = EpochSummary(
             index=self._epoch_index,
             ops=self._epoch_ops,
             reports=reports,
-            closure_bytes=closure,
+            # _detect's poll has just measured both closures
+            closure_bytes=self.profile.closure_bytes,
             retired=retired,
         )
         self.epochs.append(summary)
@@ -379,13 +312,10 @@ class StreamAnalyzer:
         for rec in self.extractor.uses:
             self._retired_addresses.add(rec.address)
         self.profile.retired_addresses = len(self._retired_addresses)
-        if self.cafa is not None:
-            self._rounds_retired += (
-                self.cafa.rounds + self.conventional.rounds
-            )
-            self._edges_retired += (
-                self.cafa.derived_edges + self.conventional.derived_edges
-            )
+        self._rounds_retired += self.cafa.rounds + self.conventional.rounds
+        self._edges_retired += (
+            self.cafa.derived_edges + self.conventional.derived_edges
+        )
         # Drop the epoch: fresh trace/store (releasing the closure
         # chunks and interned columns with it), fresh analysis state.
         # The shared task table survives; the decoder keeps its

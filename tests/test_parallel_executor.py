@@ -14,14 +14,12 @@ import pytest
 import repro
 
 from repro.parallel import (
-    FanOutProfile,
     ShardRing,
     Worker,
     WorkerCrash,
     WorkerPool,
     default_jobs,
     fan_out,
-    fan_out_profiled,
     pool_size,
     validate_jobs,
 )
@@ -110,17 +108,6 @@ class TestFanOut:
         named = message.split("worker process for ", 1)[1].split(" died", 1)[0]
         assert "item 1" in named.split(" or ")
         assert "jobs=1" in message
-
-    def test_profiled_run_accounts_every_item(self):
-        results, profile = fan_out_profiled(
-            _double, [5, 6, 7], (), 2, "t", describe=str
-        )
-        assert results == [10, 12, 14]
-        assert isinstance(profile, FanOutProfile)
-        assert [i.label for i in profile.items] == ["5", "6", "7"]
-        assert all(i.pid > 0 and i.seconds >= 0 for i in profile.items)
-        assert set(profile.by_worker()) == {i.pid for i in profile.items}
-        assert profile.format().startswith("fan-out 't': 3 items")
 
 
 class TestShardRing:

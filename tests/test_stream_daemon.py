@@ -213,6 +213,29 @@ class TestProfiles:
         assert back.merged.ops_ingested == report.merged.ops_ingested
         assert back.format() == report.format()
 
+    def test_report_with_retired_profile_counters_still_loads(
+        self, tmp_path, capsys
+    ):
+        """A report saved while StreamProfile still had the sampled-mode
+        counters loads, and ``repro stats --daemon`` reads it."""
+        router = SessionRouter(0)
+        sid, payload = next(iter(app_payloads().items()))
+        router.feed(encode_mux_header() + b"".join(encode_session(sid, payload)))
+        report = router.drain()
+        old = report.as_dict()
+        retired = {"sampled_pairs": 7, "sampled_suspects": 5, "escalations": 1}
+        for session in old["sessions"].values():
+            session["profile"].update(retired)
+        for profile in old["shard_profiles"]:
+            profile.update(retired)
+        back = DaemonReport.from_dict(old)
+        assert back.sessions[sid].reports == report.sessions[sid].reports
+        assert back.merged.ops_ingested == report.merged.ops_ingested
+        path = tmp_path / "old-daemon.json"
+        path.write_text(json.dumps(old))
+        assert main(["stats", str(path), "--daemon"]) == 0
+        assert "stream profile:" in capsys.readouterr().out
+
 
 class TestBackoff:
     """Satellite: --follow must not busy-poll; the backoff doubles up

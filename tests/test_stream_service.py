@@ -6,9 +6,11 @@ import gzip
 
 import pytest
 
+import repro.hb.graph
 from repro.apps import make_app
 from repro.cli import main
 from repro.detect import UseFreeDetector
+from repro.hb import build_happens_before
 from repro.stream import (
     SESSION_ID_STRIDE,
     StreamAnalyzer,
@@ -125,6 +127,29 @@ class TestEpochGC:
         assert SESSION_ID_STRIDE >= 1_000_000
         with pytest.raises(ValueError):
             concat_sessions(base, sessions=0)
+
+
+class TestClosureAccounting:
+    def test_each_size_report_walks_each_closure_once(self, monkeypatch):
+        """Sizing a closure walks its reach vector (``vector_stats``):
+        once per batch build, and once per relation at each streaming
+        poll; closing an epoch reuses the size its poll measured."""
+        walks = []
+        walk = repro.hb.graph.vector_stats
+
+        def counted(sets):
+            walks.append(len(sets))
+            return walk(sets)
+
+        monkeypatch.setattr(repro.hb.graph, "vector_stats", counted)
+        hb = build_happens_before(app_trace())
+        assert len(walks) == 1
+        assert hb.profile.closure_bytes > 0
+        walks.clear()
+        analyzer, _ = stream_reports(concat_sessions(app_trace(), sessions=3))
+        assert analyzer.profile.epochs_retired == 3
+        assert len(walks) == 2 * analyzer.profile.polls
+        assert all(e.closure_bytes > 0 for e in analyzer.epochs)
 
 
 class TestStreamCLI:
