@@ -185,8 +185,8 @@ class DetectionBenchmark:
     the same trace, fully ingested and polled.  Two timings per query
     path: the *detection phase* (use-free + low-level detectors, with
     the happens-before relation, access index, and site index
-    prebuilt, and one shared conventional-model relation for the
-    handful of classification queries) and a *query-workload replay*
+    prebuilt; the classification's vector-clock pass runs inside the
+    phase on both paths) and a *query-workload replay*
     (the exact ``concurrent_pairs`` workload the phase issued, replayed
     against the phase's relation with its memo reset — steady-state
     query cost with warm per-op indexes and no detector overhead mixed
@@ -264,16 +264,13 @@ def detection_benchmark(
     trace = run.trace
     options = DetectorOptions()
     accesses = extract_accesses(trace)
-    conventional_hb = build_happens_before(trace, options.conventional_model)
 
     def detect_phase(relation: Callable[[], HappensBefore]):
         best = float("inf")
         for _ in range(TIMING_REPEATS):
             # prebuilt relations: the phase times queries, not builds
             hb = relation()
-            detector = UseFreeDetector(
-                trace, hb=hb, accesses=accesses, conventional_hb=conventional_hb
-            )
+            detector = UseFreeDetector(trace, hb=hb, accesses=accesses)
             low = LowLevelDetector(trace, hb=hb, accesses=accesses)
             low.sites  # prebuilt site index, common to both paths
             start = time.perf_counter()
@@ -294,10 +291,7 @@ def detection_benchmark(
     workload: List[Tuple[int, int]] = []
     recorder = _RecordingHB(fast_hb, workload)
     UseFreeDetector(
-        trace,
-        hb=recorder,  # type: ignore[arg-type]
-        accesses=accesses,
-        conventional_hb=conventional_hb,
+        trace, hb=recorder, accesses=accesses  # type: ignore[arg-type]
     ).detect()
     LowLevelDetector(
         trace, hb=recorder, accesses=accesses  # type: ignore[arg-type]

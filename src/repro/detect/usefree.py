@@ -18,8 +18,11 @@ causality model.  The detector:
    prove commutative — only for pairs whose events run on the same
    looper thread, where event atomicity makes the heuristics valid;
 5. deduplicates surviving pairs into static reports and classifies
-   each as intra-thread (a), inter-thread (b), or conventional (c)
-   using a second happens-before pass under the conventional model.
+   each as intra-thread (a), inter-thread (b), or conventional (c).
+   A report whose events share a looper is intra-thread; the rest are
+   answered by one :class:`~repro.hb.VectorClockAnalysis` pass over
+   the trace with each event folded into its looper, which is exactly
+   the conventional model's relation.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..hb import (
     CAFA_MODEL,
-    CONVENTIONAL_MODEL,
     HappensBefore,
     ModelConfig,
+    VectorClockAnalysis,
     build_happens_before,
 )
 from ..trace import Address, TaskKind, Trace
@@ -52,8 +55,6 @@ class DetectorOptions:
     intra_event_allocation: bool = True
     lockset_filter: bool = True
     model: ModelConfig = CAFA_MODEL
-    #: model used to decide column (b) vs (c); the Table 1 baseline
-    conventional_model: ModelConfig = CONVENTIONAL_MODEL
     #: LRU bound of the query memo tables: None = the default
     #: (:data:`repro.hb.DEFAULT_MEMO_CAPACITY`), 0 = unbounded
     memo_capacity: Optional[int] = None
@@ -94,16 +95,11 @@ class UseFreeDetector:
         options: Optional[DetectorOptions] = None,
         hb: Optional[HappensBefore] = None,
         accesses: Optional[AccessIndex] = None,
-        conventional_hb: Optional[HappensBefore] = None,
     ) -> None:
         self.trace = trace
         self.options = options or DetectorOptions()
         self._hb = hb
         self._accesses = accesses
-        #: injectable like ``hb``: the streaming service passes its
-        #: incrementally maintained conventional-model relation here so
-        #: classification reuses it instead of rebuilding from scratch
-        self._conventional_hb = conventional_hb
 
     @property
     def hb(self) -> HappensBefore:
@@ -114,16 +110,6 @@ class UseFreeDetector:
                 memo_capacity=self.options.memo_capacity,
             )
         return self._hb
-
-    @property
-    def conventional_hb(self) -> HappensBefore:
-        if self._conventional_hb is None:
-            self._conventional_hb = build_happens_before(
-                self.trace,
-                self.options.conventional_model,
-                memo_capacity=self.options.memo_capacity,
-            )
-        return self._conventional_hb
 
     @property
     def accesses(self) -> AccessIndex:
@@ -193,8 +179,8 @@ class UseFreeDetector:
             report.witnesses.append(race)
 
         # Stage 3: classification.  Intra-thread verdicts need no
-        # second model; the rest are answered in one batch against the
-        # conventional relation (built only when actually needed).
+        # second model; the rest are answered by one vector-clock pass
+        # under the conventional model (run only when actually needed).
         pending: List[Tuple[RaceReport, UseFreeRace]] = []
         for report in by_key.values():
             live = [w for w in report.witnesses if w.filtered_by is None]
@@ -211,9 +197,11 @@ class UseFreeDetector:
             else:
                 result.filtered_reports.append(report)
         if pending:
-            conventional = self.conventional_hb.concurrent_pairs(
-                (race.use.read_index, race.free.index) for _, race in pending
+            pairs = [(race.use.read_index, race.free.index) for _, race in pending]
+            clocks = VectorClockAnalysis(
+                self.trace, {op for pair in pairs for op in pair}, fold_events=True
             )
+            conventional = clocks.concurrent_pairs(pairs)
             for (report, _), concurrent in zip(pending, conventional):
                 report.race_class = (
                     RaceClass.CONVENTIONAL

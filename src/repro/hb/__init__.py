@@ -40,7 +40,7 @@ from .graph import (
 )
 from .dot import to_dot
 from .stats import HBStats, hb_stats
-from .vector_clock import VectorClock, VectorClockAnalysis
+from .vector_clock import VectorClockAnalysis
 
 __all__ = [
     "BuildProfile",
@@ -76,7 +76,6 @@ __all__ = [
     "RULE_SEND_AT_FRONT",
     "RULE_SIGNAL_WAIT",
     "SparseBits",
-    "VectorClock",
     "VectorClockAnalysis",
     "build_happens_before",
     "hb_stats",

@@ -1,191 +1,215 @@
-"""Vector clocks, and a vector-clock pass over event-driven traces.
+"""One forward vector-clock pass over an event-driven trace.
 
 Section 4.2 argues that the classic online vector-clock algorithm
 (FastTrack-style) cannot implement the event-driven causality model:
+the atomicity rule depends on *future* operations (Figure 4a), and the
+queue rules need checks over past operations that a clock comparison
+cannot express (Figure 4d).  The conventional thread-based model has
+neither rule, so for it one forward pass is exact.
 
-* the number of concurrent tasks (events) is huge and unknown a priori;
-* the atomicity rule depends on *future* operations (Figure 4a);
-* the queue rules require checks over *past* operations that a clock
-  comparison cannot express (Figure 4d).
+:class:`VectorClockAnalysis` is that pass.  It applies exactly the base
+rules of :mod:`repro.hb.builder`: a wait joins its ticket's notify, or
+every earlier notify of its monitor; a perform joins every earlier
+register; the consecutive external-input chain; fork/join; send; and
+IPC.  It reads the store's columns and ticks at sync ops only.
 
-We implement the online algorithm anyway — both as the substrate for
-the conventional baseline's intuition and as an experimental subject:
-property tests verify that the vector-clock ordering is a strict
-*under-approximation* of the graph-based ordering exactly on traces
-that exercise the atomicity/queue rules, which is the paper's argument
-made executable.
+With ``fold_events=True`` each event joins its looper thread's clock
+component, and the pass computes
+``build_happens_before(trace, CONVENTIONAL_MODEL)`` exactly; the
+detector classifies reports with it.  With ``fold_events=False`` each
+task is its own component: the §4.2 baseline, exact for
+``replace(CONVENTIONAL_MODEL, sequential_events=False)`` and an
+under-approximation of the CAFA relation, strictly so on traces that
+exercise the atomicity and queue rules.
+
+The graph also adds edges that point back in the trace — a fork or
+send after its target began, a join before the child ended, an
+external event that began before its predecessor ended.  A forward
+pass cannot, so it raises
+:class:`~repro.hb.builder.ModelNotApplicableError` naming both ops.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from itertools import compress
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..trace import (
-    Begin,
-    End,
-    Fork,
-    IpcCall,
-    IpcHandle,
-    IpcReply,
-    IpcReturn,
-    Join,
-    Notify,
-    Perform,
-    Register,
-    Send,
-    SendAtFront,
-    Trace,
-    Wait,
+from ..trace import OpKind, SYNC_KINDS, TaskKind, Trace
+from ..trace.store import KIND_CODES, KIND_LIST
+from .builder import ModelNotApplicableError
+
+#: per kind code: 1 for the sync ops, the only ops that tick
+_SYNC = bytes(kind in SYNC_KINDS for kind in KIND_LIST)
+_BEGIN, _END, _JOIN, _NOTIFY, _WAIT, _REGISTER = (
+    KIND_CODES[OpKind[name]]
+    for name in ("BEGIN", "END", "JOIN", "NOTIFY", "WAIT", "REGISTER")
 )
-
-
-class VectorClock:
-    """A sparse vector clock mapping task ids to logical timestamps."""
-
-    __slots__ = ("_clock",)
-
-    def __init__(self, clock: Optional[Dict[str, int]] = None) -> None:
-        self._clock: Dict[str, int] = dict(clock) if clock else {}
-
-    def copy(self) -> "VectorClock":
-        return VectorClock(self._clock)
-
-    def get(self, task: str) -> int:
-        return self._clock.get(task, 0)
-
-    def tick(self, task: str) -> None:
-        """Advance this task's own component."""
-        self._clock[task] = self._clock.get(task, 0) + 1
-
-    def join(self, other: "VectorClock") -> None:
-        """Pointwise maximum (in place)."""
-        for task, value in other._clock.items():
-            if value > self._clock.get(task, 0):
-                self._clock[task] = value
-
-    def happens_before(self, other: "VectorClock") -> bool:
-        """Strict vector-clock order: ``self <= other`` and ``self != other``.
-
-        Zero-valued components are identities, so (in)equality is
-        decided on the normalized clocks.
-        """
-        le = all(v <= other._clock.get(t, 0) for t, v in self._clock.items())
-        return le and self != other
-
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        return not self.happens_before(other) and not other.happens_before(self)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VectorClock):
-            return NotImplemented
-        mine = {t: v for t, v in self._clock.items() if v}
-        theirs = {t: v for t, v in other._clock.items() if v}
-        return mine == theirs
-
-    def __hash__(self) -> int:  # pragma: no cover - VCs are not dict keys
-        return hash(frozenset(self._clock.items()))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{t}:{v}" for t, v in sorted(self._clock.items()))
-        return f"VC({inner})"
+#: kinds ordered before the BEGIN of the task a field names: rule, field
+_TO_BEGIN = {
+    KIND_CODES[OpKind.FORK]: ("fork", "child"),
+    KIND_CODES[OpKind.SEND]: ("send", "event"),
+    KIND_CODES[OpKind.SEND_AT_FRONT]: ("sendAtFront", "event"),
+}
+#: receiving kind -> the sending kind it pairs with, and the field both
+#: carry; a wait or a perform joins every earlier sender, IPC the latest
+_RECEIVE = {
+    _WAIT: (_NOTIFY, "monitor"),
+    KIND_CODES[OpKind.PERFORM]: (_REGISTER, "listener"),
+    KIND_CODES[OpKind.IPC_HANDLE]: (KIND_CODES[OpKind.IPC_CALL], "txn"),
+    KIND_CODES[OpKind.IPC_RETURN]: (KIND_CODES[OpKind.IPC_REPLY], "txn"),
+}
+_SENDERS = dict(_RECEIVE.values())
 
 
 class VectorClockAnalysis:
-    """One online pass assigning a vector clock to every operation.
+    """Happens-before among the ops ``ops`` (all ops when None), from
+    one pass over ``trace``; see the module docstring.
 
-    Only the *online-expressible* rules are applied: program order,
-    fork/join, signal-and-wait, listener, send, external input, and the
-    IPC edges.  The atomicity and queue rules are deliberately absent —
-    they are not implementable in this streaming form, which is the
-    point of the comparison.
+    Clocks range over the queried ops' components only: joins are
+    pointwise maxima, so each component's entry evolves on its own and
+    dropping the others is exact.  A clock is a list that is never
+    mutated once a component holds it, so a clock kept for a later
+    join, or at a queried op, is a reference and not a copy.
     """
 
-    def __init__(self, trace: Trace) -> None:
+    def __init__(
+        self,
+        trace: Trace,
+        ops: Optional[Iterable[int]] = None,
+        *,
+        fold_events: bool = False,
+    ) -> None:
         self.trace = trace
-        self.op_clock: List[VectorClock] = []
-        self._run()
-
-    def _run(self) -> None:
-        trace = self.trace
-        task_clock: Dict[str, VectorClock] = {}
-        pending_into_task: Dict[str, List[VectorClock]] = {}
-        notify_clock_by_ticket: Dict[int, VectorClock] = {}
-        notify_clock_by_monitor: Dict[str, VectorClock] = {}
-        register_clock: Dict[str, VectorClock] = {}
-        ipc_call_clock: Dict[int, VectorClock] = {}
-        ipc_reply_clock: Dict[int, VectorClock] = {}
-        last_external_end: Optional[VectorClock] = None
-        external_order = {e: i for i, e in enumerate(trace.external_events())}
-
-        def clock_of(task: str) -> VectorClock:
-            vc = task_clock.get(task)
-            if vc is None:
-                vc = VectorClock()
-                task_clock[task] = vc
-            return vc
-
-        for op in trace.ops:
-            vc = clock_of(op.task)
-            if isinstance(op, Begin):
-                for incoming in pending_into_task.pop(op.task, ()):
-                    vc.join(incoming)
-                info = trace.tasks.get(op.task)
-                if info is not None and info.external:
-                    if last_external_end is not None:
-                        vc.join(last_external_end)
-            elif isinstance(op, Wait):
-                source = None
-                if op.ticket >= 0:
-                    source = notify_clock_by_ticket.get(op.ticket)
-                if source is None:
-                    source = notify_clock_by_monitor.get(op.monitor)
-                if source is not None:
-                    vc.join(source)
-            elif isinstance(op, Join):
-                ended = task_clock.get(op.child)
-                if ended is not None:
-                    vc.join(ended)
-            elif isinstance(op, Perform):
-                source = register_clock.get(op.listener)
-                if source is not None:
-                    vc.join(source)
-            elif isinstance(op, IpcHandle):
-                source = ipc_call_clock.get(op.txn)
-                if source is not None:
-                    vc.join(source)
-            elif isinstance(op, IpcReturn):
-                source = ipc_reply_clock.get(op.txn)
-                if source is not None:
-                    vc.join(source)
-
-            vc.tick(op.task)
-            snapshot = vc.copy()
-            self.op_clock.append(snapshot)
-
-            if isinstance(op, Fork):
-                pending_into_task.setdefault(op.child, []).append(snapshot)
-            elif isinstance(op, (Send, SendAtFront)):
-                pending_into_task.setdefault(op.event, []).append(snapshot)
-            elif isinstance(op, Notify):
-                if op.ticket >= 0:
-                    notify_clock_by_ticket[op.ticket] = snapshot
-                notify_clock_by_monitor[op.monitor] = snapshot
-            elif isinstance(op, Register):
-                register_clock[op.listener] = snapshot
-            elif isinstance(op, IpcCall):
-                ipc_call_clock[op.txn] = snapshot
-            elif isinstance(op, IpcReply):
-                ipc_reply_clock[op.txn] = snapshot
-            elif isinstance(op, End):
-                info = trace.tasks.get(op.task)
-                if info is not None and info.external and op.task in external_order:
-                    last_external_end = snapshot
+        self.fold_events = fold_events
+        #: component -> its entry in the clocks (-1: not queried)
+        self._slot: List[int] = []
+        #: queried op -> (component, its component's sync ops before it,
+        #: its clock)
+        self._stamp: Dict[int, Tuple[int, int, List[int]]] = {}
+        self._forward_pass(set(range(len(trace)) if ops is None else ops))
 
     def ordered(self, a: int, b: int) -> bool:
-        """Strict vector-clock happens-before between op indices."""
-        if self.trace[a].task == self.trace[b].task:
+        """Strict happens-before between queried op indices: ``a < b``.
+
+        True when a's component has a sync op at or after ``a`` and
+        b's clock has reached it: a's own count plus one.
+        """
+        comp_a, count_a, _ = self._stamp[a]
+        comp_b, _, clock_b = self._stamp[b]
+        if comp_a == comp_b:
             return a < b
-        return self.op_clock[a].happens_before(self.op_clock[b])
+        return clock_b[self._slot[comp_a]] > count_a
 
     def concurrent(self, a: int, b: int) -> bool:
         return not self.ordered(a, b) and not self.ordered(b, a)
+
+    def concurrent_pairs(self, pairs: Iterable[Tuple[int, int]]) -> List[bool]:
+        """:meth:`concurrent` over ``(a, b)`` op pairs, in input order."""
+        return [self.concurrent(a, b) for a, b in pairs]
+
+    def _forward_pass(self, want: Set[int]) -> None:
+        trace, store = self.trace, self.trace.store
+        kinds, task_ids = store.kinds, store.task_ids
+        symbols = store.symbols
+        # task symbol id -> clock component
+        component: Dict[str, int] = {}
+        comp_of: Dict[int, int] = {}
+        for tid in set(task_ids):
+            name = symbols.value(tid)
+            info = trace.tasks.get(name)
+            if self.fold_events and info is not None and info.looper:
+                if info.task_kind is TaskKind.EVENT:
+                    name = info.looper
+            comp_of[tid] = component.setdefault(name, len(component))
+        queried = {comp_of[task_ids[i]] for i in want}
+        slot = self._slot = [-1] * len(component)
+        for k, c in enumerate(queried):
+            slot[c] = k
+
+        def late(source: int, target: int, rule: str) -> ModelNotApplicableError:
+            def op(j: int) -> str:
+                task = symbols.value(task_ids[j])
+                return f"op #{j} ({KIND_LIST[kinds[j]].value} of {task!r})"
+
+            return ModelNotApplicableError(
+                f"the {rule} rule orders {op(source)} before {op(target)}, "
+                "which comes earlier in the trace; a forward vector-clock "
+                "pass cannot apply an edge that points back in the trace"
+            )
+
+        payload = store.field_of
+        external = trace.external_events()
+        next_external = dict(zip(external, external[1:]))
+        prev_external = dict(zip(external[1:], external))
+        # only the ENDs some JOIN names keep their clocks
+        joinable = {payload(i, "child") for i in store.by_kind(OpKind.JOIN)}
+
+        clocks = [[0] * len(queried)] * len(component)
+        begun: Dict[str, int] = {}  # task -> its first BEGIN
+        joined: Dict[str, int] = {}  # task -> the first JOIN naming it
+        waiting: Dict[str, List[List[int]]] = {}  # task -> fork/send clocks
+        # END clocks of the joined tasks and of the chained externals
+        ended: Dict[str, List[int]] = {}
+        sent: Dict[Tuple[int, object], List[int]] = {}  # (kind, field) -> clock
+        tickets: Dict[int, List[int]] = {}
+        stamps = self._stamp
+
+        sync_ops = compress(range(len(kinds)), map(_SYNC.__getitem__, kinds))
+        for i in sorted(want.union(sync_ops)):
+            code = kinds[i]
+            c = comp_of[task_ids[i]]
+            vc = clocks[c]
+            if _SYNC[code]:
+                task = symbols.value(task_ids[i])
+                sources: List[List[int]] = []
+                if code == _BEGIN and task not in begun:
+                    begun[task] = i
+                    sources = waiting.pop(task, sources)
+                    if prev_external.get(task) in ended:
+                        sources.append(ended[prev_external[task]])
+                elif code == _JOIN:
+                    child = payload(i, "child")
+                    joined.setdefault(child, i)
+                    if child in ended:
+                        sources.append(ended[child])
+                elif code in _RECEIVE:
+                    sender, field = _RECEIVE[code]
+                    src = tickets.get(payload(i, "ticket")) if code == _WAIT else None
+                    if src is None:
+                        src = sent.get((sender, payload(i, field)))
+                    if src is not None:
+                        sources.append(src)
+                for src in sources:
+                    vc = [x if x > y else y for x, y in zip(vc, src)]
+                own = slot[c]
+                if own >= 0:
+                    if not sources:
+                        vc = vc.copy()
+                    vc[own] += 1
+                clocks[c] = vc
+
+                if code == _END:
+                    if task in joined:
+                        raise late(i, joined[task], "join")
+                    succ = next_external.get(task)
+                    if succ in begun:
+                        raise late(i, begun[succ], "external-input")
+                    if succ is not None or task in joinable:
+                        ended[task] = vc
+                elif code in _TO_BEGIN:
+                    rule, field = _TO_BEGIN[code]
+                    target = payload(i, field)
+                    if target in begun:
+                        raise late(i, begun[target], rule)
+                    waiting.setdefault(target, []).append(vc)
+                elif code in _SENDERS:
+                    key = (code, payload(i, _SENDERS[code]))
+                    earlier = sent.get(key)
+                    if earlier is not None and code in (_NOTIFY, _REGISTER):
+                        sent[key] = [x if x > y else y for x, y in zip(earlier, vc)]
+                    else:
+                        sent[key] = vc
+                    if code == _NOTIFY and payload(i, "ticket") >= 0:
+                        tickets[payload(i, "ticket")] = vc
+            if i in want:
+                stamps[i] = (c, vc[slot[c]] - _SYNC[code], vc)

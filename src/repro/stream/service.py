@@ -11,14 +11,15 @@ Ingestion path::
     bytes/lines ──> AnyTraceDecoder ──> columnar TraceStore
                                    │
                  per-op drive      ▼
-        IncrementalHB (CAFA model)   ─ key graph + base edges, closed when polled
-        IncrementalHB (conventional) ─ for report classification
-        AccessExtractor              ─ uses/frees/guards/locksets
+        IncrementalHB (CAFA model) ─ key graph + base edges, closed when polled
+        AccessExtractor            ─ uses/frees/guards/locksets
 
 Detection runs the *unmodified* batch detector
 (:class:`~repro.detect.usefree.UseFreeDetector`) over the live state —
-the happens-before relations and the access index are injected, so
-online reports are byte-identical to an offline run over the same ops.
+the CAFA relation and the access index are injected, and the detector
+classifies reports with its own vector-clock pass over the epoch's
+ops — so online reports are byte-identical to an offline run over the
+same ops.
 
 **Epoch GC.**  A session *quiesces* when every task that has begun has
 ended and nothing else is expected (every forked task and sent event
@@ -169,7 +170,6 @@ class StreamAnalyzer:
         self.trace = trace
         options = self.options
         self.cafa = IncrementalHB(trace, options.model)
-        self.conventional = IncrementalHB(trace, options.conventional_model)
         self.extractor = AccessExtractor(trace)
         self._processed = 0
         self._epoch_ops = 0
@@ -214,7 +214,6 @@ class StreamAnalyzer:
 
     def _ingest(self, i: int, op) -> None:
         self.cafa.ingest(i)
-        self.conventional.ingest(i)
         self.extractor.feed(i, op)
         self.profile.ops_ingested += 1
         self._epoch_ops += 1
@@ -244,20 +243,13 @@ class StreamAnalyzer:
             self._retire_epoch()
 
     def _poll(self) -> None:
-        """Catch both relations up before a detection pass — the only
+        """Catch the relation up before a detection pass — the only
         place the closure is built — and sample the closure footprint."""
         self.cafa.poll()
-        self.conventional.poll()
         self.profile.polls += 1
-        self.profile.fixpoint_rounds = (
-            self._rounds_retired + self.cafa.rounds + self.conventional.rounds
-        )
-        self.profile.derived_edges = (
-            self._edges_retired
-            + self.cafa.derived_edges
-            + self.conventional.derived_edges
-        )
-        closure = self.cafa.closure_bytes() + self.conventional.closure_bytes()
+        self.profile.fixpoint_rounds = self._rounds_retired + self.cafa.rounds
+        self.profile.derived_edges = self._edges_retired + self.cafa.derived_edges
+        closure = self.cafa.closure_bytes()
         self.profile.closure_bytes = closure
         if closure > self.profile.peak_closure_bytes:
             self.profile.peak_closure_bytes = closure
@@ -271,7 +263,6 @@ class StreamAnalyzer:
                 self.options,
                 hb=self.cafa.relation(),
                 accesses=self.extractor.index(),
-                conventional_hb=self.conventional.relation(),
             )
             return detector.detect().reports
 
@@ -288,7 +279,7 @@ class StreamAnalyzer:
             index=self._epoch_index,
             ops=self._epoch_ops,
             reports=reports,
-            # _detect's poll has just measured both closures
+            # _detect's poll has just measured the closure
             closure_bytes=self.profile.closure_bytes,
             retired=retired,
         )
@@ -312,10 +303,8 @@ class StreamAnalyzer:
         for rec in self.extractor.uses:
             self._retired_addresses.add(rec.address)
         self.profile.retired_addresses = len(self._retired_addresses)
-        self._rounds_retired += self.cafa.rounds + self.conventional.rounds
-        self._edges_retired += (
-            self.cafa.derived_edges + self.conventional.derived_edges
-        )
+        self._rounds_retired += self.cafa.rounds
+        self._edges_retired += self.cafa.derived_edges
         # Drop the epoch: fresh trace/store (releasing the closure
         # chunks and interned columns with it), fresh analysis state.
         # The shared task table survives; the decoder keeps its

@@ -5,6 +5,7 @@ import pytest
 from repro.cli import main
 from repro.trace import save_trace_file
 from tests.test_hb_build_checks import cyclic_trace, shared_queue_trace
+from tests.test_hb_vector_clock import late_fork_trace
 
 
 class TestApps:
@@ -142,4 +143,18 @@ class TestModelViolations:
         assert main([command, str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {error}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["detect", "stream"])
+    def test_out_of_order_partner_is_a_one_line_error(self, tmp_path, capsys, command):
+        """The trace validates and the CAFA build accepts it, but the
+        vector-clock pass that classifies its report cannot order a
+        fork after the child began."""
+        path = tmp_path / "late-fork.trace"
+        save_trace_file(late_fork_trace(), path, version=2)
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {path}: ModelNotApplicableError: the fork rule orders op #"
+        )
         assert err.count("\n") == 1

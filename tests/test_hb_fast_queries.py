@@ -201,12 +201,11 @@ class TestBatchedDetectorRegression:
         )
 
     def _scan_detect(self, trace, options):
-        """The detector over the streaming view's scan relations."""
+        """The detector over the streaming view's scan relation."""
         return UseFreeDetector(
             trace,
             options=options,
             hb=scan_relation(trace, options.model),
-            conventional_hb=scan_relation(trace, options.conventional_model),
         ).detect()
 
     def test_reports_identical_under_both_query_paths(self, run):

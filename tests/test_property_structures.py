@@ -1,9 +1,9 @@
 """Property-based tests on core data structures: the event queue,
-vector clocks, trace serialization, and the key-node graph."""
+trace serialization, and the key-node graph."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.hb import KeyGraph, VectorClock
+from repro.hb import KeyGraph
 from repro.runtime import EventQueue, SimEvent
 from repro.trace import (
     Begin,
@@ -97,52 +97,6 @@ def test_event_queue_conserves_events(script):
                 popped += 1
     assert len(queue) == counter - popped
     assert queue.enqueued == counter
-
-
-# ---------------------------------------------------------------------------
-# VectorClock
-# ---------------------------------------------------------------------------
-
-clock_st = st.dictionaries(
-    st.sampled_from(["t", "u", "v", "w"]),
-    st.integers(min_value=0, max_value=5),
-    max_size=4,
-).map(VectorClock)
-
-
-@settings(max_examples=200)
-@given(clock_st, clock_st)
-def test_vc_happens_before_is_antisymmetric(a, b):
-    assert not (a.happens_before(b) and b.happens_before(a))
-
-
-@settings(max_examples=200)
-@given(clock_st)
-def test_vc_happens_before_is_irreflexive(a):
-    assert not a.happens_before(a)
-
-
-@settings(max_examples=100)
-@given(clock_st, clock_st, clock_st)
-def test_vc_happens_before_is_transitive(a, b, c):
-    if a.happens_before(b) and b.happens_before(c):
-        assert a.happens_before(c)
-
-@settings(max_examples=100)
-@given(clock_st, clock_st)
-def test_vc_join_is_upper_bound(a, b):
-    joined = a.copy()
-    joined.join(b)
-    for vc in (a, b):
-        assert vc == joined or vc.happens_before(joined)
-
-
-@settings(max_examples=100)
-@given(clock_st, clock_st)
-def test_vc_join_commutes(a, b):
-    ab = a.copy(); ab.join(b)
-    ba = b.copy(); ba.join(a)
-    assert ab == ba
 
 
 # ---------------------------------------------------------------------------

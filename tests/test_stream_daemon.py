@@ -33,6 +33,7 @@ from repro.trace import (
     encode_session,
 )
 from tests.test_hb_build_checks import cyclic_trace, shared_queue_trace
+from tests.test_hb_vector_clock import late_fork_trace
 
 SCALE = 0.02
 SEED = 1
@@ -171,6 +172,27 @@ class TestFaultIsolation:
         for name, (error, _) in bad.items():
             assert report.sessions[name].error.startswith(error + ": ")
             assert report.sessions[name].reports == []
+
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_out_of_order_partner_closes_the_session_with_the_error_named(
+        self, shards
+    ):
+        """A session whose fork comes after the child began cannot be
+        classified by the vector-clock pass: it closes with
+        ModelNotApplicableError, and its neighbour keeps its reports."""
+        sid, payload = next(iter(app_payloads().items()))
+        ref = reference_reports(True)[sid]
+        router = SessionRouter(shards)
+        router.feed(
+            mux_stream(
+                {"late-fork": dumps_trace_bytes(late_fork_trace()), sid: payload}
+            )
+        )
+        report = router.drain()
+        assert report.sessions[sid].reports == ref["reports"]
+        error = report.sessions["late-fork"].error
+        assert error.startswith("ModelNotApplicableError: the fork rule orders op #")
+        assert report.sessions["late-fork"].reports == []
 
     def test_unended_session_is_marked_drained(self):
         sid, payload = next(iter(app_payloads().items()))

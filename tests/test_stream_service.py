@@ -132,8 +132,9 @@ class TestEpochGC:
 class TestClosureAccounting:
     def test_each_size_report_walks_each_closure_once(self, monkeypatch):
         """Sizing a closure walks its reach vector (``vector_stats``):
-        once per batch build, and once per relation at each streaming
-        poll; closing an epoch reuses the size its poll measured."""
+        once per batch build, and once at each streaming poll (the
+        analyzer keeps one relation); closing an epoch reuses the size
+        its poll measured."""
         walks = []
         walk = repro.hb.graph.vector_stats
 
@@ -148,7 +149,7 @@ class TestClosureAccounting:
         walks.clear()
         analyzer, _ = stream_reports(concat_sessions(app_trace(), sessions=3))
         assert analyzer.profile.epochs_retired == 3
-        assert len(walks) == 2 * analyzer.profile.polls
+        assert len(walks) == analyzer.profile.polls
         assert all(e.closure_bytes > 0 for e in analyzer.epochs)
 
 
