@@ -244,11 +244,10 @@ TIMING_REPEATS = 3
 
 def scan_relation(trace: Trace, model: ModelConfig) -> HappensBefore:
     """The streaming view's relation over a whole trace: every op
-    ingested into an :class:`~repro.stream.IncrementalHB`, then one
-    poll to close the derived-rule fixpoint."""
+    ingested into an :class:`~repro.stream.IncrementalHB` as one range,
+    then one poll to close the derived-rule fixpoint."""
     incremental = IncrementalHB(trace, model)
-    for i in range(len(trace)):
-        incremental.ingest(i)
+    incremental.ingest(0, len(trace))
     incremental.poll()
     return incremental.relation()
 

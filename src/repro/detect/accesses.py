@@ -20,6 +20,7 @@ recovers from these:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..trace import (
@@ -33,7 +34,7 @@ from ..trace import (
     Release,
     Trace,
 )
-from ..trace.store import KIND_LIST
+from ..trace.store import KIND_CODES, KIND_LIST
 
 
 @dataclass
@@ -157,21 +158,25 @@ _EXTRACT_KINDS = (
     OpKind.BRANCH,
 )
 
+#: per kind code: does the pass read ops of this kind?
+_EXTRACTED = [kind in _EXTRACT_KINDS for kind in KIND_LIST]
 
-_EXTRACT_KIND_SET = frozenset(_EXTRACT_KINDS)
+#: high-level reads/writes: only their lockset snapshot is taken, so
+#: they are never materialized either
+_LOCKSET_ONLY = frozenset(KIND_CODES[kind] for kind in (OpKind.READ, OpKind.WRITE))
 
 
 class AccessExtractor:
     """Incremental access recovery: the extraction pass as an object.
 
     Holds the rolling per-task matcher state (read windows, held
-    locks, uses already created per read) so ops can be fed one at a
-    time as they arrive — the streaming service's driver.
+    locks, uses already created per read) so ops can be fed range by
+    range as they arrive, as the streaming service does.
     :func:`extract_accesses` is the one-shot batch wrapper over the
     same code, so both modes recover byte-identical access sets.
 
-    :meth:`feed` accepts ops of any kind and skips the ones the pass
-    does not read.  :meth:`index` snapshots an :class:`AccessIndex`
+    :meth:`feed` accepts ranges holding ops of any kind and skips the
+    ones the pass does not read.  :meth:`index` snapshots an :class:`AccessIndex`
     over the *live* lists; each call returns a fresh instance so the
     lazy per-address groupings are rebuilt rather than served stale.
     """
@@ -188,27 +193,25 @@ class AccessExtractor:
         self._use_by_read: Dict[int, Use] = {}
         self._held: Dict[str, set] = {}
 
-    def feed(self, i: int, op=None) -> None:
-        """Process op ``i``; non-access kinds are no-ops.
+    def feed(self, start: int, stop: int) -> None:
+        """Process ops ``start`` to ``stop - 1``, in trace order.
 
-        The kind is read from the store's int column, so skipped and
-        high-level read/write ops are never materialized; pass ``op``
-        when it is already at hand.
+        Kinds are read from the store's int column: only the lock and
+        pointer kinds are materialized, high-level reads and writes
+        need only their task, and every other kind is skipped.
         """
         store = self.trace.store
-        kind = KIND_LIST[store.kinds[i]] if op is None else op.kind
-        if kind not in _EXTRACT_KIND_SET:
-            return
-        if kind is OpKind.READ or kind is OpKind.WRITE:
-            # High-level reads/writes only need their lockset snapshot.
-            task = op.task if op is not None else store.task_of(i)
-            current_locks = self._held.get(task)
-            if current_locks:
-                self.locksets[i] = frozenset(current_locks)
-            return
-        if op is None:
-            op = store.op(i)
-        self._step(i, op, op.task)
+        kinds = store.kinds
+        held = self._held
+        read = map(_EXTRACTED.__getitem__, kinds[start:stop])
+        for i in compress(range(start, stop), read):
+            if kinds[i] in _LOCKSET_ONLY:
+                current_locks = held.get(store.task_of(i))
+                if current_locks:
+                    self.locksets[i] = frozenset(current_locks)
+            else:
+                op = store.op(i)
+                self._step(i, op, op.task)
 
     def _step(self, i: int, op, task: str) -> None:
         if isinstance(op, Acquire):
@@ -299,13 +302,13 @@ class AccessExtractor:
 def extract_accesses(trace: Trace) -> AccessIndex:
     """Recover uses, frees, allocations, guards, and locksets.
 
-    Only the kinds carrying access facts are materialized (merged
-    per-kind index walk); lockset snapshots are recorded at access and
-    lock operations — the only indices the detectors query.
+    One :meth:`AccessExtractor.feed` over the whole trace: only the
+    kinds carrying access facts are materialized, and lockset snapshots
+    are recorded at access and lock operations — the only indices the
+    detectors query.
     """
     extractor = AccessExtractor(trace)
-    for i in trace.store.indices_of(*_EXTRACT_KINDS):
-        extractor.feed(i)
+    extractor.feed(0, len(trace))
     return extractor.index()
 
 

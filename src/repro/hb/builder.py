@@ -20,8 +20,8 @@ their tasks' program order and harvests the event facts they carry,
 external-input chain and the queue-rule-1 seeding), and
 :func:`_fixpoint` runs the derived rules.  :func:`build_happens_before`
 runs these passes over a complete trace;
-:class:`repro.stream.IncrementalHB` runs the same functions as ops
-arrive and closes the graph only when polled.
+:class:`repro.stream.IncrementalHB` runs the same functions over op
+ranges as they arrive and closes the graph only when polled.
 
 The fixpoint is *output-sensitive*: the transitive closure is computed
 once before round one and maintained in place by
@@ -291,9 +291,13 @@ class _BaseRules:
     The rules are stateful scans — a Wait pairs with *earlier*
     Notifies, an Acquire with the *latest* Release.  Fork, join and
     send edges look their partner BEGIN or END up in the scan; when it
-    has not been scanned yet the edge is parked until it is.  A batch
-    build scans the whole trace first, so there an edge is parked only
-    when its partner never appears.
+    has no graph node yet the edge is parked until the partner's own
+    step.  A batch build creates every key node before the first step,
+    so there an edge is parked only when its partner never appears;
+    :class:`repro.stream.IncrementalHB` scans a whole range before
+    stepping it, so a partner later in the range is harvested but has
+    no node, and parking keeps the edges in the order an op-by-op
+    drive adds them.
     """
 
     def __init__(self, state: _BuildState, graph: KeyGraph) -> None:
@@ -351,7 +355,7 @@ class _BaseRules:
 
     def _to_begin(self, i: int, task: str, rule: str) -> None:
         begin = self.state.task_begin.get(task)
-        if begin is None:
+        if begin is None or not self.graph.has_node(begin):
             self._await_begin.setdefault(task, []).append((i, rule))
         else:
             self._edge(i, begin, rule)
@@ -370,7 +374,7 @@ class _BaseRules:
     def _join(self, i: int) -> None:
         child = self._field(i, "child")
         end = self.state.task_end.get(child)
-        if end is None:
+        if end is None or not self.graph.has_node(end):
             self._await_end.setdefault(child, []).append(i)
         else:
             self._edge(end, i, RULE_JOIN)

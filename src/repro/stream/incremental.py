@@ -1,19 +1,22 @@
 """Incremental happens-before construction for the streaming service.
 
 :class:`IncrementalHB` grows one relation as records arrive by driving
-the batch builder's own passes (:mod:`repro.hb.builder`) op by op:
-:meth:`~IncrementalHB.ingest` scans an op, adds its key node and the
-base edges it enables, and :meth:`~IncrementalHB.poll` adds the
-chain edges, closes the graph and runs the derived-rule fixpoint.
+the batch builder's own passes (:mod:`repro.hb.builder`) over op
+ranges: :meth:`~IncrementalHB.ingest` scans a range in one pass, then
+adds each key op's node and the base edges it enables, in trace order,
+and :meth:`~IncrementalHB.poll` adds the chain edges, closes the graph
+and runs the derived-rule fixpoint.
 There is one implementation of every rule; two things differ from the
 batch order of operations, neither of which changes the final
 relation:
 
 * **Parked forward references.**  A batch build resolves ``fork →
   begin``, ``end → join`` and ``send → begin`` against the completed
-  scan.  Online the partner op may not have arrived yet, so the base
-  rules park the edge until it does.  The final edge set is
-  identical.
+  scan and graph.  Online the partner op may not have arrived yet, or
+  may come later in the same range (scanned, but without a node yet),
+  so the base rules park the edge until the partner's node is added.
+  The final edge set is identical, and the edges land in the same
+  order however the ops are split into ranges.
 
 * **Trailing key nodes.**  Batch mode adds a node at each task's last
   op even when it is not a synchronization op, purely so the task has a
@@ -37,6 +40,7 @@ does not already imply.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, List
 
 from ..hb.builder import (
@@ -56,9 +60,9 @@ from ..trace import Trace
 
 
 class IncrementalHB:
-    """One happens-before relation, grown record by record.
+    """One happens-before relation, grown range by range.
 
-    Usage: :meth:`ingest` every op of ``trace`` in order as it arrives,
+    Usage: :meth:`ingest` each new range of ``trace`` as it arrives,
     :meth:`poll` before reading the relation, and :meth:`relation` for
     a queryable :class:`~repro.hb.graph.HappensBefore` view over the
     live state.
@@ -88,24 +92,38 @@ class IncrementalHB:
     def derived_edges(self) -> int:
         return sum(self.profile.edges_per_round)
 
-    def ingest(self, i: int) -> None:
-        """Process ``trace[i]``; ops must be ingested in trace order."""
-        if i != self._ingested:
+    def ingest(self, start: int, stop: int) -> None:
+        """Process ops ``start`` to ``stop - 1`` of the trace.
+
+        Ranges must follow each other: each starts where the last
+        stopped.  The range is scanned in one pass, then each key op
+        in it gets its node, its program-order edge and its base edges,
+        in trace order.
+        """
+        if start != self._ingested or stop < start:
             raise ValueError(
-                f"out-of-order ingest: expected op {self._ingested}, got {i}"
+                f"out-of-order ingest: expected ops from {self._ingested}, "
+                f"got {start}..{stop}"
             )
-        self._ingested += 1
+        self._ingested = stop
         state = self.state
-        if not _scan(state, i, i + 1)[0]:
-            return
-        node = self.graph.add_node(i)
-        task = state.op_task[i]
-        nodes = self.task_key_nodes.setdefault(task, [])
-        if nodes:
-            self.graph.add_edge(nodes[-1], node, RULE_PROGRAM_ORDER)
-        nodes.append(node)
-        self.task_key_positions.setdefault(task, []).append(state.op_pos[i])
-        self._base.step(i)
+        is_key = _scan(state, start, stop)
+        graph = self.graph
+        op_task, op_pos = state.op_task, state.op_pos
+        key_nodes, key_positions = self.task_key_nodes, self.task_key_positions
+        step = self._base.step
+        for i in compress(range(start, stop), is_key):
+            node = graph.add_node(i)
+            task = op_task[i]
+            nodes = key_nodes.get(task)
+            if nodes is None:
+                nodes = key_nodes[task] = []
+                key_positions[task] = []
+            else:
+                graph.add_edge(nodes[-1], node, RULE_PROGRAM_ORDER)
+            nodes.append(node)
+            key_positions[task].append(op_pos[i])
+            step(i)
 
     def poll(self) -> int:
         """Catch the relation up with everything ingested; returns the

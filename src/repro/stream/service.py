@@ -10,9 +10,16 @@ Ingestion path::
 
     bytes/lines ──> AnyTraceDecoder ──> columnar TraceStore
                                    │
-                 per-op drive      ▼
+                 range drive       ▼
+        quiescence pre-pass        ─ kind/task columns: where the epoch ends
         IncrementalHB (CAFA model) ─ key graph + base edges, closed when polled
         AccessExtractor            ─ uses/frees/guards/locksets
+
+After each feed the analyzer drives its structures over the new ops as
+ranges of the store's columns.  A pre-pass over the kind and task
+columns tracks which tasks are open or expected and stops after the
+first END that quiesces the session; the relation and the extractor
+then take the ops up to there as one range, and the epoch retires.
 
 Detection runs the *unmodified* batch detector
 (:class:`~repro.detect.usefree.UseFreeDetector`) over the live state —
@@ -29,13 +36,15 @@ does not track, so the analyzer retires the epoch: it runs the
 authoritative detection pass, records the epoch's reports, and drops
 the epoch's closure chunks, scan state, and interned-table entries by
 starting fresh structures for the next epoch (the task table persists —
-task ids are session-global).  Memory is thereby bounded by the largest
-single epoch, not the session length.  Addresses freed in a retired
-epoch are remembered (as a plain set) so a later access to one —
-possible only if the quiescence judgment was wrong for the application,
-e.g. ordering through untracked shared state — is *counted* as
-``cross_epoch_accesses`` rather than silently misanalyzed; a non-zero
-count flags that GC'd results may diverge from a full offline run.
+task ids are session-global); ops already decoded past the quiescence
+point move to the next epoch's store as column slices.  Memory is
+thereby bounded by the largest single epoch, not the session length.
+Addresses freed in a retired epoch are remembered (as a plain set) so
+a later access to one — possible only if the quiescence judgment was
+wrong for the application, e.g. ordering through untracked shared
+state — is *counted* as ``cross_epoch_accesses`` rather than silently
+misanalyzed; a non-zero count flags that GC'd results may diverge from
+a full offline run.
 
 **Provisional vs authoritative reports.**  The happens-before relation
 only grows, so a pair can move from concurrent to ordered as more
@@ -48,14 +57,25 @@ exactly what the batch detector emits for those ops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from ..detect import AccessExtractor, DetectorOptions, UseFreeDetector
 from ..detect.report import RaceReport
 from ..obs.spans import span
 from ..trace import AnyTraceDecoder, OpKind, Trace
+from ..trace.store import KIND_CODES
 from ..trace.trace import TaskInfo
 from .incremental import IncrementalHB
+
+_BEGIN = KIND_CODES[OpKind.BEGIN]
+_END = KIND_CODES[OpKind.END]
+#: kind code -> the field naming the task an op of that kind expects
+_EXPECTS = {
+    KIND_CODES[OpKind.SEND]: "event",
+    KIND_CODES[OpKind.SEND_AT_FRONT]: "event",
+    KIND_CODES[OpKind.FORK]: "child",
+}
+_POINTER = frozenset(KIND_CODES[k] for k in (OpKind.PTR_READ, OpKind.PTR_WRITE))
 
 
 @dataclass
@@ -177,7 +197,8 @@ class StreamAnalyzer:
     # -- feeding -------------------------------------------------------
 
     def feed(self, chunk) -> int:
-        """Ingest a chunk of v2 stream bytes/text; returns ops appended."""
+        """Ingest a chunk of stream bytes (v1/v2 text, v3 binary or a
+        single-session envelope) or text; returns ops appended."""
         appended = self.decoder.feed(chunk)
         self._drain()
         return appended
@@ -199,48 +220,57 @@ class StreamAnalyzer:
         self.trace.add_task(info)
         self.profile.records_ingested += 1
 
-    # -- the per-op drive ----------------------------------------------
+    # -- the range drive -----------------------------------------------
 
     def _drain(self) -> None:
-        # self.trace is re-read every iteration: ingesting an END op can
-        # retire the epoch and swap in a fresh trace mid-drain.
+        # self.trace is re-read every iteration: a range that ends at a
+        # quiescing END retires the epoch and swaps in a fresh trace.
         while self._processed < len(self.trace):
-            i = self._processed
-            self._processed += 1
-            self._ingest(i, self.trace[i])
+            start = self._processed
+            stop, quiesced = self._track(start, len(self.trace))
+            self._processed = stop
+            self.cafa.ingest(start, stop)
+            self.extractor.feed(start, stop)
+            self.profile.ops_ingested += stop - start
+            self._epoch_ops += stop - start
+            if quiesced:
+                self._retire_epoch()
         self.profile.records_ingested = max(
             self.profile.records_ingested, self.decoder.records
         )
 
-    def _ingest(self, i: int, op) -> None:
-        self.cafa.ingest(i)
-        self.extractor.feed(i, op)
-        self.profile.ops_ingested += 1
-        self._epoch_ops += 1
-        kind = op.kind
-        if kind is OpKind.BEGIN:
-            self._open.add(op.task)
-            self._expected.discard(op.task)
-        elif kind is OpKind.END:
-            self._open.discard(op.task)
-            self._expected.discard(op.task)
-            self._ended.add(op.task)
-        elif kind is OpKind.SEND or kind is OpKind.SEND_AT_FRONT:
-            if op.event not in self._ended:
-                self._expected.add(op.event)
-        elif kind is OpKind.FORK:
-            if op.child not in self._ended:
-                self._expected.add(op.child)
-        elif kind is OpKind.PTR_READ or kind is OpKind.PTR_WRITE:
-            if self._retired_addresses and op.address in self._retired_addresses:
-                self.profile.cross_epoch_accesses += 1
-        if (
-            self.gc
-            and kind is OpKind.END
-            and not self._open
-            and not self._expected
-        ):
-            self._retire_epoch()
+    def _track(self, start: int, stop: int) -> Tuple[int, bool]:
+        """The quiescence pre-pass over ops ``start`` to ``stop - 1``:
+        track open and expected tasks from the kind and task columns,
+        and count accesses to retired addresses.  Stops after the first
+        END that quiesces the session (with GC on); returns where it
+        stopped and whether it quiesced."""
+        store = self.trace.store
+        kinds, task_ids = store.kinds, store.task_ids
+        task_of, field_of = store.symbols.value, store.field_of
+        opened, expected, ended = self._open, self._expected, self._ended
+        retired = self._retired_addresses
+        for i in range(start, stop):
+            code = kinds[i]
+            if code == _BEGIN:
+                task = task_of(task_ids[i])
+                opened.add(task)
+                expected.discard(task)
+            elif code == _END:
+                task = task_of(task_ids[i])
+                opened.discard(task)
+                expected.discard(task)
+                ended.add(task)
+                if self.gc and not opened and not expected:
+                    return i + 1, True
+            elif code in _EXPECTS:
+                task = field_of(i, _EXPECTS[code])
+                if task not in ended:
+                    expected.add(task)
+            elif code in _POINTER:
+                if retired and field_of(i, "address") in retired:
+                    self.profile.cross_epoch_accesses += 1
+        return stop, False
 
     def _poll(self) -> None:
         """Catch the relation up before a detection pass — the only
@@ -313,13 +343,13 @@ class StreamAnalyzer:
         old, done = self.trace, self._processed
         fresh = Trace()
         fresh.tasks = self._tasks
+        # A chunked feed or a v3 batch may have decoded ops past the
+        # quiescence point; they belong to the new epoch and move over
+        # as column slices.
+        fresh.store.adopt_tail(old.store, done)
         self.decoder.trace = fresh
         self._attach(fresh)
         self.profile.closure_bytes = 0
-        # A chunked feed may have decoded ops past the quiescence point
-        # before the drive caught up; they belong to the new epoch.
-        for j in range(done, len(old)):
-            fresh.append(old[j])
 
     # -- completion ----------------------------------------------------
 

@@ -315,14 +315,20 @@ class TraceStreamDecoder:
         """
         appended = 0
         self._chars_fed += len(chunk)
-        self._buffer += chunk
-        while True:
-            cut = self._buffer.find("\n")
-            if cut < 0:
-                return appended
-            line = self._buffer[:cut]
-            self._buffer = self._buffer[cut + 1 :]
-            appended += self._feed_line(line)
+        buffer = self._buffer + chunk
+        pos = 0
+        try:
+            while True:
+                cut = buffer.find("\n", pos)
+                if cut < 0:
+                    return appended
+                line = buffer[pos:cut]
+                pos = cut + 1
+                appended += self._feed_line(line)
+        finally:
+            # the unconsumed tail, stored once per feed; a strict-mode
+            # error leaves it just past the failing line
+            self._buffer = buffer[pos:]
 
     def feed_line(self, line: str) -> int:
         """Decode one complete line; returns the ops appended (0 or 1).

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from heapq import merge
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -376,6 +377,44 @@ class TraceStore:
                 bucket = buckets[code] = _KindBucket(_SCHEMA_LIST[code])
             for col, extra in zip(bucket.columns, columns):
                 col.extend(extra)
+
+    def adopt_tail(self, other: "TraceStore", start: int) -> None:
+        """Append ops ``start..`` of ``other`` as column slices (the
+        streaming service's epoch hand-off).
+
+        The slices go through :meth:`adopt_batch`; their symbol and
+        address ids are first re-interned into this store's own tables,
+        so the tables hold only the strings of the ops appended here.
+        """
+        kinds = other.kinds[start:]
+        if not kinds:
+            return
+        syms: Dict[int, int] = {}
+        addrs: Dict[int, int] = {}
+
+        def remap(column: array, table, source, memo: Dict[int, int]) -> array:
+            for raw in set(column).difference(memo):
+                memo[raw] = table.intern(source.value(raw))
+            return array("i", map(memo.__getitem__, column))
+
+        task_ids = remap(other.task_ids[start:], self.symbols, other.symbols, syms)
+        bucket_columns: Dict[int, List[array]] = {}
+        for code, bucket in enumerate(other._buckets):
+            if bucket is None:
+                continue
+            first = bisect_left(bucket.indices, start)
+            if first == len(bucket.indices):
+                continue
+            columns = []
+            for (_name, typ), col in zip(bucket.schema, bucket.columns):
+                tail = col[first:]
+                if typ == STR:
+                    tail = remap(tail, self.symbols, other.symbols, syms)
+                elif typ == ADDR:
+                    tail = remap(tail, self.addresses, other.addresses, addrs)
+                columns.append(tail)
+            bucket_columns[code] = columns
+        self.adopt_batch(kinds.tobytes(), other.times[start:], task_ids, bucket_columns)
 
     # -- materialization --------------------------------------------------
 

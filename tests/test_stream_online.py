@@ -3,7 +3,8 @@ record-by-record through :class:`~repro.stream.StreamAnalyzer` must
 reproduce the batch pipeline's race reports byte-for-byte — with epoch
 GC enabled and disabled, and with provisional detections at arbitrary
 points — and :class:`~repro.stream.IncrementalHB`, which drives the
-batch builder's passes op by op, must build the batch graph's edges."""
+batch builder's passes over op ranges, must build the batch graph's
+edges, in the same order whatever the ranges."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,8 +88,7 @@ def test_ingested_edges_match_the_batch_build(name, model):
     trace = app_trace(name)
     batch = build_happens_before(trace, model)
     online = IncrementalHB(trace, model)
-    for i in range(len(trace)):
-        online.ingest(i)
+    online.ingest(0, len(trace))
     online.poll()
     offline = edge_triples(batch.graph)
     # the batch build's node at a task's last op when that op is not a
@@ -96,6 +96,36 @@ def test_ingested_edges_match_the_batch_build(name, model):
     trailing = {e for e in offline if not online.graph.has_node(e[1])}
     assert {rule for _, _, rule in trailing} <= {RULE_PROGRAM_ORDER}
     assert edge_triples(online.graph) == offline - trailing
+
+
+@pytest.mark.parametrize(
+    "model", [CAFA_MODEL, CONVENTIONAL_MODEL], ids=["cafa", "conventional"]
+)
+@pytest.mark.parametrize("name", APP_NAMES)
+def test_one_range_adds_edges_in_the_per_op_order(name, model):
+    """A whole-trace range scans partners before they have nodes; the
+    base rules park those edges, so the graph gets the edges, in the
+    same insertion order, and the same closure as op-by-op ranges."""
+    trace = app_trace(name)
+    whole, per_op = IncrementalHB(trace, model), IncrementalHB(trace, model)
+    whole.ingest(0, len(trace))
+    for i in range(len(trace)):
+        per_op.ingest(i, i + 1)
+    whole.poll()
+    per_op.poll()
+    assert list(whole.graph.edges()) == list(per_op.graph.edges())
+    assert whole.closure_bytes() == per_op.closure_bytes()
+
+
+def test_ranges_must_follow_each_other():
+    online = IncrementalHB(app_trace("connectbot"))
+    online.ingest(0, 5)
+    with pytest.raises(ValueError):
+        online.ingest(6, 8)
+    with pytest.raises(ValueError):
+        online.ingest(5, 4)
+    online.ingest(5, 5)
+    online.ingest(5, 8)
 
 
 @settings(max_examples=12, deadline=None)
@@ -135,7 +165,7 @@ def test_polls_anywhere_end_with_the_batch_relation(spec, cuts):
     online = IncrementalHB(trace, CAFA_MODEL)
     stops = {cut % len(trace) for cut in cuts}
     for i in range(len(trace)):
-        online.ingest(i)
+        online.ingest(i, i + 1)
         if i in stops:
             online.poll()
     online.poll()

@@ -3,11 +3,12 @@ multi-session streams, bounded closure memory, and the ``repro stream``
 / ``repro stats --stream`` CLI surface."""
 
 import gzip
+from dataclasses import asdict
 
 import pytest
 
 import repro.hb.graph
-from repro.apps import make_app
+from repro.apps import ALL_APPS, make_app
 from repro.cli import main
 from repro.detect import UseFreeDetector
 from repro.hb import build_happens_before
@@ -16,7 +17,8 @@ from repro.stream import (
     StreamAnalyzer,
     concat_sessions,
 )
-from repro.trace import dumps_trace, save_trace_file
+from repro.trace import OpKind, dumps_trace, dumps_trace_bytes, save_trace_file
+from repro.trace.store import TraceStore
 
 SCALE = 0.02
 SEED = 1
@@ -151,6 +153,86 @@ class TestClosureAccounting:
         assert analyzer.profile.epochs_retired == 3
         assert len(walks) == analyzer.profile.polls
         assert all(e.closure_bytes > 0 for e in analyzer.epochs)
+
+
+def fed_v3(trace, chunk=None):
+    """An analyzer fed ``trace`` as v3 bytes, whole or in ``chunk``-byte
+    pieces, and finished."""
+    data = dumps_trace_bytes(trace, version=3)
+    analyzer = StreamAnalyzer()
+    step = chunk or len(data)
+    for k in range(0, len(data), step):
+        analyzer.feed(data[k:k + step])
+    analyzer.finish()
+    return analyzer
+
+
+def fed_in_process(trace):
+    analyzer = StreamAnalyzer()
+    for info in trace.tasks.values():
+        analyzer.add_task(info)
+    for op in trace:
+        analyzer.append(op)
+    analyzer.finish()
+    return analyzer
+
+
+def epoch_outcome(analyzer):
+    """Everything a session's epochs and profile report, except the
+    record count (a v3 stream's interning frames are records too; an
+    in-process feed has none)."""
+    epochs = [
+        (e.index, e.ops, [str(r) for r in e.reports], e.closure_bytes, e.retired)
+        for e in analyzer.epochs
+    ]
+    profile = asdict(analyzer.profile)
+    del profile["records_ingested"]
+    return epochs, profile
+
+
+class TestRangeDrive:
+    """The analyzer drives its structures over op ranges; how the
+    ops arrive (one v3 batch holding every epoch, small chunks, one op
+    at a time) changes no epoch, report or counter."""
+
+    @pytest.mark.parametrize("name", [app.name for app in ALL_APPS])
+    def test_every_feed_gives_the_same_epochs(self, name):
+        combined = concat_sessions(app_trace(name), sessions=3)
+        whole = epoch_outcome(fed_v3(combined))
+        assert whole[1]["epochs_retired"] == 3
+        assert epoch_outcome(fed_v3(combined, chunk=4096)) == whole
+        assert epoch_outcome(fed_in_process(combined)) == whole
+
+    def test_v3_session_materializes_only_extracted_payloads(self, monkeypatch):
+        """A v3 session materializes each lock and pointer op at most
+        once (for the access extractor) and appends no op row by row:
+        the undrained tail moves to the next epoch as column slices."""
+        combined = concat_sessions(app_trace(), sessions=3)
+        data = dumps_trace_bytes(combined, version=3)
+        payload_kinds = {
+            OpKind.PTR_READ, OpKind.PTR_WRITE, OpKind.DEREF,
+            OpKind.BRANCH, OpKind.ACQUIRE, OpKind.RELEASE,
+        }
+        payload_ops = sum(1 for op in combined if op.kind in payload_kinds)
+        calls = {"op": 0, "append_row": 0}
+
+        def counting(attr):
+            original = getattr(TraceStore, attr)
+
+            def wrapper(self, *args):
+                calls[attr] += 1
+                return original(self, *args)
+
+            return wrapper
+
+        for attr in calls:
+            monkeypatch.setattr(TraceStore, attr, counting(attr))
+        analyzer = StreamAnalyzer()
+        analyzer.feed(data)
+        analyzer.finish()
+        assert analyzer.profile.epochs_retired == 3
+        assert 0 < calls["op"] <= payload_ops
+        assert calls["append_row"] == 0
 
 
 class TestStreamCLI:

@@ -77,6 +77,34 @@ class TestRoundTrip:
             assert (kind, task, time) == (op.kind, op.task, op.time)
 
 
+class TestAdoptTail:
+    """The epoch hand-off: ops ``start..`` of one store adopted into
+    another as column slices."""
+
+    @pytest.mark.parametrize("start", [0, 1, 9, 14])
+    def test_tail_materializes_identically_with_its_own_tables(self, start):
+        ops = list(rich_trace().ops)
+        old = Trace(ops=ops).store
+        fresh = TraceStore()
+        fresh.adopt_tail(old, start)
+        tail = ops[start:]
+        assert [fresh.op(i) for i in range(len(fresh))] == tail
+        reference = Trace(ops=tail).store
+        strings = {reference.symbols.value(k) for k in range(len(reference.symbols))}
+        assert {fresh.symbols.value(k) for k in range(len(fresh.symbols))} == strings
+        assert len(fresh.addresses) == len(reference.addresses)
+        for kind in OpKind:
+            assert fresh.by_kind(kind) == reference.by_kind(kind)
+        for task in {op.task for op in ops}:
+            assert fresh.ops_of(task) == reference.ops_of(task)
+
+    def test_adopting_past_the_end_adds_nothing(self):
+        old = rich_trace().store
+        fresh = TraceStore()
+        fresh.adopt_tail(old, len(old))
+        assert len(fresh) == 0 and len(fresh.symbols) == 0
+
+
 class TestIndexViews:
     """The cached index views against a linear scan of the ops."""
 
