@@ -209,6 +209,11 @@ def _decode_ints(data, enc: int, count: int, typecode: str) -> array:
     return array(typecode, src)
 
 
+def _ids_below(column: array, limit: int) -> bool:
+    """Every id in ``column`` indexes a table of ``limit`` entries."""
+    return not column or (min(column) >= 0 and max(column) < limit)
+
+
 def _json_bytes(obj) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("utf-8")
 
@@ -556,6 +561,7 @@ class BinaryTraceDecoder:
         self._bytes_fed += len(chunk)
         self._buffer += chunk
         before = self._ops_seen
+        self._check_adoption()
         try:
             self._parse()
         except TraceFormatError as exc:
@@ -739,7 +745,13 @@ class BinaryTraceDecoder:
             if self.sink is not None:
                 self.sink.on_task(record)
             else:
-                self.trace.add_task(TaskInfo.from_dict(record))
+                info = TaskInfo.from_dict(record)
+                if info.task in self.trace.tasks:
+                    raise TraceFormatError(
+                        f"duplicate task id {info.task!r} in task frame "
+                        f"at byte {offset}"
+                    )
+                self.trace.add_task(info)
         except TraceFormatError:
             raise
         except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
@@ -757,7 +769,7 @@ class BinaryTraceDecoder:
             raise TraceFormatError(
                 f"corrupt symbol frame at byte {offset} ({exc})"
             ) from None
-        if self._adoptable():
+        if self._adopt_ok:
             store = self.trace.store
             if store.symbols.intern(value) == self._adopted_syms:
                 self._adopted_syms += 1
@@ -776,7 +788,7 @@ class BinaryTraceDecoder:
             raise TraceFormatError(
                 f"corrupt address frame at byte {offset} ({exc})"
             ) from None
-        if self._adoptable():
+        if self._adopt_ok:
             store = self.trace.store
             if store.addresses.intern(value) == self._adopted_addrs:
                 self._adopted_addrs += 1
@@ -809,28 +821,26 @@ class BinaryTraceDecoder:
 
     # -- batch decoding ------------------------------------------------
 
-    def _adoptable(self) -> bool:
-        """Is the one-shot column adoption path still valid?
+    def _check_adoption(self) -> None:
+        """Keep the one-shot column adoption path only while it is valid.
 
-        Permanently disabled the moment the trace was swapped (epoch
-        GC) or its store/tables were touched out of band — interning
-        ids would no longer line up with the stream's.
+        It is disabled for good once the trace was swapped (epoch GC)
+        or its store/tables were touched out of band — interning ids
+        would no longer line up with the stream's.  Only the caller can
+        touch the store, and only between feeds, so each :meth:`feed`
+        checks once and its frames read :attr:`_adopt_ok`.
         """
         if not self._adopt_ok:
-            return False
+            return
         trace = self.trace
-        if trace is not self._adopt_trace:
-            self._adopt_ok = False
-            return False
         store = trace.store
         if (
-            len(store) != self._adopted_store_ops
+            trace is not self._adopt_trace
+            or len(store) != self._adopted_store_ops
             or len(store.symbols) != self._adopted_syms
             or len(store.addresses) != self._adopted_addrs
         ):
             self._adopt_ok = False
-            return False
-        return True
 
     def _take_batch(self, payload: bytes, offset: int) -> None:
         try:
@@ -845,7 +855,7 @@ class BinaryTraceDecoder:
             ) from None
         if self.sink is not None:
             self._emit_rows(n, local_kinds, times, tids, columns, sink=True)
-        elif self._adoptable():
+        elif self._adopt_ok:
             self.trace.store.adopt_batch(local_kinds, times, tids, columns)
             self._adopted_store_ops += n
             self._ops_adopted += n
@@ -906,7 +916,7 @@ class BinaryTraceDecoder:
         times = _decode_ints(blob, enc, n, "q")
         enc, _count, blob = sections.pop(SEC_TASK_IDS)
         tids = _decode_ints(blob, enc, n, "i")
-        if tids and max(tids) >= len(self._symbols):
+        if not _ids_below(tids, len(self._symbols)):
             raise ValueError("task symbol id out of range")
         columns: Dict[int, List[array]] = {}
         for wire in sorted(set(wire_kinds)):
@@ -928,10 +938,10 @@ class BinaryTraceDecoder:
                     )
                 column = _decode_ints(blob, enc, count, _ARRAY_TYPE[typ])
                 if typ == STR:
-                    if column and max(column) >= len(self._symbols):
+                    if not _ids_below(column, len(self._symbols)):
                         raise ValueError("symbol id out of range")
                 elif typ == ADDR:
-                    if column and max(column) >= len(self._addresses):
+                    if not _ids_below(column, len(self._addresses)):
                         raise ValueError("address id out of range")
                 elif typ == ENUM:
                     if column and max(column) >= len(vocab.branches):

@@ -13,7 +13,10 @@ comes in three versions:
   ``["o", kind, time, task_sym, payload...]`` one operation whose
   payload layout is the kind's column schema
   (:data:`repro.trace.store.SCHEMAS`).  The header carries the kind
-  code table, so a reader never guesses at positional meanings.
+  code table, so a reader never guesses at positional meanings.  The
+  reader scans each line in place with the ``json`` C scanner, checks
+  each op record, and lands the ops of every feed as one column batch
+  (:meth:`~repro.trace.store.TraceStore.adopt_batch`).
 * **v3** (binary, :mod:`repro.trace.binary`): the same header and
   interning model as v2, but length-prefixed binary frames whose op
   batches are on-disk columnar segments — ``array.frombytes`` loading
@@ -38,8 +41,9 @@ import gzip
 import io
 import json
 import zlib
+from array import array
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Union
+from typing import IO, Any, Dict, List, Optional, Tuple, Union
 
 from ..obs.spans import span
 from .operations import BranchKind, OpKind, operation_from_dict
@@ -47,11 +51,16 @@ from .store import (
     ADDR,
     BOOL,
     ENUM,
+    INT,
     KIND_CODES,
     KIND_LIST,
+    OPT_INT,
     SCHEMAS,
     STR,
     DecodeStats,
+    _ARRAY_TYPE,
+    _BRANCH_INDEX,
+    _NONE,
 )
 from .trace import TaskInfo, Trace, TraceError, TraceFormatError
 
@@ -63,6 +72,8 @@ SUPPORTED_VERSIONS = (1, 2, 3)
 TEXT_VERSIONS = (1, 2)
 
 _SCHEMA_LIST = tuple(SCHEMAS[kind] for kind in KIND_LIST)
+#: per kind code, the payload column types in schema order
+_TYPE_LIST = tuple(tuple(typ for _name, typ in schema) for schema in _SCHEMA_LIST)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +249,19 @@ def dump_trace_binary(trace: Trace, fp: IO[bytes]) -> None:
 #: or corrupted stream rather than a logically malformed record
 _STREAM_DAMAGE = (EOFError, UnicodeDecodeError, gzip.BadGzipFile, zlib.error)
 
+#: the ``json`` C scanner: ``(value, end)`` of the one JSON value that
+#: starts at an offset, with none of ``json.loads``' whitespace handling
+_scan_value = json.JSONDecoder().scan_once
+
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+
+#: branch-kind wire name -> the store's enum index
+_BRANCH_OF_NAME = {kind.value: index for kind, index in _BRANCH_INDEX.items()}
+
+#: characters of whole lines :func:`load_trace` hands a text stream's
+#: decoder per feed (a v2 feed lands in one column batch)
+_TEXT_PIECE = 1 << 16
+
 
 class TraceStreamDecoder:
     """Push-based incremental decoder for the JSONL trace formats.
@@ -249,6 +273,16 @@ class TraceStreamDecoder:
     :meth:`finish` at end of input to flush a buffered partial final
     line and run the header count checks.
 
+    A v2 feed lands as columns.  Each complete line is scanned in place
+    by the ``json`` C scanner; the op records are checked and gathered
+    into per-kind column arrays, and the feed's ops reach the store in
+    one :meth:`~repro.trace.store.TraceStore.adopt_batch` call.  Stream
+    symbol and address ids map to store ids on first use, in op order
+    (the task, then the payload fields in schema order), so the store's
+    interning tables come out as a row-by-row append would leave them;
+    the maps start over when :attr:`trace` is swapped (the streaming
+    service's epoch hand-off).  v1 records decode row by row.
+
     ``strict`` selects the failure mode for damaged input.  Under
     ``strict=True`` (the default) any malformed, corrupted, or
     truncated record raises :class:`TraceFormatError` naming the line
@@ -256,14 +290,16 @@ class TraceStreamDecoder:
     crash-truncated sessions — decoding stops at the first damaged
     record instead: the error is recorded on :attr:`error`,
     :attr:`degraded` flips true, later feeds are ignored, and
-    :attr:`trace` holds the valid prefix.  Header problems (missing,
-    foreign format, unsupported version) always raise, even in salvage
-    mode: without a header there is no prefix worth keeping.
+    :attr:`trace` holds the valid prefix.  Either way the ops of the
+    lines before the damaged one are in :attr:`trace` first.  Header
+    problems (missing, foreign format, unsupported version) always
+    raise, even in salvage mode: without a header there is no prefix
+    worth keeping.
 
     A ``sink`` (``on_header(dict)``/``on_task(dict)``/
     ``on_row(code, time, task, values)``) replaces the trace entirely:
-    records are decoded and handed over without being stored — the
-    constant-memory transcoding path.
+    records pass the same checks and are handed over one row at a time
+    without being stored — the constant-memory transcoding path.
     """
 
     def __init__(
@@ -273,7 +309,7 @@ class TraceStreamDecoder:
         trace: Optional[Trace] = None,
         sink=None,
     ):
-        self.trace = trace if trace is not None else Trace()
+        self._trace = trace if trace is not None else Trace()
         self.expect_version = expect_version
         self.strict = strict
         self.sink = sink
@@ -284,13 +320,30 @@ class TraceStreamDecoder:
         self._version = 0
         self._lineno = 0
         self._buffer = ""
+        #: offset in the text being decoded where its unread tail starts
+        self._taken = 0
         self._chars_fed = 0
         self._ops_seen = 0
         self._tasks_seen = 0
-        self._codes: List[int] = []
-        self._schemas: List[tuple] = []
+        #: v2 wire kind code -> (local kind code, payload types, arity)
+        self._plans: Dict[int, Tuple[int, Tuple[str, ...], int]] = {}
         self._symbols: List[str] = []
         self._addresses: List[tuple] = []
+        #: stream symbol / address id -> id in the trace's store, -1
+        #: until an op first uses it
+        self._store_syms: List[int] = []
+        self._store_addrs: List[int] = []
+
+    @property
+    def trace(self) -> Trace:
+        return self._trace
+
+    @trace.setter
+    def trace(self, value: Trace) -> None:
+        # store ids belong to one store: map every stream id afresh
+        self._trace = value
+        self._store_syms = [-1] * len(self._symbols)
+        self._store_addrs = [-1] * len(self._addresses)
 
     @property
     def degraded(self) -> bool:
@@ -313,25 +366,18 @@ class TraceStreamDecoder:
         A trailing partial line stays buffered until the next feed (or
         :meth:`finish`).
         """
-        appended = 0
         self._chars_fed += len(chunk)
-        buffer = self._buffer + chunk
-        pos = 0
+        text = self._buffer + chunk
         try:
-            while True:
-                cut = buffer.find("\n", pos)
-                if cut < 0:
-                    return appended
-                line = buffer[pos:cut]
-                pos = cut + 1
-                appended += self._feed_line(line)
+            return self._take(text)
         finally:
             # the unconsumed tail, stored once per feed; a strict-mode
             # error leaves it just past the failing line
-            self._buffer = buffer[pos:]
+            self._buffer = text[self._taken:]
 
     def feed_line(self, line: str) -> int:
-        """Decode one complete line; returns the ops appended (0 or 1).
+        """Decode one complete line, a feed of that line alone; returns
+        the ops appended (0 or 1).
 
         The line is taken to be complete — a caller reading from input
         that may end mid-line (a crash-truncated file, a live tail)
@@ -342,24 +388,7 @@ class TraceStreamDecoder:
         otherwise records it and turns every later feed into a no-op.
         """
         self._chars_fed += len(line) + 1
-        return self._feed_line(line)
-
-    def _feed_line(self, line: str) -> int:
-        if self.error is not None:
-            return 0
-        self._lineno += 1
-        stripped = line.strip()
-        if not stripped:
-            return 0
-        before = self._ops_seen
-        try:
-            self._decode_line(stripped)
-        except TraceFormatError as exc:
-            if self.strict or self.header is None:
-                raise
-            self.error = exc
-            return 0
-        return self._ops_seen - before
+        return self._take(line if line.endswith("\n") else line + "\n")
 
     def flush(self) -> int:
         """Rule on a buffered trailing line that never got its newline.
@@ -425,6 +454,35 @@ class TraceStreamDecoder:
 
     # -- internals ----------------------------------------------------
 
+    def _take(self, text: str) -> int:
+        """Decode the complete lines of ``text``: the header and v1
+        records one line at a time, a v2 body through
+        :meth:`_decode_v2`.  Returns the ops appended and leaves
+        :attr:`_taken` where the unread tail starts."""
+        before = self._ops_seen
+        self._taken = 0
+        try:
+            if self.error is None:
+                while self._version != 2:
+                    cut = text.find("\n", self._taken)
+                    if cut < 0:
+                        break
+                    line = text[self._taken:cut].strip()
+                    self._taken = cut + 1
+                    self._lineno += 1
+                    if line:
+                        self._decode_line(line)
+                else:
+                    self._decode_v2(text)
+        except TraceFormatError as exc:
+            if self.strict or self.header is None:
+                raise
+            self.error = exc
+        if self.error is not None:
+            # a degraded decoder consumes complete lines unread
+            self._taken = max(self._taken, text.rfind("\n") + 1)
+        return self._ops_seen - before
+
     def _decode_line(self, line: str) -> None:
         try:
             record = json.loads(line)
@@ -435,10 +493,7 @@ class TraceStreamDecoder:
             return
         self.records += 1
         try:
-            if self._version == 1:
-                self._decode_v1(record)
-            else:
-                self._decode_v2(record)
+            self._decode_v1(record)
         except TraceFormatError:
             raise
         except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -479,23 +534,27 @@ class TraceStreamDecoder:
                     raise TraceError(
                         f"unknown operation kind {name!r} in header"
                     ) from None
-                self._codes.append(KIND_CODES[kind])
-                self._schemas.append(_SCHEMA_LIST[KIND_CODES[kind]])
+                code = KIND_CODES[kind]
+                types = _TYPE_LIST[code]
+                self._plans[len(self._plans)] = (code, types, 4 + len(types))
         self._version = version
         self.header = record
         if self.sink is not None:
             self.sink.on_header(record)
 
-    def _add_task(self, info: Dict[str, Any]) -> None:
+    def _add_task(self, info: Dict[str, Any], line: int) -> None:
         if self.sink is not None:
             self.sink.on_task(info)
         else:
-            self.trace.add_task(TaskInfo.from_dict(info))
+            task = TaskInfo.from_dict(info)
+            if task.task in self.trace.tasks:
+                raise TraceFormatError(f"duplicate task id {task.task!r}", line=line)
+            self.trace.add_task(task)
         self._tasks_seen += 1
 
     def _decode_v1(self, record: Any) -> None:
         if isinstance(record, dict) and "task_info" in record:
-            self._add_task(record["task_info"])
+            self._add_task(record["task_info"], self._lineno)
         elif isinstance(record, dict) and "op" in record:
             op = operation_from_dict(record["op"])
             if self.sink is not None:
@@ -512,56 +571,210 @@ class TraceStreamDecoder:
                 f"unrecognized trace record: {record!r}", line=self._lineno
             )
 
-    def _decode_v2(self, record: Any) -> None:
-        if isinstance(record, list) and record:
-            tag = record[0]
-            if tag == "o":
+    def _decode_v2(self, text: str) -> None:
+        """Decode the v2 records on the complete lines of ``text`` from
+        :attr:`_taken` on.
+
+        Ops gather into column arrays, which land in one
+        :meth:`~repro.trace.store.TraceStore.adopt_batch` call when the
+        text is used up or a line fails — so the ops of the lines before
+        a damaged one are stored before its error is raised.  With a
+        sink, each op goes to ``on_row`` as it is read.
+        """
+        scan, find = _scan_value, text.find
+        symbols, addresses = self._symbols, self._addresses
+        store_syms, store_addrs = self._store_syms, self._store_addrs
+        check = self._check_op
+        sink = self.sink
+        if sink is None:
+            store = self.trace.store
+            intern_sym = store.symbols.intern
+            intern_addr = store.addresses.intern
+            kinds = bytearray()
+            times = array("q")
+            task_ids = array("i")
+            columns: Dict[int, List[array]] = {}
+            kinds_append, times_append = kinds.append, times.append
+            task_ids_append = task_ids.append
+        pos, lineno, records, rows = self._taken, self._lineno, self.records, 0
+        try:
+            while True:
+                cut = find("\n", pos)
+                if cut < 0:
+                    return
+                lineno += 1
                 try:
-                    schema = self._schemas[record[1]]
-                    code = self._codes[record[1]]
-                except (IndexError, TypeError):
-                    raise TraceFormatError(
-                        f"op record with undeclared kind code: {record!r}",
-                        line=self._lineno,
-                    ) from None
-                if len(record) != 4 + len(schema):
-                    raise TraceFormatError(
-                        f"malformed op record: {record!r}", line=self._lineno
-                    )
-                symbols = self._symbols
-                values: List[Any] = []
-                for (_name, typ), raw in zip(schema, record[4:]):
-                    if typ == STR:
-                        values.append(symbols[raw])
-                    elif typ == ADDR:
-                        values.append(self._addresses[raw])
-                    elif typ == BOOL:
-                        values.append(bool(raw))
-                    elif typ == ENUM:
-                        values.append(BranchKind(symbols[raw]))
-                    else:  # INT / OPT_INT
-                        values.append(raw)
-                if self.sink is not None:
-                    self.sink.on_row(code, record[2], symbols[record[3]], values)
+                    record, end = scan(text, pos)
+                except (StopIteration, ValueError):
+                    end = -1
+                if end != cut:
+                    # a blank line, or leading blanks, trailing data, a
+                    # value running past its newline, a parse error:
+                    # the whole line goes through json.loads
+                    line = text[pos:cut].strip()
+                    pos = cut + 1
+                    if not line:
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except ValueError as exc:
+                        raise TraceFormatError(
+                            f"invalid JSON: {exc}", line=lineno
+                        ) from None
                 else:
-                    self.trace._append_decoded(
-                        code, record[2], symbols[record[3]], values
-                    )
-                self._ops_seen += 1
-            elif tag == "s":
-                self._symbols.append(record[1])
-            elif tag == "a":
-                self._addresses.append(tuple(record[1]))
-            else:
-                raise TraceFormatError(
-                    f"unrecognized trace record: {record!r}", line=self._lineno
-                )
-        elif isinstance(record, dict) and "task_info" in record:
-            self._add_task(record["task_info"])
-        else:
+                    pos = cut + 1
+                records += 1
+                try:
+                    tag = record[0] if type(record) is list and record else None
+                    if tag == "o":
+                        code, types = check(record, lineno)
+                        if sink is not None:
+                            sink.on_row(
+                                code, record[2], symbols[record[3]],
+                                self._row_values(types, record),
+                            )
+                            rows += 1
+                            continue
+                        sid = record[3]
+                        tid = store_syms[sid]
+                        if tid < 0:
+                            tid = store_syms[sid] = intern_sym(symbols[sid])
+                        times_append(record[2])
+                        task_ids_append(tid)
+                        if types:
+                            cols = columns.get(code)
+                            if cols is None:
+                                cols = columns[code] = [
+                                    array(_ARRAY_TYPE[typ]) for typ in types
+                                ]
+                            for typ, col, raw in zip(types, cols, record[4:]):
+                                if typ == STR:
+                                    sid = store_syms[raw]
+                                    if sid < 0:
+                                        sid = store_syms[raw] = intern_sym(symbols[raw])
+                                    col.append(sid)
+                                elif typ == INT:
+                                    col.append(raw)
+                                elif typ == OPT_INT:
+                                    col.append(_NONE if raw is None else raw)
+                                elif typ == ADDR:
+                                    aid = store_addrs[raw]
+                                    if aid < 0:
+                                        aid = intern_addr(addresses[raw])
+                                        store_addrs[raw] = aid
+                                    col.append(aid)
+                                elif typ == BOOL:
+                                    col.append(1 if raw else 0)
+                                else:  # ENUM
+                                    col.append(_BRANCH_OF_NAME[symbols[raw]])
+                        kinds_append(code)
+                    elif tag == "s":
+                        if type(record[1]) is not str:
+                            raise ValueError("a symbol is a string")
+                        symbols.append(record[1])
+                        store_syms.append(-1)
+                    elif tag == "a":
+                        if type(record[1]) is not list or len(record[1]) != 3:
+                            raise ValueError("an address is a 3-element list")
+                        value = tuple(record[1])
+                        hash(value)  # it must intern
+                        addresses.append(value)
+                        store_addrs.append(-1)
+                    elif type(record) is dict and "task_info" in record:
+                        self._add_task(record["task_info"], lineno)
+                    else:
+                        raise TraceFormatError(
+                            f"unrecognized trace record: {record!r}", line=lineno
+                        )
+                except TraceFormatError:
+                    raise
+                except (KeyError, IndexError, TypeError, ValueError) as exc:
+                    raise TraceFormatError(
+                        f"corrupt trace record {record!r} "
+                        f"({exc.__class__.__name__}: {exc})",
+                        line=lineno,
+                    ) from None
+        finally:
+            self._taken, self._lineno, self.records = pos, lineno, records
+            if sink is None and kinds:
+                store.adopt_batch(kinds, times, task_ids, columns)
+                rows = len(kinds)
+            self._ops_seen += rows
+
+    def _check_op(self, record: list, line: int) -> Tuple[int, Tuple[str, ...]]:
+        """The checks an ``["o", kind, time, task, payload...]`` record
+        passes before it is stored or handed to a sink: a kind the
+        header declared, the kind's arity, 64-bit integers, ids of
+        symbols and addresses defined so far, 0/1 booleans and branch
+        kinds.  Returns the kind's local code and payload types."""
+        wire = record[1] if len(record) > 1 else None
+        plan = self._plans.get(wire) if type(wire) is int else None
+        if plan is None:
             raise TraceFormatError(
-                f"unrecognized trace record: {record!r}", line=self._lineno
+                f"op record with undeclared kind code: {record!r}", line=line
             )
+        code, types, arity = plan
+        if len(record) != arity:
+            raise TraceFormatError(f"malformed op record: {record!r}", line=line)
+        n_syms = len(self._symbols)
+        time, task = record[2], record[3]
+        if type(time) is not int or not _I64_MIN <= time <= _I64_MAX:
+            problem = "time is not a 64-bit integer"
+        elif type(task) is not int or not 0 <= task < n_syms:
+            problem = "task is not a defined symbol id"
+        else:
+            for k, typ in enumerate(types, 4):
+                raw = record[k]
+                if typ == STR:
+                    if type(raw) is int and 0 <= raw < n_syms:
+                        continue
+                    problem = "is not a defined symbol id"
+                elif typ == INT or typ == OPT_INT:
+                    if (type(raw) is int and _I64_MIN <= raw <= _I64_MAX) or (
+                        raw is None and typ == OPT_INT
+                    ):
+                        continue
+                    problem = "is not a 64-bit integer"
+                elif typ == ADDR:
+                    if type(raw) is int and 0 <= raw < len(self._addresses):
+                        continue
+                    problem = "is not a defined address id"
+                elif typ == BOOL:
+                    if raw in (0, 1) and type(raw) in (int, bool):
+                        continue
+                    problem = "is not 0 or 1"
+                else:  # ENUM
+                    if (
+                        type(raw) is int
+                        and 0 <= raw < n_syms
+                        and self._symbols[raw] in _BRANCH_OF_NAME
+                    ):
+                        continue
+                    problem = "is not the symbol id of a branch kind"
+                problem = f"{_SCHEMA_LIST[code][k - 4][0]} {problem}"
+                break
+            else:
+                return code, types
+        raise TraceFormatError(
+            f"corrupt trace record {record!r} ({problem})", line=line
+        )
+
+    def _row_values(self, types: Tuple[str, ...], record: list) -> List[Any]:
+        """A checked op record's payload, decoded for a sink."""
+        symbols = self._symbols
+        values: List[Any] = []
+        for typ, raw in zip(types, record[4:]):
+            if typ == STR:
+                values.append(symbols[raw])
+            elif typ == ADDR:
+                values.append(self._addresses[raw])
+            elif typ == BOOL:
+                values.append(bool(raw))
+            elif typ == ENUM:
+                values.append(BranchKind(symbols[raw]))
+            else:  # INT / OPT_INT
+                values.append(raw)
+        return values
 
 
 class AnyTraceDecoder:
@@ -775,13 +988,7 @@ def load_trace(
     )
     try:
         if is_text:
-            for line in fp:
-                # feed(), not feed_line(): a crash-truncated file's last
-                # line has no newline, and only the buffer path lets
-                # finish() tell a complete final record from a cut one.
-                decoder.feed(line)
-                if decoder.degraded:
-                    break
+            _feed_lines(decoder, fp)
         else:
             # read1 (one underlying read per call) rather than read:
             # BufferedReader.read over a truncated gzip member raises
@@ -799,6 +1006,33 @@ def load_trace(
     except _STREAM_DAMAGE as exc:
         decoder.mark_damaged(exc)
     return decoder.finish()
+
+
+def _feed_lines(decoder: "AnyTraceDecoder", fp: IO[str]) -> None:
+    """Hand a text stream to ``decoder.feed`` in pieces of about
+    :data:`_TEXT_PIECE` characters of whole lines.
+
+    Lines are read one at a time, so a decompressor that fails mid-file
+    (a truncated gzip member) has lost none of the lines before the
+    damage: they are fed before the error propagates.  ``feed``, not
+    ``feed_line``: a crash-truncated file's last line has no newline,
+    and only the buffer path lets ``finish`` tell a complete final
+    record from a cut one.
+    """
+    piece: List[str] = []
+    size = 0
+    try:
+        for line in fp:
+            piece.append(line)
+            size += len(line)
+            if size >= _TEXT_PIECE:
+                text, piece, size = "".join(piece), [], 0
+                decoder.feed(text)
+                if decoder.degraded:
+                    return
+    finally:
+        if piece and not decoder.degraded:
+            decoder.feed("".join(piece))
 
 
 # ---------------------------------------------------------------------------

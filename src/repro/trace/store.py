@@ -295,37 +295,62 @@ class TraceStore:
         return self.append_row(code, time, task, values)
 
     def append_row(self, code: int, time: int, task: str, values: Sequence[Any]) -> int:
-        """Append one pre-decomposed operation row (the streaming-reader
-        fast path: no :class:`Operation` instance is ever built)."""
+        """Append one pre-decomposed operation row (no
+        :class:`Operation` instance is ever built).
+
+        A value that does not fit its column raises, and the op columns
+        and indices are left as they were: every op in the store still
+        materializes.  Strings interned before the failing value stay
+        in the side tables, unreferenced.
+        """
         i = len(self.kinds)
-        self.kinds.append(code)
-        self.times.append(time)
-        tid = self.symbols.intern(task)
-        self.task_ids.append(tid)
-        bucket = self._buckets[code]
-        if bucket is None:
-            bucket = self._buckets[code] = _KindBucket(_SCHEMA_LIST[code])
-        self.rows.append(len(bucket.indices))
-        bucket.indices.append(i)
-        intern_sym = self.symbols.intern
-        for (name, typ), col, value in zip(bucket.schema, bucket.columns, values):
-            if typ == STR:
-                col.append(intern_sym(value))
-            elif typ == INT:
-                col.append(value)
-            elif typ == OPT_INT:
-                col.append(_NONE if value is None else value)
-            elif typ == ADDR:
-                col.append(self.addresses.intern(value))
-            elif typ == BOOL:
-                col.append(1 if value else 0)
-            else:  # ENUM
-                col.append(_BRANCH_INDEX[value])
+        try:
+            self.kinds.append(code)
+            self.times.append(time)
+            tid = self.symbols.intern(task)
+            self.task_ids.append(tid)
+            bucket = self._buckets[code]
+            if bucket is None:
+                bucket = self._buckets[code] = _KindBucket(_SCHEMA_LIST[code])
+            self.rows.append(len(bucket.indices))
+            bucket.indices.append(i)
+            intern_sym = self.symbols.intern
+            for (name, typ), col, value in zip(bucket.schema, bucket.columns, values):
+                if typ == STR:
+                    col.append(intern_sym(value))
+                elif typ == INT:
+                    col.append(value)
+                elif typ == OPT_INT:
+                    col.append(_NONE if value is None else value)
+                elif typ == ADDR:
+                    col.append(self.addresses.intern(value))
+                elif typ == BOOL:
+                    col.append(1 if value else 0)
+                else:  # ENUM
+                    col.append(_BRANCH_INDEX[value])
+        except BaseException:
+            self._truncate(i)
+            raise
         ops = self._task_ops.get(tid)
         if ops is None:
             ops = self._task_ops[tid] = array("i")
         ops.append(i)
         return i
+
+    def _truncate(self, n: int) -> None:
+        """Cut the op columns and indices back to the first ``n`` ops
+        (a failed append's partial row)."""
+        for column in (self.kinds, self.times, self.task_ids, self.rows):
+            del column[n:]
+        for code, bucket in enumerate(self._buckets):
+            if bucket is None:
+                continue
+            keep = bisect_left(bucket.indices, n)
+            del bucket.indices[keep:]
+            for col in bucket.columns:
+                del col[keep:]
+            if not keep:
+                self._buckets[code] = None
 
     def adopt_batch(
         self,
@@ -585,11 +610,13 @@ class DecodeStats:
     """Per-format decode counters of one load, surfaced by
     ``python -m repro stats`` next to the size profile.
 
-    The text formats (v1/v2) count lines as frames and decode every op
-    row by row; the binary v3 format counts real frames and reports how
-    many ops were adopted wholesale by column ``frombytes`` versus
-    decoded row by row, plus — for column-sparse :class:`SegmentReader`
-    scans — how many payload bytes were never read at all.
+    The text formats (v1/v2) count lines as frames and every op as
+    decoded from text: v1 appends op by op, v2 checks each line and
+    lands each feed's ops as one column batch.  The binary v3 format
+    counts real frames and reports how many ops were adopted wholesale
+    by column ``frombytes`` versus decoded row by row, plus — for
+    column-sparse :class:`SegmentReader` scans — how many payload bytes
+    were never read at all.
     """
 
     #: trace format version the stream declared
@@ -602,7 +629,7 @@ class DecodeStats:
     batches: int = 0
     #: ops loaded by one-shot column adoption (``array.frombytes``)
     ops_adopted: int = 0
-    #: ops decoded row by row (text formats, or the v3 fallback path)
+    #: ops decoded from text (v1/v2), or row by row (the v3 fallback)
     ops_decoded: int = 0
     #: columns adopted or mmapped without row-by-row decode
     columns_adopted: int = 0

@@ -155,10 +155,10 @@ class TestClosureAccounting:
         assert all(e.closure_bytes > 0 for e in analyzer.epochs)
 
 
-def fed_v3(trace, chunk=None):
-    """An analyzer fed ``trace`` as v3 bytes, whole or in ``chunk``-byte
-    pieces, and finished."""
-    data = dumps_trace_bytes(trace, version=3)
+def fed_bytes(trace, chunk=None, version=3):
+    """An analyzer fed ``trace`` serialized at ``version``, whole or in
+    ``chunk``-byte pieces, and finished."""
+    data = dumps_trace_bytes(trace, version=version)
     analyzer = StreamAnalyzer()
     step = chunk or len(data)
     for k in range(0, len(data), step):
@@ -192,15 +192,16 @@ def epoch_outcome(analyzer):
 
 class TestRangeDrive:
     """The analyzer drives its structures over op ranges; how the
-    ops arrive (one v3 batch holding every epoch, small chunks, one op
-    at a time) changes no epoch, report or counter."""
+    ops arrive (one v3 batch holding every epoch, small chunks of v3 or
+    of v2 text, one op at a time) changes no epoch, report or counter."""
 
     @pytest.mark.parametrize("name", [app.name for app in ALL_APPS])
     def test_every_feed_gives_the_same_epochs(self, name):
         combined = concat_sessions(app_trace(name), sessions=3)
-        whole = epoch_outcome(fed_v3(combined))
+        whole = epoch_outcome(fed_bytes(combined))
         assert whole[1]["epochs_retired"] == 3
-        assert epoch_outcome(fed_v3(combined, chunk=4096)) == whole
+        assert epoch_outcome(fed_bytes(combined, chunk=4096)) == whole
+        assert epoch_outcome(fed_bytes(combined, chunk=4096, version=2)) == whole
         assert epoch_outcome(fed_in_process(combined)) == whole
 
     def test_v3_session_materializes_only_extracted_payloads(self, monkeypatch):

@@ -8,6 +8,7 @@ from repro.testing import TraceBuilder
 from repro.trace import (
     Begin,
     BranchKind,
+    Deref,
     End,
     OpKind,
     OpsView,
@@ -16,6 +17,7 @@ from repro.trace import (
     Trace,
     TraceError,
     TraceStore,
+    Wait,
     trace_profile,
 )
 from tests.test_property_structures import operation_st
@@ -47,6 +49,28 @@ def rich_trace():
     return b.build()
 
 
+def store_columns(store):
+    """Everything ``store`` holds, as plain values: the global columns,
+    each kind bucket's index array and payload columns, both interning
+    tables and the per-task index (column-for-column equality)."""
+    return {
+        "kinds": bytes(store.kinds),
+        "times": list(store.times),
+        "task_ids": list(store.task_ids),
+        "rows": list(store.rows),
+        "buckets": [
+            None if bucket is None
+            else (list(bucket.indices), [list(col) for col in bucket.columns])
+            for bucket in store._buckets
+        ],
+        "symbols": [store.symbols.value(k) for k in range(len(store.symbols))],
+        "addresses": [
+            store.addresses.value(k) for k in range(len(store.addresses))
+        ],
+        "task_ops": {tid: list(ops) for tid, ops in store._task_ops.items()},
+    }
+
+
 class TestRoundTrip:
     def test_every_op_materializes_identically(self):
         ops = list(rich_trace().ops)
@@ -75,6 +99,38 @@ class TestRoundTrip:
         for i, kind, task, time in meta:
             op = trace.ops[i]
             assert (kind, task, time) == (op.kind, op.task, op.time)
+
+
+class TestFailedAppend:
+    """A row whose value does not fit its column raises and leaves the
+    op columns and indices as they were, so every op still
+    materializes."""
+
+    @pytest.mark.parametrize("pc", ["x", 1 << 70, 1.5])
+    def test_bad_payload_value_changes_nothing(self, pc):
+        trace = rich_trace()
+        before = store_columns(trace.store)
+        # method "onE" is interned already, so no string is new either
+        op = Deref(task="E", time=99, object_id=8, method="onE", pc=pc)
+        with pytest.raises((TypeError, OverflowError)):
+            trace.append(op)
+        assert store_columns(trace.store) == before
+        assert list(trace.ops) == list(rich_trace().ops)
+
+    def test_bad_time_changes_nothing(self):
+        trace = rich_trace()
+        before = store_columns(trace.store)
+        with pytest.raises(OverflowError):
+            trace.append(End(task="T", time=1 << 70))
+        assert store_columns(trace.store) == before
+
+    def test_first_op_of_a_kind_leaves_no_bucket_behind(self):
+        trace = rich_trace()
+        before = store_columns(trace.store)
+        with pytest.raises(TypeError):
+            trace.append(Wait(task="T", time=99, monitor="m", ticket="x"))
+        assert store_columns(trace.store) == before
+        assert trace.by_kind(OpKind.WAIT) == []
 
 
 class TestAdoptTail:

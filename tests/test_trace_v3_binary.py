@@ -18,6 +18,7 @@ from repro.trace import (
     SegmentReader,
     Trace,
     TraceError,
+    TraceFormatError,
     TraceWriterV3,
     convert_trace_file,
     dump_trace_binary,
@@ -172,6 +173,69 @@ class TestBatching:
             ),
         )
         assert loads_trace(small.getvalue()).ops == trace.ops
+
+
+def v3_stream(*steps, damaged=None):
+    """A v3 stream written with one op per batch from ``steps``: a
+    ``(code, time, task, values)`` row or a task-info dict.  Rows from
+    the one marked ``damaged=k`` on write ``-1`` for the symbol ids of
+    ``"T"``, as a corrupt file would."""
+    buf = io.BytesIO()
+    rows = sum(1 for step in steps if not isinstance(step, dict))
+    tasks = len(steps) - rows
+    writer = TraceWriterV3(buf, tasks=tasks, ops=rows, batch_ops=1)
+    intern = writer._sym
+    for k, step in enumerate(steps):
+        if isinstance(step, dict):
+            writer.write_task(step)
+            continue
+        if k == damaged:
+            writer._sym = lambda value: -1 if value == "T" else intern(value)
+        writer.write_row(*step)
+    writer.finish()
+    return buf.getvalue()
+
+
+class TestMalformedFrames:
+    """Damaged frames raise a :class:`TraceFormatError` that gives the
+    byte offset, and salvage keeps the batches before them."""
+
+    BEGIN, READ = KIND_LIST.index(OpKind.BEGIN), KIND_LIST.index(OpKind.READ)
+
+    def _salvaged(self, blob, ops, match):
+        with pytest.raises(TraceFormatError, match=match):
+            loads_trace(blob)
+        trace = loads_trace(blob, strict=False)
+        assert len(trace) == ops
+        assert len(list(trace.ops)) == ops
+        return trace
+
+    def test_negative_task_id_is_a_format_error(self):
+        # the last symbol is "U": a -1 that indexed from the end would
+        # silently give the op to it
+        blob = v3_stream(
+            (self.BEGIN, 1, "T", []),
+            (self.BEGIN, 2, "U", []),
+            (self.READ, 3, "T", ["x", "s"]),
+            damaged=2,
+        )
+        self._salvaged(blob, 2, r"corrupt batch frame at byte \d+ .*task symbol")
+
+    def test_negative_payload_symbol_id_is_a_format_error(self):
+        blob = v3_stream(
+            (self.BEGIN, 1, "U", []),
+            (self.READ, 2, "U", ["T", "s"]),
+            damaged=1,
+        )
+        self._salvaged(blob, 1, r"corrupt batch frame at byte \d+ .*symbol id")
+
+    def test_repeated_task_frame_is_a_format_error(self):
+        info = {"task": "U", "task_kind": "thread"}
+        blob = v3_stream(info, (self.BEGIN, 1, "U", []), info)
+        trace = self._salvaged(
+            blob, 1, r"duplicate task id 'U' in task frame at byte \d+"
+        )
+        assert list(trace.tasks) == ["U"]
 
 
 class TestConvert:
