@@ -8,9 +8,10 @@ with telemetry off.  Two gates, recorded in ``bounds_pr9.json``:
 
 * **Overhead bound.**  Enabled-mode ingest throughput must be at
   least ``min_throughput_ratio`` (0.9x) of disabled-mode throughput.
-  Each config takes the best of ``runs_per_config`` runs so a single
-  scheduler hiccup on a small runner cannot fail the gate; the ratio
-  compares two runs on the same machine, so the gate arms everywhere.
+  The two settings run in ``runs_per_config`` alternating pairs, and
+  which one goes first alternates too, so host drift over the runs
+  falls on both sides; the gate is the median of the per-pair ratios.
+  It compares runs on the same machine, so it arms everywhere.
 
 * **Fidelity.**  The per-session reports from the enabled and
   disabled runs must be identical — telemetry observes the pipeline,
@@ -19,6 +20,7 @@ with telemetry off.  Two gates, recorded in ``bounds_pr9.json``:
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -83,44 +85,39 @@ def test_telemetry_overhead_is_bounded(benchmark):
     bounds = BOUNDS["instrumentation_overhead"]
     stream, payload_bytes = _fleet_stream(bounds)
 
-    results = {}
+    reports = {}
+    ratios = []
 
     def run():
-        for metrics in (False, True):
-            runs = [
-                _ingest(stream, bounds["shards"], metrics)
-                for _ in range(bounds["runs_per_config"])
-            ]
-            results[metrics] = (
-                runs[0][0],
-                min(seconds for _report, seconds in runs),
-            )
-        return results
+        for k in range(bounds["runs_per_config"]):
+            seconds = {}
+            for metrics in (k % 2 == 1, k % 2 == 0):
+                report, seconds[metrics] = _ingest(
+                    stream, bounds["shards"], metrics
+                )
+                reports.setdefault(metrics, report)
+            # enabled over disabled throughput, for one pair of runs
+            ratios.append(seconds[False] / seconds[True])
+        return ratios
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
     # Fidelity gate: telemetry is invisible in the analysis output.
-    baseline = _fingerprint(results[False][0])
+    baseline = _fingerprint(reports[False])
     assert len(baseline) == bounds["sessions"]
-    assert _fingerprint(results[True][0]) == baseline, (
+    assert _fingerprint(reports[True]) == baseline, (
         "session reports diverged between telemetry-on and telemetry-off"
     )
 
-    throughput = {
-        metrics: payload_bytes / seconds
-        for metrics, (_report, seconds) in results.items()
-    }
-    ratio = throughput[True] / throughput[False]
+    ratio = statistics.median(ratios)
     benchmark.extra_info["payload_bytes"] = payload_bytes
-    benchmark.extra_info["throughput_bytes_per_s"] = {
-        "disabled": round(throughput[False]),
-        "enabled": round(throughput[True]),
-    }
+    benchmark.extra_info["pair_ratios"] = [round(r, 3) for r in ratios]
     benchmark.extra_info["enabled_over_disabled_ratio"] = round(ratio, 3)
 
     assert ratio >= bounds["min_throughput_ratio"], (
         f"telemetry-enabled ingest throughput is {ratio:.2f}x the "
-        f"disabled baseline (bound: {bounds['min_throughput_ratio']}x; "
-        f"{benchmark.extra_info['throughput_bytes_per_s']}); "
+        f"disabled baseline in the median pair (bound: "
+        f"{bounds['min_throughput_ratio']}x; pairs "
+        f"{benchmark.extra_info['pair_ratios']}); "
         "instrumentation is no longer near-zero-cost"
     )

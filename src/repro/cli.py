@@ -13,7 +13,6 @@ Commands:
 * ``stats <trace.jsonl>`` — happens-before graph statistics (edges per
   rule, fixpoint rounds) plus the trace store / decode profile;
   ``--stream`` adds the online analyzer's profile for the same file;
-  ``--sparse`` adds a column-sparse v3 segment scan (bytes skipped);
 * ``stream <trace.jsonl|->`` — online analysis: ingest a trace stream
   (v1/v2 text or v3 binary) incrementally (file, growing file with
   ``--follow``, or stdin) and emit race reports as epochs retire;
@@ -24,8 +23,8 @@ Commands:
   worker processes, one online analyzer per session; ``--json`` saves
   the daemon report for ``stats --daemon`` aggregation;
 * ``convert <src> <dst>`` — transcode a trace file between any two
-  supported versions (v1/v2/v3, ``.gz`` transparent), streaming with
-  constant memory; ``--salvage`` converts the valid prefix of a
+  supported versions (v1/v2/v3, ``.gz`` transparent), streaming one
+  decoded feed at a time; ``--salvage`` converts the valid prefix of a
   damaged file;
 * ``dot <trace.jsonl>`` — Graphviz export of the happens-before graph;
 * ``scaling-matrix`` — run the §6.4 analysis-time sweep over apps x
@@ -248,22 +247,6 @@ def _cmd_stats(args) -> int:
         stream_profile = analyzer.profile
         if not args.json:
             print(stream_profile.format())
-    sparse_stats = None
-    if args.sparse:
-        from .trace import SegmentReader, TraceError
-
-        try:
-            with SegmentReader(args.trace) as reader:
-                for name in ("kinds", "times", "task_ids"):
-                    reader.global_column(name)
-                sparse_stats = reader.stats()
-        except TraceError as exc:
-            print(f"sparse scan: not a v3 segment file ({exc})",
-                  file=sys.stderr)
-            return 1
-        if not args.json:
-            print("column-sparse scan (global columns only):")
-            print(sparse_stats.format())
     if args.json:
         import json
 
@@ -275,7 +258,6 @@ def _cmd_stats(args) -> int:
                     trace_profile=trace_profile,
                     hb_stats=stats,
                     stream_profile=stream_profile,
-                    sparse_stats=sparse_stats,
                 ),
                 indent=2,
                 sort_keys=True,
@@ -901,12 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
         "analyzer and print its profile",
     )
     stats.add_argument(
-        "--sparse",
-        action="store_true",
-        help="also column-sparse-scan the file as a v3 segment "
-        "(mmap) and report bytes read vs skipped",
-    )
-    stats.add_argument(
         "--daemon",
         action="store_true",
         help="treat the positional argument as a daemon report JSON "
@@ -1102,7 +1078,7 @@ def build_parser() -> argparse.ArgumentParser:
     convert = sub.add_parser(
         "convert",
         help="transcode a trace file between format versions "
-        "(streaming, constant memory)",
+        "(streaming, one decoded feed in memory at a time)",
     )
     convert.add_argument("src", help="input trace path (any version, .gz ok)")
     convert.add_argument("dst", help="output trace path (.gz compresses)")

@@ -13,8 +13,7 @@ Schema (``repro-stats/1``)::
       "decode": {DecodeStats fields} | null,
       "build":  {graph summary + BuildProfile fields} | null,
       "query":  {QueryProfile fields} | null,
-      "stream": {StreamProfile fields} | null,
-      "sparse": {column-sparse scan DecodeStats fields} | null
+      "stream": {StreamProfile fields} | null
     }
 
 Every section is either present with its full field set or ``null`` —
@@ -22,9 +21,10 @@ consumers can rely on the key existing.  New fields may be appended in
 later schema revisions; existing keys are never renamed.  Keys were
 dropped only when the code that filled them went: two constants from
 ``trace`` and ``build.profile``, two fixpoint counters from
-``build.profile``, and the ``sampling`` section with three ``stream``
-counters when the sampled detector was deleted (see
-``docs/observability.md``).
+``build.profile``, the ``sampling`` section with three ``stream``
+counters when the sampled detector was deleted, and the ``sparse``
+section with the skipped-bytes counter of ``decode`` when the
+column-sparse v3 reader was deleted (see ``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Optional
 
 SCHEMA = "repro-stats/1"
 
-_SECTIONS = ("trace", "decode", "build", "query", "stream", "sparse")
+_SECTIONS = ("trace", "decode", "build", "query", "stream")
 
 
 def _asdict(obj) -> Optional[dict]:
@@ -47,16 +47,14 @@ def stats_document(
     trace_profile=None,
     hb_stats=None,
     stream_profile=None,
-    sparse_stats=None,
 ) -> dict:
     """Assemble the document from whatever sections were computed.
 
     ``trace_profile`` is a :class:`~repro.trace.store.TraceProfile`
     (its nested decode counters become the ``decode`` section),
     ``hb_stats`` an :class:`~repro.hb.stats.HBStats` (split into
-    ``build`` and ``query``), ``stream_profile`` a
-    :class:`~repro.stream.StreamProfile` and ``sparse_stats`` the
-    :class:`~repro.trace.store.DecodeStats` of a column-sparse scan.
+    ``build`` and ``query``) and ``stream_profile`` a
+    :class:`~repro.stream.StreamProfile`.
     """
     doc = {"schema": SCHEMA}
     for section in _SECTIONS:
@@ -73,8 +71,5 @@ def stats_document(
 
     if stream_profile is not None:
         doc["stream"] = _asdict(stream_profile)
-
-    if sparse_stats is not None:
-        doc["sparse"] = _asdict(sparse_stats)
 
     return doc

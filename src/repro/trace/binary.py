@@ -5,14 +5,10 @@ v3 keeps the same logical model as v2 — a negotiated header, incremental
 symbol/address interning, positional payloads laid out by the kind
 schemas (:data:`repro.trace.store.SCHEMAS`) — but stores it as binary
 *frames*, and stores the operations themselves as *columnar batches*
-whose per-column blocks are contiguous on disk:
-
-* a reader reloads :class:`~repro.trace.store.TraceStore` columns with
-  ``array.frombytes`` in one shot per column per batch instead of
-  decoding records one by one, and
-* a column-sparse consumer (:class:`SegmentReader`) can ``mmap`` the
-  file and read exactly the columns it needs, skipping every other
-  byte — corpus triage without full deserialization.
+whose per-column blocks are contiguous on disk, so a reader reloads
+:class:`~repro.trace.store.TraceStore` columns with ``array.frombytes``
+in one shot per column per batch instead of decoding records one by
+one.
 
 Wire layout
 -----------
@@ -44,11 +40,11 @@ The header is the v2 header plus a ``branch_kinds`` vocabulary (the
 enum column's wire values are indices into it), and version negotiation
 works exactly as in v2: positions in the header tables define the wire
 codes, a reader remaps them to its own vocabulary or fails loudly.
-The footer records frame offsets of every batch and side-table frame,
-and the trailer points back at the footer — so :class:`SegmentReader`
-reaches any column in O(1) seeks, and a byte cut *anywhere* is
-detectable: strict loads require the footer+trailer and the header
-count checks, salvage loads analyze the longest valid frame prefix.
+The footer records the frame offsets of every batch and side-table
+frame, and the trailer points back at the footer, so a byte cut
+*anywhere* is detectable: strict loads require the footer+trailer and
+the header count checks, salvage loads analyze the longest valid frame
+prefix.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ import json
 import struct
 import sys
 from array import array
-from typing import IO, Any, Dict, List, Optional, Tuple, Union
+from typing import IO, Any, Dict, List, Optional, Tuple
 
 from .operations import BranchKind, OpKind
 from .store import (
@@ -67,7 +63,6 @@ from .store import (
     KIND_CODES,
     KIND_LIST,
     OPT_INT,
-    SCHEMAS,
     STR,
     DecodeStats,
     _ARRAY_TYPE,
@@ -75,6 +70,7 @@ from .store import (
     _BRANCH_KINDS,
     _NONE,
     _SCHEMA_LIST,
+    remap_batch,
 )
 from .trace import TaskInfo, Trace, TraceError, TraceFormatError
 
@@ -209,9 +205,15 @@ def _decode_ints(data, enc: int, count: int, typecode: str) -> array:
     return array(typecode, src)
 
 
-def _ids_below(column: array, limit: int) -> bool:
-    """Every id in ``column`` indexes a table of ``limit`` entries."""
-    return not column or (min(column) >= 0 and max(column) < limit)
+def _top_id(column: array, limit: int, what: str) -> int:
+    """The largest id in ``column`` (-1 when it is empty); raises
+    ``ValueError`` unless every id indexes a table of ``limit`` entries."""
+    if not column:
+        return -1
+    top = max(column)
+    if min(column) < 0 or top >= limit:
+        raise ValueError(f"{what} id out of range")
+    return top
 
 
 def _json_bytes(obj) -> bytes:
@@ -472,17 +474,17 @@ class BinaryTraceDecoder:
     streaming service and the load entry points drive both identically —
     except :meth:`feed` takes *bytes*.
 
-    Two decode paths.  The fast path *adopts* whole batches: every
-    column lands via ``frombytes``/one widening copy straight into the
-    trace's :class:`~repro.trace.store.TraceStore`, whose symbol/address
-    tables are kept id-identical to the stream's by interning side-table
-    frames in lockstep.  That requires the store to stay in sync with
-    the stream; if the trace is swapped mid-stream (the streaming
-    service's epoch GC) or mutated out of band, adoption is disabled
-    permanently and rows fall back to per-row ``_append_decoded`` —
-    byte-identical results, just slower.  A ``sink`` (``on_header``/
-    ``on_task``/``on_row``) replaces the trace entirely (the transcoder
-    path).
+    Every batch is *adopted*: its columns land via ``frombytes``/one
+    widening copy straight into the trace's
+    :class:`~repro.trace.store.TraceStore`
+    (:meth:`~repro.trace.store.TraceStore.adopt_batch`).  Stream symbol
+    and address ids map to store ids through lists that start over
+    when :attr:`trace` is swapped (the streaming service's epoch
+    hand-off).  Until the first swap the maps are the identity: a
+    batch interns the stream values up to its largest id, in stream
+    order, and its columns are adopted untranslated.  After a swap a
+    batch's ids are translated (:func:`~repro.trace.store.remap_batch`),
+    so the new store interns only the values its ops use.
 
     Salvage semantics match the text decoder: under ``strict=False``
     the first damaged frame stops decoding, the error lands on
@@ -497,12 +499,10 @@ class BinaryTraceDecoder:
         expect_version: Optional[int] = None,
         strict: bool = True,
         trace: Optional[Trace] = None,
-        sink=None,
     ) -> None:
-        self.trace = trace if trace is not None else Trace()
+        self._trace = trace if trace is not None else Trace()
         self.expect_version = expect_version
         self.strict = strict
-        self.sink = sink
         self.header: Optional[dict] = None
         self.error: Optional[TraceFormatError] = None
         self.records = 0
@@ -515,21 +515,35 @@ class BinaryTraceDecoder:
         self._trailer_ok = False
         self._symbols: List[str] = []
         self._addresses: List[tuple] = []
+        #: stream symbol / address id -> id in the trace's store, -1
+        #: until a batch first uses it
+        self._store_syms: List[int] = []
+        self._store_addrs: List[int] = []
+        #: while True, stream ids below ``_syms_mapped``/``_addrs_mapped``
+        #: are their own store ids
+        store = self._trace.store
+        self._identity = not len(store.symbols) and not len(store.addresses)
+        self._syms_mapped = 0
+        self._addrs_mapped = 0
         self._ops_seen = 0
         self._tasks_seen = 0
-        # adoption bookkeeping
-        self._adopt_trace = self.trace if sink is None else None
-        self._adopt_ok = self._adopt_trace is not None
-        self._adopted_syms = 0
-        self._adopted_addrs = 0
-        self._adopted_store_ops = 0
         # decode counters
         self._frames = 0
         self._batches = 0
-        self._ops_adopted = 0
-        self._ops_rowwise = 0
         self._columns_adopted = 0
         self._bytes_fed = 0
+
+    @property
+    def trace(self) -> Trace:
+        return self._trace
+
+    @trace.setter
+    def trace(self, value: Trace) -> None:
+        # store ids belong to one store: map every stream id afresh
+        self._trace = value
+        self._store_syms = [-1] * len(self._symbols)
+        self._store_addrs = [-1] * len(self._addresses)
+        self._identity = False
 
     @property
     def degraded(self) -> bool:
@@ -542,8 +556,7 @@ class BinaryTraceDecoder:
             frames=self._frames,
             records=self.records,
             batches=self._batches,
-            ops_adopted=self._ops_adopted,
-            ops_decoded=self._ops_rowwise,
+            ops_adopted=self._ops_seen,
             columns_adopted=self._columns_adopted,
             bytes_read=self._bytes_fed,
         )
@@ -561,7 +574,6 @@ class BinaryTraceDecoder:
         self._bytes_fed += len(chunk)
         self._buffer += chunk
         before = self._ops_seen
-        self._check_adoption()
         try:
             self._parse()
         except TraceFormatError as exc:
@@ -570,7 +582,6 @@ class BinaryTraceDecoder:
             self.error = exc
             self._buffer.clear()
         return self._ops_seen - before
-
     def flush(self) -> int:
         """Rule on buffered bytes that never completed a frame.
 
@@ -610,24 +621,17 @@ class BinaryTraceDecoder:
                     "stream ends before the v3 footer and trailer; "
                     "the file is truncated"
                 )
-            tasks_seen = (
-                self._tasks_seen if self.sink is not None
-                else len(self.trace.tasks)
-            )
-            ops_seen = (
-                self._ops_seen if self.sink is not None else len(self.trace)
-            )
             expected_tasks = self.header.get("tasks")
-            if expected_tasks is not None and expected_tasks != tasks_seen:
+            if expected_tasks is not None and expected_tasks != self._tasks_seen:
                 raise TraceFormatError(
                     f"task count mismatch: header says {expected_tasks}, "
-                    f"stream has {tasks_seen}"
+                    f"stream has {self._tasks_seen}"
                 )
             expected_ops = self.header.get("ops")
-            if expected_ops is not None and expected_ops != ops_seen:
+            if expected_ops is not None and expected_ops != self._ops_seen:
                 raise TraceFormatError(
                     f"op count mismatch: header says {expected_ops}, "
-                    f"stream has {ops_seen}"
+                    f"stream has {self._ops_seen}"
                 )
             footer_ops = self._footer.get("ops") if self._footer else None
             if footer_ops is not None and footer_ops != self._ops_seen:
@@ -734,24 +738,19 @@ class BinaryTraceDecoder:
             raise TraceError("unreadable v3 header frame") from None
         self._vocab = _negotiate_header(record, self.expect_version)
         self.header = record
-        if self.sink is not None:
-            self.sink.on_header(record)
 
     def _take_task(self, payload: bytes, offset: int) -> None:
         try:
             record = json.loads(payload.decode("utf-8"))
             if not isinstance(record, dict):
                 raise ValueError("task frame is not an object")
-            if self.sink is not None:
-                self.sink.on_task(record)
-            else:
-                info = TaskInfo.from_dict(record)
-                if info.task in self.trace.tasks:
-                    raise TraceFormatError(
-                        f"duplicate task id {info.task!r} in task frame "
-                        f"at byte {offset}"
-                    )
-                self.trace.add_task(info)
+            info = TaskInfo.from_dict(record)
+            if info.task in self._trace.tasks:
+                raise TraceFormatError(
+                    f"duplicate task id {info.task!r} in task frame "
+                    f"at byte {offset}"
+                )
+            self._trace.add_task(info)
         except TraceFormatError:
             raise
         except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
@@ -769,13 +768,8 @@ class BinaryTraceDecoder:
             raise TraceFormatError(
                 f"corrupt symbol frame at byte {offset} ({exc})"
             ) from None
-        if self._adopt_ok:
-            store = self.trace.store
-            if store.symbols.intern(value) == self._adopted_syms:
-                self._adopted_syms += 1
-            else:  # pragma: no cover - length checks make this unreachable
-                self._adopt_ok = False
         self._symbols.append(value)
+        self._store_syms.append(-1)
         self.records += 1
 
     def _take_addr(self, payload: bytes, offset: int) -> None:
@@ -784,17 +778,13 @@ class BinaryTraceDecoder:
             if not isinstance(record, list) or len(record) != 3:
                 raise ValueError("address frame is not a 3-element list")
             value = tuple(record)
-        except (ValueError, UnicodeDecodeError) as exc:
+            hash(value)  # it must intern
+        except (ValueError, TypeError, UnicodeDecodeError) as exc:
             raise TraceFormatError(
                 f"corrupt address frame at byte {offset} ({exc})"
             ) from None
-        if self._adopt_ok:
-            store = self.trace.store
-            if store.addresses.intern(value) == self._adopted_addrs:
-                self._adopted_addrs += 1
-            else:  # pragma: no cover - length checks make this unreachable
-                self._adopt_ok = False
         self._addresses.append(value)
+        self._store_addrs.append(-1)
         self.records += 1
 
     def _take_footer(self, payload: bytes, offset: int) -> None:
@@ -821,30 +811,9 @@ class BinaryTraceDecoder:
 
     # -- batch decoding ------------------------------------------------
 
-    def _check_adoption(self) -> None:
-        """Keep the one-shot column adoption path only while it is valid.
-
-        It is disabled for good once the trace was swapped (epoch GC)
-        or its store/tables were touched out of band — interning ids
-        would no longer line up with the stream's.  Only the caller can
-        touch the store, and only between feeds, so each :meth:`feed`
-        checks once and its frames read :attr:`_adopt_ok`.
-        """
-        if not self._adopt_ok:
-            return
-        trace = self.trace
-        store = trace.store
-        if (
-            trace is not self._adopt_trace
-            or len(store) != self._adopted_store_ops
-            or len(store.symbols) != self._adopted_syms
-            or len(store.addresses) != self._adopted_addrs
-        ):
-            self._adopt_ok = False
-
     def _take_batch(self, payload: bytes, offset: int) -> None:
         try:
-            n, local_kinds, times, tids, columns = self._decode_batch(payload)
+            decoded = self._decode_batch(payload)
         except TraceFormatError:
             raise
         except (ValueError, OverflowError, KeyError, IndexError,
@@ -853,20 +822,48 @@ class BinaryTraceDecoder:
                 f"corrupt batch frame at byte {offset} "
                 f"({exc.__class__.__name__}: {exc})"
             ) from None
-        if self.sink is not None:
-            self._emit_rows(n, local_kinds, times, tids, columns, sink=True)
-        elif self._adopt_ok:
-            self.trace.store.adopt_batch(local_kinds, times, tids, columns)
-            self._adopted_store_ops += n
-            self._ops_adopted += n
-            self._columns_adopted += 3 + sum(
-                len(cols) for cols in columns.values()
+        n, local_kinds, times, tids, columns, top_sym, top_addr = decoded
+        store = self._trace.store
+        if self._identity:
+            self._identity = self._intern_identically(
+                top_sym, top_addr, store
             )
-        else:
-            self._emit_rows(n, local_kinds, times, tids, columns, sink=False)
+        if not self._identity:
+            tids, columns = remap_batch(
+                tids,
+                columns,
+                store,
+                (self._store_syms, self._symbols.__getitem__),
+                (self._store_addrs, self._addresses.__getitem__),
+            )
+        store.adopt_batch(local_kinds, times, tids, columns)
+        self._columns_adopted += 3 + sum(len(cols) for cols in columns.values())
         self._ops_seen += n
         self._batches += 1
         self.records += n
+
+    def _intern_identically(self, top_sym: int, top_addr: int, store) -> bool:
+        """Intern the stream values up to a batch's largest ids, in
+        stream order; True while each lands on its own stream id.
+
+        Our writers define each value on first use, so stream order is
+        first-use order and the store's tables come out as a row-by-row
+        append would leave them.
+        """
+        for values, store_ids, mapped, top, table in (
+            (self._symbols, self._store_syms, self._syms_mapped, top_sym,
+             store.symbols),
+            (self._addresses, self._store_addrs, self._addrs_mapped,
+             top_addr, store.addresses),
+        ):
+            intern = table.intern
+            for i in range(mapped, top + 1):
+                sid = store_ids[i] = intern(values[i])
+                if sid != i:
+                    return False
+        self._syms_mapped = max(self._syms_mapped, top_sym + 1)
+        self._addrs_mapped = max(self._addrs_mapped, top_addr + 1)
+        return True
 
     def _decode_batch(self, payload: bytes):
         vocab = self._vocab
@@ -916,8 +913,9 @@ class BinaryTraceDecoder:
         times = _decode_ints(blob, enc, n, "q")
         enc, _count, blob = sections.pop(SEC_TASK_IDS)
         tids = _decode_ints(blob, enc, n, "i")
-        if not _ids_below(tids, len(self._symbols)):
-            raise ValueError("task symbol id out of range")
+        n_syms, n_addrs = len(self._symbols), len(self._addresses)
+        top_sym = _top_id(tids, n_syms, "task symbol")
+        top_addr = -1
         columns: Dict[int, List[array]] = {}
         for wire in sorted(set(wire_kinds)):
             schema = vocab.schemas[wire]
@@ -938,11 +936,11 @@ class BinaryTraceDecoder:
                     )
                 column = _decode_ints(blob, enc, count, _ARRAY_TYPE[typ])
                 if typ == STR:
-                    if not _ids_below(column, len(self._symbols)):
-                        raise ValueError("symbol id out of range")
+                    top_sym = max(top_sym, _top_id(column, n_syms, "symbol"))
                 elif typ == ADDR:
-                    if not _ids_below(column, len(self._addresses)):
-                        raise ValueError("address id out of range")
+                    top_addr = max(
+                        top_addr, _top_id(column, n_addrs, "address")
+                    )
                 elif typ == ENUM:
                     if column and max(column) >= len(vocab.branches):
                         raise ValueError("undeclared branch kind in batch")
@@ -956,347 +954,5 @@ class BinaryTraceDecoder:
             raise ValueError(
                 f"unexpected section keys {sorted(sections)} in batch"
             )
-        return n, local_kinds, times, tids, columns
+        return n, local_kinds, times, tids, columns, top_sym, top_addr
 
-    def _emit_rows(self, n, local_kinds, times, tids, columns, sink) -> None:
-        """Row-by-row delivery: the sink path and the post-GC fallback."""
-        symbols = self._symbols
-        addresses = self._addresses
-        cursors: Dict[int, int] = {}
-        on_row = self.sink.on_row if sink else None
-        append = None if sink else self.trace._append_decoded
-        for i in range(n):
-            code = local_kinds[i]
-            schema = _SCHEMA_LIST[code]
-            row = cursors.get(code, 0)
-            cursors[code] = row + 1
-            values: List[Any] = []
-            if schema:
-                for (_name, typ), column in zip(schema, columns[code]):
-                    raw = column[row]
-                    if typ == STR:
-                        values.append(symbols[raw])
-                    elif typ == OPT_INT:
-                        values.append(None if raw == _NONE else raw)
-                    elif typ == ADDR:
-                        values.append(addresses[raw])
-                    elif typ == BOOL:
-                        values.append(bool(raw))
-                    elif typ == ENUM:
-                        values.append(_BRANCH_KINDS[raw])
-                    else:  # INT
-                        values.append(raw)
-            task = symbols[tids[i]]
-            if sink:
-                on_row(code, times[i], task, values)
-            else:
-                append(code, times[i], task, values)
-        self._ops_rowwise += n
-
-
-# ---------------------------------------------------------------------------
-# Column-sparse segment access (mmap)
-# ---------------------------------------------------------------------------
-
-
-class SegmentReader:
-    """Column-sparse random access to one v3 file via ``mmap``.
-
-    Opens the file, validates magic + trailer, and parses only the
-    footer, header, and (lazily, per batch) the section directories —
-    a few KiB regardless of trace size.  :meth:`column` then reads
-    exactly one kind's one field across all batches; everything else
-    is never touched, which is the point: a corpus bigger than RAM can
-    be triaged by scanning two columns of each file.
-
-    ``bytes_read`` / ``bytes_skipped`` / ``columns_mapped`` account for
-    the sparseness (surfaced by ``repro stats --sparse``).  Only plain
-    (non-gzip) files can be mapped.
-    """
-
-    def __init__(self, path) -> None:
-        import mmap as _mmap
-
-        self._fh = open(path, "rb")
-        try:
-            try:
-                self._mm = _mmap.mmap(
-                    self._fh.fileno(), 0, access=_mmap.ACCESS_READ
-                )
-            except ValueError:
-                raise TraceError(f"{path}: empty file is not a v3 trace") from None
-            mm = self._mm
-            self.file_bytes = len(mm)
-            self.bytes_read = 0
-            self.columns_mapped = 0
-            self._frames_read = 0
-            self._dirs: Dict[int, tuple] = {}
-            if mm[:2] == b"\x1f\x8b":
-                raise TraceError(
-                    f"{path}: gzip-compressed traces cannot be mmapped; "
-                    "decompress first (repro convert) or load normally"
-                )
-            if (
-                self.file_bytes < len(MAGIC_V3) + TRAILER_LEN
-                or mm[:len(MAGIC_V3)] != MAGIC_V3
-            ):
-                raise TraceError(f"{path}: not a cafa-trace v3 file")
-            self.bytes_read += len(MAGIC_V3)
-            trailer = mm[self.file_bytes - TRAILER_LEN:]
-            if trailer[8:] != TRAILER_MAGIC:
-                raise TraceFormatError(
-                    "v3 trailer missing or damaged (truncated file?)"
-                )
-            (footer_offset,) = struct.unpack("<Q", trailer[:8])
-            self.bytes_read += TRAILER_LEN
-            tag, payload = self._frame_at(footer_offset)
-            if tag != TAG_FOOTER:
-                raise TraceFormatError(
-                    "trailer does not point at a footer frame"
-                )
-            self.footer = self._json(payload, "footer")
-            tag, payload = self._frame_at(len(MAGIC_V3))
-            if tag != TAG_HEADER:
-                raise TraceError("v3 file does not start with a header frame")
-            self.header = self._json(payload, "header")
-            self._vocab = _negotiate_header(self.header, None)
-            self._wire_of_local = {
-                code: wire for wire, code in enumerate(self._vocab.codes)
-            }
-        except BaseException:
-            self.close()
-            raise
-
-    # -- plumbing ------------------------------------------------------
-
-    def close(self) -> None:
-        mm = getattr(self, "_mm", None)
-        if mm is not None:
-            mm.close()
-            self._mm = None
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "SegmentReader":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    @staticmethod
-    def _json(payload: bytes, what: str):
-        try:
-            record = json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise TraceFormatError(f"corrupt v3 {what} frame ({exc})") from None
-        return record
-
-    def _frame_at(self, offset: int) -> Tuple[int, bytes]:
-        mm = self._mm
-        if not 0 <= offset < self.file_bytes:
-            raise TraceFormatError(f"frame offset {offset} outside the file")
-        tag = mm[offset]
-        try:
-            length, body = _read_uvarint(mm, offset + 1, self.file_bytes)
-        except (_Truncated, ValueError) as exc:
-            raise TraceFormatError(
-                f"damaged frame at byte {offset}: {exc}"
-            ) from None
-        if body + length > self.file_bytes:
-            raise TraceFormatError(
-                f"frame at byte {offset} runs past the end of the file"
-            )
-        self._frames_read += 1
-        self.bytes_read += (body - offset) + length
-        return tag, mm[body:body + length]
-
-    def _batch_dir(self, offset: int) -> tuple:
-        """Parse (and cache) one batch's section directory without
-        touching its data blocks; returns ``(n_ops, sections)`` with
-        ``sections[key] = (enc, count, absolute_offset, nbytes)``."""
-        cached = self._dirs.get(offset)
-        if cached is not None:
-            return cached
-        mm = self._mm
-        if mm[offset] != TAG_BATCH:
-            raise TraceFormatError(
-                f"footer batch entry at byte {offset} is not a batch frame"
-            )
-        try:
-            length, body = _read_uvarint(mm, offset + 1, self.file_bytes)
-            limit = body + length
-            if limit > self.file_bytes:
-                raise ValueError("frame runs past the end of the file")
-            n, pos = _read_uvarint(mm, body, limit)
-            n_sections, pos = _read_uvarint(mm, pos, limit)
-            directory = []
-            for _ in range(n_sections):
-                key, pos = _read_uvarint(mm, pos, limit)
-                if pos >= limit:
-                    raise _Truncated
-                enc = mm[pos]
-                pos += 1
-                count, pos = _read_uvarint(mm, pos, limit)
-                nbytes, pos = _read_uvarint(mm, pos, limit)
-                directory.append((key, enc, count, nbytes))
-            sections: Dict[int, Tuple[int, int, int, int]] = {}
-            for key, enc, count, nbytes in directory:
-                if key in sections or pos + nbytes > limit:
-                    raise ValueError(f"damaged section {key}")
-                sections[key] = (enc, count, pos, nbytes)
-                pos += nbytes
-            if pos != limit:
-                raise ValueError("stray bytes after the sections")
-        except (_Truncated, ValueError) as exc:
-            raise TraceFormatError(
-                f"corrupt batch frame at byte {offset} ({exc})"
-            ) from None
-        self._frames_read += 1
-        # the frame head plus the directory itself count as read; the
-        # data blocks only count when a column is actually mapped
-        first_data = min(s[2] for s in sections.values()) if sections else limit
-        self.bytes_read += (body - offset) + (first_data - body)
-        entry = (n, sections)
-        self._dirs[offset] = entry
-        return entry
-
-    # -- the sparse reads ----------------------------------------------
-
-    @property
-    def n_ops(self) -> int:
-        return self.footer.get("ops", 0)
-
-    def batches(self) -> List[Tuple[int, int]]:
-        return [(offset, n) for offset, n in self.footer.get("batches", [])]
-
-    def _read_section(self, sections, key: int, count: int, typecode: str):
-        entry = sections.get(key)
-        if entry is None:
-            return None
-        enc, declared, data_offset, nbytes = entry
-        if declared != count:
-            raise TraceFormatError(
-                f"section {key} covers {declared} of {count} expected rows"
-            )
-        blob = self._mm[data_offset:data_offset + nbytes]
-        self.bytes_read += nbytes
-        self.columns_mapped += 1
-        try:
-            return _decode_ints(blob, enc, count, typecode)
-        except (ValueError, OverflowError) as exc:
-            raise TraceFormatError(f"corrupt column section {key} ({exc})") from None
-
-    def global_column(self, name: str) -> array:
-        """One of the global columns (``"kinds"``/``"times"``/
-        ``"task_ids"``) concatenated across all batches; kind codes are
-        remapped to the local vocabulary."""
-        spec = {
-            "kinds": (SEC_KINDS, "B"),
-            "times": (SEC_TIMES, "q"),
-            "task_ids": (SEC_TASK_IDS, "i"),
-        }.get(name)
-        if spec is None:
-            raise KeyError(f"unknown global column {name!r}")
-        key, typecode = spec
-        out = array(typecode)
-        for offset, _n in self.batches():
-            n, sections = self._batch_dir(offset)
-            part = self._read_section(sections, key, n, typecode)
-            if part is None:
-                raise TraceFormatError(
-                    f"batch at byte {offset} lacks global section {key}"
-                )
-            if key == SEC_KINDS:
-                raw = part.tobytes()
-                if raw and max(raw) >= len(self._vocab.codes):
-                    raise TraceFormatError("undeclared kind code in batch")
-                if self._vocab.kind_map is not None:
-                    raw = raw.translate(self._vocab.kind_map)
-                part = array("B", raw)
-            out += part
-        return out
-
-    def column(self, kind: OpKind, field: str) -> array:
-        """One kind's one payload column across all batches, raw
-        (interned ids as stored); decode through :meth:`symbols` /
-        :meth:`addresses`.  Only this column's blocks are read."""
-        code = KIND_CODES[kind]
-        wire = self._wire_of_local.get(code)
-        schema = SCHEMAS[kind]
-        for field_index, (name, typ) in enumerate(schema):
-            if name == field:
-                break
-        else:
-            raise KeyError(f"{kind} has no column {field!r}")
-        out = array(_ARRAY_TYPE[typ])
-        if wire is None:  # the writer's vocabulary lacks this kind
-            return out
-        key = _column_key(wire, field_index)
-        for offset, _n in self.batches():
-            _ops, sections = self._batch_dir(offset)
-            entry = sections.get(key)
-            if entry is None:
-                continue  # no rows of this kind in the batch
-            part = self._read_section(
-                sections, key, entry[1], _ARRAY_TYPE[typ]
-            )
-            if typ == ENUM:
-                raw = part.tobytes()
-                if raw and max(raw) >= len(self._vocab.branches):
-                    raise TraceFormatError("undeclared branch kind in batch")
-                if self._vocab.branch_map is not None:
-                    raw = raw.translate(self._vocab.branch_map)
-                part = array("B", raw)
-            out += part
-        return out
-
-    def symbols(self) -> List[str]:
-        """The interned string table, by side-table frame offsets."""
-        out = []
-        for offset in self.footer.get("symbol_frames", []):
-            tag, payload = self._frame_at(offset)
-            if tag != TAG_SYM:
-                raise TraceFormatError(
-                    f"footer symbol entry at byte {offset} is not a "
-                    "symbol frame"
-                )
-            out.append(payload.decode("utf-8"))
-        return out
-
-    def addresses(self) -> List[tuple]:
-        out = []
-        for offset in self.footer.get("address_frames", []):
-            tag, payload = self._frame_at(offset)
-            if tag != TAG_ADDR:
-                raise TraceFormatError(
-                    f"footer address entry at byte {offset} is not an "
-                    "address frame"
-                )
-            out.append(tuple(self._json(payload, "address")))
-        return out
-
-    def tasks(self) -> List[TaskInfo]:
-        out = []
-        for offset in self.footer.get("task_frames", []):
-            tag, payload = self._frame_at(offset)
-            if tag != TAG_TASK:
-                raise TraceFormatError(
-                    f"footer task entry at byte {offset} is not a task frame"
-                )
-            out.append(TaskInfo.from_dict(self._json(payload, "task")))
-        return out
-
-    @property
-    def bytes_skipped(self) -> int:
-        return max(0, self.file_bytes - self.bytes_read)
-
-    def stats(self) -> DecodeStats:
-        return DecodeStats(
-            version=3,
-            frames=self._frames_read,
-            batches=len(self._dirs),
-            columns_adopted=self.columns_mapped,
-            bytes_read=self.bytes_read,
-            bytes_skipped=self.bytes_skipped,
-        )

@@ -19,19 +19,22 @@ comes in three versions:
   (:meth:`~repro.trace.store.TraceStore.adopt_batch`).
 * **v3** (binary, :mod:`repro.trace.binary`): the same header and
   interning model as v2, but length-prefixed binary frames whose op
-  batches are on-disk columnar segments — ``array.frombytes`` loading
-  and mmap column-sparse scans.  Written/read through the same entry
-  points here (``save_trace_file(..., version=3)`` and plain
+  batches are on-disk columnar segments, loaded with
+  ``array.frombytes``.  Written/read through the same entry points
+  here (``save_trace_file(..., version=3)`` and plain
   ``load_trace_file``, which sniffs text vs binary from the first
   byte).
 
-All writers and readers stream in constant transient memory (live
-state is the interning tables, which grow with the number of
-*distinct* symbols, not with trace length), and every version is
-transparently gzip-compressed when the file path ends in ``.gz``.
-``load_trace`` auto-negotiates the version from the header;
-:func:`convert_trace_file` transcodes any version to any other,
-streaming.
+Every v2 and v3 op reaches the store through one
+:meth:`~repro.trace.store.TraceStore.adopt_batch` call per feed (v2)
+or batch (v3); v1 records append one at a time.  All writers stream
+in constant transient memory (live state is the interning tables,
+which grow with the number of *distinct* symbols, not with trace
+length), and every version is transparently gzip-compressed when the
+file path ends in ``.gz``.  ``load_trace`` auto-negotiates the
+version from the header; :func:`convert_trace_file` transcodes any
+version to any other through the same decode: it writes each feed's
+ops out, then hands the decoder a fresh trace.
 """
 
 from __future__ import annotations
@@ -42,11 +45,12 @@ import io
 import json
 import zlib
 from array import array
+from itertools import islice
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Tuple, Union
+from typing import IO, Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..obs.spans import span
-from .operations import BranchKind, OpKind, operation_from_dict
+from .operations import OpKind, operation_from_dict
 from .store import (
     ADDR,
     BOOL,
@@ -84,9 +88,10 @@ _TYPE_LIST = tuple(tuple(typ for _name, typ in schema) for schema in _SCHEMA_LIS
 class _V1Writer:
     """Streaming v1 writer, byte-identical to the original v1 dumper.
 
-    Shares the sink-ish shape of :class:`repro.trace.binary.TraceWriterV3`
-    (``write_task``/``write_row``/``finish``), which is what lets the
-    transcoder drive every output format through one code path.
+    Shares the shape of :class:`repro.trace.binary.TraceWriterV3`
+    (``write_task``/``write_row``/``finish``), which is what lets
+    saving and :func:`convert_trace_file` drive every output format
+    through one code path.
     """
 
     version = 1
@@ -189,11 +194,6 @@ class _V2Writer:
         pass
 
 
-def _iter_encoded_rows(trace: Trace):
-    """``(kind code, time, task, payload values)`` per op."""
-    return trace.store.rows_encoded()
-
-
 def _make_writer(fp, version: int, tasks: int, ops: int):
     """A streaming writer (text or binary ``fp`` to match ``version``)."""
     if version == 1:
@@ -207,11 +207,17 @@ def _make_writer(fp, version: int, tasks: int, ops: int):
     raise TraceError(f"cannot write trace version {version!r}")
 
 
-def _dump_via_writer(trace: Trace, writer) -> None:
-    for info in trace.tasks.values():
+def _write_records(trace: Trace, writer, first_task: int = 0) -> None:
+    """Write ``trace``'s task records from ``first_task`` on, then its
+    ops."""
+    for info in islice(trace.tasks.values(), first_task, None):
         writer.write_task(info.to_dict())
-    for code, time, task, values in _iter_encoded_rows(trace):
+    for code, time, task, values in trace.store.rows_encoded():
         writer.write_row(code, time, task, values)
+
+
+def _dump_via_writer(trace: Trace, writer) -> None:
+    _write_records(trace, writer)
     writer.finish()
 
 
@@ -295,11 +301,6 @@ class TraceStreamDecoder:
     problems (missing, foreign format, unsupported version) always
     raise, even in salvage mode: without a header there is no prefix
     worth keeping.
-
-    A ``sink`` (``on_header(dict)``/``on_task(dict)``/
-    ``on_row(code, time, task, values)``) replaces the trace entirely:
-    records pass the same checks and are handed over one row at a time
-    without being stored — the constant-memory transcoding path.
     """
 
     def __init__(
@@ -307,12 +308,10 @@ class TraceStreamDecoder:
         expect_version: Optional[int] = None,
         strict: bool = True,
         trace: Optional[Trace] = None,
-        sink=None,
     ):
         self._trace = trace if trace is not None else Trace()
         self.expect_version = expect_version
         self.strict = strict
-        self.sink = sink
         self.header: Optional[dict] = None
         self.error: Optional[TraceFormatError] = None
         #: body records decoded so far (ops + interning defs + task infos)
@@ -539,32 +538,19 @@ class TraceStreamDecoder:
                 self._plans[len(self._plans)] = (code, types, 4 + len(types))
         self._version = version
         self.header = record
-        if self.sink is not None:
-            self.sink.on_header(record)
 
     def _add_task(self, info: Dict[str, Any], line: int) -> None:
-        if self.sink is not None:
-            self.sink.on_task(info)
-        else:
-            task = TaskInfo.from_dict(info)
-            if task.task in self.trace.tasks:
-                raise TraceFormatError(f"duplicate task id {task.task!r}", line=line)
-            self.trace.add_task(task)
+        task = TaskInfo.from_dict(info)
+        if task.task in self.trace.tasks:
+            raise TraceFormatError(f"duplicate task id {task.task!r}", line=line)
+        self.trace.add_task(task)
         self._tasks_seen += 1
 
     def _decode_v1(self, record: Any) -> None:
         if isinstance(record, dict) and "task_info" in record:
             self._add_task(record["task_info"], self._lineno)
         elif isinstance(record, dict) and "op" in record:
-            op = operation_from_dict(record["op"])
-            if self.sink is not None:
-                code = KIND_CODES[op.kind]
-                values = [
-                    getattr(op, name) for name, _typ in _SCHEMA_LIST[code]
-                ]
-                self.sink.on_row(code, op.time, op.task, values)
-            else:
-                self.trace.append(op)
+            self.trace.append(operation_from_dict(record["op"]))
             self._ops_seen += 1
         else:
             raise TraceFormatError(
@@ -578,25 +564,22 @@ class TraceStreamDecoder:
         Ops gather into column arrays, which land in one
         :meth:`~repro.trace.store.TraceStore.adopt_batch` call when the
         text is used up or a line fails — so the ops of the lines before
-        a damaged one are stored before its error is raised.  With a
-        sink, each op goes to ``on_row`` as it is read.
+        a damaged one are stored before its error is raised.
         """
         scan, find = _scan_value, text.find
         symbols, addresses = self._symbols, self._addresses
         store_syms, store_addrs = self._store_syms, self._store_addrs
         check = self._check_op
-        sink = self.sink
-        if sink is None:
-            store = self.trace.store
-            intern_sym = store.symbols.intern
-            intern_addr = store.addresses.intern
-            kinds = bytearray()
-            times = array("q")
-            task_ids = array("i")
-            columns: Dict[int, List[array]] = {}
-            kinds_append, times_append = kinds.append, times.append
-            task_ids_append = task_ids.append
-        pos, lineno, records, rows = self._taken, self._lineno, self.records, 0
+        store = self.trace.store
+        intern_sym = store.symbols.intern
+        intern_addr = store.addresses.intern
+        kinds = bytearray()
+        times = array("q")
+        task_ids = array("i")
+        columns: Dict[int, List[array]] = {}
+        kinds_append, times_append = kinds.append, times.append
+        task_ids_append = task_ids.append
+        pos, lineno, records = self._taken, self._lineno, self.records
         try:
             while True:
                 cut = find("\n", pos)
@@ -628,13 +611,6 @@ class TraceStreamDecoder:
                     tag = record[0] if type(record) is list and record else None
                     if tag == "o":
                         code, types = check(record, lineno)
-                        if sink is not None:
-                            sink.on_row(
-                                code, record[2], symbols[record[3]],
-                                self._row_values(types, record),
-                            )
-                            rows += 1
-                            continue
                         sid = record[3]
                         tid = store_syms[sid]
                         if tid < 0:
@@ -696,17 +672,16 @@ class TraceStreamDecoder:
                     ) from None
         finally:
             self._taken, self._lineno, self.records = pos, lineno, records
-            if sink is None and kinds:
+            if kinds:
                 store.adopt_batch(kinds, times, task_ids, columns)
-                rows = len(kinds)
-            self._ops_seen += rows
+                self._ops_seen += len(kinds)
 
     def _check_op(self, record: list, line: int) -> Tuple[int, Tuple[str, ...]]:
         """The checks an ``["o", kind, time, task, payload...]`` record
-        passes before it is stored or handed to a sink: a kind the
-        header declared, the kind's arity, 64-bit integers, ids of
-        symbols and addresses defined so far, 0/1 booleans and branch
-        kinds.  Returns the kind's local code and payload types."""
+        passes before it is stored: a kind the header declared, the
+        kind's arity, 64-bit integers, ids of symbols and addresses
+        defined so far, 0/1 booleans and branch kinds.  Returns the
+        kind's local code and payload types."""
         wire = record[1] if len(record) > 1 else None
         plan = self._plans.get(wire) if type(wire) is int else None
         if plan is None:
@@ -759,23 +734,6 @@ class TraceStreamDecoder:
             f"corrupt trace record {record!r} ({problem})", line=line
         )
 
-    def _row_values(self, types: Tuple[str, ...], record: list) -> List[Any]:
-        """A checked op record's payload, decoded for a sink."""
-        symbols = self._symbols
-        values: List[Any] = []
-        for typ, raw in zip(types, record[4:]):
-            if typ == STR:
-                values.append(symbols[raw])
-            elif typ == ADDR:
-                values.append(self._addresses[raw])
-            elif typ == BOOL:
-                values.append(bool(raw))
-            elif typ == ENUM:
-                values.append(BranchKind(symbols[raw]))
-            else:  # INT / OPT_INT
-                values.append(raw)
-        return values
-
 
 class AnyTraceDecoder:
     """Format-sniffing push decoder: text v1/v2, binary v3, or a
@@ -803,12 +761,10 @@ class AnyTraceDecoder:
         self,
         expect_version: Optional[int] = None,
         strict: bool = True,
-        sink=None,
     ):
         self._trace = Trace()
         self._expect_version = expect_version
         self._strict = strict
-        self._sink = sink
         self._inner = None
         self._utf8 = None  # incremental decoder once sniffed as text
 
@@ -822,7 +778,6 @@ class AnyTraceDecoder:
                 expect_version=self._expect_version,
                 strict=self._strict,
                 trace=self._trace,
-                sink=self._sink,
             )
         else:
             self._utf8 = codecs.getincrementaldecoder("utf-8")()
@@ -830,7 +785,6 @@ class AnyTraceDecoder:
                 expect_version=self._expect_version,
                 strict=self._strict,
                 trace=self._trace,
-                sink=self._sink,
             )
         return self._inner
 
@@ -841,7 +795,6 @@ class AnyTraceDecoder:
         nested = AnyTraceDecoder(
             expect_version=self._expect_version,
             strict=self._strict,
-            sink=self._sink,
         )
         nested.trace = self._trace
         self._inner = SingleSessionMuxAdapter(nested, strict=self._strict)
@@ -983,12 +936,25 @@ def load_trace(
     always raise.
     """
     decoder = AnyTraceDecoder(expect_version=expect_version, strict=strict)
+    return _decode_stream(decoder, fp)
+
+
+def _decode_stream(
+    decoder: "AnyTraceDecoder",
+    fp,
+    after_feed: Optional[Callable[[], None]] = None,
+) -> Trace:
+    """Feed the text or binary stream ``fp`` to ``decoder`` piece by
+    piece, then finish it; ``after_feed`` runs after every feed and
+    after the finish (:func:`convert_trace_file` writes out and drops
+    what each feed decoded)."""
+    after_feed = after_feed or (lambda: None)
     is_text = isinstance(fp, io.TextIOBase) or isinstance(
         getattr(fp, "read", lambda *_a: "")(0), str
     )
     try:
         if is_text:
-            _feed_lines(decoder, fp)
+            _feed_lines(decoder, fp, after_feed)
         else:
             # read1 (one underlying read per call) rather than read:
             # BufferedReader.read over a truncated gzip member raises
@@ -1001,14 +967,19 @@ def load_trace(
                 if not chunk:
                     break
                 decoder.feed(chunk)
+                after_feed()
                 if decoder.degraded:
                     break
     except _STREAM_DAMAGE as exc:
         decoder.mark_damaged(exc)
-    return decoder.finish()
+    trace = decoder.finish()
+    after_feed()
+    return trace
 
 
-def _feed_lines(decoder: "AnyTraceDecoder", fp: IO[str]) -> None:
+def _feed_lines(
+    decoder: "AnyTraceDecoder", fp: IO[str], after_feed: Callable[[], None]
+) -> None:
     """Hand a text stream to ``decoder.feed`` in pieces of about
     :data:`_TEXT_PIECE` characters of whole lines.
 
@@ -1028,11 +999,13 @@ def _feed_lines(decoder: "AnyTraceDecoder", fp: IO[str]) -> None:
             if size >= _TEXT_PIECE:
                 text, piece, size = "".join(piece), [], 0
                 decoder.feed(text)
+                after_feed()
                 if decoder.degraded:
                     return
     finally:
         if piece and not decoder.degraded:
             decoder.feed("".join(piece))
+            after_feed()
 
 
 # ---------------------------------------------------------------------------
@@ -1136,70 +1109,39 @@ class ConvertStats:
         self.error: Optional[str] = None
 
 
-class _CountingSink:
-    """First salvage pass: count what survives, build nothing."""
+class _Transcode:
+    """One decode of a trace file, written out feed by feed.
 
-    def __init__(self) -> None:
-        self.tasks = 0
-        self.ops = 0
-        self.version = 0
+    After each feed, the task records and ops it decoded go to the
+    writer that ``make_writer(header)`` returns (none on a counting
+    pass), and the decoder gets a fresh trace whose task table keeps
+    only the ids of the tasks read so far: one feed's ops and task
+    records are in memory at a time, and a repeated task record still
+    fails the loaders' duplicate check.
+    """
 
-    def on_header(self, header: dict) -> None:
-        self.version = header.get("version", 0)
-
-    def on_task(self, info: Dict[str, Any]) -> None:
-        self.tasks += 1
-
-    def on_row(self, code: int, time: int, task: str, values) -> None:
-        self.ops += 1
-
-
-class _TranscodeSink:
-    """Bridges a decoder's sink protocol onto a streaming writer."""
-
-    def __init__(self, make_writer, counts=None):
-        self._make_writer = make_writer
-        self._counts = counts  # (tasks, ops) override for salvage
+    def __init__(self, src, strict: bool, make_writer=None) -> None:
+        self.decoder = AnyTraceDecoder(strict=strict)
         self.writer = None
-        self.version = 0
         self.tasks = 0
         self.ops = 0
+        self._make_writer = make_writer
+        with _open_binary_for(src, "r") as fp:
+            _decode_stream(self.decoder, fp, self._drain)
 
-    def on_header(self, header: dict) -> None:
-        self.version = header.get("version", 0)
-        if self._counts is not None:
-            tasks, ops = self._counts
-        else:
-            tasks = header.get("tasks", 0)
-            ops = header.get("ops", 0)
-        self.writer = self._make_writer(tasks, ops)
-
-    def on_task(self, info: Dict[str, Any]) -> None:
-        self.writer.write_task(info)
-        self.tasks += 1
-
-    def on_row(self, code: int, time: int, task: str, values) -> None:
-        self.writer.write_row(code, time, task, values)
-        self.ops += 1
-
-
-def _pump(path, sink, strict: bool):
-    """One streaming decode pass of ``path`` into ``sink``."""
-    decoder = AnyTraceDecoder(strict=strict, sink=sink)
-    with _open_binary_for(path, "r") as fp:
-        try:
-            read = getattr(fp, "read1", fp.read)
-            while True:
-                chunk = read(1 << 16)
-                if not chunk:
-                    break
-                decoder.feed(chunk)
-                if decoder.degraded:
-                    break
-        except _STREAM_DAMAGE as exc:
-            decoder.mark_damaged(exc)
-        decoder.finish()
-    return decoder
+    def _drain(self) -> None:
+        decoder = self.decoder
+        trace = decoder.trace
+        writer = self.writer
+        if writer is None and self._make_writer is not None and decoder.header:
+            writer = self.writer = self._make_writer(decoder.header)
+        if writer is not None:
+            _write_records(trace, writer, self.tasks)
+        self.tasks = len(trace.tasks)
+        self.ops += len(trace)
+        fresh = Trace()
+        fresh.tasks = dict.fromkeys(trace.tasks)
+        decoder.trace = fresh
 
 
 def convert_trace_file(
@@ -1209,44 +1151,44 @@ def convert_trace_file(
     strict: bool = True,
 ) -> ConvertStats:
     """Transcode ``src`` (any readable version, ``.gz`` or plain) into
-    ``dst`` at ``version`` — streaming, with constant transient memory.
+    ``dst`` at ``version``, streaming.
 
-    The trace is never held in RAM: each decoded record goes straight
-    to the destination writer, so corpus-scale files convert in the
-    interning tables' footprint.  Rows keep their order, so interning
-    ids are assigned identically and the output is byte-identical to a
-    direct ``save_trace_file`` of the same trace at the same version.
+    ``src`` decodes through the loaders' path and checks, a feed at a
+    time: each feed's new task records and ops are written out, then
+    dropped, so a corpus-scale file converts holding one feed's ops
+    plus the task and interning tables.  Rows keep their order, so
+    interning ids are assigned identically and the output is
+    byte-identical to a direct ``save_trace_file`` of the same trace at
+    the same version.
 
-    ``strict=False`` salvages a damaged source: the valid prefix is
-    converted (a first counting pass sizes the salvaged prefix so the
-    output header carries *correct* counts and loads strictly).
+    Damaged input fails as :func:`load_trace` fails.  ``strict=False``
+    salvages a damaged source: the valid prefix is converted (a first
+    counting pass sizes the salvaged prefix so the output header
+    carries *correct* counts and loads strictly).
     """
     if version not in SUPPORTED_VERSIONS:
         raise TraceError(f"cannot write trace version {version!r}")
-    stats = ConvertStats()
-    stats.target_version = version
     counts = None
     if not strict:
-        counting = _CountingSink()
-        probe = _pump(src, counting, strict=False)
-        counts = (counting.tasks, counting.ops)
-        if probe.error is not None:
-            stats.salvaged = True
-            stats.error = str(probe.error)
+        probe = _Transcode(src, strict=False)
+        counts = (probe.tasks, probe.ops)
 
     opener = _open_binary_for if version == 3 else _open_for
     with opener(dst, "w") as out:
-        sink = _TranscodeSink(
-            lambda tasks, ops: _make_writer(out, version, tasks, ops),
-            counts=counts,
-        )
-        decoder = _pump(src, sink, strict=strict)
-        if sink.writer is not None:
-            sink.writer.finish()
-    stats.source_version = sink.version
-    stats.tasks = sink.tasks
-    stats.ops = sink.ops
-    if decoder.error is not None:
+
+        def make_writer(header: dict):
+            tasks, ops = counts or (header.get("tasks", 0), header.get("ops", 0))
+            return _make_writer(out, version, tasks, ops)
+
+        done = _Transcode(src, strict, make_writer)
+        if done.writer is not None:
+            done.writer.finish()
+    stats = ConvertStats()
+    stats.source_version = done.decoder.header.get("version", 0)
+    stats.target_version = version
+    stats.tasks = done.tasks
+    stats.ops = done.ops
+    if done.decoder.error is not None:
         stats.salvaged = True
-        stats.error = str(stats.error or decoder.error)
+        stats.error = str(done.decoder.error)
     return stats

@@ -39,7 +39,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from heapq import merge
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .operations import (
     Address,
@@ -359,17 +359,18 @@ class TraceStore:
         task_ids: array,
         bucket_columns: Dict[int, List[array]],
     ) -> None:
-        """Bulk-append one decoded column batch (the v3 reader's path).
+        """Bulk-append one decoded column batch (the path of every
+        decoder and of :meth:`adopt_tail`).
 
         ``kinds`` holds local kind codes, ``times``/``task_ids`` are
         typed arrays of the same length, and ``bucket_columns`` maps a
-        kind code to its payload columns (store typecodes, raw interned
+        kind code to its payload columns (store typecodes, interned
         ids) covering exactly the batch's rows of that kind, in order.
-        The caller guarantees the symbol/address tables already contain
-        every id referenced — the decoder interns side-table frames in
-        lockstep — so the columns are adopted wholesale and only the
-        derived indices (``rows``, bucket index arrays, the per-task
-        index) are computed here, in one scatter pass.
+        The caller guarantees that every id indexes this store's
+        symbol/address tables (:func:`remap_batch` translates a
+        batch's ids into them), so the columns are adopted wholesale
+        and only the derived indices (``rows``, bucket index arrays,
+        the per-task index) are computed here, in one scatter pass.
         """
         base = len(self.kinds)
         self.kinds.frombytes(kinds)
@@ -408,37 +409,27 @@ class TraceStore:
         streaming service's epoch hand-off).
 
         The slices go through :meth:`adopt_batch`; their symbol and
-        address ids are first re-interned into this store's own tables,
-        so the tables hold only the strings of the ops appended here.
+        address ids are first re-interned into this store's own tables
+        (:func:`remap_batch`), so the tables hold only the strings of
+        the ops appended here.
         """
         kinds = other.kinds[start:]
         if not kinds:
             return
-        syms: Dict[int, int] = {}
-        addrs: Dict[int, int] = {}
-
-        def remap(column: array, table, source, memo: Dict[int, int]) -> array:
-            for raw in set(column).difference(memo):
-                memo[raw] = table.intern(source.value(raw))
-            return array("i", map(memo.__getitem__, column))
-
-        task_ids = remap(other.task_ids[start:], self.symbols, other.symbols, syms)
         bucket_columns: Dict[int, List[array]] = {}
         for code, bucket in enumerate(other._buckets):
             if bucket is None:
                 continue
             first = bisect_left(bucket.indices, start)
-            if first == len(bucket.indices):
-                continue
-            columns = []
-            for (_name, typ), col in zip(bucket.schema, bucket.columns):
-                tail = col[first:]
-                if typ == STR:
-                    tail = remap(tail, self.symbols, other.symbols, syms)
-                elif typ == ADDR:
-                    tail = remap(tail, self.addresses, other.addresses, addrs)
-                columns.append(tail)
-            bucket_columns[code] = columns
+            if first < len(bucket.indices):
+                bucket_columns[code] = [col[first:] for col in bucket.columns]
+        task_ids, bucket_columns = remap_batch(
+            other.task_ids[start:],
+            bucket_columns,
+            self,
+            ([-1] * len(other.symbols), other.symbols.value),
+            ([-1] * len(other.addresses), other.addresses.value),
+        )
         self.adopt_batch(kinds.tobytes(), other.times[start:], task_ids, bucket_columns)
 
     # -- materialization --------------------------------------------------
@@ -605,6 +596,56 @@ class TraceStore:
         return total
 
 
+def remap_batch(
+    task_ids: array,
+    bucket_columns: Dict[int, List[array]],
+    store: TraceStore,
+    symbols: Tuple[List[int], Callable[[int], str]],
+    addresses: Tuple[List[int], Callable[[int], Address]],
+) -> Tuple[array, Dict[int, List[array]]]:
+    """One column batch's symbol and address ids as ids of ``store``'s
+    tables, ready for :meth:`TraceStore.adopt_batch`.
+
+    ``symbols`` and ``addresses`` are each ``(store_ids, value_of)``:
+    ``store_ids[i]`` is source id ``i``'s id in the store's table, -1
+    while unmapped, and ``value_of(i)`` is its value.  The batch's
+    unmapped ids are interned in ascending source-id order across all
+    of its id columns at once, so a source table in first-use order
+    gives a store table in first-use order.  ``store_ids`` is updated
+    in place for later batches.  Returns the translated
+    ``(task_ids, bucket_columns)``.
+    """
+    sym_columns = [task_ids]
+    addr_columns = []
+    for code, columns in bucket_columns.items():
+        for (_name, typ), column in zip(_SCHEMA_LIST[code], columns):
+            if typ == STR:
+                sym_columns.append(column)
+            elif typ == ADDR:
+                addr_columns.append(column)
+    for columns, (store_ids, value_of), table in (
+        (sym_columns, symbols, store.symbols),
+        (addr_columns, addresses, store.addresses),
+    ):
+        used = set()
+        for column in columns:
+            used.update(column)
+        intern = table.intern
+        for raw in sorted(raw for raw in used if store_ids[raw] < 0):
+            store_ids[raw] = intern(value_of(raw))
+    sym_id, addr_id = symbols[0].__getitem__, addresses[0].__getitem__
+    translated: Dict[int, List[array]] = {}
+    for code, columns in bucket_columns.items():
+        out = translated[code] = []
+        for (_name, typ), column in zip(_SCHEMA_LIST[code], columns):
+            if typ == STR:
+                column = array("i", map(sym_id, column))
+            elif typ == ADDR:
+                column = array("i", map(addr_id, column))
+            out.append(column)
+    return array("i", map(sym_id, task_ids)), translated
+
+
 @dataclass(frozen=True)
 class DecodeStats:
     """Per-format decode counters of one load, surfaced by
@@ -613,10 +654,8 @@ class DecodeStats:
     The text formats (v1/v2) count lines as frames and every op as
     decoded from text: v1 appends op by op, v2 checks each line and
     lands each feed's ops as one column batch.  The binary v3 format
-    counts real frames and reports how many ops were adopted wholesale
-    by column ``frombytes`` versus decoded row by row, plus — for
-    column-sparse :class:`SegmentReader` scans — how many payload bytes
-    were never read at all.
+    counts real frames and batches, and every v3 op as adopted
+    wholesale by column ``frombytes``.
     """
 
     #: trace format version the stream declared
@@ -627,16 +666,14 @@ class DecodeStats:
     records: int = 0
     #: v3 op batches decoded
     batches: int = 0
-    #: ops loaded by one-shot column adoption (``array.frombytes``)
+    #: ops loaded by one-shot column adoption (v3, ``array.frombytes``)
     ops_adopted: int = 0
-    #: ops decoded from text (v1/v2), or row by row (the v3 fallback)
+    #: ops decoded from text (v1/v2)
     ops_decoded: int = 0
-    #: columns adopted or mmapped without row-by-row decode
+    #: v3 columns adopted without row-by-row decode
     columns_adopted: int = 0
     #: stream bytes consumed by the decode
     bytes_read: int = 0
-    #: file bytes skipped entirely (column-sparse scans only)
-    bytes_skipped: int = 0
 
     def format(self) -> str:
         lines = [
@@ -645,7 +682,7 @@ class DecodeStats:
             f"  ops adopted {self.ops_adopted} "
             f"(columns {self.columns_adopted}), "
             f"row-decoded {self.ops_decoded}",
-            f"  bytes read {self.bytes_read}, skipped {self.bytes_skipped}",
+            f"  bytes read {self.bytes_read}",
         ]
         return "\n".join(lines)
 

@@ -25,16 +25,13 @@ class TestStatsJson:
         assert main(["stats", trace_path, "--stream", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == STATS_SCHEMA
-        for section in ("trace", "decode", "build", "query", "stream",
-                        "sparse"):
+        for section in ("trace", "decode", "build", "query", "stream"):
             assert section in doc
-        # Sections actually computed are present; --sparse was not.
         assert doc["trace"]["ops"] > 0
         assert doc["decode"]["records"] > 0
         assert doc["build"]["key_nodes"] > 0
         assert doc["query"]["queries"] > 0
         assert doc["stream"]["ops_ingested"] == doc["trace"]["ops"]
-        assert doc["sparse"] is None
 
     def test_stable_build_keys(self, trace_path, capsys):
         assert main(["stats", trace_path, "--json"]) == 0

@@ -8,6 +8,7 @@ from dataclasses import asdict
 import pytest
 
 import repro.hb.graph
+import repro.trace.binary
 from repro.apps import ALL_APPS, make_app
 from repro.cli import main
 from repro.detect import UseFreeDetector
@@ -203,6 +204,26 @@ class TestRangeDrive:
         assert epoch_outcome(fed_bytes(combined, chunk=4096)) == whole
         assert epoch_outcome(fed_bytes(combined, chunk=4096, version=2)) == whole
         assert epoch_outcome(fed_in_process(combined)) == whole
+
+    def test_batches_after_a_retirement_give_the_same_epochs(self, monkeypatch):
+        # five 4,096-op v3 batches fed in 64 KiB pieces: the batches that
+        # arrive after the first retirement land in a fresh epoch's
+        # trace, their ids translated into its store
+        trace = make_app("music", scale=0.1, seed=SEED).run().trace
+        combined = concat_sessions(trace, sessions=3)
+        translated = []
+        remap_batch = repro.trace.binary.remap_batch
+
+        def counting(*args):
+            translated.append(len(args[0]))
+            return remap_batch(*args)
+
+        monkeypatch.setattr(repro.trace.binary, "remap_batch", counting)
+        pieces = epoch_outcome(fed_bytes(combined, chunk=1 << 16))
+        assert pieces[1]["epochs_retired"] == 3
+        assert 0 < sum(translated) < len(combined)
+        assert pieces == epoch_outcome(fed_bytes(combined))
+        assert pieces == epoch_outcome(fed_in_process(combined))
 
     def test_v3_session_materializes_only_extracted_payloads(self, monkeypatch):
         """A v3 session materializes each lock and pointer op at most

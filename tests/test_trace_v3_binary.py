@@ -1,11 +1,11 @@
 """The v3 binary columnar trace format: property-based round-trips
 against v2 across every operation kind (and every payload type tag),
-cross-format transcoding byte-identity, the mmap column-sparse
-:class:`SegmentReader`, decode-counter surfacing, and the sniffing
-:class:`AnyTraceDecoder` facade."""
+cross-format transcoding byte-identity, decode-counter surfacing, and
+the sniffing :class:`AnyTraceDecoder` facade."""
 
 import gzip
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +14,8 @@ from repro.apps import ALL_APPS, make_app
 from repro.detect import UseFreeDetector
 from repro.trace import (
     AnyTraceDecoder,
+    BinaryTraceDecoder,
     OpKind,
-    SegmentReader,
     Trace,
     TraceError,
     TraceFormatError,
@@ -30,7 +30,8 @@ from repro.trace import (
 )
 from repro.trace.operations import BranchKind, operation_from_dict
 from repro.trace.serialization import _dump_via_writer
-from repro.trace.store import KIND_LIST, SCHEMAS
+from repro.trace.store import KIND_LIST, SCHEMAS, TraceStore
+from tests.test_trace_store import store_columns
 
 # ---------------------------------------------------------------------------
 # an all-kinds operation strategy, derived from the column schemas
@@ -201,6 +202,7 @@ class TestMalformedFrames:
     byte offset, and salvage keeps the batches before them."""
 
     BEGIN, READ = KIND_LIST.index(OpKind.BEGIN), KIND_LIST.index(OpKind.READ)
+    PTR_READ = KIND_LIST.index(OpKind.PTR_READ)
 
     def _salvaged(self, blob, ops, match):
         with pytest.raises(TraceFormatError, match=match):
@@ -236,6 +238,18 @@ class TestMalformedFrames:
             blob, 1, r"duplicate task id 'U' in task frame at byte \d+"
         )
         assert list(trace.tasks) == ["U"]
+
+    def test_unhashable_address_is_a_format_error(self):
+        blob = v3_stream(
+            (self.BEGIN, 1, "U", []),
+            (self.PTR_READ, 2, "U", [("obj", 1, "fgh"), None, "m", 0]),
+        )
+        # the same length, so no later frame offset moves
+        blob = blob.replace(b'["obj",1,"fgh"]', b'["obj",[1],"f"]')
+        offset = blob.index(b'["obj",[1],"f"]') - 2  # tag, length
+        self._salvaged(
+            blob, 1, rf"corrupt address frame at byte {offset} .*unhashable"
+        )
 
 
 class TestConvert:
@@ -281,71 +295,154 @@ class TestConvert:
         assert len(back) == stats.ops
         assert list(back.ops) == list(app_trace.ops[: stats.ops])
 
+    def _repeat_fails_and_salvages(self, tmp_path, app_trace, src, dst, match):
+        out = tmp_path / "out"
+        with pytest.raises(TraceFormatError, match=match):
+            convert_trace_file(src, out, version=dst)
+        stats = convert_trace_file(src, out, version=dst, strict=False)
+        assert stats.salvaged and "duplicate task id" in stats.error
+        assert 0 < stats.ops < len(app_trace)
+        back = load_trace_file(out)
+        assert back.ops == app_trace.ops[: stats.ops]
+        assert back.tasks == app_trace.tasks
 
-class TestSegmentReader:
+    def test_repeated_task_line_fails_the_convert(self, tmp_path, app_trace):
+        lines = dumps_trace(app_trace, version=2).splitlines(keepends=True)
+        cut = len(lines) // 2  # after some op lines
+        src = tmp_path / "repeat.v2"
+        src.write_text("".join(lines[:cut] + [lines[1]] + lines[cut:]))
+        self._repeat_fails_and_salvages(
+            tmp_path, app_trace, src, 3, rf"line {cut + 1}: duplicate task id"
+        )
+
+    def test_repeated_task_frame_fails_the_convert(self, tmp_path, app_trace):
+        infos = [info.to_dict() for info in app_trace.tasks.values()]
+        rows = list(app_trace.store.rows_encoded())
+        buf = io.BytesIO()
+        writer = TraceWriterV3(
+            buf, tasks=len(infos), ops=len(rows), batch_ops=64
+        )
+        for info in infos:
+            writer.write_task(info)
+        for row in rows[:200]:
+            writer.write_row(*row)
+        writer.write_task(infos[0])  # after three batches
+        offset = writer._task_offsets[-1]
+        for row in rows[200:]:
+            writer.write_row(*row)
+        writer.finish()
+        src = tmp_path / "repeat.v3"
+        src.write_bytes(buf.getvalue())
+        self._repeat_fails_and_salvages(
+            tmp_path, app_trace, src, 2, rf"in task frame at byte {offset}"
+        )
+
     @pytest.fixture(scope="class")
-    def segment(self, tmp_path_factory):
-        trace = make_app("mytracks", scale=0.05, seed=1).run().trace
-        path = tmp_path_factory.mktemp("seg") / "t.v3"
-        save_trace_file(trace, path, version=3)
-        return trace, path
+    def music_files(self, tmp_path_factory):
+        trace = make_app("music", scale=0.5, seed=0).run().trace
+        root = tmp_path_factory.mktemp("convert_memory")
+        paths = {}
+        for version in (2, 3):
+            paths[version] = root / f"music.v{version}"
+            save_trace_file(trace, paths[version], version=version)
+        return paths
 
-    def test_global_columns_match_store(self, segment):
-        trace, path = segment
-        store = trace.store
-        with SegmentReader(path) as reader:
-            assert reader.n_ops == len(trace)
-            assert bytes(reader.global_column("kinds")) == bytes(store.kinds)
-            assert list(reader.global_column("times")) == list(store.times)
-            assert list(reader.global_column("task_ids")) == list(
-                store.task_ids
-            )
+    @pytest.mark.parametrize("src, dst", [(2, 3), (3, 2)])
+    def test_convert_peaks_under_half_a_load(self, tmp_path, music_files, src, dst):
+        # convert holds one feed's ops at a time; a load holds them all
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-    def test_per_kind_columns_match_store(self, segment):
-        trace, path = segment
-        store = trace.store
-        with SegmentReader(path) as reader:
-            for kind in KIND_LIST:
-                for field, _tag in SCHEMAS[kind]:
-                    _, expect = store.column(kind, field)
-                    got = reader.column(kind, field)
-                    assert list(got) == list(expect), (kind, field)
+        path = music_files[src]
+        load_peak = peak(lambda: load_trace_file(path))
+        convert_peak = peak(
+            lambda: convert_trace_file(path, tmp_path / "out", version=dst)
+        )
+        assert convert_peak < load_peak / 2, (convert_peak, load_peak)
 
-    def test_side_tables_match_store(self, segment):
-        trace, path = segment
-        store = trace.store
-        with SegmentReader(path) as reader:
-            assert reader.symbols() == [
-                store.symbols.value(i) for i in range(len(store.symbols))
-            ]
-            assert reader.addresses() == [
-                store.addresses.value(i) for i in range(len(store.addresses))
-            ]
-            assert {t.task for t in reader.tasks()} == set(trace.tasks)
 
-    def test_sparse_scan_skips_most_bytes(self, segment):
-        trace, path = segment
-        with SegmentReader(path) as reader:
-            reader.global_column("kinds")
-            _, send_idx = trace.store.column(OpKind.SEND, "event")
-            assert list(reader.column(OpKind.SEND, "event")) == list(send_idx)
-            stats = reader.stats()
-        total = path.stat().st_size
-        assert stats.bytes_read + stats.bytes_skipped == total
-        # touching two columns must leave the bulk of the file unread
-        assert stats.bytes_skipped > total // 2
-        assert stats.columns_adopted == 2
+def batch_pieces(trace, batch_ops):
+    """``trace`` as a v3 stream cut where each batch frame starts, so
+    that every piece holds one batch."""
+    buf = io.BytesIO()
+    writer = TraceWriterV3(
+        buf, tasks=len(trace.tasks), ops=len(trace), batch_ops=batch_ops
+    )
+    _dump_via_writer(trace, writer)
+    blob = buf.getvalue()
+    cuts = [0] + [offset for offset, _n in writer._batches[1:]] + [len(blob)]
+    return [blob[a:b] for a, b in zip(cuts, cuts[1:])]
 
-    def test_rejects_text_and_gzip_files(self, tmp_path, segment):
-        trace, _path = segment
-        text_path = tmp_path / "t.v2"
-        save_trace_file(trace, text_path, version=2)
-        with pytest.raises(TraceError, match="not a cafa-trace v3"):
-            SegmentReader(text_path)
-        gz_path = tmp_path / "t.v3.gz"
-        save_trace_file(trace, gz_path, version=3)
-        with pytest.raises(TraceError, match="repro convert"):
-            SegmentReader(gz_path)
+
+class TestOneDecodePath:
+    """Every v2 and v3 op reaches the store through ``adopt_batch``:
+    until the trace is swapped the v3 ids are the store's ids, and
+    after a swap a batch's ids are translated into the new store."""
+
+    @pytest.mark.parametrize("scale", [0.02, 0.2])
+    @pytest.mark.parametrize("name", [app.name for app in ALL_APPS])
+    def test_v3_store_equals_the_appended_store(self, name, scale):
+        trace = make_app(name, scale=scale, seed=0).run().trace
+        back = loads_trace(dumps_trace_bytes(trace, version=3))
+        reference = Trace(list(trace.ops), trace.tasks)
+        assert store_columns(back.store) == store_columns(reference.store)
+
+    def test_swapped_stream_gives_the_adopt_tail_stores(self):
+        trace = make_app("connectbot", scale=0.05, seed=1).run().trace
+        pieces = batch_pieces(trace, 97)
+        assert len(pieces) >= 3
+        swapped, whole = BinaryTraceDecoder(), BinaryTraceDecoder()
+        start = 0
+        for piece in pieces:
+            swapped.feed(piece)
+            whole.feed(piece)
+            expect = TraceStore()
+            expect.adopt_tail(whole.trace.store, start)
+            assert store_columns(swapped.trace.store) == store_columns(expect)
+            start = len(whole.trace)
+            swapped.trace = Trace()
+        swapped.finish()
+        assert whole.finish().ops == trace.ops
+
+    @pytest.mark.parametrize(
+        "case",
+        ["load-2", "load-3", "convert-2-3", "convert-3-2", "convert-2-2",
+         "convert-3-3", "swapped-3"],
+    )
+    def test_no_op_is_appended_row_by_row(self, tmp_path, monkeypatch, case):
+        trace = make_app("connectbot", scale=0.05, seed=1).run().trace
+        paths = {}
+        for version in (2, 3):
+            paths[version] = tmp_path / f"in.v{version}"
+            save_trace_file(trace, paths[version], version=version)
+        pieces = batch_pieces(trace, 97)
+        calls = []
+        append_row = TraceStore.append_row
+
+        def counting(self, *args):
+            calls.append(args)
+            return append_row(self, *args)
+
+        monkeypatch.setattr(TraceStore, "append_row", counting)
+        way, *versions = case.split("-")
+        if way == "load":
+            assert len(load_trace_file(paths[int(versions[0])])) == len(trace)
+        elif way == "convert":
+            src, dst = map(int, versions)
+            stats = convert_trace_file(paths[src], tmp_path / "out", version=dst)
+            assert stats.ops == len(trace)
+        else:
+            decoder = AnyTraceDecoder()
+            for piece in pieces:
+                decoder.feed(piece)
+                decoder.trace = Trace()
+            decoder.finish()
+        assert calls == []
 
 
 class TestDecodeStats:
