@@ -5,28 +5,20 @@ events in a trace" (30 minutes to a day on the paper's hardware).
 The benchmark sweeps the background event load and checks the
 monotone-growth shape; absolute times are of course incomparable.
 
-The detection-phase benchmarks at the bottom compare the offline
-relation's range-probe + memo query path against the bit-scan of the
-streaming view (``IncrementalHB(...).relation()``) on the largest
-catalog workload: the fast path must answer the phase's exact query
-workload at least ``min_replay_speedup`` times faster, bit-for-bit
-identically, and its memoized query work per candidate pair must stay
-under the bound recorded in ``bounds_pr2.json`` (the workload is
-deterministic, so that ratio is exact and machine-independent).
+The detection-phase benchmark at the bottom runs the use-free and
+low-level detectors on the largest catalog workload: its memoized query
+work per candidate pair must stay under the bound recorded in
+``bounds_pr2.json`` (the workload is deterministic, so that ratio is
+exact and machine-independent).
 """
 
 import json
-from functools import lru_cache
 from pathlib import Path
 
 from repro.analysis import analysis_scaling, bench_scale, detection_benchmark
 from repro.apps import CameraApp, MusicApp, MyTracksApp, VlcApp
 
 BASE = bench_scale(default=0.05)
-
-#: the detection benchmark runs the largest catalog app at this scale
-#: (the acceptance floor, regardless of REPRO_BENCH_SCALE)
-DETECTION_SCALE = max(bench_scale(default=0.5), 0.5)
 
 BOUNDS = json.loads(
     (Path(__file__).parent / "bounds_pr2.json").read_text(encoding="utf-8")
@@ -36,15 +28,6 @@ BOUNDS = json.loads(
 BUILD_BOUNDS = json.loads(
     (Path(__file__).parent / "bounds_pr3.json").read_text(encoding="utf-8")
 )
-
-
-@lru_cache(maxsize=None)
-def music_detection(scale, seed):
-    """One detection benchmark per workload: both detection benchmarks
-    below measure the same (scale, seed) by default, and each run builds
-    the relation twice (batch, and streamed op by op) and times the
-    detection phase several times over."""
-    return detection_benchmark(MusicApp, scale=scale, seed=seed)
 
 
 def test_analysis_time_grows_with_events(benchmark):
@@ -124,33 +107,18 @@ def test_build_side_counters_stay_under_recorded_bounds(benchmark):
     benchmark.extra_info["bits_propagated"] = point.bits_propagated
 
 
-def test_detection_query_path_beats_scan(benchmark):
-    """The query layer: the range-probe + memo path must answer the
-    detection phase's exact query workload ≥3x faster than the
-    streaming view's bit-scan, with bit-identical results, and must
-    not regress the end-to-end detection phase."""
-    result = benchmark.pedantic(
-        lambda: music_detection(DETECTION_SCALE, 1), rounds=1, iterations=1
-    )
-    assert result.reports_identical
-    assert result.low_level_identical
-    assert result.workload_pairs > 1000  # a real workload, not a toy
-    assert result.replay_speedup >= BOUNDS["min_replay_speedup"]
-    # the full phase shares indexing work between both paths, so the
-    # bar is no-regression (with allowance for timer noise), not 3x
-    assert result.fast_detect_seconds <= result.scan_detect_seconds * 1.25
-
-
 def test_detection_query_work_is_sublinear(benchmark):
     """The memo must collapse the per-candidate-pair query work to
     well below one reachability test per pair; the exact ratio is
     deterministic, so it is pinned by the recorded bound."""
     result = benchmark.pedantic(
-        lambda: music_detection(BOUNDS["scale"], BOUNDS["seed"]),
+        lambda: detection_benchmark(
+            MusicApp, scale=BOUNDS["scale"], seed=BOUNDS["seed"]
+        ),
         rounds=1,
         iterations=1,
     )
-    profile = result.fast_profile
-    assert profile.batched_pairs > 0
+    profile = result.query_profile
+    assert result.workload_pairs > 1000  # a real workload, not a toy
     assert profile.memo_misses < profile.batched_pairs  # sub-linear
     assert result.memo_misses_per_pair <= BOUNDS["max_memo_misses_per_pair"]

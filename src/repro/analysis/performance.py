@@ -16,8 +16,8 @@ time across a sweep of event counts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, List, Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import List, Optional, Type
 
 from ..apps.base import AppModel
 from ..detect import (
@@ -27,9 +27,7 @@ from ..detect import (
     detect_use_free_races,
     extract_accesses,
 )
-from ..hb import HappensBefore, ModelConfig, QueryProfile, build_happens_before
-from ..stream.incremental import IncrementalHB
-from ..trace import Trace
+from ..hb import QueryProfile, build_happens_before
 
 
 @dataclass
@@ -153,86 +151,36 @@ def _matrix_cell(
     return analysis_scaling(app_cls, scales, seed=seed)
 
 
-class _RecordingHB:
-    """Happens-before stand-in that records every batched query.
-
-    Duck-types the one method the detectors use (plus attribute
-    passthrough), so the detection benchmark can capture the exact
-    query workload a detection phase issues and replay it through both
-    query paths.
-    """
-
-    def __init__(self, hb: HappensBefore, sink: List[Tuple[int, int]]):
-        self._hb = hb
-        self._sink = sink
-
-    def concurrent_pairs(self, pairs: Iterable[Tuple[int, int]]) -> List[bool]:
-        pairs = list(pairs)
-        self._sink.extend(pairs)
-        return self._hb.concurrent_pairs(pairs)
-
-    def __getattr__(self, name):
-        return getattr(self._hb, name)
-
-
 @dataclass
 class DetectionBenchmark:
-    """Fast-vs-scan measurement of one trace's detection phase.
-
-    The fast path is the offline relation of
-    :func:`~repro.hb.build_happens_before`; the scan path is the
-    streaming view (:meth:`~repro.stream.IncrementalHB.relation`) over
-    the same trace, fully ingested and polled.  Two timings per query
-    path: the *detection phase* (use-free + low-level detectors, with
-    the happens-before relation, access index, and site index
-    prebuilt; the classification's vector-clock pass runs inside the
-    phase on both paths) and a *query-workload replay*
-    (the exact ``concurrent_pairs`` workload the phase issued, replayed
-    against the phase's relation with its memo reset — steady-state
-    query cost with warm per-op indexes and no detector overhead mixed
-    in).  Every timing is the best of :data:`TIMING_REPEATS` runs, the
-    fast phase on a fresh relation each time.  The fast path must win the replay
-    outright and must not regress the full phase; the results must be
-    bit-identical.
+    """The detection phase of one trace: use-free plus low-level
+    detection, with the happens-before relation, access index and site
+    index prebuilt (the classification's vector-clock pass runs inside
+    the phase).  The timing is the best of :data:`TIMING_REPEATS` runs,
+    each on a fresh relation, so no run starts from another's memo.
     """
 
     app: str
     scale: float
     trace_ops: int
-    #: concurrency probes the detection phase issued
-    workload_pairs: int
-    #: full detection phase, range-probe + memo path
-    fast_detect_seconds: float
-    #: full detection phase, bit-scan path of the streaming view
-    scan_detect_seconds: float
-    #: workload replay through the fast path (cold memo)
-    fast_replay_seconds: float
-    #: workload replay through the scan path
-    scan_replay_seconds: float
-    #: query counters of the fast detection phase
-    fast_profile: QueryProfile
-    #: use-free reports identical between the two paths
-    reports_identical: bool = False
-    #: low-level baseline races identical between the two paths
-    low_level_identical: bool = False
+    #: the detection phase (best of the runs)
+    detect_seconds: float
+    #: query counters of one run's relation
+    query_profile: QueryProfile
     use_free_reports: int = 0
     low_level_races: int = 0
 
     @property
-    def replay_speedup(self) -> float:
-        """How much faster the fast path answers the same workload."""
-        return self.scan_replay_seconds / max(self.fast_replay_seconds, 1e-12)
-
-    @property
-    def detect_speedup(self) -> float:
-        return self.scan_detect_seconds / max(self.fast_detect_seconds, 1e-12)
+    def workload_pairs(self) -> int:
+        """Concurrency probes the detection phase issued."""
+        return self.query_profile.batched_pairs
 
     @property
     def memo_misses_per_pair(self) -> float:
         """Reachability tests per batched candidate pair (< 1 means the
         memo collapses the workload to sub-linear query work)."""
-        return self.fast_profile.memo_misses / max(
-            self.fast_profile.batched_pairs, 1
+        return self.query_profile.memo_misses / max(
+            self.query_profile.batched_pairs, 1
         )
 
 
@@ -242,100 +190,34 @@ class DetectionBenchmark:
 TIMING_REPEATS = 3
 
 
-def scan_relation(trace: Trace, model: ModelConfig) -> HappensBefore:
-    """The streaming view's relation over a whole trace: every op
-    ingested into an :class:`~repro.stream.IncrementalHB` as one range,
-    then one poll to close the derived-rule fixpoint."""
-    incremental = IncrementalHB(trace, model)
-    incremental.ingest(0, len(trace))
-    incremental.poll()
-    return incremental.relation()
-
-
 def detection_benchmark(
     app_cls: Type[AppModel],
     scale: float = 0.5,
     seed: int = 1,
 ) -> DetectionBenchmark:
-    """Measure the detection phase fast-vs-scan on one app workload."""
+    """Time the detection phase on one app workload."""
     run = app_cls(scale=scale, seed=seed).run(tracing=True)
     assert run.trace is not None
     trace = run.trace
     options = DetectorOptions()
     accesses = extract_accesses(trace)
-
-    def detect_phase(relation: Callable[[], HappensBefore]):
-        best = float("inf")
-        for _ in range(TIMING_REPEATS):
-            # prebuilt relations: the phase times queries, not builds
-            hb = relation()
-            detector = UseFreeDetector(trace, hb=hb, accesses=accesses)
-            low = LowLevelDetector(trace, hb=hb, accesses=accesses)
-            low.sites  # prebuilt site index, common to both paths
-            start = time.perf_counter()
-            result = detector.detect()
-            low_result = low.detect()
-            best = min(best, time.perf_counter() - start)
-        return best, result, low_result, hb
-
-    fast_elapsed, fast_result, fast_low, fast_hb = detect_phase(
-        lambda: build_happens_before(trace, options.model)
-    )
-    # snapshot before the recording pass below adds its own queries
-    fast_profile = replace(fast_hb.query_profile)
-    scan_hb = scan_relation(trace, options.model)
-    scan_elapsed, scan_result, scan_low, _ = detect_phase(lambda: scan_hb)
-
-    # Capture the exact query workload of the phase ...
-    workload: List[Tuple[int, int]] = []
-    recorder = _RecordingHB(fast_hb, workload)
-    UseFreeDetector(
-        trace, hb=recorder, accesses=accesses  # type: ignore[arg-type]
-    ).detect()
-    LowLevelDetector(
-        trace, hb=recorder, accesses=accesses  # type: ignore[arg-type]
-    ).detect()
-
-    # ... and replay it through each path.  The fast relation's one-time
-    # per-op indexes and per-task ranges are warm from the phase, and
-    # the memo is reset before each timed run: the timing is
-    # steady-state query work, every verdict recomputed.
-    def replay(hb: HappensBefore):
-        best = float("inf")
-        for _ in range(TIMING_REPEATS):
-            hb.reset_query_memo()
-            start = time.perf_counter()
-            verdicts = hb.concurrent_pairs(workload)
-            best = min(best, time.perf_counter() - start)
-        return best, verdicts
-
-    fast_replay, fast_verdicts = replay(fast_hb)
-    scan_replay, scan_verdicts = replay(scan_hb)
-    if fast_verdicts != scan_verdicts:  # pragma: no cover - differential bug
-        raise AssertionError(
-            "fast and scan query paths disagree on the replayed workload"
-        )
-
+    best = float("inf")
+    for _ in range(TIMING_REPEATS):
+        # a prebuilt relation: the phase times queries, not builds
+        hb = build_happens_before(trace, options.model)
+        detector = UseFreeDetector(trace, hb=hb, accesses=accesses)
+        low = LowLevelDetector(trace, hb=hb, accesses=accesses)
+        low.sites  # prebuilt site index
+        start = time.perf_counter()
+        result = detector.detect()
+        low_result = low.detect()
+        best = min(best, time.perf_counter() - start)
     return DetectionBenchmark(
         app=app_cls.name,
         scale=scale,
         trace_ops=len(trace),
-        workload_pairs=len(workload),
-        fast_detect_seconds=fast_elapsed,
-        scan_detect_seconds=scan_elapsed,
-        fast_replay_seconds=fast_replay,
-        scan_replay_seconds=scan_replay,
-        fast_profile=fast_profile,
-        reports_identical=(
-            [str(r) for r in fast_result.reports]
-            == [str(r) for r in scan_result.reports]
-            and [str(r) for r in fast_result.filtered_reports]
-            == [str(r) for r in scan_result.filtered_reports]
-            and fast_result.dynamic_candidates == scan_result.dynamic_candidates
-        ),
-        low_level_identical=(
-            [str(r) for r in fast_low.races] == [str(r) for r in scan_low.races]
-        ),
-        use_free_reports=len(fast_result.reports),
-        low_level_races=fast_low.race_count(),
+        detect_seconds=best,
+        query_profile=hb.query_profile,
+        use_free_reports=len(result.reports),
+        low_level_races=low_result.race_count(),
     )

@@ -50,7 +50,7 @@ from .analysis import (
     reproduce_table1,
 )
 from .apps import ALL_APPS, make_app
-from .detect import DetectorOptions, LowLevelDetector, UseFreeDetector
+from .detect import LowLevelDetector, UseFreeDetector
 from .trace import load_trace_file, save_trace_file
 
 #: CLI spelling -> on-disk trace format version
@@ -83,17 +83,6 @@ def _nonnegative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
-
-
-def _add_memo_capacity(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--memo-capacity",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="LRU bound of the happens-before query memo tables "
-        "(0 = unbounded; default: 1048576 entries per table)",
-    )
 
 
 def _load_input_trace(args):
@@ -161,9 +150,7 @@ def _cmd_record(args) -> int:
 
 def _cmd_detect(args) -> int:
     trace = _load_input_trace(args)
-    detector = UseFreeDetector(
-        trace, DetectorOptions(memo_capacity=args.memo_capacity)
-    )
+    detector = UseFreeDetector(trace)
     result = detector.detect()
     print(
         f"{len(trace)} operations, {len(trace.events())} events, "
@@ -222,7 +209,7 @@ def _cmd_stats(args) -> int:
     trace_profile = trace.profile(disk_bytes=os.path.getsize(args.trace))
     if not args.json:
         print(trace_profile.format())
-    hb = build_happens_before(trace, memo_capacity=args.memo_capacity)
+    hb = build_happens_before(trace)
     # Run the detector so the query-side counters describe a real
     # workload rather than an idle relation.
     with span("detect.usefree", ops=len(trace)):
@@ -863,7 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the conflicting-access baseline",
     )
     _add_format(detect, writing=False)
-    _add_memo_capacity(detect)
     detect.set_defaults(fn=_cmd_detect)
 
     witness = sub.add_parser(
@@ -904,7 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
         "Perfetto)",
     )
     _add_format(stats, writing=False)
-    _add_memo_capacity(stats)
     stats.set_defaults(fn=_cmd_stats)
 
     stream = sub.add_parser(

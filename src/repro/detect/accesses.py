@@ -189,7 +189,7 @@ class AccessExtractor:
         self.guards: List[Guard] = []
         self.locksets: Dict[int, FrozenSet[str]] = {}
         self._read_history: Dict[str, List[PtrRead]] = {}
-        self._read_op_index: Dict[str, List[int]] = {}
+        self._read_indices: Dict[str, List[int]] = {}
         self._use_by_read: Dict[int, Use] = {}
         self._held: Dict[str, set] = {}
 
@@ -225,10 +225,10 @@ class AccessExtractor:
         if isinstance(op, PtrRead):
             history = self._read_history.setdefault(task, [])
             history.append(op)
-            self._read_op_index.setdefault(task, []).append(i)
+            self._read_indices.setdefault(task, []).append(i)
             if len(history) > MATCH_WINDOW:
                 history.pop(0)
-                self._read_op_index[task].pop(0)
+                self._read_indices[task].pop(0)
         elif isinstance(op, PtrWrite):
             record = PointerWrite(
                 index=i,
@@ -245,7 +245,7 @@ class AccessExtractor:
         elif isinstance(op, Deref):
             matched = _match_nearest_read(
                 self._read_history.get(task, ()),
-                self._read_op_index.get(task, ()),
+                self._read_indices.get(task, ()),
                 op.object_id,
             )
             if matched is None:
@@ -267,7 +267,7 @@ class AccessExtractor:
         elif isinstance(op, Branch):
             matched = _match_nearest_read(
                 self._read_history.get(task, ()),
-                self._read_op_index.get(task, ()),
+                self._read_indices.get(task, ()),
                 op.object_id,
             )
             self.guards.append(

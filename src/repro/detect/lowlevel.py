@@ -22,8 +22,8 @@ orders of magnitude above CAFA's either way).
 
 All sampled probes are answered through one
 :meth:`~repro.hb.graph.HappensBefore.concurrent_pairs` batch (after
-the cheaper same-task and lockset pre-filters), so the prefix-mask +
-memo query path collapses the many probes that land on the same event
+the cheaper same-task and lockset pre-filters), so the relation's
+pair memo collapses the many probes that land on the same event
 pair.  Site collection is cached on the detector, letting callers that
 re-run detection (e.g. the benchmarks) separate indexing cost from
 query cost.

@@ -55,9 +55,6 @@ class DetectorOptions:
     intra_event_allocation: bool = True
     lockset_filter: bool = True
     model: ModelConfig = CAFA_MODEL
-    #: LRU bound of the query memo tables: None = the default
-    #: (:data:`repro.hb.DEFAULT_MEMO_CAPACITY`), 0 = unbounded
-    memo_capacity: Optional[int] = None
 
 
 @dataclass
@@ -104,11 +101,7 @@ class UseFreeDetector:
     @property
     def hb(self) -> HappensBefore:
         if self._hb is None:
-            self._hb = build_happens_before(
-                self.trace,
-                self.options.model,
-                memo_capacity=self.options.memo_capacity,
-            )
+            self._hb = build_happens_before(self.trace, self.options.model)
         return self._hb
 
     @property

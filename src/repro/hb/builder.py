@@ -14,14 +14,16 @@ repeats until no rule fires.
 
 Every rule is implemented once, here, over the store's columns (no
 :class:`Operation` is materialized): :func:`_scan` places ops in
-their tasks' program order and harvests the event facts they carry,
-:class:`_BaseRules` adds the base edges one op enables,
-:func:`_add_chain_edges` adds the edges read off whole chains (the
-external-input chain and the queue-rule-1 seeding), and
-:func:`_fixpoint` runs the derived rules.  :func:`build_happens_before`
-runs these passes over a complete trace;
-:class:`repro.stream.IncrementalHB` runs the same functions over op
-ranges as they arrive and closes the graph only when polled.
+their tasks' program order, records the key ops and harvests the event
+facts they carry, and :func:`_build_relation` builds the relation of
+everything scanned: :func:`_build_key_graph` lays each task's key
+nodes out, :class:`_BaseRules` adds the base edges each key op enables
+and the edges read off whole chains (the external-input chain and the
+queue-rule-1 seeding), and :func:`_fixpoint` runs the derived rules.
+:func:`build_happens_before` scans a complete trace and builds;
+:class:`repro.stream.IncrementalHB` scans op ranges as they arrive and
+builds when polled, so a streamed relation is node for node the batch
+relation of the same ops.
 
 The fixpoint is *output-sensitive*: the transitive closure is computed
 once before round one and maintained in place by
@@ -41,7 +43,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..trace import OpKind, SYNC_KINDS, TaskKind, Trace
@@ -161,6 +162,10 @@ class _BuildState:
     task_end: Dict[str, int] = field(default_factory=dict)
     #: task symbol id -> the task whose program order its ops join
     task_of_id: Dict[int, str] = field(default_factory=dict)
+    #: the key ops (graph nodes), in trace order
+    key_ops: List[int] = field(default_factory=list)
+    #: task -> the program-order positions of its key ops
+    task_key_pos: Dict[str, List[int]] = field(default_factory=dict)
     store: TraceStore = field(init=False)
     #: per kind code: are ops of this kind key ops (graph nodes)?
     key_by_code: List[bool] = field(init=False)
@@ -184,15 +189,15 @@ def _effective_task(state: _BuildState, task: str) -> str:
     return task
 
 
-def _scan(state: _BuildState, start: int, stop: int) -> List[bool]:
+def _scan(state: _BuildState, start: int, stop: int) -> None:
     """Scan ops ``start`` to ``stop - 1``, in trace order: append each
-    to its task's program order and harvest the task bound or event
-    fact it carries.  Returns their key flags (is the op a graph node?).
-    """
+    to its task's program order, record it if it is a key op (a graph
+    node), and harvest the task bound or event fact it carries."""
     store = state.store
     kinds, task_ids = store.kinds, store.task_ids
     task_of_id, task_ops = state.task_of_id, state.task_ops
     op_task, op_pos = state.op_task, state.op_pos
+    key_by_code, key_ops, key_pos = state.key_by_code, state.key_ops, state.task_key_pos
     for i in range(start, stop):
         tid = task_ids[i]
         task = task_of_id.get(tid)
@@ -203,14 +208,18 @@ def _scan(state: _BuildState, start: int, stop: int) -> List[bool]:
         ops = task_ops.get(task)
         if ops is None:
             ops = task_ops[task] = []
+            key_pos[task] = []
+        pos = len(ops)
         op_task.append(task)
-        op_pos.append(len(ops))
+        op_pos.append(pos)
         ops.append(i)
         code = kinds[i]
-        if code in _HARVESTED:
-            _harvest(state, i, code)
-    key_by_code = state.key_by_code
-    return [key_by_code[code] for code in kinds[start:stop]]
+        if key_by_code[code]:
+            key_ops.append(i)
+            key_pos[task].append(pos)
+            # every harvested kind is a sync kind, hence a key op
+            if code in _HARVESTED:
+                _harvest(state, i, code)
 
 
 def _event_record(state: _BuildState, event: str) -> EventRecord:
@@ -256,27 +265,26 @@ def _harvest(state: _BuildState, i: int, code: int) -> None:
 
 
 def _build_key_graph(
-    state: _BuildState, is_key: List[bool]
+    state: _BuildState,
 ) -> Tuple[KeyGraph, Dict[str, List[int]], Dict[str, List[int]]]:
     """Create nodes for every key op and chain them per task.
 
     Each task's chain goes through :meth:`KeyGraph.add_chain`, which
     allocates its nodes in one uninterrupted run and thereby
-    *guarantees* the contiguous-id invariant behind the sparse query
-    path's range probes (a broken run raises instead of degrading).
-    Each task also gets a node at its last op, so it has one at its
-    very end.
+    *guarantees* the contiguous-id invariant behind the query path's
+    range probes (a broken run raises instead of degrading).  Each task
+    also gets a node at its last op, so it has one at its very end.
+    Returns the graph and each task's key positions and key nodes.
     """
     graph = KeyGraph()
     task_key_positions: Dict[str, List[int]] = {}
     task_key_nodes: Dict[str, List[int]] = {}
     for task, ops in state.task_ops.items():
+        # a copy: the scan keeps appending to its own list
+        positions = list(state.task_key_pos[task])
         last = len(ops) - 1
-        positions = [
-            pos
-            for pos, op_index in enumerate(ops)
-            if is_key[op_index] or pos == last
-        ]
+        if not positions or positions[-1] != last:
+            positions.append(last)
         task_key_positions[task] = positions
         task_key_nodes[task] = graph.add_chain(
             [ops[pos] for pos in positions], RULE_PROGRAM_ORDER
@@ -286,18 +294,13 @@ def _build_key_graph(
 
 class _BaseRules:
     """The base rules whose premises are syntactic facts of the trace,
-    as one :meth:`step` per key op in trace order.
+    as one :meth:`step` per key op in trace order, then
+    :meth:`chain_edges`.
 
     The rules are stateful scans — a Wait pairs with *earlier*
     Notifies, an Acquire with the *latest* Release.  Fork, join and
-    send edges look their partner BEGIN or END up in the scan; when it
-    has no graph node yet the edge is parked until the partner's own
-    step.  A batch build creates every key node before the first step,
-    so there an edge is parked only when its partner never appears;
-    :class:`repro.stream.IncrementalHB` scans a whole range before
-    stepping it, so a partner later in the range is harvested but has
-    no node, and parking keeps the edges in the order an op-by-op
-    drive adds them.
+    send edges look their partner BEGIN or END up in the completed
+    scan, where every partner that exists already has its node.
     """
 
     def __init__(self, state: _BuildState, graph: KeyGraph) -> None:
@@ -311,16 +314,15 @@ class _BaseRules:
         self._ipc_calls: Dict[int, int] = {}
         self._ipc_replies: Dict[int, int] = {}
         self._last_release: Dict[str, int] = {}
-        #: task -> (source op, rule) of the edges waiting for its BEGIN
-        self._await_begin: Dict[str, List[Tuple[int, str]]] = {}
-        #: task -> the joins waiting for its END
-        self._await_end: Dict[str, List[int]] = {}
+        #: (source op, target op, rule) of the first edge added that
+        #: points back in the trace, if any
+        self.late: Optional[Tuple[int, int, str]] = None
         config = state.config
         # Plain functions, called with ``self``: a table of bound methods
         # would be a reference cycle, keeping the scan and the graph
         # alive until the cyclic collector runs.
         cls = type(self)
-        handlers = {OpKind.BEGIN: cls._begin, OpKind.END: cls._end}
+        handlers = {}
         if config.fork_join:
             handlers[OpKind.FORK] = cls._fork
             handlers[OpKind.JOIN] = cls._join
@@ -349,34 +351,40 @@ class _BaseRules:
         if handler is not None:
             handler(self, i)
 
+    def chain_edges(self) -> None:
+        """Edges read off whole chains of the scan rather than one op:
+        the external-input chain and the queue-rule-1 seeding."""
+        state = self.state
+        config = state.config
+        if config.external_input:
+            # External inputs are delivered in generation order: each
+            # external event ends before the next one begins.
+            external = state.trace.external_events()
+            for e1, e2 in zip(external, external[1:]):
+                end1 = state.task_end.get(e1)
+                begin2 = state.task_begin.get(e2)
+                if end1 is not None and begin2 is not None:
+                    self._edge(end1, begin2, RULE_EXTERNAL)
+        if config.queue_rule_1 and not config.sequential_events:
+            _seed_queue_rule_1_chains(state, self.graph)
+
     def _edge(self, u_op: int, v_op: int, rule: str) -> None:
+        if u_op > v_op and self.late is None:
+            self.late = (u_op, v_op, rule)
         node_of = self.graph.node_of
         self.graph.add_edge(node_of(u_op), node_of(v_op), rule)
 
     def _to_begin(self, i: int, task: str, rule: str) -> None:
         begin = self.state.task_begin.get(task)
-        if begin is None or not self.graph.has_node(begin):
-            self._await_begin.setdefault(task, []).append((i, rule))
-        else:
+        if begin is not None:
             self._edge(i, begin, rule)
-
-    def _begin(self, i: int) -> None:
-        for u, rule in self._await_begin.pop(self.store.task_of(i), ()):
-            self._edge(u, i, rule)
-
-    def _end(self, i: int) -> None:
-        for join in self._await_end.pop(self.store.task_of(i), ()):
-            self._edge(i, join, RULE_JOIN)
 
     def _fork(self, i: int) -> None:
         self._to_begin(i, self._field(i, "child"), RULE_FORK)
 
     def _join(self, i: int) -> None:
-        child = self._field(i, "child")
-        end = self.state.task_end.get(child)
-        if end is None or not self.graph.has_node(end):
-            self._await_end.setdefault(child, []).append(i)
-        else:
+        end = self.state.task_end.get(self._field(i, "child"))
+        if end is not None:
             self._edge(end, i, RULE_JOIN)
 
     def _notify(self, i: int) -> None:
@@ -433,29 +441,6 @@ class _BaseRules:
             self._edge(release, i, RULE_LOCK)
 
 
-def _add_chain_edges(state: _BuildState, graph: KeyGraph) -> None:
-    """Edges read off whole chains of the scan rather than one op: the
-    external-input chain and the queue-rule-1 seeding.
-
-    Both cover only what has been scanned, and may be re-run as the
-    scan grows (``add_edge`` skips edges already present).
-    """
-    config = state.config
-    if config.external_input:
-        # External inputs are delivered in generation order: each
-        # external event ends before the next one begins.
-        external = state.trace.external_events()
-        for e1, e2 in zip(external, external[1:]):
-            end1 = state.task_end.get(e1)
-            begin2 = state.task_begin.get(e2)
-            if end1 is not None and begin2 is not None:
-                graph.add_edge(
-                    graph.node_of(end1), graph.node_of(begin2), RULE_EXTERNAL
-                )
-    if config.queue_rule_1 and not config.sequential_events:
-        _seed_queue_rule_1_chains(state, graph)
-
-
 def _seed_queue_rule_1_chains(state: _BuildState, graph: KeyGraph) -> None:
     """Pre-apply queue rule 1 along each task's own send sequence.
 
@@ -496,6 +481,25 @@ class ModelNotApplicableError(Exception):
     queue, the FIFO-processing guarantees behind the queue rules do
     not hold and no causal order can be derived from them.
     """
+
+
+def backward_edge_error(
+    store: TraceStore, source: int, target: int, rule: str
+) -> ModelNotApplicableError:
+    """The error for a ``rule`` edge from op ``source`` to the earlier
+    op ``target``: a fork or send after its target began, a join before
+    the child ended, or an external event that began before its
+    predecessor ended.  The builder and the vector-clock pass raise the
+    same text."""
+
+    def op(j: int) -> str:
+        return f"op #{j} ({KIND_LIST[store.kinds[j]].value} of {store.task_of(j)!r})"
+
+    return ModelNotApplicableError(
+        f"the {rule} rule orders {op(source)} before {op(target)}, "
+        "which comes earlier in the trace; a happens-before edge "
+        "cannot point back in the trace"
+    )
 
 
 def _check_one_looper_per_queue(state: _BuildState) -> None:
@@ -825,40 +829,26 @@ def _task_bounds(state: _BuildState) -> Dict[str, Tuple[int, int]]:
     return bounds
 
 
-def build_happens_before(
-    trace: Trace,
-    config: ModelConfig = CAFA_MODEL,
-    memo_capacity: Optional[int] = None,
-) -> HappensBefore:
-    """Build the happens-before relation of ``trace`` under ``config``.
+def _build_relation(state: _BuildState, profile: BuildProfile) -> HappensBefore:
+    """The relation of every op scanned into ``state``.
 
-    Returns a :class:`~repro.hb.graph.HappensBefore` answering ordering
-    queries between arbitrary operation indices.  Raises
-    :class:`~repro.hb.graph.HBCycleError` *here, at build time,* if the
-    derived relation is cyclic (an inconsistent trace) — under every
-    configuration, including the ablations that disable the derived
-    rules.
-
-    ``memo_capacity`` bounds the query memoization tables (LRU):
-    ``None`` uses :data:`~repro.hb.graph.DEFAULT_MEMO_CAPACITY`, ``0``
-    keeps them unbounded, any positive value is the entry cap.
+    Lays the key nodes out task by task, adds the base edges in trace
+    order and the chain edges, closes the graph and runs the fixpoint;
+    the phase timings and closure counters go into ``profile``.  The
+    scan state is only read, so a later scan can extend it and build
+    again.  Raises :class:`~repro.hb.graph.HBCycleError` if the base
+    graph is cyclic, then :class:`ModelNotApplicableError` if a base
+    edge points back in the trace.
     """
-    profile = BuildProfile()
+    _check_one_looper_per_queue(state)
     tick = time.perf_counter
     t0 = tick()
-    with span("hb.scan", ops=len(trace)):
-        state = _BuildState(trace=trace, config=config)
-        is_key = _scan(state, 0, len(trace))
-        _check_one_looper_per_queue(state)
-    profile.scan_seconds = tick() - t0
-
-    t0 = tick()
     with span("hb.base_edges"):
-        graph, task_key_positions, task_key_nodes = _build_key_graph(state, is_key)
+        graph, task_key_positions, task_key_nodes = _build_key_graph(state)
         base = _BaseRules(state, graph)
-        for i in compress(range(len(trace)), is_key):
+        for i in state.key_ops:
             base.step(i)
-        _add_chain_edges(state, graph)
+        base.chain_edges()
     profile.base_seconds = tick() - t0
 
     # Build-time consistency check: close (and thereby cycle-check) the
@@ -868,18 +858,12 @@ def build_happens_before(
     with span("hb.closure"):
         graph.close()
     profile.closure_seconds = tick() - t0
+    if base.late is not None:
+        raise backward_edge_error(state.store, *base.late)
 
     derived_edges = _fixpoint(state, graph, profile)
-
     profile.closure_recomputations = graph.closure_recomputations
     profile.bits_propagated = graph.bits_propagated
-    chunk_stats = graph.chunk_stats()
-    if chunk_stats is not None:
-        profile.closure_bytes = chunk_stats.bytes
-        profile.chunks_allocated = chunk_stats.chunks_allocated
-        profile.chunks_shared = chunk_stats.chunks_shared
-        profile.dense_chunk_ratio = chunk_stats.dense_chunk_ratio
-
     return HappensBefore(
         graph=graph,
         op_task=state.op_task,
@@ -890,5 +874,35 @@ def build_happens_before(
         iterations=profile.rounds,
         derived_edges=derived_edges,
         profile=profile,
-        memo_capacity=memo_capacity,
     )
+
+
+def build_happens_before(
+    trace: Trace,
+    config: ModelConfig = CAFA_MODEL,
+) -> HappensBefore:
+    """Build the happens-before relation of ``trace`` under ``config``.
+
+    Returns a :class:`~repro.hb.graph.HappensBefore` answering ordering
+    queries between arbitrary operation indices.  Raises
+    :class:`~repro.hb.graph.HBCycleError` *here, at build time,* if the
+    derived relation is cyclic (an inconsistent trace) — under every
+    configuration, including the ablations that disable the derived
+    rules — and :class:`ModelNotApplicableError` if a base edge points
+    back in the trace.
+    """
+    profile = BuildProfile()
+    t0 = time.perf_counter()
+    with span("hb.scan", ops=len(trace)):
+        state = _BuildState(trace=trace, config=config)
+        _scan(state, 0, len(trace))
+    profile.scan_seconds = time.perf_counter() - t0
+
+    hb = _build_relation(state, profile)
+    chunk_stats = hb.graph.chunk_stats()
+    if chunk_stats is not None:
+        profile.closure_bytes = chunk_stats.bytes
+        profile.chunks_allocated = chunk_stats.chunks_allocated
+        profile.chunks_shared = chunk_stats.chunks_shared
+        profile.dense_chunk_ratio = chunk_stats.dense_chunk_ratio
+    return hb

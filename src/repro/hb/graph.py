@@ -37,19 +37,17 @@ propagation).  ``benchmarks/test_analysis_scaling.py`` asserts the
 former stays constant across the fixpoint, and
 ``benchmarks/test_closure_engine.py`` bounds the closure's memory.
 
-Querying is O(1) bitset operations per lookup.  An arbitrary
+Querying takes two bisections and one bitset probe.  An arbitrary
 operation pair ``(a, b)`` reduces to the triple ``(ka, tb, hi)`` —
 first key node at-or-after ``a``, ``b``'s task, ``b``'s key-prefix
 length — and because :meth:`KeyGraph.add_chain` gives each task's key
 nodes contiguous ids, "does ``ka`` reach one of ``tb``'s first ``hi``
-key nodes" is a single chunk-level range probe.  The result is
-memoized at that granularity, which makes the detector's repeated
-event-pair queries dictionary lookups.  A :class:`QueryProfile`
-(query counts, memo hits, per-task query structures) makes the query
-work observable.  ``fast_queries=False`` selects the bit-scan over the
-target task's key-node prefix instead; it needs no contiguity and no
-precomputed index, which is why the streaming view over a live graph
-(:meth:`repro.stream.IncrementalHB.relation`) uses it.
+key nodes" is a single chunk-level range probe.  The batched
+:meth:`HappensBefore.concurrent_pairs` memoizes whole verdicts per
+pair of op signatures, which makes the detector's repeated event-pair
+queries dictionary lookups.  A :class:`QueryProfile` (query counts,
+memo hits, per-task query structures) makes the query work
+observable.
 """
 
 from __future__ import annotations
@@ -62,11 +60,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bits import ChunkStats, SparseBits, vector_stats
 
-#: default LRU bound of the two query memo tables (entries each).  At
-#: roughly 100 bytes per entry this caps memo memory near 100 MB where
-#: the historical unbounded dicts grew with the number of *distinct*
-#: queries — unbounded in trace length for the batched detectors.
-#: ``memo_capacity=0`` restores the unbounded behaviour.
+#: LRU bound of the pair memo (entries).  At roughly 100 bytes per
+#: entry this caps memo memory near 100 MB, where an unbounded memo
+#: would grow with the number of *distinct* queries — unbounded in
+#: trace length for the batched detectors.
 DEFAULT_MEMO_CAPACITY = 1 << 20
 
 
@@ -99,20 +96,18 @@ class QueryProfile:
 
     Attached to every :class:`HappensBefore` and surfaced by
     ``repro.hb.stats`` / ``python -m repro stats``, the counters make
-    the cost of ordering queries — and the effect of the range-probe +
-    memoization fast path — observable without a profiler, the query
+    the cost of ordering queries — and the effect of the range probe
+    and the pair memo — observable without a profiler, the query
     counterpart of the builder's ``BuildProfile``.
     """
 
-    #: whether the range-probe + memo path is active
-    fast: bool = True
-    #: total ``ordered()`` calls (including via ``concurrent``)
+    #: ordering queries evaluated (``ordered()`` calls, including via
+    #: ``concurrent``, and the directions a batched pair evaluated)
     queries: int = 0
     #: queries answered by a same-task position comparison
     same_task: int = 0
-    #: cross-task lookups answered from a memo — the directional
-    #: ``(ka, tb, hi)`` memo in :meth:`HappensBefore.ordered`, the
-    #: pair-signature memo in :meth:`HappensBefore.concurrent_pairs`
+    #: batched pairs answered from the pair-signature memo of
+    #: :meth:`HappensBefore.concurrent_pairs`
     memo_hits: int = 0
     #: cross-task lookups that had to touch the reachability bitsets
     memo_misses: int = 0
@@ -122,10 +117,8 @@ class QueryProfile:
     mask_tasks: int = 0
     #: memory held by the resolved per-task ranges
     mask_bytes: int = 0
-    #: memo entries dropped by the LRU bound (0 when unbounded)
+    #: memo entries dropped by the LRU bound
     memo_evictions: int = 0
-    #: the active LRU bound per memo table (None = unbounded)
-    memo_capacity: Optional[int] = None
 
     @property
     def memo_hit_rate(self) -> float:
@@ -463,8 +456,9 @@ class KeyGraph:
 class HappensBefore:
     """Queryable happens-before relation over a trace.
 
-    Built by :func:`repro.hb.builder.build_happens_before`.  Queries
-    accept arbitrary operation indices of the underlying trace.
+    Built by :func:`repro.hb.builder.build_happens_before` (and, over
+    the ops streamed so far, by :meth:`repro.stream.IncrementalHB.poll`).
+    Queries accept arbitrary operation indices of the underlying trace.
     """
 
     def __init__(
@@ -478,8 +472,6 @@ class HappensBefore:
         iterations: int,
         derived_edges: int,
         profile: Optional[object] = None,
-        fast_queries: bool = True,
-        memo_capacity: Optional[int] = None,
     ) -> None:
         self.graph = graph
         self._op_task = op_task
@@ -491,42 +483,21 @@ class HappensBefore:
         self.iterations = iterations
         #: number of edges contributed by the derived (fixpoint) rules
         self.derived_edges = derived_edges
-        #: per-phase :class:`repro.hb.builder.BuildProfile`, when built
-        #: by :func:`repro.hb.builder.build_happens_before`
+        #: per-phase :class:`repro.hb.builder.BuildProfile`
         self.profile = profile
         #: query-side work counters (see :class:`QueryProfile`)
-        self.query_profile = QueryProfile(fast=fast_queries)
-        self._fast = fast_queries
+        self.query_profile = QueryProfile()
         #: task -> base node id of its (contiguous) key-node id range
-        #: (built lazily per task)
+        #: (resolved lazily per task)
         self._task_range: Dict[str, int] = {}
-        # Memo tables: bounded LRU (OrderedDict) by default, plain dicts
-        # when memo_capacity=0 keeps them unbounded (the historical
-        # behaviour, and marginally faster when memory is no concern).
-        if memo_capacity is None:
-            memo_capacity = DEFAULT_MEMO_CAPACITY
-        if memo_capacity < 0:
-            raise ValueError(f"memo_capacity must be >= 0, got {memo_capacity}")
-        #: LRU entry bound per memo table; 0 means unbounded
-        self._memo_capacity = memo_capacity
-        self.query_profile.memo_capacity = memo_capacity or None
-        #: (ka, tb, hi) -> ordered verdict
-        self._memo: Dict[Tuple[int, str, int], bool] = (
-            OrderedDict() if memo_capacity else {}
-        )
-        #: per-op source key node (id, or -1) / key-prefix length,
-        #: indexed by operation index (built lazily, one linear pass)
-        self._op_key: Optional[List[int]] = None
-        self._op_prefix_len: Optional[List[int]] = None
-        #: per-op interned query signature: ops sharing
-        #: (op_key, task, op_prefix_len) share a signature id
-        self._op_sig: Optional[List[int]] = None
-        #: signature id -> (op_key, task, op_prefix_len)
+        #: op -> its interned query signature, for the ops queried so far
+        self._op_sig: Dict[int, int] = {}
+        #: (first key node at-or-after, task, key-prefix length) -> its
+        #: signature id, and the reverse list
+        self._sig_of: Dict[Tuple[int, str, int], int] = {}
         self._sig_parts: List[Tuple[int, str, int]] = []
-        #: (sig_a * len(sig_parts) + sig_b) -> concurrent verdict
-        self._pair_memo: Dict[int, bool] = (
-            OrderedDict() if memo_capacity else {}
-        )
+        #: (sig_a << 32 | sig_b) -> concurrent verdict, LRU-bounded
+        self._pair_memo: OrderedDict[int, bool] = OrderedDict()
 
     # -- core queries -------------------------------------------------------
 
@@ -538,40 +509,14 @@ class HappensBefore:
         if ta == tb:
             prof.same_task += 1
             return self._op_pos[a] < self._op_pos[b]
-        if not self._fast:
-            ka = self._first_key_at_or_after(ta, self._op_pos[a])
-            if ka is None:
-                return False
-            positions = self._task_key_positions.get(tb)
-            if not positions:
-                return False
-            hi = bisect_right(positions, self._op_pos[b])
-            if hi == 0:
-                return False
-            reach = self.graph.reach_set(ka)
-            return self._first_reachable_key(reach, tb, hi) is not None
-        op_key, op_prefix_len = self._op_index()
-        ka = op_key[a]
-        if ka < 0:
+        ka = self._first_key_at_or_after(ta, self._op_pos[a])
+        if ka is None:
             return False
-        hi = op_prefix_len[b]
+        hi = bisect_right(self._task_key_positions.get(tb, ()), self._op_pos[b])
         if hi == 0:
             return False
-        key = (ka, tb, hi)
-        memo = self._memo
-        cached = memo.get(key)
-        if cached is not None:
-            prof.memo_hits += 1
-            if self._memo_capacity:
-                memo.move_to_end(key)  # type: ignore[attr-defined]
-            return cached
         prof.memo_misses += 1
-        result = self._hit(ka, tb, hi)
-        memo[key] = result
-        if self._memo_capacity and len(memo) > self._memo_capacity:
-            memo.popitem(last=False)  # type: ignore[call-arg]
-            prof.memo_evictions += 1
-        return result
+        return self._hit(ka, tb, hi)
 
     def concurrent(self, a: int, b: int) -> bool:
         """True when neither ``a < b`` nor ``b < a``."""
@@ -584,33 +529,22 @@ class HappensBefore:
 
         The workhorse of the batched detector.  A cross-task pair's
         verdict is fully determined by the two operations' query
-        signatures — the interned ``(op_key, task, op_prefix_len)``
-        triples of :meth:`_sig_index` — so the batch memoizes whole
-        *concurrency verdicts* keyed by the signature pair, collapsing
-        all operation pairs between the same key-node neighborhoods
-        (for event tasks, effectively one entry per event pair) into a
-        single integer-keyed dictionary probe.  Only a pair-memo miss
-        touches the reachability bitsets, with at most two range
-        probes.  Returns verdicts in input order; identical to calling
-        :meth:`concurrent` per pair (which the ``fast_queries=False``
-        path literally does).
+        signatures — the interned ``(first key node at-or-after, task,
+        key-prefix length)`` triples of :meth:`_signature` — so the
+        batch memoizes whole *concurrency verdicts* keyed by the
+        signature pair, collapsing all operation pairs between the same
+        key-node neighborhoods (for event tasks, effectively one entry
+        per event pair) into a single integer-keyed dictionary probe.
+        Only a pair-memo miss touches the reachability bitsets, with at
+        most two range probes.  Returns verdicts in input order;
+        identical to calling :meth:`concurrent` per pair.
         """
         prof = self.query_profile
-        if not self._fast:
-            verdicts = []
-            for a, b in pairs:
-                prof.batched_pairs += 1
-                verdicts.append(self.concurrent(a, b))
-            return verdicts
         op_task, op_pos = self._op_task, self._op_pos
-        sig, sig_parts = self._sig_index()
-        nsigs = len(sig_parts)
+        op_sig, signature, sig_parts = self._op_sig, self._signature, self._sig_parts
         hit = self._hit
         pair_memo = self._pair_memo
-        memo_get = pair_memo.get
-        capacity = self._memo_capacity
-        move_to_end = pair_memo.move_to_end if capacity else None  # type: ignore[attr-defined]
-        evict = pair_memo.popitem if capacity else None
+        memo_get, move_to_end = pair_memo.get, pair_memo.move_to_end
         verdicts: List[bool] = []
         append = verdicts.append
         batched = queries = same_task = hits = misses = evictions = 0
@@ -623,18 +557,23 @@ class HappensBefore:
                 queries += 1
                 append(op_pos[a] == op_pos[b])
                 continue
-            key = sig[a] * nsigs + sig[b]
+            sa = op_sig.get(a)
+            if sa is None:
+                sa = signature(a)
+            sb = op_sig.get(b)
+            if sb is None:
+                sb = signature(b)
+            key = sa << 32 | sb
             cached = memo_get(key)
             if cached is not None:
                 hits += 1
-                if move_to_end is not None:
-                    move_to_end(key)
+                move_to_end(key)
                 append(cached)
                 continue
             misses += 1
             queries += 1
-            ka, _, hia = sig_parts[sig[a]]
-            kb, _, hib = sig_parts[sig[b]]
+            ka, _, hia = sig_parts[sa]
+            kb, _, hib = sig_parts[sb]
             # ordered(a, b)
             forward = ka >= 0 and hib > 0 and hit(ka, tb, hib)
             if forward:
@@ -647,8 +586,8 @@ class HappensBefore:
                 else:
                     cached = True
             pair_memo[key] = cached
-            if capacity and len(pair_memo) > capacity:
-                evict(last=False)  # type: ignore[misc]
+            if len(pair_memo) > DEFAULT_MEMO_CAPACITY:
+                pair_memo.popitem(last=False)
                 evictions += 1
             append(cached)
         prof.batched_pairs += batched
@@ -670,17 +609,6 @@ class HappensBefore:
         """(begin op index, end op index) of a task."""
         return self._event_bounds[task]
 
-    def reset_query_memo(self) -> None:
-        """Drop the memoized query verdicts (both the directional memo
-        and the batch's pair memo).
-
-        The per-op indexes and per-task ranges are kept — they are
-        derived structure, not caches of answers.  Used by the benchmarks to
-        measure steady-state query cost with a cold memo.
-        """
-        self._memo.clear()
-        self._pair_memo.clear()
-
     def _first_key_at_or_after(self, task: str, pos: int) -> Optional[int]:
         positions = self._task_key_positions.get(task)
         if not positions:
@@ -696,9 +624,8 @@ class HappensBefore:
         """First of ``task``'s initial ``hi`` key nodes present in
         ``reach``, or None.
 
-        The one scan shared by the ``fast_queries=False`` query path
-        and :meth:`explain` (which needs the *witness node*, not just
-        existence, so it cannot use the range probe).
+        :meth:`explain` needs the *witness node*, not just existence,
+        so it scans instead of using the range probe.
         """
         nodes = self._task_key_nodes[task]
         test = reach.test
@@ -709,7 +636,7 @@ class HappensBefore:
 
     def _hit(self, ka: int, task: str, hi: int) -> bool:
         """Does node ``ka`` reach any of ``task``'s first ``hi`` key
-        nodes?  The one reachability probe of the fast query path.
+        nodes?  The one reachability probe of the query path.
 
         :meth:`KeyGraph.add_chain` guarantees each task's key nodes hold
         *contiguous* node ids, so the probe is a chunk-level range test.
@@ -720,70 +647,32 @@ class HappensBefore:
         base = self._range_of(task)
         return self.graph.reach_set(ka).any_in_range(base, base + hi)
 
-    def _op_index(self) -> Tuple[List[int], List[int]]:
-        """Per-operation key-node lookup arrays (built lazily, O(n)).
+    def _signature(self, op: int) -> int:
+        """The interned query signature of ``op``, computed by bisection
+        when the op is first queried.
 
-        ``op_key[i]`` is the node id of the first key node at-or-after
-        operation ``i`` in its task (-1 if none), i.e. the memoized
-        result of :meth:`_first_key_at_or_after`; ``op_prefix_len[i]``
-        is the number of key nodes of ``i``'s task at-or-before ``i``'s
-        position, i.e. the ``hi`` bound of a query targeting ``i``.
-        Together they replace the two per-query bisections with two
-        list indexings.
+        Two operations are query-equivalent when they share the first
+        key node at-or-after them, their task and their key-prefix
+        length (the number of their task's key nodes at-or-before
+        them): every ordering query involving them — in either role —
+        evaluates identically.  Interning those triples gives dense
+        signature ids, so the batch memoizes whole concurrency verdicts
+        under a single small-int key instead of hashing tuples.
         """
-        if self._op_key is None:
-            n = len(self._op_task)
-            op_key = [-1] * n
-            op_prefix_len = [0] * n
-            by_task: Dict[str, List[int]] = {}
-            for i in range(n):
-                by_task.setdefault(self._op_task[i], []).append(i)
-            for task, ops in by_task.items():
-                positions = self._task_key_positions.get(task, ())
-                nodes = self._task_key_nodes.get(task, ())
-                m = len(positions)
-                j = 0
-                # ops arrive in increasing position order, so one
-                # monotone pointer sweep replaces per-op bisection
-                for op in ops:
-                    pos = self._op_pos[op]
-                    while j < m and positions[j] < pos:
-                        j += 1
-                    if j < m:
-                        op_key[op] = nodes[j]
-                        op_prefix_len[op] = j + 1 if positions[j] == pos else j
-                    else:
-                        op_prefix_len[op] = j
-            self._op_key = op_key
-            self._op_prefix_len = op_prefix_len
-        return self._op_key, self._op_prefix_len  # type: ignore[return-value]
-
-    def _sig_index(self) -> Tuple[List[int], List[Tuple[int, str, int]]]:
-        """Per-operation interned query signatures (built lazily, O(n)).
-
-        Two operations are query-equivalent when they share
-        ``(op_key, task, op_prefix_len)``: every ordering query
-        involving them — in either role — evaluates identically.  This
-        interns those triples into dense signature ids so the batched
-        query path can memoize whole concurrency verdicts under a
-        single small-int key instead of hashing tuples.
-        """
-        if self._op_sig is None:
-            op_key, op_prefix_len = self._op_index()
-            op_task = self._op_task
-            sig_of: Dict[Tuple[int, str, int], int] = {}
-            sig_parts: List[Tuple[int, str, int]] = []
-            sig = [0] * len(op_task)
-            for i in range(len(op_task)):
-                triple = (op_key[i], op_task[i], op_prefix_len[i])
-                s = sig_of.get(triple)
-                if s is None:
-                    s = sig_of[triple] = len(sig_parts)
-                    sig_parts.append(triple)
-                sig[i] = s
-            self._op_sig = sig
-            self._sig_parts = sig_parts
-        return self._op_sig, self._sig_parts
+        task, pos = self._op_task[op], self._op_pos[op]
+        positions = self._task_key_positions.get(task, ())
+        i = bisect_left(positions, pos)
+        if i < len(positions):
+            hi = i + 1 if positions[i] == pos else i
+            triple = (self._task_key_nodes[task][i], task, hi)
+        else:
+            triple = (-1, task, i)
+        sig = self._sig_of.get(triple)
+        if sig is None:
+            sig = self._sig_of[triple] = len(self._sig_parts)
+            self._sig_parts.append(triple)
+        self._op_sig[op] = sig
+        return sig
 
     def _range_of(self, task: str) -> int:
         """Base node id of the task's contiguous key-node id range.
@@ -792,10 +681,9 @@ class HappensBefore:
         :meth:`KeyGraph.add_chain`, which allocates each task's nodes in
         one uninterrupted run — the first ``hi`` key nodes are exactly
         ``[base, base + hi)``.  Raises :class:`HBInvariantError` on a
-        gap: a hand-assembled graph that interleaved ``add_node`` calls
-        across tasks must be queried with ``fast_queries=False`` (the
-        scan path has no contiguity assumption).  Counted in
-        ``mask_tasks``/``mask_bytes`` as the per-task query structure.
+        gap (a hand-assembled graph that interleaved ``add_node`` calls
+        across tasks).  Counted in ``mask_tasks``/``mask_bytes`` as the
+        per-task query structure.
         """
         base = self._task_range.get(task)
         if base is None:
@@ -806,9 +694,8 @@ class HappensBefore:
                     raise HBInvariantError(
                         f"key nodes of task {task!r} are not contiguous "
                         f"(node {nodes[i]} at offset {i} from base {base}); "
-                        "fast queries require chains allocated via "
-                        "KeyGraph.add_chain — query this graph with "
-                        "fast_queries=False instead"
+                        "queries require chains allocated via "
+                        "KeyGraph.add_chain"
                     )
             self._task_range[task] = base
             prof = self.query_profile

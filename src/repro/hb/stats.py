@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 from ..trace import TaskKind, Trace
 from .builder import BuildProfile
-from .graph import HappensBefore, QueryProfile
+from .graph import DEFAULT_MEMO_CAPACITY, HappensBefore, QueryProfile
 
 
 @dataclass
@@ -47,7 +47,7 @@ class HBStats:
     edges_per_round: List[int] = field(default_factory=list)
     #: per-phase timings of the build, when available
     profile: Optional[BuildProfile] = None
-    #: query-side work counters (prefix masks, memoization)
+    #: query-side work counters (task ranges, memoization)
     query_profile: Optional[QueryProfile] = None
 
     def build_section(self) -> Dict[str, object]:
@@ -111,20 +111,18 @@ class HBStats:
                 lines.append(f"fixpoint groups: {p.groups_examined} examined")
         if self.query_profile is not None:
             q = self.query_profile
-            path = "prefix-mask+memo" if q.fast else "bit-scan (streaming view)"
             lines.append(
-                f"query path [{path}]: {q.queries} queries "
+                f"query path: {q.queries} queries "
                 f"({q.same_task} same-task, {q.batched_pairs} batched), "
                 f"memo {q.memo_hits} hits / {q.memo_misses} misses "
                 f"({q.memo_hit_rate:.0%} hit rate)"
             )
-            cap = "unbounded" if q.memo_capacity is None else str(q.memo_capacity)
             lines.append(
-                f"memo bound: {cap} entries/table, "
+                f"memo bound: {DEFAULT_MEMO_CAPACITY} entries, "
                 f"{q.memo_evictions} evictions"
             )
             lines.append(
-                f"prefix masks: {q.mask_tasks} tasks materialized, "
+                f"task ranges: {q.mask_tasks} tasks resolved, "
                 f"{q.mask_bytes} bytes"
             )
         lines.append("edges by rule:")

@@ -22,11 +22,11 @@ task is its own component: the §4.2 baseline, exact for
 under-approximation of the CAFA relation, strictly so on traces that
 exercise the atomicity and queue rules.
 
-The graph also adds edges that point back in the trace — a fork or
-send after its target began, a join before the child ended, an
-external event that began before its predecessor ended.  A forward
-pass cannot, so it raises
-:class:`~repro.hb.builder.ModelNotApplicableError` naming both ops.
+A forward pass cannot apply an edge that points back in the trace — a
+fork or send after its target began, a join before the child ended, an
+external event that began before its predecessor ended — so it raises
+:class:`~repro.hb.builder.ModelNotApplicableError` naming both ops,
+with the text the graph builder raises for the same edge.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..trace import OpKind, SYNC_KINDS, TaskKind, Trace
 from ..trace.store import KIND_CODES, KIND_LIST
-from .builder import ModelNotApplicableError
+from .builder import backward_edge_error
 
 #: per kind code: 1 for the sync ops, the only ops that tick
 _SYNC = bytes(kind in SYNC_KINDS for kind in KIND_LIST)
@@ -126,17 +126,6 @@ class VectorClockAnalysis:
         for k, c in enumerate(queried):
             slot[c] = k
 
-        def late(source: int, target: int, rule: str) -> ModelNotApplicableError:
-            def op(j: int) -> str:
-                task = symbols.value(task_ids[j])
-                return f"op #{j} ({KIND_LIST[kinds[j]].value} of {task!r})"
-
-            return ModelNotApplicableError(
-                f"the {rule} rule orders {op(source)} before {op(target)}, "
-                "which comes earlier in the trace; a forward vector-clock "
-                "pass cannot apply an edge that points back in the trace"
-            )
-
         payload = store.field_of
         external = trace.external_events()
         next_external = dict(zip(external, external[1:]))
@@ -190,17 +179,19 @@ class VectorClockAnalysis:
 
                 if code == _END:
                     if task in joined:
-                        raise late(i, joined[task], "join")
+                        raise backward_edge_error(store, i, joined[task], "join")
                     succ = next_external.get(task)
                     if succ in begun:
-                        raise late(i, begun[succ], "external-input")
+                        raise backward_edge_error(
+                            store, i, begun[succ], "external-input"
+                        )
                     if succ is not None or task in joinable:
                         ended[task] = vc
                 elif code in _TO_BEGIN:
                     rule, field = _TO_BEGIN[code]
                     target = payload(i, field)
                     if target in begun:
-                        raise late(i, begun[target], rule)
+                        raise backward_edge_error(store, i, begun[target], rule)
                     waiting.setdefault(target, []).append(vc)
                 elif code in _SENDERS:
                     key = (code, payload(i, _SENDERS[code]))

@@ -386,7 +386,7 @@ _PROFILE_GAUGE_FIELDS = {
                       "retired_addresses"},
     "BuildProfile": {"dense_chunk_ratio", "closure_bytes",
                      "chunks_allocated", "chunks_shared"},
-    "QueryProfile": {"mask_tasks", "mask_bytes", "memo_capacity"},
+    "QueryProfile": {"mask_tasks", "mask_bytes"},
     "TraceProfile": {"ops", "tasks", "symbols", "addresses",
                      "memory_bytes", "disk_bytes"},
     "WorkerProfile": {"pid"},

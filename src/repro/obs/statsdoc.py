@@ -22,9 +22,11 @@ later schema revisions; existing keys are never renamed.  Keys were
 dropped only when the code that filled them went: two constants from
 ``trace`` and ``build.profile``, two fixpoint counters from
 ``build.profile``, the ``sampling`` section with three ``stream``
-counters when the sampled detector was deleted, and the ``sparse``
+counters when the sampled detector was deleted, the ``sparse``
 section with the skipped-bytes counter of ``decode`` when the
-column-sparse v3 reader was deleted (see ``docs/observability.md``).
+column-sparse v3 reader was deleted, and two ``query`` keys when the
+relation kept one query path and one fixed memo bound (see
+``docs/observability.md``).
 """
 
 from __future__ import annotations

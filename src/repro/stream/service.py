@@ -12,7 +12,7 @@ Ingestion path::
                                    │
                  range drive       ▼
         quiescence pre-pass        ─ kind/task columns: where the epoch ends
-        IncrementalHB (CAFA model) ─ key graph + base edges, closed when polled
+        IncrementalHB (CAFA model) ─ scan state; the batch graph, built when polled
         AccessExtractor            ─ uses/frees/guards/locksets
 
 After each feed the analyzer drives its structures over the new ops as
@@ -30,21 +30,21 @@ same ops.
 
 **Epoch GC.**  A session *quiesces* when every task that has begun has
 ended and nothing else is expected (every forked task and sent event
-has been dispatched to completion).  At a quiescence point no future
-record can be ordered with a past one except through state the model
-does not track, so the analyzer retires the epoch: it runs the
-authoritative detection pass, records the epoch's reports, and drops
-the epoch's closure chunks, scan state, and interned-table entries by
-starting fresh structures for the next epoch (the task table persists —
-task ids are session-global); ops already decoded past the quiescence
-point move to the next epoch's store as column slices.  Memory is
-thereby bounded by the largest single epoch, not the session length.
-Addresses freed in a retired epoch are remembered (as a plain set) so
-a later access to one — possible only if the quiescence judgment was
-wrong for the application, e.g. ordering through untracked shared
-state — is *counted* as ``cross_epoch_accesses`` rather than silently
-misanalyzed; a non-zero count flags that GC'd results may diverge from
-a full offline run.
+has been dispatched to completion).  At a quiescence point the
+analyzer retires the epoch: it runs the authoritative detection pass,
+records the epoch's reports, and drops the epoch's closure chunks,
+scan state, and interned-table entries by starting fresh structures
+for the next epoch (the task table persists — task ids are
+session-global); ops already decoded past the quiescence point move to
+the next epoch's store as column slices.  Memory is thereby bounded by
+the largest single epoch, not the session length.
+Retirement is not sound under CAFA in general: a later root task (an
+external event, an unforked thread) gets no edge from the retired
+epoch, so a pair across the boundary can race unseen.  Addresses
+touched in a retired epoch are remembered (as a plain set) so a later
+access to one is *counted* as ``cross_epoch_accesses``; a non-zero
+count flags that GC'd results may miss races a full offline run
+reports (``docs/streaming.md``, "Epoch GC").
 
 **Provisional vs authoritative reports.**  The happens-before relation
 only grows, so a pair can move from concurrent to ordered as more
@@ -273,8 +273,8 @@ class StreamAnalyzer:
         return stop, False
 
     def _poll(self) -> None:
-        """Catch the relation up before a detection pass — the only
-        place the closure is built — and sample the closure footprint."""
+        """Build the relation before a detection pass — the only place
+        the graph is built — and sample the closure footprint."""
         self.cafa.poll()
         self.profile.polls += 1
         self.profile.fixpoint_rounds = self._rounds_retired + self.cafa.rounds

@@ -43,6 +43,8 @@ import codecs
 import gzip
 import io
 import json
+import os
+import secrets
 import zlib
 from array import array
 from itertools import islice
@@ -1161,10 +1163,13 @@ def convert_trace_file(
     byte-identical to a direct ``save_trace_file`` of the same trace at
     the same version.
 
-    Damaged input fails as :func:`load_trace` fails.  ``strict=False``
-    salvages a damaged source: the valid prefix is converted (a first
-    counting pass sizes the salvaged prefix so the output header
-    carries *correct* counts and loads strictly).
+    Damaged input fails as :func:`load_trace` fails, and leaves ``dst``
+    as it was: the output goes to a temporary file beside ``dst``
+    (with its suffix, so ``.gz`` still selects gzip, and ``dst``'s name
+    in the gzip header) that replaces ``dst`` only once written.
+    ``strict=False`` salvages a damaged source: the valid prefix is
+    converted (a first counting pass sizes the salvaged prefix so the
+    output header carries *correct* counts and loads strictly).
     """
     if version not in SUPPORTED_VERSIONS:
         raise TraceError(f"cannot write trace version {version!r}")
@@ -1173,16 +1178,30 @@ def convert_trace_file(
         probe = _Transcode(src, strict=False)
         counts = (probe.tasks, probe.ops)
 
-    opener = _open_binary_for if version == 3 else _open_for
-    with opener(dst, "w") as out:
+    dst = Path(dst)
+    tmp = dst.with_name(f".{dst.name}.{secrets.token_hex(4)}{dst.suffix}")
+    try:
+        with open(tmp, "xb") as raw:
+            out: IO = raw
+            if dst.name.endswith(".gz"):
+                out = gzip.GzipFile(str(dst), "wb", fileobj=raw)
+            if version != 3:
+                out = io.TextIOWrapper(out, encoding="utf-8")
+            with out:
 
-        def make_writer(header: dict):
-            tasks, ops = counts or (header.get("tasks", 0), header.get("ops", 0))
-            return _make_writer(out, version, tasks, ops)
+                def make_writer(header: dict):
+                    tasks, ops = counts or (
+                        header.get("tasks", 0), header.get("ops", 0)
+                    )
+                    return _make_writer(out, version, tasks, ops)
 
-        done = _Transcode(src, strict, make_writer)
-        if done.writer is not None:
-            done.writer.finish()
+                done = _Transcode(src, strict, make_writer)
+                if done.writer is not None:
+                    done.writer.finish()
+        os.replace(tmp, dst)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     stats = ConvertStats()
     stats.source_version = done.decoder.header.get("version", 0)
     stats.target_version = version

@@ -5,7 +5,7 @@ import pytest
 from repro.cli import main
 from repro.trace import save_trace_file
 from tests.test_hb_build_checks import cyclic_trace, shared_queue_trace
-from tests.test_hb_vector_clock import late_fork_trace
+from tests.test_hb_vector_clock import late_fork_same_looper_trace, late_fork_trace
 
 
 class TestApps:
@@ -145,16 +145,18 @@ class TestModelViolations:
         assert err.startswith(f"error: {path}: {error}: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["detect", "stream"])
+    @pytest.mark.parametrize("command", ["detect", "stream", "stats"])
     def test_out_of_order_partner_is_a_one_line_error(self, tmp_path, capsys, command):
-        """The trace validates and the CAFA build accepts it, but the
-        vector-clock pass that classifies its report cannot order a
-        fork after the child began."""
-        path = tmp_path / "late-fork.trace"
-        save_trace_file(late_fork_trace(), path, version=2)
-        assert main([command, str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(
-            f"error: {path}: ModelNotApplicableError: the fork rule orders op #"
-        )
-        assert err.count("\n") == 1
+        """The traces validate, but the CAFA build cannot order a fork
+        after the child began: not when the race crosses loopers, and
+        not when it stays on one, where no report needs the
+        vector-clock pass."""
+        for make in (late_fork_trace, late_fork_same_looper_trace):
+            path = tmp_path / f"{make.__name__}.trace"
+            save_trace_file(make(), path, version=2)
+            assert main([command, str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"error: {path}: ModelNotApplicableError: the fork rule orders op #"
+            )
+            assert err.count("\n") == 1

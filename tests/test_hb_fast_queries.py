@@ -1,33 +1,30 @@
-"""Differential testing: the batch relation's range-probe + memo query
-path vs. the bit-scan path of the streaming view.
+"""Differential testing: the relation's query path vs. the reference
+oracle.
 
 :func:`build_happens_before` answers queries through per-task
-contiguous key-node ranges and memo tables;
-:meth:`repro.stream.IncrementalHB.relation` — the same relation grown
-op by op — answers them by scanning the target task's key-node prefix.
-These tests demand bit-for-bit agreement on ``ordered``,
-``concurrent``, ``concurrent_pairs``, and ``event_ordered`` — for
-generated traces under the stock models and a set of rule ablations,
-and for the full batched detector on a real workload.
+contiguous key-node ranges and a pair memo;
+:class:`~repro.hb.reference.ReferenceHappensBefore` — the literal model,
+one vertex per operation — answers them from its own closure.  These
+tests demand bit-for-bit agreement on ``ordered``, ``concurrent``,
+``concurrent_pairs``, and ``event_ordered`` — for generated traces
+under the stock models and a set of rule ablations, and for the
+Figure 4d trace.
 """
 
-from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 
-from repro.analysis.performance import scan_relation
-from repro.apps import MusicApp
-from repro.detect import DetectorOptions, UseFreeDetector
+import repro.hb.graph
 from repro.hb import (
     CAFA_MODEL,
     CONVENTIONAL_MODEL,
-    DEFAULT_MEMO_CAPACITY,
     NO_QUEUE_MODEL,
     build_happens_before,
     hb_stats,
 )
+from repro.hb.reference import ReferenceHappensBefore
 from repro.testing import TraceBuilder
 
 from tests.test_property_runtime_hb import program_specs, run_program
@@ -46,26 +43,30 @@ MODELS = [
 
 
 def assert_query_paths_agree(trace, config):
-    fast = build_happens_before(trace, config)
-    scan = scan_relation(trace, config)
+    hb = build_happens_before(trace, config)
+    oracle = ReferenceHappensBefore(trace, config)
     n = len(trace)
     pairs = [(i, j) for i in range(n) for j in range(n)]
     for i, j in pairs:
-        assert fast.ordered(i, j) == scan.ordered(i, j), (i, j, config)
-        assert fast.concurrent(i, j) == scan.concurrent(i, j), (i, j, config)
-    assert fast.concurrent_pairs(pairs) == scan.concurrent_pairs(pairs)
+        assert hb.ordered(i, j) == oracle.ordered(i, j), (i, j, config)
+        assert hb.concurrent(i, j) == oracle.concurrent(i, j), (i, j, config)
+    assert hb.concurrent_pairs(pairs) == [oracle.concurrent(i, j) for i, j in pairs]
     events = trace.events()
     for e1 in events:
         for e2 in events:
             if e1 == e2:
                 continue
             try:
-                verdict = fast.event_ordered(e1, e2)
+                end1, begin2 = hb.task_bounds(e1)[1], hb.task_bounds(e2)[0]
             except KeyError:
                 with pytest.raises(KeyError):
-                    scan.event_ordered(e1, e2)
+                    hb.event_ordered(e1, e2)
                 continue
-            assert verdict == scan.event_ordered(e1, e2), (e1, e2, config)
+            assert hb.event_ordered(e1, e2) == oracle.ordered(end1, begin2), (
+                e1,
+                e2,
+                config,
+            )
 
 
 @settings(max_examples=20, deadline=None)
@@ -126,17 +127,18 @@ class TestQueryProfile:
     def test_counters_attribute_queries(self):
         hb = build_happens_before(self._two_event_trace())
         prof = hb.query_profile
-        assert prof.fast and prof.queries == 0
+        assert prof.queries == 0
         hb.ordered(0, 1)
         assert prof.queries == 1
         assert prof.same_task == 1  # ops 0 and 1 are both in task T
         before = prof.memo_misses
         a = next(i for i, op in enumerate(hb._op_task) if op == "A")
         b = next(i for i, op in enumerate(hb._op_task) if op == "B")
-        hb.ordered(a, b)
-        hb.ordered(a, b)  # second call must be a memo hit
+        hb.ordered(a, b)  # a range probe: counted as a lookup
         assert prof.memo_misses == before + 1
-        assert prof.memo_hits >= 1
+        hb.concurrent_pairs([(a, b), (a, b)])  # the second is a memo hit
+        assert prof.memo_misses == before + 2
+        assert prof.memo_hits == 1
         assert 0.0 < prof.memo_hit_rate <= 1.0
 
     def test_masks_materialize_lazily_and_are_counted(self):
@@ -149,83 +151,29 @@ class TestQueryProfile:
         assert prof.mask_tasks >= 1
         assert prof.mask_bytes > 0
 
-    def test_batched_pairs_counted_in_both_modes(self):
-        trace = self._two_event_trace()
-        relations = [build_happens_before(trace), scan_relation(trace, CAFA_MODEL)]
-        for hb, fast in zip(relations, (True, False)):
-            hb.concurrent_pairs([(0, 1), (1, 2), (2, 3)])
-            assert hb.query_profile.batched_pairs == 3
-            assert hb.query_profile.fast is fast
-
-    def test_reset_query_memo_keeps_verdicts_stable(self):
-        trace = self._two_event_trace()
-        hb = build_happens_before(trace)
-        n = len(trace)
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-        first = hb.concurrent_pairs(pairs)
-        hb.reset_query_memo()
-        assert hb._memo == {} and hb._pair_memo == {}
-        assert hb.concurrent_pairs(pairs) == first
-
     def test_stats_surface_the_query_profile(self):
         trace = self._two_event_trace()
         hb = build_happens_before(trace)
         hb.concurrent_pairs([(0, 1)])
         text = hb_stats(trace, hb).format()
-        assert "query path [prefix-mask+memo]" in text
-        assert "prefix masks:" in text
-        scan = scan_relation(trace, CAFA_MODEL)
-        scan.ordered(0, 1)
-        text = hb_stats(trace, scan).format()
-        assert "query path [bit-scan (streaming view)]" in text
+        assert "query path: 1 queries (1 same-task, 1 batched)" in text
+        assert "memo bound: 1048576 entries, 0 evictions" in text
+        assert "task ranges:" in text
 
-
-class TestBatchedDetectorRegression:
-    """The batched detector must be invisible in its results."""
-
-    @pytest.fixture(scope="class")
-    def run(self):
-        return MusicApp(scale=0.05, seed=1).run()
-
-    def _fingerprint(self, result):
-        return (
-            [
-                (str(r.key), r.race_class, [str(w) for w in r.witnesses])
-                for r in result.reports
-            ],
-            [
-                (str(r.key), [w.filtered_by for w in r.witnesses])
-                for r in result.filtered_reports
-            ],
-            result.dynamic_candidates,
-        )
-
-    def _scan_detect(self, trace, options):
-        """The detector over the streaming view's scan relation."""
-        return UseFreeDetector(
-            trace,
-            options=options,
-            hb=scan_relation(trace, options.model),
-        ).detect()
-
-    def test_reports_identical_under_both_query_paths(self, run):
-        options = DetectorOptions()
-        fast = UseFreeDetector(run.trace, options=options).detect()
-        scan = self._scan_detect(run.trace, options)
-        assert self._fingerprint(fast) == self._fingerprint(scan)
-
-    def test_ablation_options_identical_under_both_query_paths(self, run):
-        options = DetectorOptions(
-            if_guard=False, intra_event_allocation=False, lockset_filter=False
-        )
-        fast = UseFreeDetector(run.trace, options=options).detect()
-        scan = self._scan_detect(run.trace, options)
-        assert self._fingerprint(fast) == self._fingerprint(scan)
+    def test_signatures_are_computed_for_queried_ops_only(self):
+        trace = self._two_event_trace()
+        hb = build_happens_before(trace)
+        a = next(i for i, op in enumerate(hb._op_task) if op == "A")
+        b = next(i for i, op in enumerate(hb._op_task) if op == "B")
+        hb.concurrent_pairs([(a, b)])
+        assert set(hb._op_sig) == {a, b}
 
 
 class TestMemoBound:
-    """The LRU bound on the query memo tables: capacity is enforced,
-    evictions are observable, and verdicts never depend on it."""
+    """The LRU bound on the pair memo (``DEFAULT_MEMO_CAPACITY``,
+    patched small here): capacity is enforced, evictions are
+    observable, the hot entry survives, and verdicts never depend on
+    it."""
 
     def _trace(self):
         b = TraceBuilder()
@@ -246,77 +194,32 @@ class TestMemoBound:
         n = len(trace)
         return [(i, j) for i in range(n) for j in range(n) if i != j]
 
-    def test_default_capacity_is_recorded(self):
-        hb = build_happens_before(self._trace())
-        assert hb.query_profile.memo_capacity == DEFAULT_MEMO_CAPACITY
-        assert hb.query_profile.memo_evictions == 0
-
-    def test_zero_means_unbounded(self):
+    def test_pair_memo_is_lru_bounded(self, monkeypatch):
+        monkeypatch.setattr(repro.hb.graph, "DEFAULT_MEMO_CAPACITY", 4)
         trace = self._trace()
-        hb = build_happens_before(trace, memo_capacity=0)
+        hb = build_happens_before(trace)
         hb.concurrent_pairs(self._all_pairs(trace))
-        assert hb.query_profile.memo_capacity is None
-        assert hb.query_profile.memo_evictions == 0
-        assert not isinstance(hb._memo, OrderedDict)
-
-    def test_capacity_bounds_both_tables_and_counts_evictions(self):
-        trace = self._trace()
-        capacity = 4
-        hb = build_happens_before(trace, memo_capacity=capacity)
-        pairs = self._all_pairs(trace)
-        hb.concurrent_pairs(pairs)
-        for i, j in pairs[:50]:
-            hb.ordered(i, j)
-        assert len(hb._memo) <= capacity
-        assert len(hb._pair_memo) <= capacity
+        assert len(hb._pair_memo) == 4
         assert hb.query_profile.memo_evictions > 0
 
-    def test_lru_keeps_the_hot_entry(self):
+    def test_lru_keeps_the_hot_entry(self, monkeypatch):
+        monkeypatch.setattr(repro.hb.graph, "DEFAULT_MEMO_CAPACITY", 2)
         trace = self._trace()
-        hb = build_happens_before(trace, memo_capacity=2)
+        hb = build_happens_before(trace)
         reads = [trace.ops_of(f"E{i}")[1] for i in range(6)]
         misses = hb.query_profile.memo_misses
         hot = (reads[0], reads[5])
-        hb.ordered(*hot)  # miss; the memo now holds the hot answer
+        hb.concurrent_pairs([hot])  # miss; the memo now holds the hot verdict
         for other in reads[1:5]:
-            hb.ordered(reads[0], other)  # churn past the capacity ...
-            hb.ordered(*hot)  # ... but re-touch the hot pair each time
+            # churn past the capacity, but re-touch the hot pair each time
+            hb.concurrent_pairs([(reads[0], other), hot])
         # one miss for the hot pair, one per churn pair, zero re-misses
         assert hb.query_profile.memo_misses == misses + 1 + 4
 
-    def test_verdicts_identical_across_capacities(self):
+    def test_verdicts_identical_across_capacities(self, monkeypatch):
         trace = self._trace()
         pairs = self._all_pairs(trace)
-        reference = build_happens_before(trace, memo_capacity=0).concurrent_pairs(
-            pairs
-        )
+        reference = build_happens_before(trace).concurrent_pairs(pairs)
         for capacity in (1, 3, 64):
-            hb = build_happens_before(trace, memo_capacity=capacity)
-            assert hb.concurrent_pairs(pairs) == reference
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError, match="memo_capacity"):
-            build_happens_before(self._trace(), memo_capacity=-1)
-
-    def test_detector_options_thread_the_bound(self, tmp_path):
-        trace = self._trace()
-        unbounded = UseFreeDetector(
-            trace, options=DetectorOptions(memo_capacity=0)
-        )
-        bounded = UseFreeDetector(
-            trace, options=DetectorOptions(memo_capacity=2)
-        )
-        assert [str(r.key) for r in unbounded.detect().reports] == [
-            str(r.key) for r in bounded.detect().reports
-        ]
-        assert bounded.hb.query_profile.memo_capacity == 2
-
-    def test_stats_surface_the_bound(self):
-        trace = self._trace()
-        hb = build_happens_before(trace, memo_capacity=8)
-        hb.concurrent_pairs(self._all_pairs(trace))
-        text = hb_stats(trace, hb).format()
-        assert "memo bound: 8 entries/table" in text
-        unbounded = build_happens_before(trace, memo_capacity=0)
-        unbounded.ordered(0, 1)
-        assert "memo bound: unbounded" in hb_stats(trace, unbounded).format()
+            monkeypatch.setattr(repro.hb.graph, "DEFAULT_MEMO_CAPACITY", capacity)
+            assert build_happens_before(trace).concurrent_pairs(pairs) == reference

@@ -2,6 +2,7 @@
 Prometheus rendering, and the profile adapters (repro.obs.metrics)."""
 
 import pickle
+from dataclasses import dataclass
 
 import pytest
 
@@ -129,6 +130,12 @@ class TestRegistry:
         assert snap.gauges["repro_stream_closure_bytes"] == 100
 
 
+@dataclass
+class _Flagged:
+    flag: bool = True
+    count: int = 2
+
+
 class TestProfileAdaptation:
     def test_stream_profile_fields_split_counter_vs_gauge(self):
         snap = MetricsSnapshot()
@@ -146,12 +153,14 @@ class TestProfileAdaptation:
         snap = MetricsSnapshot()
         profile_snapshot(snap, "b", BuildProfile(scan_seconds=0.5))
         assert snap.counters["b_scan_seconds"] == 0.5
-        # edges_per_round is a list, QueryProfile.fast a bool: neither exports
+        # edges_per_round is a list, a bool is no count: neither exports
         profile_snapshot(snap, "q", QueryProfile(queries=3))
         assert snap.counters["q_queries"] == 3
+        profile_snapshot(snap, "f", _Flagged())
+        assert snap.counters["f_count"] == 2
         names = set(snap.counters) | set(snap.gauges)
         assert not any("edges_per_round" in n for n in names)
-        assert "q_fast" not in names
+        assert "f_flag" not in names
 
 
 class TestSnapshots:

@@ -178,8 +178,8 @@ class TestFaultIsolation:
         self, shards
     ):
         """A session whose fork comes after the child began cannot be
-        classified by the vector-clock pass: it closes with
-        ModelNotApplicableError, and its neighbour keeps its reports."""
+        built: it closes with ModelNotApplicableError, and its
+        neighbour keeps its reports."""
         sid, payload = next(iter(app_payloads().items()))
         ref = reference_reports(True)[sid]
         router = SessionRouter(shards)

@@ -2,9 +2,9 @@
 record-by-record through :class:`~repro.stream.StreamAnalyzer` must
 reproduce the batch pipeline's race reports byte-for-byte — with epoch
 GC enabled and disabled, and with provisional detections at arbitrary
-points — and :class:`~repro.stream.IncrementalHB`, which drives the
-batch builder's passes over op ranges, must build the batch graph's
-edges, in the same order whatever the ranges."""
+points — and :class:`~repro.stream.IncrementalHB`, which scans op
+ranges and builds with the batch builder's function when polled, must
+hold the batch graph of the ops so far after every poll."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,13 +12,9 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import soak_trace
 from repro.apps import ALL_APPS, make_app
 from repro.detect import UseFreeDetector
-from repro.hb import (
-    CAFA_MODEL,
-    CONVENTIONAL_MODEL,
-    RULE_PROGRAM_ORDER,
-    build_happens_before,
-)
+from repro.hb import CAFA_MODEL, CONVENTIONAL_MODEL, build_happens_before
 from repro.stream import IncrementalHB, StreamAnalyzer
+from repro.trace import Trace
 
 from tests.test_property_runtime_hb import program_specs, run_program
 
@@ -82,20 +78,14 @@ def edge_triples(graph):
 )
 @pytest.mark.parametrize("name", APP_NAMES)
 def test_ingested_edges_match_the_batch_build(name, model):
-    """Every op ingested, one poll: the base edges — forward references
-    parked until their partner arrived — equal the batch build's direct
-    lookups, and the shared fixpoint derives the same edges on top."""
+    """Every op ingested, one poll: the streamed graph has the batch
+    build's edges, trailing nodes included."""
     trace = app_trace(name)
     batch = build_happens_before(trace, model)
     online = IncrementalHB(trace, model)
     online.ingest(0, len(trace))
     online.poll()
-    offline = edge_triples(batch.graph)
-    # the batch build's node at a task's last op when that op is not a
-    # key op, which the stream never creates
-    trailing = {e for e in offline if not online.graph.has_node(e[1])}
-    assert {rule for _, _, rule in trailing} <= {RULE_PROGRAM_ORDER}
-    assert edge_triples(online.graph) == offline - trailing
+    assert edge_triples(online.graph) == edge_triples(batch.graph)
 
 
 @pytest.mark.parametrize(
@@ -103,9 +93,9 @@ def test_ingested_edges_match_the_batch_build(name, model):
 )
 @pytest.mark.parametrize("name", APP_NAMES)
 def test_one_range_adds_edges_in_the_per_op_order(name, model):
-    """A whole-trace range scans partners before they have nodes; the
-    base rules park those edges, so the graph gets the edges, in the
-    same insertion order, and the same closure as op-by-op ranges."""
+    """A whole-trace range and op-by-op ranges leave the same scan, so
+    the poll builds the edges, in the same insertion order, and the
+    same closure."""
     trace = app_trace(name)
     whole, per_op = IncrementalHB(trace, model), IncrementalHB(trace, model)
     whole.ingest(0, len(trace))
@@ -115,6 +105,71 @@ def test_one_range_adds_edges_in_the_per_op_order(name, model):
     per_op.poll()
     assert list(whole.graph.edges()) == list(per_op.graph.edges())
     assert whole.closure_bytes() == per_op.closure_bytes()
+
+
+def test_ingest_only_scans():
+    """Ingest adds no node or edge; the poll builds the graph."""
+    trace = app_trace("connectbot")
+    online = IncrementalHB(trace)
+    online.poll()
+    empty = online.graph
+    online.ingest(0, len(trace))
+    assert online.graph is empty
+    assert empty.node_count == 0 and empty.edge_count == 0
+    online.poll()
+    assert online.graph.node_count > 0
+    built = online.relation()
+    online.poll()  # nothing new ingested: the relation is kept
+    assert online.relation() is built
+
+
+def prefix_build(trace, stop, model):
+    """The batch relation of ``trace``'s first ``stop`` ops."""
+    prefix = Trace([trace[i] for i in range(stop)], tasks=trace.tasks)
+    return build_happens_before(prefix, model)
+
+
+def assert_same_build(streamed, batch):
+    a, b = streamed.graph, batch.graph
+    assert [a.op_of(n) for n in range(a.node_count)] == [
+        b.op_of(n) for n in range(b.node_count)
+    ]
+    assert list(a.edges()) == list(b.edges())
+    assert streamed.iterations == batch.iterations
+    assert streamed.derived_edges == batch.derived_edges
+    assert a.closure_bytes() == b.closure_bytes()
+
+
+def assert_polls_build_the_prefix_relation(trace, cuts, model):
+    online = IncrementalHB(trace, model)
+    start = 0
+    for stop in sorted({cut % (len(trace) + 1) for cut in cuts} | {len(trace)}):
+        online.ingest(start, stop)
+        online.poll()
+        assert_same_build(online.relation(), prefix_build(trace, stop, model))
+        start = stop
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    spec=program_specs(),
+    cuts=st.lists(st.integers(min_value=0, max_value=10_000), max_size=4),
+    model=st.sampled_from([CAFA_MODEL, CONVENTIONAL_MODEL]),
+)
+def test_every_poll_builds_the_batch_graph_of_a_program(spec, cuts, model):
+    """After every poll, at any cut points, the streamed graph is the
+    batch build of the same ops: node-to-op map, edges in insertion
+    order, rounds, derived edges and closure bytes."""
+    assert_polls_build_the_prefix_relation(run_program(spec), cuts, model)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    name=st.sampled_from(APP_NAMES),
+    cuts=st.lists(st.integers(min_value=0, max_value=10_000), max_size=3),
+)
+def test_every_poll_builds_the_batch_graph_of_an_app(name, cuts):
+    assert_polls_build_the_prefix_relation(app_trace(name), cuts, CAFA_MODEL)
 
 
 def test_ranges_must_follow_each_other():
@@ -135,9 +190,9 @@ def test_ranges_must_follow_each_other():
     gc=st.booleans(),
 )
 def test_detect_now_anywhere_keeps_the_offline_reports(name, cuts, gc):
-    """Provisional detections close the live graph mid-stream; the ops
-    after them extend it edge by edge, and the session still ends with
-    the offline reports."""
+    """Provisional detections build the graph mid-stream; the next
+    poll builds it again over the later ops too, and the session still
+    ends with the offline reports."""
     trace = app_trace(name)
     analyzer = StreamAnalyzer(gc=gc)
     for info in trace.tasks.values():
@@ -156,9 +211,8 @@ def test_detect_now_anywhere_keeps_the_offline_reports(name, cuts, gc):
     cuts=st.lists(st.integers(min_value=0, max_value=10_000), max_size=3),
 )
 def test_polls_anywhere_end_with_the_batch_relation(spec, cuts):
-    """Polls between ingests (closing the graph early, re-running the
-    chain edges and the fixpoint over a live closure) end with the
-    batch relation on every pair of a generated program's ops."""
+    """Polls between ingests end with the batch relation on every
+    pair of a generated program's ops."""
     trace = run_program(spec)
     if len(trace) > 120:  # keep the all-pairs sweep tractable
         return

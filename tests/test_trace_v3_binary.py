@@ -276,8 +276,33 @@ class TestConvert:
         dst = tmp_path / "out.v2.gz"
         save_trace_file(app_trace, src, version=3)
         convert_trace_file(src, dst, version=2)
-        assert dst.read_bytes()[:2] == b"\x1f\x8b"
+        data = dst.read_bytes()
+        assert data[:2] == b"\x1f\x8b"
+        # the gzip header names the destination, as a direct save does
+        assert data[3] & 0x08 and data[10:].split(b"\0", 1)[0] == b"out.v2"
         assert load_trace_file(dst).ops == app_trace.ops
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.v3.gz", "out.v2.gz"]
+
+    def test_failed_convert_keeps_the_destination(self, tmp_path, app_trace):
+        """A strict convert that fails on damaged input leaves an
+        existing destination byte for byte and no stray file; a
+        salvage then replaces it with a prefix that loads strictly."""
+        lines = dumps_trace(app_trace, version=2).splitlines(keepends=True)
+        # the first task record again, after five op lines
+        cut = [i for i, line in enumerate(lines) if line.startswith('["o"')][4] + 1
+        src = tmp_path / "repeat.v2"
+        src.write_text("".join(lines[:cut] + [lines[1]] + lines[cut:]))
+        dst = tmp_path / "old.v3"
+        save_trace_file(app_trace, dst, version=3)
+        before = dst.read_bytes()
+        with pytest.raises(TraceFormatError, match="duplicate task id"):
+            convert_trace_file(src, dst, version=3)
+        assert dst.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.v3", "repeat.v2"]
+        stats = convert_trace_file(src, dst, version=3, strict=False)
+        assert stats.salvaged and stats.ops == 5
+        assert load_trace_file(dst).ops == app_trace.ops[:5]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.v3", "repeat.v2"]
 
     def test_salvage_convert_keeps_valid_prefix(self, tmp_path, app_trace):
         src = tmp_path / "cut.v2"
