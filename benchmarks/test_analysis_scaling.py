@@ -43,16 +43,20 @@ def test_analysis_time_grows_with_events(benchmark):
 
 
 def test_hb_build_dominates_at_scale(benchmark):
-    """The happens-before fixpoint is the expensive phase, as §4.2's
-    design discussion implies."""
+    """The happens-before build is the expensive phase, as §4.2's
+    design discussion implies: detection on the built relation costs
+    less than building it (about a quarter on VLC at scales 0.08–0.4)."""
     points = benchmark.pedantic(
         lambda: analysis_scaling(VlcApp, scales=[BASE * 4], seed=1),
         rounds=1,
         iterations=1,
     )
     point = points[0]
-    assert point.hb_seconds > 0
     assert point.detect_seconds > 0
+    assert point.hb_seconds > point.detect_seconds
+    benchmark.extra_info["hb_over_detect"] = (
+        point.hb_seconds / point.detect_seconds
+    )
 
 
 def test_incremental_closure_is_computed_once(benchmark):

@@ -8,8 +8,9 @@ session envelope), scrapes ``/status.json`` mid-soak until the
 session counters settle, sends a FINISH frame, and checks the drained
 report: three sessions, no errors, every per-session report set
 identical to a single-process ``StreamAnalyzer`` run of the same
-bytes, and the scraped session/ops counters equal to what the final
-``DaemonReport`` records.
+bytes, and every scraped shard counter (finished sessions plus the
+five stream counters) equal to what the final ``DaemonReport``
+records.
 
 This is the CI smoke for the serve path; it exits non-zero on any
 divergence.
@@ -176,8 +177,9 @@ def main() -> int:
         return 1
 
     # The mid-soak scrape must agree with the drained report: same
-    # session count, same total ops ingested, and the queue gauges of
-    # every shard were being exported with their configured bound.
+    # session count, every exported stream counter equal to the sum of
+    # the shards' drained profiles, and the queue gauges of every shard
+    # were being exported with their configured bound.
     scraped_finished = counter_total(
         status, "repro_shard_sessions_finished_total"
     )
@@ -187,6 +189,15 @@ def main() -> int:
               f"{ended_sessions} ended sessions in the drained report",
               file=sys.stderr)
         return 1
+    for name in ("ops_ingested", "records_ingested", "epochs_retired",
+                 "reports_emitted", "cross_epoch_accesses"):
+        scraped = counter_total(status, f"repro_shard_{name}_total")
+        drained = sum(p[name] for p in report["shard_profiles"])
+        if scraped != drained:
+            print(f"soak: scraped {name} counter {scraped:.0f} != "
+                  f"{drained} in the drained shard profiles",
+                  file=sys.stderr)
+            return 1
     scraped_ops = counter_total(status, "repro_shard_ops_ingested_total")
     report_ops = sum(s["ops"] for s in sessions.values())
     if scraped_ops != report_ops:

@@ -24,7 +24,6 @@ from ..detect import (
     DetectorOptions,
     LowLevelDetector,
     UseFreeDetector,
-    detect_use_free_races,
     extract_accesses,
 )
 from ..hb import QueryProfile, build_happens_before
@@ -116,9 +115,9 @@ def analysis_scaling(
         hb = build_happens_before(run.trace)
         hb_elapsed = time.perf_counter() - start
         start = time.perf_counter()
-        result = detect_use_free_races(run.trace)
+        UseFreeDetector(run.trace, hb=hb).detect()
         detect_elapsed = time.perf_counter() - start
-        query_profile = result.hb.query_profile
+        query_profile = hb.query_profile
         profile = hb.profile
         points.append(
             ScalingPoint(

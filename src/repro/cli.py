@@ -361,18 +361,26 @@ def _cmd_stream(args) -> int:
             f"({analyzer.decoder.error})",
             file=sys.stderr,
         )
+    crossed = analyzer.profile.cross_epoch_accesses
+    if crossed:
+        print(
+            f"warning: {crossed} cross-epoch access(es) to addresses of a "
+            "retired epoch; races across an epoch boundary are not "
+            'reported (see docs/streaming.md, "Epoch GC"; --no-gc keeps '
+            "one epoch)",
+            file=sys.stderr,
+        )
     print(analyzer.profile.format())
     return 0
 
 
 def _cmd_serve(args) -> int:
-    from .obs import configure, configure_json_logging, get_logger
+    from .obs import configure_json_logging, get_logger
     from .parallel import WorkerCrash
     from .stream import SessionRouter, SocketSource
     from .trace import TraceError, TraceFormatError
 
     metrics_on = not args.no_metrics
-    configure(enabled=metrics_on)
     configure_json_logging()
     log = get_logger("serve")
 

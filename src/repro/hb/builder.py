@@ -40,7 +40,6 @@ round entry, exactly as in a snapshot-per-round fixpoint.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -95,9 +94,10 @@ class BuildProfile:
     closure_seconds: float = 0.0
     #: derived-rule fixpoint (rule evaluation + incremental closure upkeep)
     fixpoint_seconds: float = 0.0
-    #: fixpoint rounds (== HappensBefore.iterations)
+    #: fixpoint rounds (read as HappensBefore.iterations)
     rounds: int = 0
-    #: derived edges applied after each round (excludes the final empty round)
+    #: derived edges applied after each round (excludes the final empty
+    #: round); their sum is HappensBefore.derived_edges
     edges_per_round: List[int] = field(default_factory=list)
     #: full from-scratch closure builds (1 per build: the fixpoint
     #: maintains the closure in place)
@@ -784,21 +784,18 @@ class _DerivedRules:
                 conclude(fronts[j], fronts[i], RULE_QUEUE_4)
 
 
-def _fixpoint(state: _BuildState, graph: KeyGraph, profile: BuildProfile) -> int:
+def _fixpoint(state: _BuildState, graph: KeyGraph, profile: BuildProfile) -> None:
     """Apply the derived rules to the closed ``graph`` until none fires.
 
     Every round evaluates every rule group afresh; the first round
     that concludes nothing new ends the fixpoint.  Rounds,
     per-round edge counts, the rule-group counters and the time spent
-    accumulate into ``profile``.  Returns the derived edges added (0,
-    without a round, for models with no derived rule).
+    go into ``profile``; models with no derived rule run no round.
     """
     config = state.config
     if config.sequential_events or not (config.atomicity or config.any_queue_rule):
-        return 0
-    t0 = time.perf_counter()
-    derived = 0
-    with span("hb.fixpoint"):
+        return
+    with span("hb.fixpoint") as timed:
         rules = _DerivedRules(state, graph)
         while True:
             profile.rounds += 1
@@ -808,12 +805,10 @@ def _fixpoint(state: _BuildState, graph: KeyGraph, profile: BuildProfile) -> int
                 break
             with span("hb.fixpoint.propagate"):
                 added = sum(graph.add_edge(u, v, rule) for u, v, rule in new_edges)
-            derived += added
             profile.edges_per_round.append(added)
-    profile.fixpoint_seconds += time.perf_counter() - t0
-    profile.groups_examined += rules.groups_examined
-    profile.events_repropagated += rules.events_repropagated
-    return derived
+    profile.fixpoint_seconds = timed.seconds
+    profile.groups_examined = rules.groups_examined
+    profile.events_repropagated = rules.events_repropagated
 
 
 def _task_bounds(state: _BuildState) -> Dict[str, Tuple[int, int]]:
@@ -841,27 +836,24 @@ def _build_relation(state: _BuildState, profile: BuildProfile) -> HappensBefore:
     edge points back in the trace.
     """
     _check_one_looper_per_queue(state)
-    tick = time.perf_counter
-    t0 = tick()
-    with span("hb.base_edges"):
+    with span("hb.base_edges") as timed:
         graph, task_key_positions, task_key_nodes = _build_key_graph(state)
         base = _BaseRules(state, graph)
         for i in state.key_ops:
             base.step(i)
         base.chain_edges()
-    profile.base_seconds = tick() - t0
+    profile.base_seconds = timed.seconds
 
     # Build-time consistency check: close (and thereby cycle-check) the
     # base graph unconditionally, so a cyclic trace fails here rather
     # than from whichever ordered() query happens to run first.
-    t0 = tick()
-    with span("hb.closure"):
+    with span("hb.closure") as timed:
         graph.close()
-    profile.closure_seconds = tick() - t0
+    profile.closure_seconds = timed.seconds
     if base.late is not None:
         raise backward_edge_error(state.store, *base.late)
 
-    derived_edges = _fixpoint(state, graph, profile)
+    _fixpoint(state, graph, profile)
     profile.closure_recomputations = graph.closure_recomputations
     profile.bits_propagated = graph.bits_propagated
     return HappensBefore(
@@ -871,8 +863,6 @@ def _build_relation(state: _BuildState, profile: BuildProfile) -> HappensBefore:
         task_key_positions=task_key_positions,
         task_key_nodes=task_key_nodes,
         event_bounds=_task_bounds(state),
-        iterations=profile.rounds,
-        derived_edges=derived_edges,
         profile=profile,
     )
 
@@ -892,11 +882,10 @@ def build_happens_before(
     back in the trace.
     """
     profile = BuildProfile()
-    t0 = time.perf_counter()
-    with span("hb.scan", ops=len(trace)):
+    with span("hb.scan", ops=len(trace)) as timed:
         state = _BuildState(trace=trace, config=config)
         _scan(state, 0, len(trace))
-    profile.scan_seconds = time.perf_counter() - t0
+    profile.scan_seconds = timed.seconds
 
     hb = _build_relation(state, profile)
     chunk_stats = hb.graph.chunk_stats()

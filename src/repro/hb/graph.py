@@ -56,9 +56,12 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bits import ChunkStats, SparseBits, vector_stats
+
+if TYPE_CHECKING:
+    from .builder import BuildProfile
 
 #: LRU bound of the pair memo (entries).  At roughly 100 bytes per
 #: entry this caps memo memory near 100 MB, where an unbounded memo
@@ -469,9 +472,7 @@ class HappensBefore:
         task_key_positions: Dict[str, List[int]],
         task_key_nodes: Dict[str, List[int]],
         event_bounds: Dict[str, Tuple[int, int]],
-        iterations: int,
-        derived_edges: int,
-        profile: Optional[object] = None,
+        profile: BuildProfile,
     ) -> None:
         self.graph = graph
         self._op_task = op_task
@@ -479,11 +480,8 @@ class HappensBefore:
         self._task_key_positions = task_key_positions
         self._task_key_nodes = task_key_nodes
         self._event_bounds = event_bounds
-        #: number of fixpoint rounds the builder needed
-        self.iterations = iterations
-        #: number of edges contributed by the derived (fixpoint) rules
-        self.derived_edges = derived_edges
-        #: per-phase :class:`repro.hb.builder.BuildProfile`
+        #: the build's phase timings and counters
+        #: (:class:`repro.hb.builder.BuildProfile`)
         self.profile = profile
         #: query-side work counters (see :class:`QueryProfile`)
         self.query_profile = QueryProfile()
@@ -498,6 +496,16 @@ class HappensBefore:
         self._sig_parts: List[Tuple[int, str, int]] = []
         #: (sig_a << 32 | sig_b) -> concurrent verdict, LRU-bounded
         self._pair_memo: OrderedDict[int, bool] = OrderedDict()
+
+    @property
+    def iterations(self) -> int:
+        """Fixpoint rounds the builder needed."""
+        return self.profile.rounds
+
+    @property
+    def derived_edges(self) -> int:
+        """Edges contributed by the derived (fixpoint) rules."""
+        return sum(self.profile.edges_per_round)
 
     # -- core queries -------------------------------------------------------
 

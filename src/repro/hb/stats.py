@@ -6,21 +6,21 @@ the causality model do the work on a given trace (e.g. how many
 orderings only exist because of the event-queue rules), and exposed by
 the diagnostics in the CLI and EXPERIMENTS.md.
 
-When the relation was produced by
-:func:`repro.hb.builder.build_happens_before`, the stats also carry
-the build's :class:`~repro.hb.builder.BuildProfile` — per-phase wall
-times (scan, base edges, closure, fixpoint), derived edges per round,
-the closure-work counters (full recomputations, bits propagated
+The stats also carry the relation's
+:class:`~repro.hb.builder.BuildProfile` — per-phase wall times (scan,
+base edges, closure, fixpoint), derived edges per round, the
+closure-work counters (full recomputations, bits propagated
 incrementally) that make the incremental closure observable from
-``python -m repro stats``, and the rule groups the fixpoint
-evaluated.
+``python -m repro stats``, and the rule groups the fixpoint evaluated
+— and its :class:`~repro.hb.graph.QueryProfile`.  Both are read, not
+copied: each count is held once, in its profile.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Dict
 
 from ..trace import TaskKind, Trace
 from .builder import BuildProfile
@@ -34,27 +34,26 @@ class HBStats:
     key_nodes: int
     edges: int
     rule_counts: Dict[str, int]
-    fixpoint_iterations: int
-    derived_edges: int
     events: int
     loopers: int
     threads: int
-    #: full transitive-closure rebuilds (1 for an incremental build)
-    closure_recomputations: int = 0
-    #: reachability bits set by incremental closure propagation
-    bits_propagated: int = 0
-    #: derived edges applied per fixpoint round
-    edges_per_round: List[int] = field(default_factory=list)
-    #: per-phase timings of the build, when available
-    profile: Optional[BuildProfile] = None
+    #: the build's phase timings and closure-work counters
+    profile: BuildProfile
     #: query-side work counters (task ranges, memoization)
-    query_profile: Optional[QueryProfile] = None
+    query_profile: QueryProfile
+
+    @property
+    def fixpoint_iterations(self) -> int:
+        return self.profile.rounds
+
+    @property
+    def derived_edges(self) -> int:
+        return sum(self.profile.edges_per_round)
 
     def build_section(self) -> Dict[str, object]:
         """The ``build`` section of the ``repro-stats/1`` document
         (:mod:`repro.obs.statsdoc`) — stable keys, JSON-safe values."""
-        from dataclasses import asdict
-
+        p = self.profile
         return {
             "key_nodes": self.key_nodes,
             "edges": self.edges,
@@ -64,13 +63,14 @@ class HBStats:
             "events": self.events,
             "loopers": self.loopers,
             "threads": self.threads,
-            "closure_recomputations": self.closure_recomputations,
-            "bits_propagated": self.bits_propagated,
-            "edges_per_round": list(self.edges_per_round),
-            "profile": asdict(self.profile) if self.profile else None,
+            "closure_recomputations": p.closure_recomputations,
+            "bits_propagated": p.bits_propagated,
+            "edges_per_round": list(p.edges_per_round),
+            "profile": asdict(p),
         }
 
     def format(self) -> str:
+        p = self.profile
         lines = [
             f"happens-before graph: {self.key_nodes} key nodes, "
             f"{self.edges} edges "
@@ -80,51 +80,46 @@ class HBStats:
             f"{self.threads} threads",
         ]
         lines.append(
-            f"closure work: {self.closure_recomputations} full "
-            f"recomputation(s), {self.bits_propagated} bits propagated "
+            f"closure work: {p.closure_recomputations} full "
+            f"recomputation(s), {p.bits_propagated} bits propagated "
             "incrementally"
         )
-        if self.profile is not None:
-            p = self.profile
-            lines.append(
-                f"closure storage [chunked sparse]: {p.closure_bytes} bytes, "
-                f"{p.chunks_allocated} chunks allocated, "
-                f"{p.chunks_shared} shared (copy-on-write), "
-                f"{p.dense_chunk_ratio:.0%} dense"
-            )
-        if self.edges_per_round:
+        lines.append(
+            f"closure storage [chunked sparse]: {p.closure_bytes} bytes, "
+            f"{p.chunks_allocated} chunks allocated, "
+            f"{p.chunks_shared} shared (copy-on-write), "
+            f"{p.dense_chunk_ratio:.0%} dense"
+        )
+        if p.edges_per_round:
             lines.append(
                 "derived edges per round: "
-                + ", ".join(str(n) for n in self.edges_per_round)
+                + ", ".join(str(n) for n in p.edges_per_round)
             )
-        if self.profile is not None:
-            p = self.profile
-            lines.append(
-                "phase timings: "
-                f"scan {p.scan_seconds * 1e3:.1f} ms, "
-                f"base edges {p.base_seconds * 1e3:.1f} ms, "
-                f"closure {p.closure_seconds * 1e3:.1f} ms, "
-                f"fixpoint {p.fixpoint_seconds * 1e3:.1f} ms "
-                f"(total {p.total_seconds * 1e3:.1f} ms)"
-            )
-            if p.groups_examined:
-                lines.append(f"fixpoint groups: {p.groups_examined} examined")
-        if self.query_profile is not None:
-            q = self.query_profile
-            lines.append(
-                f"query path: {q.queries} queries "
-                f"({q.same_task} same-task, {q.batched_pairs} batched), "
-                f"memo {q.memo_hits} hits / {q.memo_misses} misses "
-                f"({q.memo_hit_rate:.0%} hit rate)"
-            )
-            lines.append(
-                f"memo bound: {DEFAULT_MEMO_CAPACITY} entries, "
-                f"{q.memo_evictions} evictions"
-            )
-            lines.append(
-                f"task ranges: {q.mask_tasks} tasks resolved, "
-                f"{q.mask_bytes} bytes"
-            )
+        lines.append(
+            "phase timings: "
+            f"scan {p.scan_seconds * 1e3:.1f} ms, "
+            f"base edges {p.base_seconds * 1e3:.1f} ms, "
+            f"closure {p.closure_seconds * 1e3:.1f} ms, "
+            f"fixpoint {p.fixpoint_seconds * 1e3:.1f} ms "
+            f"(total {p.total_seconds * 1e3:.1f} ms)"
+        )
+        if p.groups_examined:
+            lines.append(f"fixpoint groups: {p.groups_examined} examined")
+        q = self.query_profile
+        lines.append(
+            f"query path: {q.queries} queries "
+            f"({q.same_task} same-task, {q.batched_pairs} batched), "
+            f"memo {q.memo_hits} hits / {q.memo_misses} misses "
+            f"({q.memo_hit_rate:.0%} hit rate)"
+        )
+        lines.append(
+            f"memo bound: {DEFAULT_MEMO_CAPACITY} entries, "
+            f"{q.memo_evictions} evictions"
+        )
+        lines.append(
+            f"task ranges: {q.mask_tasks} tasks resolved, "
+            f"{q.mask_bytes} bytes"
+        )
         lines.append("edges by rule:")
         for rule, count in sorted(
             self.rule_counts.items(), key=lambda kv: -kv[1]
@@ -139,19 +134,13 @@ def hb_stats(trace: Trace, hb: HappensBefore) -> HBStats:
     for _u, _v, rule in hb.graph.edges():
         counts[rule] += 1
     kinds = Counter(info.task_kind for info in trace.tasks.values())
-    profile = hb.profile if isinstance(hb.profile, BuildProfile) else None
     return HBStats(
         key_nodes=hb.graph.node_count,
         edges=hb.graph.edge_count,
         rule_counts=dict(counts),
-        fixpoint_iterations=hb.iterations,
-        derived_edges=hb.derived_edges,
         events=kinds.get(TaskKind.EVENT, 0),
         loopers=kinds.get(TaskKind.LOOPER, 0),
         threads=kinds.get(TaskKind.THREAD, 0),
-        closure_recomputations=hb.graph.closure_recomputations,
-        bits_propagated=hb.graph.bits_propagated,
-        edges_per_round=list(profile.edges_per_round) if profile else [],
-        profile=profile,
-        query_profile=getattr(hb, "query_profile", None),
+        profile=hb.profile,
+        query_profile=hb.query_profile,
     )

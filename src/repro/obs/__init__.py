@@ -1,23 +1,18 @@
-"""Unified telemetry: the metrics registry (counters / gauges /
-fixed-bucket histograms with picklable snapshots and Prometheus
-rendering), span tracing with Chrome ``trace_event`` export, live
+"""Unified telemetry: metric snapshots of the profile dataclasses
+(picklable, mergeable, rendered as Prometheus text), the one live
+latency histogram, span tracing (the engine's only phase timer, with
+Chrome ``trace_event`` export when a recorder is installed), live
 daemon endpoints, structured JSON logging, and the stable
 ``repro stats --json`` schema (see ``docs/observability.md``)."""
 
 from .logging import JsonLogFormatter, configure_json_logging, get_logger
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
-    NULL_INSTRUMENT,
-    Counter,
-    Gauge,
     Histogram,
     HistogramData,
-    MetricsRegistry,
     MetricsSnapshot,
     configure,
-    get_registry,
     merge_snapshots,
-    profile_snapshot,
     render_prometheus,
 )
 from .spans import (
@@ -32,16 +27,12 @@ from .statsdoc import SCHEMA as STATS_SCHEMA
 from .statsdoc import stats_document
 
 __all__ = [
-    "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SPAN_CAPACITY",
-    "Gauge",
     "Histogram",
     "HistogramData",
     "JsonLogFormatter",
-    "MetricsRegistry",
     "MetricsSnapshot",
-    "NULL_INSTRUMENT",
     "STATS_SCHEMA",
     "SpanRecorder",
     "configure",
@@ -49,9 +40,7 @@ __all__ = [
     "disable_tracing",
     "enable_tracing",
     "get_logger",
-    "get_registry",
     "merge_snapshots",
-    "profile_snapshot",
     "render_prometheus",
     "span",
     "stats_document",

@@ -1,37 +1,28 @@
-"""The metrics core: a process-local registry of counters, gauges,
-and fixed-bucket latency histograms.
+"""Metric snapshots: the one export form of the daemon's telemetry.
 
-Design constraints, in order:
+Counts are held once, in the profile dataclasses of the layers that
+do the work (``BuildProfile``, ``QueryProfile``, ``TraceProfile``,
+``DecodeStats``, ``StreamProfile``, ``WorkerProfile``).  A
+:class:`MetricsSnapshot` is what a reader gets: a plain picklable
+dataclass of sample dicts, written straight from those profiles by the
+three places that export live metrics —
+:func:`repro.stream.router._shard_telemetry` (one shard's sessions),
+:meth:`repro.stream.SessionRouter.metrics_snapshot` (router counters,
+queue gauges and the shards' latest snapshots) and ``repro serve``'s
+scrape provider (transport counters).  Shard workers ship snapshots
+to the router, which merges them (:func:`merge_snapshots`) into the
+daemon-wide view served over ``/metrics`` (Prometheus text, see
+:func:`render_prometheus`) and ``/status.json``.
 
-1. **Near-zero cost when disabled.**  A disabled registry hands out
-   shared null instruments whose methods are empty one-liners and
-   registers nothing — the hot paths pay one attribute call and no
-   allocation.  Production predictive-race systems treat measured
-   observation overhead as a first-class design constraint; ours is
-   CI-gated in ``benchmarks/bounds_pr9.json`` (enabled ingest
-   throughput must stay within 0.9x of disabled).
-
-2. **Snapshots travel, instruments do not.**  Instruments are
-   process-local and lock-free (CPython ``+=`` on the owning thread);
-   what crosses process boundaries is a :class:`MetricsSnapshot` — a
-   plain picklable dataclass of sample dicts.  Shard workers ship
-   snapshots to the router, which merges them
-   (:func:`merge_snapshots`) into the daemon-wide view served over
-   ``/metrics`` (Prometheus text) and ``/status.json``.
-
-3. **Nothing is reported twice.**  The existing profile dataclasses
-   (``BuildProfile``, ``QueryProfile``, ``TraceProfile``,
-   ``StreamProfile``, ``WorkerProfile``, ``DecodeStats``) stay the
-   single source of truth for their counters; the registry *adapts*
-   them as metric families at snapshot time
-   (:meth:`MetricsRegistry.register_profile`) instead of mirroring
-   every increment into a second set of counters.
+:class:`Histogram` is the one live instrument: a fixed-bucket latency
+distribution (the shards' feed-to-detect latency), exported through
+its :class:`HistogramData`.
 
 Sample keys are fully-rendered Prometheus sample names —
 ``repro_shard_queue_depth{shard="2"}`` — so merging, rendering, and
 JSON export are all plain dict operations over one stable schema (the
-same one ``repro stats --json`` and ``repro top`` consume; see
-``docs/observability.md`` for the catalog).
+same one ``repro top`` consumes; see ``docs/observability.md`` for the
+catalog).
 """
 
 from __future__ import annotations
@@ -39,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: default histogram bucket upper bounds (seconds); the implicit +Inf
 #: bucket is always present
@@ -57,43 +48,6 @@ def _sample_name(name: str, labels: Optional[Dict[str, str]]) -> str:
         return name
     inner = ",".join(f'{k}="{labels[k]}"' for k in sorted(labels))
     return f"{name}{{{inner}}}"
-
-
-# ---------------------------------------------------------------------------
-# Instruments
-# ---------------------------------------------------------------------------
-
-
-class Counter:
-    """A monotonically increasing sample."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up, got {amount}")
-        self.value += amount
-
-
-class Gauge:
-    """A sample that can go up and down (queue depth, active sessions)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 class Histogram:
@@ -131,28 +85,6 @@ class Histogram:
             sum=self.sum,
             count=self.count,
         )
-
-
-class _NullInstrument:
-    """The disabled-mode stand-in for every instrument kind."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-#: the shared disabled instrument; identity-comparable in tests
-NULL_INSTRUMENT = _NullInstrument()
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +128,11 @@ class HistogramData:
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "HistogramData":
-        return cls(**data)
-
 
 @dataclass
 class MetricsSnapshot:
-    """A picklable point-in-time export of one registry (or a merge of
-    many).  ``families`` maps bare metric names to ``(kind, help)`` so
+    """A picklable point-in-time export of some profiles (or a merge
+    of many snapshots).  ``families`` maps bare metric names to ``(kind, help)`` so
     the Prometheus renderer can emit ``# TYPE``/``# HELP`` headers;
     sample dicts are keyed by fully-rendered sample names."""
 
@@ -235,17 +163,7 @@ class MetricsSnapshot:
                   labels: Optional[Dict[str, str]] = None,
                   help: str = "") -> None:
         self.family(name, "histogram", help)
-        key = _sample_name(name, labels)
-        existing = self.histograms.get(key)
-        if existing is None:
-            self.histograms[key] = HistogramData(
-                bounds=list(data.bounds),
-                counts=list(data.counts),
-                sum=data.sum,
-                count=data.count,
-            )
-        else:
-            _merge_histogram(existing, data, key)
+        _add_histogram(self.histograms, _sample_name(name, labels), data)
 
     def as_dict(self) -> dict:
         """Stable machine-readable form (the ``/status.json`` body and
@@ -266,22 +184,20 @@ class MetricsSnapshot:
             },
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsSnapshot":
-        snap = cls()
-        snap.counters = dict(data.get("counters", {}))
-        snap.gauges = dict(data.get("gauges", {}))
-        for key, hist in data.get("histograms", {}).items():
-            snap.histograms[key] = HistogramData(
-                bounds=list(hist["bounds"]),
-                counts=list(hist["counts"]),
-                sum=hist.get("sum", 0.0),
-                count=hist.get("count", 0),
-            )
-        return snap
 
-
-def _merge_histogram(into: HistogramData, data: HistogramData, key: str) -> None:
+def _add_histogram(histograms: Dict[str, HistogramData], key: str,
+                   data: HistogramData) -> None:
+    """Add ``data`` into ``histograms[key]`` bucket-wise (a copy when
+    the key is new)."""
+    into = histograms.get(key)
+    if into is None:
+        histograms[key] = HistogramData(
+            bounds=list(data.bounds),
+            counts=list(data.counts),
+            sum=data.sum,
+            count=data.count,
+        )
+        return
     if list(into.bounds) != list(data.bounds):
         raise ValueError(
             f"histogram {key!r} merged with mismatched buckets: "
@@ -309,16 +225,7 @@ def merge_snapshots(snapshots: Iterable[MetricsSnapshot]) -> MetricsSnapshot:
         for key, value in snap.gauges.items():
             merged.gauges[key] = merged.gauges.get(key, 0.0) + value
         for key, data in snap.histograms.items():
-            existing = merged.histograms.get(key)
-            if existing is None:
-                merged.histograms[key] = HistogramData(
-                    bounds=list(data.bounds),
-                    counts=list(data.counts),
-                    sum=data.sum,
-                    count=data.count,
-                )
-            else:
-                _merge_histogram(existing, data, key)
+            _add_histogram(merged.histograms, key, data)
     return merged
 
 
@@ -373,167 +280,13 @@ def render_prometheus(snapshot: MetricsSnapshot) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-# ---------------------------------------------------------------------------
-# The registry
-# ---------------------------------------------------------------------------
+def configure(enabled: bool = True) -> None:
+    """Does nothing: there is no process-global metrics state.
 
-
-#: per-profile-class overrides of the counter-by-default adaptation:
-#: fields listed here export as gauges (point-in-time quantities that
-#: must not be read as monotonic)
-_PROFILE_GAUGE_FIELDS = {
-    "StreamProfile": {"closure_bytes", "peak_closure_bytes",
-                      "retired_addresses"},
-    "BuildProfile": {"dense_chunk_ratio", "closure_bytes",
-                     "chunks_allocated", "chunks_shared"},
-    "QueryProfile": {"mask_tasks", "mask_bytes"},
-    "TraceProfile": {"ops", "tasks", "symbols", "addresses",
-                     "memory_bytes", "disk_bytes"},
-    "WorkerProfile": {"pid"},
-}
-
-
-class MetricsRegistry:
-    """A process-local set of named instruments (see module docs).
-
-    ``enabled=False`` is the no-op mode: every factory returns the
-    shared :data:`NULL_INSTRUMENT` and the registry stays empty — a
-    ``snapshot()`` of a disabled registry has no samples and no
-    families.
+    Live metrics are switched per router (``SessionRouter(metrics=...)``,
+    which ``repro serve --no-metrics`` turns off).  The repository
+    benchmark (``perfbench/analyse.py``) calls ``configure(enabled=True)``
+    when it starts a serve-fleet run, and its code stays fixed so that
+    its numbers stay comparable across changes; removing this function
+    would fail every such run.
     """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self._instruments: Dict[str, Tuple[str, str, object]] = {}
-        self._probes: List[Callable[[MetricsSnapshot], None]] = []
-
-    def __len__(self) -> int:
-        return len(self._instruments)
-
-    def _register(self, name: str, kind: str, help: str,
-                  labels: Optional[Dict[str, str]], factory):
-        key = _sample_name(name, labels)
-        existing = self._instruments.get(key)
-        if existing is not None:
-            if existing[0] != kind:
-                raise ValueError(
-                    f"metric {key!r} already registered as {existing[0]}, "
-                    f"not {kind}"
-                )
-            return existing[2]
-        instrument = factory()
-        self._instruments[key] = (kind, help, instrument)
-        return instrument
-
-    def counter(self, name: str, help: str = "",
-                labels: Optional[Dict[str, str]] = None) -> Counter:
-        if not self.enabled:
-            return NULL_INSTRUMENT
-        return self._register(name, "counter", help, labels, Counter)
-
-    def gauge(self, name: str, help: str = "",
-              labels: Optional[Dict[str, str]] = None) -> Gauge:
-        if not self.enabled:
-            return NULL_INSTRUMENT
-        return self._register(name, "gauge", help, labels, Gauge)
-
-    def histogram(self, name: str, help: str = "",
-                  labels: Optional[Dict[str, str]] = None,
-                  buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS
-                  ) -> Histogram:
-        if not self.enabled:
-            return NULL_INSTRUMENT
-        return self._register(
-            name, "histogram", help, labels, lambda: Histogram(buckets)
-        )
-
-    # -- profile adaptation -------------------------------------------
-
-    def register_profile(self, prefix: str, supplier: Callable[[], object],
-                         labels: Optional[Dict[str, str]] = None) -> None:
-        """Adapt an existing profile dataclass as a metric family.
-
-        ``supplier`` is called at every :meth:`snapshot` and must
-        return a profile dataclass instance (or ``None`` to skip);
-        each numeric field becomes a sample named
-        ``{prefix}_{field}`` — counters by default, gauges for the
-        fields named in ``_PROFILE_GAUGE_FIELDS``.  The profile stays
-        the single source of truth; nothing is double-counted.
-        """
-        if not self.enabled:
-            return
-
-        def probe(snapshot: MetricsSnapshot) -> None:
-            profile = supplier()
-            if profile is None:
-                return
-            profile_snapshot(snapshot, prefix, profile, labels=labels)
-
-        self._probes.append(probe)
-
-    def snapshot(self) -> MetricsSnapshot:
-        """Export every instrument and probe as a picklable snapshot."""
-        snap = MetricsSnapshot()
-        if not self.enabled:
-            return snap
-        for key, (kind, help_text, instrument) in self._instruments.items():
-            name = key.split("{", 1)[0]
-            snap.family(name, kind, help_text)
-            if kind == "counter":
-                snap.counters[key] = (
-                    snap.counters.get(key, 0.0) + instrument.value
-                )
-            elif kind == "gauge":
-                snap.gauges[key] = instrument.value
-            else:
-                data = instrument.data()
-                existing = snap.histograms.get(key)
-                if existing is None:
-                    snap.histograms[key] = data
-                else:
-                    _merge_histogram(existing, data, key)
-        for probe in self._probes:
-            probe(snap)
-        return snap
-
-
-def profile_snapshot(snapshot: MetricsSnapshot, prefix: str, profile,
-                     labels: Optional[Dict[str, str]] = None) -> None:
-    """Adapt one profile dataclass instance into ``snapshot`` (the
-    registry-free form of :meth:`MetricsRegistry.register_profile`,
-    used by the shard telemetry path which builds snapshots directly).
-    """
-    gauge_fields = _PROFILE_GAUGE_FIELDS.get(type(profile).__name__, set())
-    for f in dataclasses.fields(profile):
-        value = getattr(profile, f.name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        name = f"{prefix}_{f.name}"
-        if f.name in gauge_fields:
-            snapshot.gauge(name, float(value), labels=labels)
-        else:
-            snapshot.counter(name, float(value), labels=labels)
-
-
-# ---------------------------------------------------------------------------
-# The process-default registry
-# ---------------------------------------------------------------------------
-
-_default = MetricsRegistry(enabled=False)
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-default registry (disabled until configured)."""
-    return _default
-
-
-def configure(enabled: bool = True) -> MetricsRegistry:
-    """Replace the process-default registry; returns the new one.
-
-    Called once at entry points (``repro serve`` unless
-    ``--no-metrics``); library code reaches the registry through
-    :func:`get_registry` so the swap is global.
-    """
-    global _default
-    _default = MetricsRegistry(enabled=enabled)
-    return _default

@@ -1,12 +1,16 @@
-"""Lightweight span tracing around the engine's hot phases.
+"""Span timing and tracing around the engine's hot phases.
 
-``with span("hb.fixpoint"):`` brackets a phase; when tracing is
-disabled (the default) the call returns a shared no-op context manager
-— one global read and two empty method calls, no allocation — so the
-instrumented hot paths cost nothing in production.  When a recorder is
-installed (``repro stats --trace-out spans.json``), spans buffer in a
-bounded per-process list and export as Chrome ``trace_event`` JSON for
-flame-chart inspection in ``chrome://tracing`` / Perfetto.
+``with span("hb.fixpoint") as timed:`` brackets a phase.  Every span
+times its phase: after the block, ``timed.seconds`` holds its
+duration, which is how the happens-before builder fills the
+``*_seconds`` fields of :class:`~repro.hb.builder.BuildProfile` — the
+engine has no other phase timer.  A span *records* only when a
+recorder is installed (``repro stats --trace-out spans.json``); then
+spans buffer in a bounded per-process list and export as Chrome
+``trace_event`` JSON for flame-chart inspection in
+``chrome://tracing`` / Perfetto.  With no recorder (the default) a
+span costs one small object and two clock reads, well under a
+microsecond.
 
 Span names threaded through the engine (the catalog lives in
 ``docs/observability.md``):
@@ -95,54 +99,41 @@ class SpanRecorder:
             fp.write("\n")
 
 
-class _NullSpan:
-    """The disabled-mode context manager; shared, reentrant, free."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
 #: the installed recorder; ``None`` means tracing is off
 _active: Optional[SpanRecorder] = None
 
 
 class _Span:
-    __slots__ = ("_recorder", "_name", "_args", "_start")
+    """One timed phase; ``seconds`` is its duration once it exits."""
 
-    def __init__(self, recorder: SpanRecorder, name: str,
+    __slots__ = ("_recorder", "_name", "_args", "_start", "seconds")
+
+    def __init__(self, recorder: Optional[SpanRecorder], name: str,
                  args: Optional[Dict[str, Any]]) -> None:
         self._recorder = recorder
         self._name = name
         self._args = args
+        self.seconds = 0.0
 
     def __enter__(self) -> "_Span":
         self._start = time.perf_counter_ns()
         return self
 
     def __exit__(self, *exc) -> None:
-        self._recorder.record(
-            self._name,
-            self._start,
-            time.perf_counter_ns() - self._start,
-            self._args,
-        )
+        duration_ns = time.perf_counter_ns() - self._start
+        self.seconds = duration_ns / 1e9
+        if self._recorder is not None:
+            self._recorder.record(
+                self._name, self._start, duration_ns, self._args
+            )
 
 
-def span(name: str, **args):
-    """Context manager bracketing one phase; no-op unless a recorder
-    is installed.  Keyword arguments become Chrome ``args`` (only
-    evaluated when tracing — keep them cheap at call sites)."""
-    recorder = _active
-    if recorder is None:
-        return _NULL_SPAN
-    return _Span(recorder, name, args or None)
+def span(name: str, **args) -> _Span:
+    """Context manager timing one phase, recorded into the installed
+    recorder if there is one.  Keyword arguments become Chrome
+    ``args`` (evaluated at every call — keep them cheap at call
+    sites)."""
+    return _Span(_active, name, args or None)
 
 
 def tracing_enabled() -> bool:

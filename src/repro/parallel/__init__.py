@@ -35,7 +35,6 @@ from .workers import (
     WorkerCrash,
     WorkerPool,
     WorkerProfile,
-    merge_worker_profiles,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "WorkerProfile",
     "default_jobs",
     "fan_out",
-    "merge_worker_profiles",
     "pool_size",
     "validate_jobs",
 ]

@@ -83,25 +83,6 @@ class WorkerProfile:
         )
 
 
-def merge_worker_profiles(profiles) -> WorkerProfile:
-    """Aggregate many workers' accounting into one fleet-wide profile.
-
-    ``messages`` and ``busy_seconds`` sum — the merge is associative
-    and order-independent over those totals, with the empty merge as
-    identity — while the per-process identity fields collapse to the
-    neutral ``("merged", 0)``; re-merging merged profiles therefore
-    yields the same totals for any shard partition.
-    """
-    messages = 0
-    busy = 0.0
-    for profile in profiles:
-        messages += profile.messages
-        busy += profile.busy_seconds
-    return WorkerProfile(
-        name="merged", pid=0, messages=messages, busy_seconds=busy
-    )
-
-
 def _worker_main(name, init, init_args, handle, finish, inbox, outbox,
                  telemetry=None, telemetry_interval=DEFAULT_TELEMETRY_INTERVAL
                  ) -> None:

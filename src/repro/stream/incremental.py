@@ -56,7 +56,7 @@ class IncrementalHB:
     @property
     def profile(self) -> BuildProfile:
         """Phase timings and closure counters of the latest build."""
-        return self.relation().profile  # type: ignore[return-value]
+        return self.relation().profile
 
     @property
     def rounds(self) -> int:

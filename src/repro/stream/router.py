@@ -94,6 +94,10 @@ class SessionReport:
             flags.append("drained mid-session")
         if self.degraded:
             flags.append("degraded")
+        if self.profile.cross_epoch_accesses:
+            flags.append(
+                f"cross-epoch accesses {self.profile.cross_epoch_accesses}"
+            )
         suffix = f"  [{', '.join(flags)}]" if flags else ""
         lines = [
             f"session {self.session} (shard {self.shard}): "

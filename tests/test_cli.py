@@ -6,6 +6,7 @@ from repro.cli import main
 from repro.trace import save_trace_file
 from tests.test_hb_build_checks import cyclic_trace, shared_queue_trace
 from tests.test_hb_vector_clock import late_fork_same_looper_trace, late_fork_trace
+from tests.test_stream_service import cross_epoch_trace
 
 
 class TestApps:
@@ -160,3 +161,31 @@ class TestModelViolations:
                 f"error: {path}: ModelNotApplicableError: the fork rule orders op #"
             )
             assert err.count("\n") == 1
+
+
+class TestStreamCrossEpochWarning:
+    def test_lost_cross_epoch_race_is_named_on_stderr(self, tmp_path, capsys):
+        path = tmp_path / "cross.jsonl"
+        save_trace_file(cross_epoch_trace(), path)
+        assert main(["detect", str(path)]) == 0
+        assert "use-free race [a]" in capsys.readouterr().out
+        # Exit status and output are unchanged; one warning names the loss.
+        assert main(["stream", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "use-free race" not in captured.out
+        warnings = [
+            line for line in captured.err.splitlines()
+            if line.startswith("warning:")
+        ]
+        assert len(warnings) == 1
+        assert "1 cross-epoch access(es)" in warnings[0]
+        assert '"Epoch GC"' in warnings[0]
+
+    def test_stock_app_streams_without_warning(self, tmp_path, capsys):
+        path = tmp_path / "connectbot.jsonl"
+        assert main(["record", "connectbot", "-o", str(path), "--scale", "0.02"]) == 0
+        capsys.readouterr()
+        assert main(["stream", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "cross-epoch accesses            0" in captured.out
+        assert "warning" not in captured.err

@@ -86,10 +86,10 @@ class TestHbStats:
         trace = build_mixed_trace()
         hb = build_happens_before(trace)
         stats = hb_stats(trace, hb)
-        assert stats.closure_recomputations == 1
-        assert stats.bits_propagated == hb.graph.bits_propagated
+        assert stats.profile.closure_recomputations == 1
+        assert stats.profile.bits_propagated == hb.graph.bits_propagated
         assert stats.profile is hb.profile
-        assert sum(stats.edges_per_round) == stats.derived_edges
+        assert sum(stats.profile.edges_per_round) == stats.derived_edges
 
     def test_format_reports_phases_and_closure_work(self):
         trace = build_mixed_trace()

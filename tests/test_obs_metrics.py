@@ -1,45 +1,21 @@
-"""Tests for the metrics core: instruments, snapshots, merging,
-Prometheus rendering, and the profile adapters (repro.obs.metrics)."""
+"""Tests for the metrics core: the latency histogram, snapshots,
+merging, and Prometheus rendering (repro.obs.metrics)."""
 
 import pickle
-from dataclasses import dataclass
 
 import pytest
 
-from repro.hb import QueryProfile
-from repro.hb.builder import BuildProfile
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
-    NULL_INSTRUMENT,
-    Counter,
-    Gauge,
     Histogram,
     HistogramData,
-    MetricsRegistry,
     MetricsSnapshot,
     merge_snapshots,
-    profile_snapshot,
     render_prometheus,
 )
-from repro.stream import StreamProfile
 
 
 class TestInstruments:
-    def test_counter_only_goes_up(self):
-        counter = Counter()
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge_moves_both_ways(self):
-        gauge = Gauge()
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(3)
-        assert gauge.value == 12
-
     def test_histogram_buckets_and_overflow(self):
         hist = Histogram(buckets=(0.1, 1.0))
         for value in (0.05, 0.5, 5.0):
@@ -52,12 +28,6 @@ class TestInstruments:
     def test_histogram_rejects_unsorted_buckets(self):
         with pytest.raises(ValueError):
             Histogram(buckets=(1.0, 0.1))
-
-    def test_null_instrument_absorbs_everything(self):
-        NULL_INSTRUMENT.inc()
-        NULL_INSTRUMENT.dec()
-        NULL_INSTRUMENT.set(3)
-        NULL_INSTRUMENT.observe(0.5)
 
 
 class TestHistogramQuantile:
@@ -81,88 +51,6 @@ class TestHistogramQuantile:
             data.quantile(1.5)
 
 
-class TestRegistry:
-    def test_disabled_registry_hands_out_nulls_and_stays_empty(self):
-        registry = MetricsRegistry(enabled=False)
-        assert registry.counter("c") is NULL_INSTRUMENT
-        assert registry.gauge("g") is NULL_INSTRUMENT
-        assert registry.histogram("h") is NULL_INSTRUMENT
-        registry.register_profile("p", StreamProfile)
-        assert len(registry) == 0
-        snap = registry.snapshot()
-        assert not snap.counters and not snap.gauges
-        assert not snap.histograms and not snap.families
-
-    def test_same_name_returns_the_same_instrument(self):
-        registry = MetricsRegistry()
-        assert registry.counter("c") is registry.counter("c")
-        assert (
-            registry.gauge("g", labels={"shard": "0"})
-            is registry.gauge("g", labels={"shard": "0"})
-        )
-        assert registry.gauge("g") is not registry.gauge("g", labels={"shard": "0"})
-
-    def test_kind_conflicts_are_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("x")
-
-    def test_snapshot_reflects_instruments(self):
-        registry = MetricsRegistry()
-        registry.counter("hits", help="hits").inc(3)
-        registry.gauge("depth", labels={"shard": "1"}).set(7)
-        registry.histogram("lat").observe(0.002)
-        snap = registry.snapshot()
-        assert snap.counters["hits"] == 3
-        assert snap.gauges['depth{shard="1"}'] == 7
-        assert snap.histograms["lat"].count == 1
-        assert snap.families["hits"] == ("counter", "hits")
-
-    def test_register_profile_probes_at_snapshot_time(self):
-        registry = MetricsRegistry()
-        profile = StreamProfile(ops_ingested=5, closure_bytes=100)
-        registry.register_profile("repro_stream", lambda: profile)
-        profile.ops_ingested = 9  # the probe reads the live object
-        snap = registry.snapshot()
-        assert snap.counters["repro_stream_ops_ingested"] == 9
-        # closure_bytes is a point-in-time quantity -> gauge
-        assert snap.gauges["repro_stream_closure_bytes"] == 100
-
-
-@dataclass
-class _Flagged:
-    flag: bool = True
-    count: int = 2
-
-
-class TestProfileAdaptation:
-    def test_stream_profile_fields_split_counter_vs_gauge(self):
-        snap = MetricsSnapshot()
-        profile = StreamProfile(
-            ops_ingested=10, peak_closure_bytes=50, closure_bytes=40,
-            retired_addresses=3,
-        )
-        profile_snapshot(snap, "s", profile)
-        assert snap.counters["s_ops_ingested"] == 10
-        for gauge_field in ("closure_bytes", "peak_closure_bytes",
-                            "retired_addresses"):
-            assert f"s_{gauge_field}" in snap.gauges
-
-    def test_build_profile_skips_non_numeric_fields(self):
-        snap = MetricsSnapshot()
-        profile_snapshot(snap, "b", BuildProfile(scan_seconds=0.5))
-        assert snap.counters["b_scan_seconds"] == 0.5
-        # edges_per_round is a list, a bool is no count: neither exports
-        profile_snapshot(snap, "q", QueryProfile(queries=3))
-        assert snap.counters["q_queries"] == 3
-        profile_snapshot(snap, "f", _Flagged())
-        assert snap.counters["f_count"] == 2
-        names = set(snap.counters) | set(snap.gauges)
-        assert not any("edges_per_round" in n for n in names)
-        assert "f_flag" not in names
-
-
 class TestSnapshots:
     def test_snapshots_pickle(self):
         snap = MetricsSnapshot()
@@ -183,15 +71,6 @@ class TestSnapshots:
         assert doc["schema"] == "repro-metrics/1"
         assert doc["counters"] == {"c": 2.0}
         assert {"p50", "p95", "p99"} <= set(doc["histograms"]["lat"])
-
-    def test_roundtrip_through_dict(self):
-        snap = MetricsSnapshot()
-        snap.gauge("g", 4.0)
-        snap.histogram("h", HistogramData(bounds=[1.0], counts=[2, 1],
-                                          sum=3.0, count=3))
-        clone = MetricsSnapshot.from_dict(snap.as_dict())
-        assert clone.gauges == snap.gauges
-        assert clone.histograms["h"].counts == [2, 1]
 
 
 class TestMerge:

@@ -3,6 +3,7 @@
 
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,6 @@ from repro.obs import (
     span,
     tracing_enabled,
 )
-from repro.obs.spans import _NULL_SPAN
 
 
 @pytest.fixture(autouse=True)
@@ -25,11 +25,13 @@ def _tracing_off():
 
 
 class TestSpanLifecycle:
-    def test_disabled_tracing_returns_the_shared_null_span(self):
+    def test_span_without_recorder_times_and_records_nothing(self):
         assert not tracing_enabled()
-        assert span("hb.fixpoint") is _NULL_SPAN
-        with span("hb.fixpoint", ops=5):
-            pass  # must be a usable (no-op) context manager
+        with span("hb.fixpoint", ops=5) as timed:
+            time.sleep(0.002)
+        assert timed.seconds >= 0.002
+        # Nothing was recorded: a recorder installed afterwards is empty.
+        assert len(enable_tracing()) == 0
 
     def test_enabled_tracing_records_spans(self):
         recorder = enable_tracing()
@@ -129,6 +131,20 @@ class TestEngineIntegration:
             if name == "hb.fixpoint.project":
                 assert any(lo <= start and start + duration <= hi
                            for lo, hi in rounds)
+
+    def test_build_phase_seconds_are_the_span_durations(self):
+        from repro.apps import make_app
+        from repro.hb import build_happens_before
+
+        trace = make_app("connectbot", scale=0.02, seed=1).run().trace
+        recorder = enable_tracing()
+        profile = build_happens_before(trace).profile
+        seconds = {name: duration / 1e9
+                   for name, _, duration, _, _ in recorder.events}
+        assert profile.scan_seconds == seconds["hb.scan"]
+        assert profile.base_seconds == seconds["hb.base_edges"]
+        assert profile.closure_seconds == seconds["hb.closure"]
+        assert profile.fixpoint_seconds == seconds["hb.fixpoint"]
 
     def test_stream_analyzer_emits_stream_spans(self):
         from repro.apps import make_app

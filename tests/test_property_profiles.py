@@ -1,11 +1,10 @@
 """Property tests pinning the profile-merge algebra.
 
 The daemon aggregates per-session :class:`StreamProfile`\\ s twice (per
-shard, then fleet-wide) and :class:`WorkerProfile`\\ s once; the live
-metrics path merges :class:`MetricsSnapshot`\\ s shipped at arbitrary
-times from arbitrary shard subsets.  All three merges must therefore
-be associative and order-independent with the empty merge as identity
-— otherwise the reported totals would depend on shard count, shipment
+shard, then fleet-wide); the live metrics path merges
+:class:`MetricsSnapshot`\\ s shipped at arbitrary times from arbitrary
+shard subsets.  Both merges must therefore be associative and
+order-independent with the empty merge as identity — otherwise the reported totals would depend on shard count, shipment
 timing, or drain order.  Numeric inputs are dyadic rationals (n/16) so
 float addition is exact and the algebraic properties hold exactly.
 """
@@ -15,7 +14,6 @@ import dataclasses
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import Histogram, MetricsSnapshot, merge_snapshots
-from repro.parallel import WorkerProfile, merge_worker_profiles
 from repro.stream import StreamProfile, merge_profiles
 
 counts = st.integers(min_value=0, max_value=1 << 20)
@@ -28,14 +26,6 @@ stream_profiles = st.builds(
         field.name: counts
         for field in dataclasses.fields(StreamProfile)
     },
-)
-
-worker_profiles = st.builds(
-    WorkerProfile,
-    name=st.sampled_from(["shard-0", "shard-1", "shard-2"]),
-    pid=st.integers(min_value=1, max_value=1 << 16),
-    messages=counts,
-    busy_seconds=dyadic,
 )
 
 
@@ -75,44 +65,6 @@ class TestStreamProfileMerge:
     def test_identity(self, profile):
         assert _as_tuple(merge_profiles([])) == _as_tuple(StreamProfile())
         assert _as_tuple(merge_profiles([profile])) == _as_tuple(profile)
-
-
-class TestWorkerProfileMerge:
-    @given(st.lists(worker_profiles, max_size=8), st.randoms())
-    @settings(max_examples=50, deadline=None)
-    def test_order_independent(self, profiles, rng):
-        shuffled = list(profiles)
-        rng.shuffle(shuffled)
-        merged = merge_worker_profiles(profiles)
-        again = merge_worker_profiles(shuffled)
-        assert (merged.messages, merged.busy_seconds) == (
-            again.messages,
-            again.busy_seconds,
-        )
-
-    @given(
-        st.lists(worker_profiles, max_size=8),
-        st.integers(min_value=0, max_value=8),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_partition_invariant(self, profiles, cut):
-        cut = min(cut, len(profiles))
-        flat = merge_worker_profiles(profiles)
-        regrouped = merge_worker_profiles(
-            [
-                merge_worker_profiles(profiles[:cut]),
-                merge_worker_profiles(profiles[cut:]),
-            ]
-        )
-        assert (flat.messages, flat.busy_seconds) == (
-            regrouped.messages,
-            regrouped.busy_seconds,
-        )
-
-    def test_identity_element(self):
-        empty = merge_worker_profiles([])
-        assert (empty.name, empty.pid) == ("merged", 0)
-        assert (empty.messages, empty.busy_seconds) == (0, 0.0)
 
 
 # -- metrics snapshots -------------------------------------------------------

@@ -34,6 +34,7 @@ from repro.trace import (
 )
 from tests.test_hb_build_checks import cyclic_trace, shared_queue_trace
 from tests.test_hb_vector_clock import late_fork_trace
+from tests.test_stream_service import cross_epoch_trace
 
 SCALE = 0.02
 SEED = 1
@@ -224,6 +225,21 @@ class TestProfiles:
         )
         assert len(report.worker_profiles) == 2
         assert all(p.pid != os.getpid() for p in report.worker_profiles)
+
+    def test_session_format_flags_cross_epoch_accesses(self):
+        sid, payload = next(iter(app_payloads().items()))
+        router = SessionRouter(0)
+        router.feed(mux_stream({
+            sid: payload,
+            "crossing": dumps_trace(cross_epoch_trace()).encode("utf-8"),
+        }))
+        report = router.drain()
+        crossing = report.sessions["crossing"]
+        assert crossing.reports == [] and not crossing.degraded
+        assert crossing.format().splitlines()[0].endswith(
+            "0 reports  [cross-epoch accesses 1]"
+        )
+        assert "cross-epoch" not in report.sessions[sid].format()
 
     def test_report_json_round_trips(self):
         router = SessionRouter(0)

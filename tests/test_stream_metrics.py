@@ -13,14 +13,13 @@ import pytest
 
 from repro.apps import ALL_APPS, make_app
 from repro.cli import main
-from repro.obs import get_registry
 from repro.obs.export import (
     MetricsServer,
     MetricsSnapshot,
     read_status_socket,
     scrape_http,
 )
-from repro.stream import SessionRouter
+from repro.stream import SessionRouter, concat_sessions
 from repro.trace import (
     dumps_trace,
     dumps_trace_bytes,
@@ -28,6 +27,7 @@ from repro.trace import (
     encode_mux_header,
     encode_session,
 )
+from tests.test_stream_service import cross_epoch_trace
 
 SCALE = 0.02
 SEED = 1
@@ -123,6 +123,38 @@ class TestRouterMetricsSnapshot:
             name.startswith("repro_shard_") for name in families_of(snap)
         )
         router.drain()
+
+    def test_drained_counters_agree_with_the_report(self):
+        """Every counter the shards export equals the drained report's:
+        the five stream counters its merged profile holds, and the
+        finished plus failed sessions its session table lists."""
+        trace = make_app("connectbot", scale=SCALE, seed=SEED).run().trace
+        payloads = {
+            "plain": one_payload(),
+            "copies": dumps_trace_bytes(concat_sessions(trace, 3)),
+            "crossing": dumps_trace(cross_epoch_trace()).encode("utf-8"),
+        }
+        buf = bytearray(encode_mux_header())
+        for sid, payload in payloads.items():
+            for frame in encode_session(sid, payload, chunk_size=4096):
+                buf += frame
+        router = SessionRouter(0, metrics=True)
+        router.feed(bytes(buf))
+        report = router.drain()
+        snap = router.metrics_snapshot()
+        merged = report.merged
+        assert merged.epochs_retired > 3  # the copies retire epochs
+        assert merged.cross_epoch_accesses > 0
+        shard = '{shard="0"}'
+        for name in ("ops_ingested", "records_ingested", "epochs_retired",
+                     "reports_emitted", "cross_epoch_accesses"):
+            exported = snap.counters[f"repro_shard_{name}_total{shard}"]
+            assert exported == getattr(merged, name), name
+        closed = (
+            snap.counters[f"repro_shard_sessions_finished_total{shard}"]
+            + snap.counters[f"repro_shard_sessions_failed_total{shard}"]
+        )
+        assert closed == len(report.sessions) == len(payloads)
 
     def test_sharded_router_ships_telemetry(self):
         router = SessionRouter(2, metrics=True, telemetry_interval=0.01)
@@ -285,9 +317,6 @@ class TestLiveServeScrape:
             assert "repro_router_frames_total" in text
             assert "repro_feed_latency_seconds" not in text
             assert "repro_shard_sessions_active" not in text
-            # The process-default registry registered nothing.
-            assert len(get_registry()) == 0
-            assert not get_registry().enabled
         finally:
             _upload(sock_path, "fin", b"", finish=True)
             server.join(timeout=60)

@@ -18,6 +18,7 @@ from repro.stream import (
     StreamAnalyzer,
     concat_sessions,
 )
+from repro.testing import TraceBuilder
 from repro.trace import OpKind, dumps_trace, dumps_trace_bytes, save_trace_file
 from repro.trace.store import TraceStore
 
@@ -31,6 +32,31 @@ def app_trace(name="connectbot"):
     if name not in _TRACES:
         _TRACES[name] = make_app(name, scale=SCALE, seed=SEED).run().trace
     return _TRACES[name]
+
+
+def cross_epoch_trace():
+    """Ten ops whose one race crosses an epoch boundary: thread T sends
+    E1 to looper L, E1 reads and dereferences ``.f``, then external
+    event E2 on L nulls ``.f``.  Offline detection reports the race;
+    a streaming analyzer with epoch GC retires E1's epoch first and
+    only counts the later access (``cross_epoch_accesses`` 1)."""
+    address = ("obj", 1, "f")
+    b = TraceBuilder()
+    b.looper("L")
+    b.thread("T")
+    b.event("E1", looper="L")
+    b.event("E2", looper="L", external=True)
+    b.begin("T")
+    b.send("T", "E1")
+    b.end("T")
+    b.begin("E1")
+    b.ptr_read("E1", address, object_id=9, method="onUse", pc=0)
+    b.deref("E1", object_id=9, method="onUse", pc=1)
+    b.end("E1")
+    b.begin("E2")
+    b.ptr_write("E2", address, value=None, container=1, method="onFree", pc=0)
+    b.end("E2")
+    return b.build()
 
 
 def offline_reports(trace):
