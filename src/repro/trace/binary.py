@@ -45,6 +45,12 @@ frame, and the trailer points back at the footer, so a byte cut
 *anywhere* is detectable: strict loads require the footer+trailer and
 the header count checks, salvage loads analyze the longest valid frame
 prefix.
+
+This module writes v3 (:class:`TraceWriterV3`) and parses its frames
+(:class:`_FrameParser`); reading goes through
+:class:`~repro.trace.serialization.AnyTraceDecoder`, which owns the
+header negotiation, the symbol and address tables and the store that
+every parsed batch lands in.
 """
 
 from __future__ import annotations
@@ -55,28 +61,25 @@ import sys
 from array import array
 from typing import IO, Any, Dict, List, Optional, Tuple
 
-from .operations import BranchKind, OpKind
+from .operations import BranchKind
 from .store import (
     ADDR,
     BOOL,
     ENUM,
-    KIND_CODES,
     KIND_LIST,
     OPT_INT,
     STR,
-    DecodeStats,
     _ARRAY_TYPE,
     _BRANCH_INDEX,
     _BRANCH_KINDS,
     _NONE,
     _SCHEMA_LIST,
-    remap_batch,
 )
-from .trace import TaskInfo, Trace, TraceError, TraceFormatError
+from .trace import TraceError, TraceFormatError
 
 #: first bytes of every v3 file; byte 0 (0x93) is invalid UTF-8 *and*
 #: invalid JSON, so text-format readers reject v3 input immediately and
-#: the sniffing facade needs exactly one byte
+#: the sniffing decoder needs exactly one byte
 MAGIC_V3 = b"\x93CAFA-T3\r\n\x1a\x00"
 #: end of every complete v3 file: u64le footer offset + this marker
 TRAILER_MAGIC = b"CAFA3FT\n"
@@ -218,70 +221,6 @@ def _top_id(column: array, limit: int, what: str) -> int:
 
 def _json_bytes(obj) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("utf-8")
-
-
-class _Vocabulary:
-    """Negotiated wire->local mappings from one v3 header."""
-
-    __slots__ = ("codes", "schemas", "kind_map", "branches", "branch_map")
-
-    def __init__(self) -> None:
-        self.codes: List[int] = []
-        self.schemas: List[tuple] = []
-        #: 256-byte translate table, or None when wire codes == local
-        self.kind_map: Optional[bytes] = None
-        self.branches: List[int] = []
-        self.branch_map: Optional[bytes] = None
-
-
-def _negotiate_header(record: Any, expect_version: Optional[int]) -> _Vocabulary:
-    """Validate a v3 header record; raises :class:`TraceError` (header
-    problems are fatal even in salvage mode)."""
-    from .serialization import FORMAT_NAME  # value only; no import cycle at call time
-
-    if not isinstance(record, dict) or record.get("format") != FORMAT_NAME:
-        raise TraceError(f"not a {FORMAT_NAME} stream: {record!r}")
-    version = record.get("version")
-    if version != 3:
-        raise TraceError(
-            f"unsupported trace version {version!r} in a v3 binary stream"
-        )
-    if expect_version is not None and version != expect_version:
-        raise TraceError(
-            f"expected trace version {expect_version}, "
-            f"stream is version {version}"
-        )
-    vocab = _Vocabulary()
-    kind_names = record.get("kinds")
-    if not isinstance(kind_names, list) or not kind_names:
-        raise TraceError("v3 stream header lacks its kind table")
-    for name in kind_names:
-        try:
-            kind = OpKind(name)
-        except ValueError:
-            raise TraceError(f"unknown operation kind {name!r} in header") from None
-        vocab.codes.append(KIND_CODES[kind])
-        vocab.schemas.append(_SCHEMA_LIST[KIND_CODES[kind]])
-    if any(code != wire for wire, code in enumerate(vocab.codes)):
-        table = bytearray(256)
-        for wire, code in enumerate(vocab.codes):
-            table[wire] = code
-        vocab.kind_map = bytes(table)
-    branch_names = record.get("branch_kinds")
-    if not isinstance(branch_names, list) or not branch_names:
-        raise TraceError("v3 stream header lacks its branch-kind table")
-    for name in branch_names:
-        try:
-            branch = BranchKind(name)
-        except ValueError:
-            raise TraceError(f"unknown branch kind {name!r} in header") from None
-        vocab.branches.append(_BRANCH_INDEX[branch])
-    if any(local != wire for wire, local in enumerate(vocab.branches)):
-        table = bytearray(256)
-        for wire, local in enumerate(vocab.branches):
-            table[wire] = local
-        vocab.branch_map = bytes(table)
-    return vocab
 
 
 # ---------------------------------------------------------------------------
@@ -461,220 +400,97 @@ class TraceWriterV3:
 
 
 # ---------------------------------------------------------------------------
-# Reading (push decoder)
+# Reading (the frame parser)
 # ---------------------------------------------------------------------------
 
 
-class BinaryTraceDecoder:
-    """Push-based incremental decoder for the binary v3 format.
+def _translation(local: List[int]) -> Optional[bytes]:
+    """A ``bytes.translate`` table taking wire code ``i`` to
+    ``local[i]``, or None when every code is its own."""
+    if all(code == wire for wire, code in enumerate(local)):
+        return None
+    table = bytearray(256)
+    for wire, code in enumerate(local):
+        table[wire] = code
+    return bytes(table)
 
-    The surface mirrors :class:`~repro.trace.serialization.TraceStreamDecoder`
-    (``feed``/``flush``/``finish``/``mark_damaged``, ``trace``,
-    ``header``, ``error``, ``degraded``, ``records``, ``strict``) so the
-    streaming service and the load entry points drive both identically —
-    except :meth:`feed` takes *bytes*.
 
-    Every batch is *adopted*: its columns land via ``frombytes``/one
-    widening copy straight into the trace's
-    :class:`~repro.trace.store.TraceStore`
-    (:meth:`~repro.trace.store.TraceStore.adopt_batch`).  Stream symbol
-    and address ids map to store ids through lists that start over
-    when :attr:`trace` is swapped (the streaming service's epoch
-    hand-off).  Until the first swap the maps are the identity: a
-    batch interns the stream values up to its largest id, in stream
-    order, and its columns are adopted untranslated.  After a swap a
-    batch's ids are translated (:func:`~repro.trace.store.remap_batch`),
-    so the new store interns only the values its ops use.
+class _FrameParser:
+    """The v3 frame and batch parser of
+    :class:`~repro.trace.serialization.AnyTraceDecoder`, which owns the
+    header negotiation, the symbol and address tables, the task records
+    and the store.
 
-    Salvage semantics match the text decoder: under ``strict=False``
-    the first damaged frame stops decoding, the error lands on
-    :attr:`error`, and everything decoded before it remains valid; a
-    stream that ends mid-frame — or before the footer+trailer — is
-    truncation evidence that :meth:`flush`/:meth:`finish` rule on.
-    Header problems always raise.
+    Frames are decoded as they complete; a trailing partial frame stays
+    buffered.  Every frame is written whole and the file ends in the
+    footer and trailer, so a stream that ends mid-frame, or before the
+    footer and trailer, is truncation evidence that the decoder's
+    ``flush``/``finish`` rule on.  A batch's columns load by
+    ``frombytes`` (or one widening copy) and go to the decoder still in
+    stream ids, with the batch's largest ids, so that until a trace
+    swap they can be adopted untranslated.
     """
 
-    def __init__(
-        self,
-        expect_version: Optional[int] = None,
-        strict: bool = True,
-        trace: Optional[Trace] = None,
-    ) -> None:
-        self._trace = trace if trace is not None else Trace()
-        self.expect_version = expect_version
-        self.strict = strict
-        self.header: Optional[dict] = None
-        self.error: Optional[TraceFormatError] = None
-        self.records = 0
-        self._buffer = bytearray()
-        self._base = 0  # absolute stream offset of _buffer[0]
-        self._magic_ok = False
-        self._vocab: Optional[_Vocabulary] = None
-        self._footer: Optional[dict] = None
-        self._footer_offset: Optional[int] = None
-        self._trailer_ok = False
-        self._symbols: List[str] = []
-        self._addresses: List[tuple] = []
-        #: stream symbol / address id -> id in the trace's store, -1
-        #: until a batch first uses it
-        self._store_syms: List[int] = []
-        self._store_addrs: List[int] = []
-        #: while True, stream ids below ``_syms_mapped``/``_addrs_mapped``
-        #: are their own store ids
-        store = self._trace.store
-        self._identity = not len(store.symbols) and not len(store.addresses)
-        self._syms_mapped = 0
-        self._addrs_mapped = 0
-        self._ops_seen = 0
-        self._tasks_seen = 0
-        # decode counters
-        self._frames = 0
-        self._batches = 0
-        self._columns_adopted = 0
-        self._bytes_fed = 0
+    versions = (3,)
 
-    @property
-    def trace(self) -> Trace:
-        return self._trace
+    def __init__(self) -> None:
+        self.buffer = bytearray()
+        self.base = 0  # absolute stream offset of buffer[0]
+        self.magic_ok = False
+        self.footer: Optional[dict] = None
+        self.footer_offset: Optional[int] = None
+        self.trailer_ok = False
+        #: wire kind code -> local kind code, and its translate table
+        self.codes: List[int] = []
+        self.kind_map: Optional[bytes] = None
+        #: branch kinds the header declares, and their translate table
+        self.branches = 0
+        self.branch_map: Optional[bytes] = None
 
-    @trace.setter
-    def trace(self, value: Trace) -> None:
-        # store ids belong to one store: map every stream id afresh
-        self._trace = value
-        self._store_syms = [-1] * len(self._symbols)
-        self._store_addrs = [-1] * len(self._addresses)
-        self._identity = False
+    @staticmethod
+    def unsupported(version: Any) -> str:
+        return f"unsupported trace version {version!r} in a v3 binary stream"
 
-    @property
-    def degraded(self) -> bool:
-        """True once salvage mode has stopped at a damaged frame."""
-        return self.error is not None
+    def tables(self, record: dict, codes: List[int]) -> None:
+        """The header's wire tables: the kind codes, and the
+        ``branch_kinds`` vocabulary the enum column's values index."""
+        names = record.get("branch_kinds")
+        if not isinstance(names, list) or not names:
+            raise TraceError("v3 stream header lacks its branch-kind table")
+        branches = []
+        for name in names:
+            try:
+                branches.append(_BRANCH_INDEX[BranchKind(name)])
+            except ValueError:
+                raise TraceError(f"unknown branch kind {name!r} in header") from None
+        self.codes, self.kind_map = codes, _translation(codes)
+        self.branches, self.branch_map = len(branches), _translation(branches)
 
-    def decode_stats(self) -> DecodeStats:
-        return DecodeStats(
-            version=3,
-            frames=self._frames,
-            records=self.records,
-            batches=self._batches,
-            ops_adopted=self._ops_seen,
-            columns_adopted=self._columns_adopted,
-            bytes_read=self._bytes_fed,
-        )
-
-    # -- feeding -------------------------------------------------------
-
-    def feed(self, chunk: bytes) -> int:
-        """Buffer ``chunk`` and decode every complete frame in it.
-
-        Returns the number of operations decoded.  A trailing partial
-        frame stays buffered until the next feed (or :meth:`finish`).
-        """
-        if self.error is not None or not chunk:
-            return 0
-        self._bytes_fed += len(chunk)
-        self._buffer += chunk
-        before = self._ops_seen
-        try:
-            self._parse()
-        except TraceFormatError as exc:
-            if self.strict or self.header is None:
-                raise
-            self.error = exc
-            self._buffer.clear()
-        return self._ops_seen - before
-    def flush(self) -> int:
-        """Rule on buffered bytes that never completed a frame.
-
-        Every frame is written atomically, so input that ends mid-frame
-        is truncation evidence: raises under ``strict``, marks the
-        decoder degraded in salvage mode.  Returns 0 (symmetry with
-        :meth:`feed`).
-        """
-        if not self._buffer:
-            return 0
-        at = self._base
-        self._buffer.clear()
-        error = TraceFormatError(
-            f"stream ends mid-frame at byte {at}; the unterminated "
-            "final frame cannot be trusted"
-        )
-        if self.strict:
-            raise error
-        if self.error is None:
-            self.error = error
-        return 0
-
-    def finish(self) -> Trace:
-        """Flush, require the footer+trailer and counts (strict), return
-        the trace."""
-        self.flush()
-        if self.header is None:
-            if self._bytes_fed:
-                raise TraceFormatError(
-                    f"stream ends at byte {self._bytes_fed}, before the v3 "
-                    "header frame; the file is truncated"
-                )
-            raise TraceError("empty trace stream")
-        if self.strict:
-            if not self._trailer_ok:
-                raise TraceFormatError(
-                    "stream ends before the v3 footer and trailer; "
-                    "the file is truncated"
-                )
-            expected_tasks = self.header.get("tasks")
-            if expected_tasks is not None and expected_tasks != self._tasks_seen:
-                raise TraceFormatError(
-                    f"task count mismatch: header says {expected_tasks}, "
-                    f"stream has {self._tasks_seen}"
-                )
-            expected_ops = self.header.get("ops")
-            if expected_ops is not None and expected_ops != self._ops_seen:
-                raise TraceFormatError(
-                    f"op count mismatch: header says {expected_ops}, "
-                    f"stream has {self._ops_seen}"
-                )
-            footer_ops = self._footer.get("ops") if self._footer else None
-            if footer_ops is not None and footer_ops != self._ops_seen:
-                raise TraceFormatError(
-                    f"op count mismatch: footer says {footer_ops}, "
-                    f"stream has {self._ops_seen}"
-                )
-        self.trace.decode_stats = self.decode_stats()
-        return self.trace
-
-    def mark_damaged(self, exc: Exception) -> None:
-        """Record out-of-band stream damage (e.g. a truncated gzip
-        member noticed by the decompressor, not by any frame)."""
-        error = TraceFormatError(f"damaged trace stream: {exc}")
-        if self.strict:
-            raise error from None
-        if self.error is None:
-            self.error = error
-
-    # -- frame loop ----------------------------------------------------
-
-    def _parse(self) -> None:
-        buf = self._buffer
+    def parse(self, decoder, chunk: bytes) -> None:
+        """Decode every complete frame of the buffered bytes and
+        ``chunk``."""
+        buf = self.buffer
+        buf += chunk
         end = len(buf)
         pos = 0
         try:
             while True:
-                if not self._magic_ok:
+                if not self.magic_ok:
                     if end - pos < len(MAGIC_V3):
                         return
                     if bytes(buf[pos:pos + len(MAGIC_V3)]) != MAGIC_V3:
                         raise TraceError("not a cafa-trace v3 binary stream")
                     pos += len(MAGIC_V3)
-                    self._magic_ok = True
+                    self.magic_ok = True
                     continue
-                if self._footer is not None and not self._trailer_ok:
+                if self.footer is not None and not self.trailer_ok:
                     if end - pos < TRAILER_LEN:
                         return
                     self._take_trailer(bytes(buf[pos:pos + TRAILER_LEN]))
                     pos += TRAILER_LEN
-                    self._trailer_ok = True
+                    self.trailer_ok = True
                     continue
-                if self._trailer_ok:
+                if self.trailer_ok:
                     if pos < end:
                         raise TraceFormatError(
                             f"{end - pos} bytes of data after the v3 trailer"
@@ -689,39 +505,76 @@ class BinaryTraceDecoder:
                     return
                 except ValueError as exc:
                     raise TraceFormatError(
-                        f"frame at byte {self._base + pos}: {exc}"
+                        f"frame at byte {self.base + pos}: {exc}"
                     ) from None
                 if length > _MAX_FRAME:
                     raise TraceFormatError(
-                        f"frame at byte {self._base + pos} declares an "
+                        f"frame at byte {self.base + pos} declares an "
                         f"implausible length {length}"
                     )
                 if end - body < length:
                     return
-                frame_offset = self._base + pos
+                frame_offset = self.base + pos
                 payload = bytes(buf[body:body + length])
                 pos = body + length
-                self._handle_frame(tag, payload, frame_offset)
+                self._take_frame(decoder, tag, payload, frame_offset)
         finally:
             if pos:
                 del buf[:pos]
-                self._base += pos
+                self.base += pos
 
-    def _handle_frame(self, tag: int, payload: bytes, offset: int) -> None:
-        self._frames += 1
-        if self.header is None:
+    def cut_short(self, decoder) -> Optional[TraceFormatError]:
+        """The error for buffered bytes that never completed a frame,
+        if any; the bytes are dropped."""
+        if not self.buffer:
+            return None
+        self.buffer.clear()
+        return TraceFormatError(
+            f"stream ends mid-frame at byte {self.base}; the unterminated "
+            "final frame cannot be trusted"
+        )
+
+    def check_end(self, decoder) -> None:
+        """A v3 stream ends in its footer and trailer; the header frame
+        comes first, so a stream without one was cut."""
+        if decoder.header is None:
+            raise TraceFormatError(
+                f"stream ends at byte {decoder._bytes}, before the v3 "
+                "header frame; the file is truncated"
+            )
+        if decoder.strict and not self.trailer_ok:
+            raise TraceFormatError(
+                "stream ends before the v3 footer and trailer; "
+                "the file is truncated"
+            )
+
+    # -- frames --------------------------------------------------------
+
+    def _take_frame(self, decoder, tag: int, payload: bytes, offset: int) -> None:
+        decoder._frames += 1
+        if decoder.header is None:
             if tag != TAG_HEADER:
                 raise TraceError("v3 stream does not start with a header frame")
-            self._take_header(payload)
-            return
-        if tag == TAG_TASK:
-            self._take_task(payload, offset)
+            try:
+                record = json.loads(payload.decode("utf-8"))
+            except (ValueError, UnicodeDecodeError):
+                raise TraceError("unreadable v3 header frame") from None
+            decoder._take_header(record)
+        elif tag == TAG_TASK:
+            self._take_task(decoder, payload, offset)
         elif tag == TAG_SYM:
-            self._take_sym(payload, offset)
+            try:
+                value = payload.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TraceFormatError(
+                    f"corrupt symbol frame at byte {offset} ({exc})"
+                ) from None
+            decoder._symbols.append(value)
+            decoder.records += 1
         elif tag == TAG_ADDR:
-            self._take_addr(payload, offset)
+            self._take_addr(decoder, payload, offset)
         elif tag == TAG_BATCH:
-            self._take_batch(payload, offset)
+            self._take_batch(decoder, payload, offset)
         elif tag == TAG_FOOTER:
             self._take_footer(payload, offset)
         elif tag == TAG_HEADER:
@@ -731,26 +584,12 @@ class BinaryTraceDecoder:
                 f"unknown frame tag {tag} at byte {offset}"
             )
 
-    def _take_header(self, payload: bytes) -> None:
-        try:
-            record = json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            raise TraceError("unreadable v3 header frame") from None
-        self._vocab = _negotiate_header(record, self.expect_version)
-        self.header = record
-
-    def _take_task(self, payload: bytes, offset: int) -> None:
+    def _take_task(self, decoder, payload: bytes, offset: int) -> None:
         try:
             record = json.loads(payload.decode("utf-8"))
             if not isinstance(record, dict):
                 raise ValueError("task frame is not an object")
-            info = TaskInfo.from_dict(record)
-            if info.task in self._trace.tasks:
-                raise TraceFormatError(
-                    f"duplicate task id {info.task!r} in task frame "
-                    f"at byte {offset}"
-                )
-            self._trace.add_task(info)
+            decoder._add_task(record, where=f" in task frame at byte {offset}")
         except TraceFormatError:
             raise
         except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
@@ -758,21 +597,9 @@ class BinaryTraceDecoder:
                 f"corrupt task frame at byte {offset} "
                 f"({exc.__class__.__name__}: {exc})"
             ) from None
-        self._tasks_seen += 1
-        self.records += 1
+        decoder.records += 1
 
-    def _take_sym(self, payload: bytes, offset: int) -> None:
-        try:
-            value = payload.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceFormatError(
-                f"corrupt symbol frame at byte {offset} ({exc})"
-            ) from None
-        self._symbols.append(value)
-        self._store_syms.append(-1)
-        self.records += 1
-
-    def _take_addr(self, payload: bytes, offset: int) -> None:
+    def _take_addr(self, decoder, payload: bytes, offset: int) -> None:
         try:
             record = json.loads(payload.decode("utf-8"))
             if not isinstance(record, list) or len(record) != 3:
@@ -783,9 +610,8 @@ class BinaryTraceDecoder:
             raise TraceFormatError(
                 f"corrupt address frame at byte {offset} ({exc})"
             ) from None
-        self._addresses.append(value)
-        self._store_addrs.append(-1)
-        self.records += 1
+        decoder._addresses.append(value)
+        decoder.records += 1
 
     def _take_footer(self, payload: bytes, offset: int) -> None:
         try:
@@ -796,77 +622,39 @@ class BinaryTraceDecoder:
             raise TraceFormatError(
                 f"corrupt footer frame at byte {offset} ({exc})"
             ) from None
-        self._footer = record
-        self._footer_offset = offset
+        self.footer = record
+        self.footer_offset = offset
 
     def _take_trailer(self, raw: bytes) -> None:
         if raw[8:] != TRAILER_MAGIC:
             raise TraceFormatError("damaged v3 trailer magic")
         (footer_offset,) = struct.unpack("<Q", raw[:8])
-        if footer_offset != self._footer_offset:
+        if footer_offset != self.footer_offset:
             raise TraceFormatError(
                 f"trailer points at byte {footer_offset}, but the footer "
-                f"frame is at byte {self._footer_offset}"
+                f"frame is at byte {self.footer_offset}"
             )
 
     # -- batch decoding ------------------------------------------------
 
-    def _take_batch(self, payload: bytes, offset: int) -> None:
+    def _take_batch(self, decoder, payload: bytes, offset: int) -> None:
         try:
-            decoded = self._decode_batch(payload)
-        except TraceFormatError:
-            raise
+            n, kinds, times, task_ids, columns, tops = self._decode_batch(
+                decoder, payload
+            )
         except (ValueError, OverflowError, KeyError, IndexError,
                 TypeError, _Truncated) as exc:
             raise TraceFormatError(
                 f"corrupt batch frame at byte {offset} "
                 f"({exc.__class__.__name__}: {exc})"
             ) from None
-        n, local_kinds, times, tids, columns, top_sym, top_addr = decoded
-        store = self._trace.store
-        if self._identity:
-            self._identity = self._intern_identically(
-                top_sym, top_addr, store
-            )
-        if not self._identity:
-            tids, columns = remap_batch(
-                tids,
-                columns,
-                store,
-                (self._store_syms, self._symbols.__getitem__),
-                (self._store_addrs, self._addresses.__getitem__),
-            )
-        store.adopt_batch(local_kinds, times, tids, columns)
-        self._columns_adopted += 3 + sum(len(cols) for cols in columns.values())
-        self._ops_seen += n
-        self._batches += 1
-        self.records += n
+        decoder._adopt(kinds, times, task_ids, columns, tops)
+        decoder._columns += 3 + sum(len(cols) for cols in columns.values())
+        decoder._ops_adopted += n
+        decoder._batches += 1
+        decoder.records += n
 
-    def _intern_identically(self, top_sym: int, top_addr: int, store) -> bool:
-        """Intern the stream values up to a batch's largest ids, in
-        stream order; True while each lands on its own stream id.
-
-        Our writers define each value on first use, so stream order is
-        first-use order and the store's tables come out as a row-by-row
-        append would leave them.
-        """
-        for values, store_ids, mapped, top, table in (
-            (self._symbols, self._store_syms, self._syms_mapped, top_sym,
-             store.symbols),
-            (self._addresses, self._store_addrs, self._addrs_mapped,
-             top_addr, store.addresses),
-        ):
-            intern = table.intern
-            for i in range(mapped, top + 1):
-                sid = store_ids[i] = intern(values[i])
-                if sid != i:
-                    return False
-        self._syms_mapped = max(self._syms_mapped, top_sym + 1)
-        self._addrs_mapped = max(self._addrs_mapped, top_addr + 1)
-        return True
-
-    def _decode_batch(self, payload: bytes):
-        vocab = self._vocab
+    def _decode_batch(self, decoder, payload: bytes):
         limit = len(payload)
         n, pos = _read_uvarint(payload, 0, limit)
         n_sections, pos = _read_uvarint(payload, pos, limit)
@@ -902,27 +690,26 @@ class BinaryTraceDecoder:
                 )
         enc, _count, blob = sections.pop(SEC_KINDS)
         wire_kinds = bytes(_decode_ints(blob, enc, n, "B"))
-        if wire_kinds and max(wire_kinds) >= len(vocab.codes):
+        if wire_kinds and max(wire_kinds) >= len(self.codes):
             raise ValueError("undeclared kind code in batch")
         local_kinds = (
-            wire_kinds.translate(vocab.kind_map)
-            if vocab.kind_map is not None
+            wire_kinds.translate(self.kind_map)
+            if self.kind_map is not None
             else wire_kinds
         )
         enc, _count, blob = sections.pop(SEC_TIMES)
         times = _decode_ints(blob, enc, n, "q")
         enc, _count, blob = sections.pop(SEC_TASK_IDS)
         tids = _decode_ints(blob, enc, n, "i")
-        n_syms, n_addrs = len(self._symbols), len(self._addresses)
+        n_syms, n_addrs = len(decoder._symbols), len(decoder._addresses)
         top_sym = _top_id(tids, n_syms, "task symbol")
         top_addr = -1
         columns: Dict[int, List[array]] = {}
         for wire in sorted(set(wire_kinds)):
-            schema = vocab.schemas[wire]
-            local = vocab.codes[wire]
+            local = self.codes[wire]
             occurrences = wire_kinds.count(wire)
             decoded: List[array] = []
-            for field_index, (name, typ) in enumerate(schema):
+            for field_index, (name, typ) in enumerate(_SCHEMA_LIST[local]):
                 entry = sections.pop(_column_key(wire, field_index), None)
                 if entry is None:
                     raise ValueError(
@@ -942,11 +729,11 @@ class BinaryTraceDecoder:
                         top_addr, _top_id(column, n_addrs, "address")
                     )
                 elif typ == ENUM:
-                    if column and max(column) >= len(vocab.branches):
+                    if column and max(column) >= self.branches:
                         raise ValueError("undeclared branch kind in batch")
-                    if vocab.branch_map is not None:
+                    if self.branch_map is not None:
                         column = array(
-                            "B", column.tobytes().translate(vocab.branch_map)
+                            "B", column.tobytes().translate(self.branch_map)
                         )
                 decoded.append(column)
             columns[local] = decoded
@@ -954,5 +741,4 @@ class BinaryTraceDecoder:
             raise ValueError(
                 f"unexpected section keys {sorted(sections)} in batch"
             )
-        return n, local_kinds, times, tids, columns, top_sym, top_addr
-
+        return n, local_kinds, times, tids, columns, (top_sym, top_addr)

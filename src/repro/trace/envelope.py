@@ -33,19 +33,21 @@ byte.
 * **FINISH** declares the whole mux stream complete (the daemon's
   graceful-drain trigger).  Bytes after FINISH are an error.
 
-:class:`MuxDecoder` is the push-parser for the envelope;
-:class:`SessionDemuxer` stacks per-session
-:class:`~repro.trace.serialization.AnyTraceDecoder` instances on top
-of it, turning one interleaved stream back into per-session traces —
-exactly what a separate decode of each session's bytes would produce.
+:class:`MuxDecoder` is the push-parser for the envelope.  Two
+consumers stack on it: :class:`~repro.trace.serialization.AnyTraceDecoder`
+unwraps a *single* session's frames (a spooled per-device file, say),
+and the daemon's :class:`~repro.stream.SessionRouter` demultiplexes
+any number of sessions, one
+:class:`~repro.stream.StreamAnalyzer` each.  Both treat a session's
+frame after its END frame as damage.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .binary import _read_uvarint, _Truncated, _write_uvarint
-from .trace import Trace, TraceError, TraceFormatError
+from .trace import TraceError, TraceFormatError
 
 MUX_MAGIC = b"\x9eCAFA-MX\r\n\x1a\x00"
 #: the sniffable first byte of an enveloped stream
@@ -251,160 +253,3 @@ class MuxDecoder:
             self._damage(
                 f"mux stream ends inside a frame ({held} dangling bytes)"
             )
-
-
-class SessionDemuxer:
-    """Per-session trace decoding over one enveloped stream.
-
-    Every DATA frame's payload is fed to that session's own
-    :class:`AnyTraceDecoder` (created on first sight, sniffing its
-    format independently — sessions in one mux stream may mix v1, v2,
-    and v3).  An END frame finalizes the session: its decoder runs the
-    usual end-of-stream checks and the finished :class:`Trace` moves
-    to :attr:`traces`.  :meth:`finish` closes everything still open.
-
-    The per-session traces are **identical to separate decodes** of
-    each session's bytes — the property the router's shard workers and
-    the envelope test-suite rely on.
-    """
-
-    def __init__(
-        self,
-        strict: bool = True,
-        expect_version: Optional[int] = None,
-    ) -> None:
-        from .serialization import AnyTraceDecoder
-
-        self._make_decoder = lambda: AnyTraceDecoder(
-            expect_version=expect_version, strict=strict
-        )
-        self.mux = MuxDecoder(strict=strict)
-        self.decoders: Dict[str, "AnyTraceDecoder"] = {}
-        self.traces: Dict[str, Trace] = {}
-        self.ops_decoded = 0
-
-    @property
-    def finished(self) -> bool:
-        return self.mux.finished
-
-    def _decoder(self, sid: str):
-        if sid in self.traces:
-            raise TraceFormatError(
-                f"mux frame for session {sid!r} after its END frame"
-            )
-        decoder = self.decoders.get(sid)
-        if decoder is None:
-            decoder = self.decoders[sid] = self._make_decoder()
-        return decoder
-
-    def feed(self, chunk) -> int:
-        """Ingest envelope bytes; returns ops appended (all sessions)."""
-        appended = 0
-        for event in self.mux.feed(chunk):
-            if event[0] == "data":
-                appended += self._decoder(event[1]).feed(event[2])
-            elif event[0] == "end":
-                self.end_session(event[1])
-        self.ops_decoded += appended
-        return appended
-
-    def end_session(self, sid: str) -> Trace:
-        """Finalize one session (END frame or explicit call)."""
-        decoder = self._decoder(sid)
-        del self.decoders[sid]
-        trace = decoder.finish()
-        self.traces[sid] = trace
-        return trace
-
-    def finish(self) -> Dict[str, Trace]:
-        """Close the envelope and every still-open session."""
-        self.mux.flush()
-        for sid in sorted(self.decoders):
-            decoder = self.decoders.pop(sid)
-            self.traces[sid] = decoder.finish()
-        return self.traces
-
-
-class SingleSessionMuxAdapter:
-    """Lets :class:`AnyTraceDecoder` read *single-session* enveloped
-    streams transparently (a spooled per-device file, say).
-
-    Implements the inner-decoder surface the facade expects.  A second
-    session id in the stream is a hard error pointing at the tools
-    that do handle multiplexed input (``repro serve`` and
-    :class:`~repro.stream.SessionRouter`).
-    """
-
-    def __init__(self, nested, strict: bool = True) -> None:
-        self._nested = nested  # an AnyTraceDecoder
-        self._mux = MuxDecoder(strict=strict)
-        self._sid: Optional[str] = None
-        self.session_ended = False
-
-    # -- facade surface ------------------------------------------------
-
-    @property
-    def trace(self) -> Trace:
-        return self._nested.trace
-
-    @trace.setter
-    def trace(self, value: Trace) -> None:
-        self._nested.trace = value
-
-    @property
-    def header(self) -> Optional[dict]:
-        return self._nested.header
-
-    @property
-    def error(self) -> Optional[TraceFormatError]:
-        return self._nested.error or self._mux.error
-
-    @property
-    def degraded(self) -> bool:
-        return self._nested.degraded or self._mux.degraded
-
-    @property
-    def records(self) -> int:
-        return self._nested.records
-
-    @property
-    def session(self) -> Optional[str]:
-        """The stream's (single) session id, once seen."""
-        return self._sid
-
-    def decode_stats(self):
-        return self._nested.decode_stats()
-
-    def _take(self, sid: str) -> None:
-        if self._sid is None:
-            self._sid = sid
-        elif sid != self._sid:
-            raise TraceError(
-                f"multiplexed trace stream carries multiple sessions "
-                f"({self._sid!r} and {sid!r}); a single-trace reader "
-                "cannot demultiplex it — use 'repro serve' or "
-                "repro.stream.SessionRouter"
-            )
-
-    def feed(self, chunk) -> int:
-        appended = 0
-        for event in self._mux.feed(chunk):
-            if event[0] == "data":
-                self._take(event[1])
-                appended += self._nested.feed(event[2])
-            elif event[0] == "end":
-                self._take(event[1])
-                self.session_ended = True
-        return appended
-
-    def flush(self) -> int:
-        return self._nested.flush()
-
-    def finish(self) -> Trace:
-        self._mux.flush()
-        if self._mux.error is not None and not self._nested.degraded:
-            self._nested.mark_damaged(self._mux.error)
-        return self._nested.finish()
-
-    def mark_damaged(self, exc: Exception) -> None:
-        self._nested.mark_damaged(exc)

@@ -25,16 +25,26 @@ comes in three versions:
   ``load_trace_file``, which sniffs text vs binary from the first
   byte).
 
-Every v2 and v3 op reaches the store through one
+One decoder reads them all: :class:`AnyTraceDecoder` sniffs the
+format (or a single-session envelope, :mod:`repro.trace.envelope`)
+from the first byte and hands the bytes to a parser that only parses —
+the v1/v2 line scanner here, the v3 frame parser in
+:mod:`repro.trace.binary`.  The decoder owns what the formats share:
+the live trace, header negotiation, task records, the stream's symbol
+and address tables, salvage, and the end-of-stream checks.  Every v2
+and v3 op reaches the store through one
 :meth:`~repro.trace.store.TraceStore.adopt_batch` call per feed (v2)
-or batch (v3); v1 records append one at a time.  All writers stream
-in constant transient memory (live state is the interning tables,
-which grow with the number of *distinct* symbols, not with trace
-length), and every version is transparently gzip-compressed when the
-file path ends in ``.gz``.  ``load_trace`` auto-negotiates the
-version from the header; :func:`convert_trace_file` transcodes any
-version to any other through the same decode: it writes each feed's
-ops out, then hands the decoder a fresh trace.
+or batch (v3), its ids translated by
+:func:`~repro.trace.store.remap_batch` (a v3 stream's ids are the
+store's until the trace is first swapped); v1 records append one at a
+time.  All writers stream in constant transient memory
+(live state is the interning tables, which grow with the number of
+*distinct* symbols, not with trace length), and every version is
+transparently gzip-compressed when the file path ends in ``.gz``.
+``load_trace`` auto-negotiates the version from the header;
+:func:`convert_trace_file` transcodes any version to any other through
+the same decode: it writes each feed's ops out, then hands the decoder
+a fresh trace.
 """
 
 from __future__ import annotations
@@ -52,6 +62,8 @@ from pathlib import Path
 from typing import IO, Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..obs.spans import span
+from .binary import MAGIC_V3, TraceWriterV3, _FrameParser
+from .envelope import MUX_FIRST_BYTE, MuxDecoder
 from .operations import OpKind, operation_from_dict
 from .store import (
     ADDR,
@@ -61,12 +73,13 @@ from .store import (
     KIND_CODES,
     KIND_LIST,
     OPT_INT,
-    SCHEMAS,
     STR,
     DecodeStats,
     _ARRAY_TYPE,
     _BRANCH_INDEX,
     _NONE,
+    _SCHEMA_LIST,
+    remap_batch,
 )
 from .trace import TaskInfo, Trace, TraceError, TraceFormatError
 
@@ -77,7 +90,6 @@ SUPPORTED_VERSIONS = (1, 2, 3)
 #: the line-oriented JSON subset of :data:`SUPPORTED_VERSIONS`
 TEXT_VERSIONS = (1, 2)
 
-_SCHEMA_LIST = tuple(SCHEMAS[kind] for kind in KIND_LIST)
 #: per kind code, the payload column types in schema order
 _TYPE_LIST = tuple(tuple(typ for _name, typ in schema) for schema in _SCHEMA_LIST)
 
@@ -203,8 +215,6 @@ def _make_writer(fp, version: int, tasks: int, ops: int):
     if version == 2:
         return _V2Writer(fp, tasks=tasks, ops=ops)
     if version == 3:
-        from .binary import TraceWriterV3
-
         return TraceWriterV3(fp, tasks=tasks, ops=ops)
     raise TraceError(f"cannot write trace version {version!r}")
 
@@ -271,317 +281,131 @@ _BRANCH_OF_NAME = {kind.value: index for kind, index in _BRANCH_INDEX.items()}
 _TEXT_PIECE = 1 << 16
 
 
-class TraceStreamDecoder:
-    """Push-based incremental decoder for the JSONL trace formats.
+class _TextParser:
+    """The v1/v2 line scanner of :class:`AnyTraceDecoder`.
 
-    Feed raw text as it arrives (:meth:`feed`) or one complete line at
-    a time (:meth:`feed_line`); records decode straight into
-    :attr:`trace`, which is live and readable at any point between
-    feeds — this is what the streaming service tails files with.  Call
-    :meth:`finish` at end of input to flush a buffered partial final
-    line and run the header count checks.
-
-    A v2 feed lands as columns.  Each complete line is scanned in place
-    by the ``json`` C scanner; the op records are checked and gathered
-    into per-kind column arrays, and the feed's ops reach the store in
-    one :meth:`~repro.trace.store.TraceStore.adopt_batch` call.  Stream
-    symbol and address ids map to store ids on first use, in op order
-    (the task, then the payload fields in schema order), so the store's
-    interning tables come out as a row-by-row append would leave them;
-    the maps start over when :attr:`trace` is swapped (the streaming
-    service's epoch hand-off).  v1 records decode row by row.
-
-    ``strict`` selects the failure mode for damaged input.  Under
-    ``strict=True`` (the default) any malformed, corrupted, or
-    truncated record raises :class:`TraceFormatError` naming the line
-    number.  Under ``strict=False`` — the degraded path for
-    crash-truncated sessions — decoding stops at the first damaged
-    record instead: the error is recorded on :attr:`error`,
-    :attr:`degraded` flips true, later feeds are ignored, and
-    :attr:`trace` holds the valid prefix.  Either way the ops of the
-    lines before the damaged one are in :attr:`trace` first.  Header
-    problems (missing, foreign format, unsupported version) always
-    raise, even in salvage mode: without a header there is no prefix
-    worth keeping.
+    The header and v1 records decode one line at a time.  A v2 body is
+    scanned in place: the ``json`` C scanner reads each complete line
+    at its offset in the buffer, each op record is checked
+    (:meth:`_check_op`), and a feed's ops gather into per-kind column
+    arrays of stream ids.  They reach the decoder's :meth:`_adopt
+    <AnyTraceDecoder._adopt>` in one batch when the text is used up or
+    a line fails, so the ops of the lines before a damaged one are
+    stored before its error is raised.  Branch kinds map straight to
+    their enum index.
     """
 
-    def __init__(
-        self,
-        expect_version: Optional[int] = None,
-        strict: bool = True,
-        trace: Optional[Trace] = None,
-    ):
-        self._trace = trace if trace is not None else Trace()
-        self.expect_version = expect_version
-        self.strict = strict
-        self.header: Optional[dict] = None
-        self.error: Optional[TraceFormatError] = None
-        #: body records decoded so far (ops + interning defs + task infos)
-        self.records = 0
-        self._version = 0
-        self._lineno = 0
-        self._buffer = ""
-        #: offset in the text being decoded where its unread tail starts
-        self._taken = 0
-        self._chars_fed = 0
-        self._ops_seen = 0
-        self._tasks_seen = 0
+    versions = TEXT_VERSIONS
+    #: the text formats declare their counts in the header alone
+    footer = None
+
+    def __init__(self) -> None:
+        #: the unterminated tail of the text fed so far
+        self.buffer = ""
+        #: offset in the text being parsed where its unread tail starts
+        self.taken = 0
         #: v2 wire kind code -> (local kind code, payload types, arity)
-        self._plans: Dict[int, Tuple[int, Tuple[str, ...], int]] = {}
-        self._symbols: List[str] = []
-        self._addresses: List[tuple] = []
-        #: stream symbol / address id -> id in the trace's store, -1
-        #: until an op first uses it
-        self._store_syms: List[int] = []
-        self._store_addrs: List[int] = []
+        self.plans: Dict[int, Tuple[int, Tuple[str, ...], int]] = {}
 
-    @property
-    def trace(self) -> Trace:
-        return self._trace
+    @staticmethod
+    def unsupported(version: Any) -> str:
+        if version == 3:
+            return (
+                "trace version 3 is binary, but this is a text stream; "
+                "the file was probably re-encoded or damaged"
+            )
+        return f"unsupported trace version {version!r}"
 
-    @trace.setter
-    def trace(self, value: Trace) -> None:
-        # store ids belong to one store: map every stream id afresh
-        self._trace = value
-        self._store_syms = [-1] * len(self._symbols)
-        self._store_addrs = [-1] * len(self._addresses)
+    def tables(self, record: dict, codes: List[int]) -> None:
+        for wire, code in enumerate(codes):
+            types = _TYPE_LIST[code]
+            self.plans[wire] = (code, types, 4 + len(types))
 
-    @property
-    def degraded(self) -> bool:
-        """True once salvage mode has stopped at a damaged record."""
-        return self.error is not None
-
-    def decode_stats(self) -> DecodeStats:
-        return DecodeStats(
-            version=self._version,
-            frames=self._lineno,
-            records=self.records,
-            ops_decoded=self._ops_seen,
-            bytes_read=self._chars_fed,
-        )
-
-    def feed(self, chunk: str) -> int:
-        """Buffer ``chunk`` and decode every complete line in it.
-
-        Returns the number of operations appended to :attr:`trace`.
-        A trailing partial line stays buffered until the next feed (or
-        :meth:`finish`).
-        """
-        self._chars_fed += len(chunk)
-        text = self._buffer + chunk
+    def parse(self, decoder: "AnyTraceDecoder", chunk: str) -> None:
+        """Decode every complete line of the buffered text and
+        ``chunk``; an unterminated tail stays buffered."""
+        text = self.buffer + chunk
         try:
-            return self._take(text)
+            self.take(decoder, text)
         finally:
-            # the unconsumed tail, stored once per feed; a strict-mode
-            # error leaves it just past the failing line
-            self._buffer = text[self._taken:]
+            # the unconsumed tail, stored once per feed; an error leaves
+            # it just past the failing line
+            self.buffer = text[self.taken:]
 
-    def feed_line(self, line: str) -> int:
-        """Decode one complete line, a feed of that line alone; returns
-        the ops appended (0 or 1).
+    def take(self, decoder: "AnyTraceDecoder", text: str) -> None:
+        """Decode the complete lines of ``text``: the header and v1
+        records one at a time, a v2 body through :meth:`_scan`.  Leaves
+        :attr:`taken` where the unread tail starts."""
+        self.taken = 0
+        while not self.plans:
+            cut = text.find("\n", self.taken)
+            if cut < 0:
+                return
+            line = text[self.taken:cut].strip()
+            self.taken = cut + 1
+            decoder._frames += 1
+            if line:
+                self._line(decoder, line)
+        self._scan(decoder, text)
 
-        The line is taken to be complete — a caller reading from input
-        that may end mid-line (a crash-truncated file, a live tail)
-        should use :meth:`feed`, which buffers an unterminated tail
-        for :meth:`flush`/:meth:`finish` to rule on.
-
-        Raises :class:`TraceFormatError` on damage when ``strict``,
-        otherwise records it and turns every later feed into a no-op.
-        """
-        self._chars_fed += len(line) + 1
-        return self._take(line if line.endswith("\n") else line + "\n")
-
-    def flush(self) -> int:
-        """Rule on a buffered trailing line that never got its newline.
-
-        The writer terminates every line, so input that ends mid-line
-        is truncation evidence — and a byte cut through a record's
-        trailing number can still parse as *valid* JSON with a
-        corrupted value, which the header count checks cannot always
-        catch.  An unterminated trailing line therefore raises
-        :class:`TraceFormatError` under ``strict`` and is discarded
-        (marking the decoder degraded) in salvage mode.  Returns the
-        ops appended, which is always 0; kept for symmetry with
-        :meth:`feed`.
-
-        :meth:`finish` calls this, but a long-running consumer that
-        never reaches a definite end of input (the streaming service
-        tailing a live file) can flush explicitly without triggering
-        the header count checks.
-        """
-        if not self._buffer:
-            return 0
-        self._buffer = ""
-        error = TraceFormatError(
+    def cut_short(self, decoder: "AnyTraceDecoder") -> Optional[TraceFormatError]:
+        """The error for a buffered line that never got its newline, if
+        any; the line is dropped."""
+        if not self.buffer:
+            return None
+        self.buffer = ""
+        return TraceFormatError(
             "stream ends mid-line; the unterminated final record "
             "cannot be trusted",
-            line=self._lineno + 1,
+            line=decoder._frames + 1,
         )
-        if self.strict:
-            raise error
-        if self.error is None:
-            self.error = error
-        return 0
 
-    def finish(self) -> Trace:
-        """Flush any buffered partial line, check counts, return the trace."""
-        self.flush()
-        if self.header is None:
-            raise TraceError("empty trace stream")
-        if self.strict:
-            expected_tasks = self.header.get("tasks")
-            if expected_tasks is not None and expected_tasks != self._tasks_seen:
-                raise TraceFormatError(
-                    f"task count mismatch: header says {expected_tasks}, "
-                    f"stream has {self._tasks_seen}"
-                )
-            expected_ops = self.header.get("ops")
-            if expected_ops is not None and expected_ops != self._ops_seen:
-                raise TraceFormatError(
-                    f"op count mismatch: header says {expected_ops}, "
-                    f"stream has {self._ops_seen}"
-                )
-        self.trace.decode_stats = self.decode_stats()
-        return self.trace
+    def check_end(self, decoder: "AnyTraceDecoder") -> None:
+        """A text stream needs no end marker: a complete final line is
+        its end."""
 
-    def mark_damaged(self, exc: Exception) -> None:
-        """Record out-of-band stream damage (e.g. a truncated gzip
-        member noticed by the decompressor, not by any line)."""
-        error = TraceFormatError(f"damaged trace stream: {exc}")
-        if self.strict:
-            raise error from None
-        if self.error is None:
-            self.error = error
-
-    # -- internals ----------------------------------------------------
-
-    def _take(self, text: str) -> int:
-        """Decode the complete lines of ``text``: the header and v1
-        records one line at a time, a v2 body through
-        :meth:`_decode_v2`.  Returns the ops appended and leaves
-        :attr:`_taken` where the unread tail starts."""
-        before = self._ops_seen
-        self._taken = 0
-        try:
-            if self.error is None:
-                while self._version != 2:
-                    cut = text.find("\n", self._taken)
-                    if cut < 0:
-                        break
-                    line = text[self._taken:cut].strip()
-                    self._taken = cut + 1
-                    self._lineno += 1
-                    if line:
-                        self._decode_line(line)
-                else:
-                    self._decode_v2(text)
-        except TraceFormatError as exc:
-            if self.strict or self.header is None:
-                raise
-            self.error = exc
-        if self.error is not None:
-            # a degraded decoder consumes complete lines unread
-            self._taken = max(self._taken, text.rfind("\n") + 1)
-        return self._ops_seen - before
-
-    def _decode_line(self, line: str) -> None:
+    def _line(self, decoder: "AnyTraceDecoder", line: str) -> None:
+        lineno = decoder._frames
         try:
             record = json.loads(line)
         except ValueError as exc:
-            raise TraceFormatError(f"invalid JSON: {exc}", line=self._lineno) from None
-        if self.header is None:
-            self._take_header(record)
+            raise TraceFormatError(f"invalid JSON: {exc}", line=lineno) from None
+        if decoder.header is None:
+            decoder._take_header(record)
             return
-        self.records += 1
+        decoder.records += 1
         try:
-            self._decode_v1(record)
+            if isinstance(record, dict) and "task_info" in record:
+                decoder._add_task(record["task_info"], line=lineno)
+            elif isinstance(record, dict) and "op" in record:
+                decoder.trace.append(operation_from_dict(record["op"]))
+                decoder._ops_decoded += 1
+            else:
+                raise TraceFormatError(
+                    f"unrecognized trace record: {record!r}", line=lineno
+                )
         except TraceFormatError:
             raise
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise TraceFormatError(
                 f"corrupt trace record {record!r} "
                 f"({exc.__class__.__name__}: {exc})",
-                line=self._lineno,
+                line=lineno,
             ) from None
 
-    def _take_header(self, record: Any) -> None:
-        if not isinstance(record, dict) or record.get("format") != FORMAT_NAME:
-            raise TraceError(f"not a {FORMAT_NAME} stream: {record!r}")
-        version = record.get("version")
-        if version == 3:
-            raise TraceError(
-                "trace version 3 is binary, but this is a text stream; "
-                "the file was probably re-encoded or damaged"
-            )
-        if version not in TEXT_VERSIONS:
-            raise TraceError(f"unsupported trace version {version!r}")
-        if self.expect_version is not None and version != self.expect_version:
-            raise TraceError(
-                f"expected trace version {self.expect_version}, "
-                f"stream is version {version}"
-            )
-        if version == 2:
-            # Version negotiation: positions in the header's kind table
-            # define the wire codes, so a file written under a different
-            # (e.g. future, reordered) vocabulary still decodes — or
-            # fails loudly on a kind this reader does not know.
-            kind_names = record.get("kinds")
-            if not isinstance(kind_names, list) or not kind_names:
-                raise TraceError("v2 stream header lacks its kind table")
-            for name in kind_names:
-                try:
-                    kind = OpKind(name)
-                except ValueError:
-                    raise TraceError(
-                        f"unknown operation kind {name!r} in header"
-                    ) from None
-                code = KIND_CODES[kind]
-                types = _TYPE_LIST[code]
-                self._plans[len(self._plans)] = (code, types, 4 + len(types))
-        self._version = version
-        self.header = record
-
-    def _add_task(self, info: Dict[str, Any], line: int) -> None:
-        task = TaskInfo.from_dict(info)
-        if task.task in self.trace.tasks:
-            raise TraceFormatError(f"duplicate task id {task.task!r}", line=line)
-        self.trace.add_task(task)
-        self._tasks_seen += 1
-
-    def _decode_v1(self, record: Any) -> None:
-        if isinstance(record, dict) and "task_info" in record:
-            self._add_task(record["task_info"], self._lineno)
-        elif isinstance(record, dict) and "op" in record:
-            self.trace.append(operation_from_dict(record["op"]))
-            self._ops_seen += 1
-        else:
-            raise TraceFormatError(
-                f"unrecognized trace record: {record!r}", line=self._lineno
-            )
-
-    def _decode_v2(self, text: str) -> None:
+    def _scan(self, decoder: "AnyTraceDecoder", text: str) -> None:
         """Decode the v2 records on the complete lines of ``text`` from
-        :attr:`_taken` on.
-
-        Ops gather into column arrays, which land in one
-        :meth:`~repro.trace.store.TraceStore.adopt_batch` call when the
-        text is used up or a line fails — so the ops of the lines before
-        a damaged one are stored before its error is raised.
-        """
+        :attr:`taken` on."""
         scan, find = _scan_value, text.find
-        symbols, addresses = self._symbols, self._addresses
-        store_syms, store_addrs = self._store_syms, self._store_addrs
+        symbols = decoder._symbols
         check = self._check_op
-        store = self.trace.store
-        intern_sym = store.symbols.intern
-        intern_addr = store.addresses.intern
         kinds = bytearray()
         times = array("q")
         task_ids = array("i")
         columns: Dict[int, List[array]] = {}
         kinds_append, times_append = kinds.append, times.append
         task_ids_append = task_ids.append
-        pos, lineno, records = self._taken, self._lineno, self.records
+        pos, lineno, records = self.taken, decoder._frames, decoder.records
         try:
             while True:
                 cut = find("\n", pos)
@@ -612,13 +436,9 @@ class TraceStreamDecoder:
                 try:
                     tag = record[0] if type(record) is list and record else None
                     if tag == "o":
-                        code, types = check(record, lineno)
-                        sid = record[3]
-                        tid = store_syms[sid]
-                        if tid < 0:
-                            tid = store_syms[sid] = intern_sym(symbols[sid])
+                        code, types = check(decoder, record, lineno)
                         times_append(record[2])
-                        task_ids_append(tid)
+                        task_ids_append(record[3])
                         if types:
                             cols = columns.get(code)
                             if cols is None:
@@ -626,40 +446,25 @@ class TraceStreamDecoder:
                                     array(_ARRAY_TYPE[typ]) for typ in types
                                 ]
                             for typ, col, raw in zip(types, cols, record[4:]):
-                                if typ == STR:
-                                    sid = store_syms[raw]
-                                    if sid < 0:
-                                        sid = store_syms[raw] = intern_sym(symbols[raw])
-                                    col.append(sid)
-                                elif typ == INT:
-                                    col.append(raw)
-                                elif typ == OPT_INT:
+                                if typ == OPT_INT:
                                     col.append(_NONE if raw is None else raw)
-                                elif typ == ADDR:
-                                    aid = store_addrs[raw]
-                                    if aid < 0:
-                                        aid = intern_addr(addresses[raw])
-                                        store_addrs[raw] = aid
-                                    col.append(aid)
-                                elif typ == BOOL:
-                                    col.append(1 if raw else 0)
-                                else:  # ENUM
+                                elif typ == ENUM:
                                     col.append(_BRANCH_OF_NAME[symbols[raw]])
+                                else:  # stream ids, integers, 0/1 booleans
+                                    col.append(raw)
                         kinds_append(code)
                     elif tag == "s":
                         if type(record[1]) is not str:
                             raise ValueError("a symbol is a string")
                         symbols.append(record[1])
-                        store_syms.append(-1)
                     elif tag == "a":
                         if type(record[1]) is not list or len(record[1]) != 3:
                             raise ValueError("an address is a 3-element list")
                         value = tuple(record[1])
                         hash(value)  # it must intern
-                        addresses.append(value)
-                        store_addrs.append(-1)
+                        decoder._addresses.append(value)
                     elif type(record) is dict and "task_info" in record:
-                        self._add_task(record["task_info"], lineno)
+                        decoder._add_task(record["task_info"], line=lineno)
                     else:
                         raise TraceFormatError(
                             f"unrecognized trace record: {record!r}", line=lineno
@@ -673,19 +478,21 @@ class TraceStreamDecoder:
                         line=lineno,
                     ) from None
         finally:
-            self._taken, self._lineno, self.records = pos, lineno, records
+            self.taken, decoder._frames, decoder.records = pos, lineno, records
             if kinds:
-                store.adopt_batch(kinds, times, task_ids, columns)
-                self._ops_seen += len(kinds)
+                decoder._adopt(kinds, times, task_ids, columns)
+                decoder._ops_decoded += len(kinds)
 
-    def _check_op(self, record: list, line: int) -> Tuple[int, Tuple[str, ...]]:
+    def _check_op(
+        self, decoder: "AnyTraceDecoder", record: list, line: int
+    ) -> Tuple[int, Tuple[str, ...]]:
         """The checks an ``["o", kind, time, task, payload...]`` record
         passes before it is stored: a kind the header declared, the
         kind's arity, 64-bit integers, ids of symbols and addresses
         defined so far, 0/1 booleans and branch kinds.  Returns the
         kind's local code and payload types."""
         wire = record[1] if len(record) > 1 else None
-        plan = self._plans.get(wire) if type(wire) is int else None
+        plan = self.plans.get(wire) if type(wire) is int else None
         if plan is None:
             raise TraceFormatError(
                 f"op record with undeclared kind code: {record!r}", line=line
@@ -693,7 +500,8 @@ class TraceStreamDecoder:
         code, types, arity = plan
         if len(record) != arity:
             raise TraceFormatError(f"malformed op record: {record!r}", line=line)
-        n_syms = len(self._symbols)
+        symbols = decoder._symbols
+        n_syms = len(symbols)
         time, task = record[2], record[3]
         if type(time) is not int or not _I64_MIN <= time <= _I64_MAX:
             problem = "time is not a 64-bit integer"
@@ -713,7 +521,7 @@ class TraceStreamDecoder:
                         continue
                     problem = "is not a 64-bit integer"
                 elif typ == ADDR:
-                    if type(raw) is int and 0 <= raw < len(self._addresses):
+                    if type(raw) is int and 0 <= raw < len(decoder._addresses):
                         continue
                     problem = "is not a defined address id"
                 elif typ == BOOL:
@@ -724,7 +532,7 @@ class TraceStreamDecoder:
                     if (
                         type(raw) is int
                         and 0 <= raw < n_syms
-                        and self._symbols[raw] in _BRANCH_OF_NAME
+                        and symbols[raw] in _BRANCH_OF_NAME
                     ):
                         continue
                     problem = "is not the symbol id of a branch kind"
@@ -738,25 +546,46 @@ class TraceStreamDecoder:
 
 
 class AnyTraceDecoder:
-    """Format-sniffing push decoder: text v1/v2, binary v3, or a
-    single-session mux envelope — one API.
+    """Push-based incremental decoder for every trace format: text
+    v1/v2, binary v3, or a single-session mux envelope of either.
 
-    The first payload byte decides: ``0x93`` (the v3 magic's first
-    byte, invalid as UTF-8 and as JSON) selects the binary decoder,
-    ``0x9e`` (the session-envelope magic, :mod:`repro.trace.envelope`)
-    selects the envelope adapter — which unwraps a *single* session's
-    frames transparently and errors on a multiplexed stream, pointing
-    at ``repro serve`` — and anything else the text decoder.  Callers
-    therefore tail files and pipes without knowing what was recorded
-    into them.  :meth:`feed` accepts ``bytes`` (sniffed; text is
-    decoded incrementally as UTF-8) or ``str`` (text formats only,
-    e.g. a line-mode stdin); :meth:`feed_line` is text-only.
+    The first byte decides: ``0x93`` (the v3 magic's first byte,
+    invalid as UTF-8 and as JSON) selects the v3 frame parser
+    (:mod:`repro.trace.binary`), ``0x9e`` (the session-envelope magic,
+    :mod:`repro.trace.envelope`) unwraps a *single* session's frames and
+    sniffs their payload the same way, and anything else selects the
+    v1/v2 line scanner (:class:`_TextParser`).  Callers therefore tail
+    files and pipes without knowing what was recorded into them.
+    :meth:`feed` accepts ``bytes`` (sniffed; text is decoded
+    incrementally as UTF-8) or ``str`` (text formats only, e.g. a
+    line-mode stdin); :meth:`feed_line` is text-only.
 
-    The facade owns :attr:`trace` from construction — before the first
-    byte arrives there is already a live (empty) trace to attach
-    analyses to, which is what the streaming service does.  Assigning
-    ``decoder.trace`` (the service's epoch GC) forwards to the inner
-    decoder.
+    The parsers only parse; this class owns what the formats share.
+    Records decode straight into :attr:`trace`, which is live from
+    construction and readable at any point between feeds — the
+    streaming service attaches its analyses to it.  Header negotiation,
+    task records, the stream symbol and address tables, the landing of
+    every v2 and v3 batch (:meth:`_adopt`), salvage, :meth:`flush` and
+    :meth:`finish` with the header count checks, and the decode
+    counters are this class's.  Stream symbol and address ids map to
+    store ids through lists that start over when :attr:`trace` is
+    assigned (the service's epoch hand-off).
+
+    ``strict`` selects the failure mode for damaged input.  Under
+    ``strict=True`` (the default) any malformed, corrupted, or truncated
+    record raises :class:`TraceFormatError` naming the line or byte
+    offset.  Under ``strict=False`` — the degraded path for
+    crash-truncated sessions — decoding stops at the first damaged
+    record instead: the error is recorded on :attr:`error`,
+    :attr:`degraded` flips true, later input is ignored, and
+    :attr:`trace` holds the valid prefix.  Either way the ops of the
+    records before the damaged one are in :attr:`trace` first.  Header
+    problems (missing, foreign format, unsupported version) always
+    raise, even in salvage mode: without a header there is no prefix
+    worth keeping.  So does a second session id in an envelope, which
+    points at the tools that demultiplex (``repro serve`` and
+    :class:`~repro.stream.SessionRouter`); a frame after the session's
+    END frame is damage.
     """
 
     def __init__(
@@ -764,156 +593,369 @@ class AnyTraceDecoder:
         expect_version: Optional[int] = None,
         strict: bool = True,
     ):
+        self.expect_version = expect_version
+        self.strict = strict
+        self.header: Optional[dict] = None
+        self.error: Optional[TraceFormatError] = None
+        #: body records decoded so far (ops + interning defs + task infos)
+        self.records = 0
         self._trace = Trace()
-        self._expect_version = expect_version
-        self._strict = strict
-        self._inner = None
+        #: the format's parser, picked by the first payload byte
+        self._parser: Any = None
         self._utf8 = None  # incremental decoder once sniffed as text
-
-    # -- inner construction -------------------------------------------
-
-    def _make_inner(self, binary: bool):
-        if binary:
-            from .binary import BinaryTraceDecoder
-
-            self._inner = BinaryTraceDecoder(
-                expect_version=self._expect_version,
-                strict=self._strict,
-                trace=self._trace,
-            )
-        else:
-            self._utf8 = codecs.getincrementaldecoder("utf-8")()
-            self._inner = TraceStreamDecoder(
-                expect_version=self._expect_version,
-                strict=self._strict,
-                trace=self._trace,
-            )
-        return self._inner
-
-    def _make_mux_inner(self):
-        """A single-session envelope adapter over a nested facade."""
-        from .envelope import SingleSessionMuxAdapter
-
-        nested = AnyTraceDecoder(
-            expect_version=self._expect_version,
-            strict=self._strict,
-        )
-        nested.trace = self._trace
-        self._inner = SingleSessionMuxAdapter(nested, strict=self._strict)
-        return self._inner
-
-    def _text_inner(self):
-        inner = self._inner
-        if inner is None:
-            inner = self._make_inner(binary=False)
-        elif self._utf8 is None:
-            raise TraceError(
-                "cannot feed text into a binary (v3 or enveloped) "
-                "trace stream"
-            )
-        return inner
-
-    # -- decoder surface ----------------------------------------------
+        #: a single-session envelope's frame decoder, its session id,
+        #: and whether the session's END frame has arrived
+        self._mux: Optional[MuxDecoder] = None
+        self._session: Optional[str] = None
+        self._ended = False
+        self._version = 0
+        self._symbols: List[str] = []
+        self._addresses: List[tuple] = []
+        #: stream symbol / address id -> id in the trace's store, -1
+        #: until a batch first uses it (grown at each batch)
+        self._store_syms: List[int] = []
+        self._store_addrs: List[int] = []
+        #: while True, stream ids below ``_syms_mapped``/``_addrs_mapped``
+        #: are their own store ids
+        self._identity = True
+        self._syms_mapped = 0
+        self._addrs_mapped = 0
+        # the DecodeStats counters: lines (v1/v2) or frames (v3), v3
+        # batches and columns, ops adopted from v3 columns or decoded
+        # from text, and characters (v1/v2) or bytes (v3) parsed
+        self._frames = self._batches = self._columns = 0
+        self._ops_adopted = self._ops_decoded = 0
+        self._bytes = 0
+        self._tasks = 0
 
     @property
     def trace(self) -> Trace:
-        return self._inner.trace if self._inner is not None else self._trace
+        return self._trace
 
     @trace.setter
     def trace(self, value: Trace) -> None:
+        # store ids belong to one store: map every stream id afresh
         self._trace = value
-        if self._inner is not None:
-            self._inner.trace = value
-
-    @property
-    def strict(self) -> bool:
-        return self._strict
-
-    @property
-    def header(self) -> Optional[dict]:
-        return self._inner.header if self._inner is not None else None
-
-    @property
-    def error(self) -> Optional[TraceFormatError]:
-        return self._inner.error if self._inner is not None else None
+        self._store_syms = [-1] * len(self._symbols)
+        self._store_addrs = [-1] * len(self._addresses)
+        self._identity = False
 
     @property
     def degraded(self) -> bool:
-        return self._inner.degraded if self._inner is not None else False
-
-    @property
-    def records(self) -> int:
-        return self._inner.records if self._inner is not None else 0
-
-    @property
-    def binary(self) -> Optional[bool]:
-        """True/False once sniffed; None before the first byte."""
-        if self._inner is None:
-            return None
-        return self._utf8 is None
-
-    @property
-    def multiplexed(self) -> bool:
-        """True once sniffed as a session-envelope (mux) stream."""
-        from .envelope import SingleSessionMuxAdapter
-
-        return isinstance(self._inner, SingleSessionMuxAdapter)
-
-    @property
-    def session(self) -> Optional[str]:
-        """The envelope's session id (mux streams only, once seen)."""
-        return getattr(self._inner, "session", None)
+        """True once salvage mode has stopped at a damaged record."""
+        return self.error is not None
 
     def decode_stats(self) -> Optional[DecodeStats]:
-        return self._inner.decode_stats() if self._inner is not None else None
+        """The decode counters so far; None before the first byte."""
+        if self._parser is None:
+            return None
+        return DecodeStats(
+            version=self._version,
+            frames=self._frames,
+            records=self.records,
+            batches=self._batches,
+            ops_adopted=self._ops_adopted,
+            ops_decoded=self._ops_decoded,
+            columns_adopted=self._columns,
+            bytes_read=self._bytes,
+        )
+
+    # -- feeding -------------------------------------------------------
 
     def feed(self, chunk: Union[bytes, bytearray, str]) -> int:
-        """Sniff (on first data) and decode; returns ops appended."""
+        """Sniff (on first data) and decode every complete record of
+        the input buffered so far and ``chunk``; returns the ops
+        appended.  A trailing partial record stays buffered until the
+        next feed (or :meth:`flush`/:meth:`finish`)."""
         with span("trace.decode", bytes=len(chunk)):
             if isinstance(chunk, str):
                 if not chunk:
                     return 0
-                return self._text_inner().feed(chunk)
-            if not chunk:
-                return 0
-            inner = self._inner
-            if inner is None:
-                first = chunk[:1]
-                if first == b"\x9e":  # session envelope (repro.trace.envelope)
-                    inner = self._make_mux_inner()
-                else:
-                    inner = self._make_inner(binary=first == b"\x93")
-            if self._utf8 is None:
-                return inner.feed(bytes(chunk))
-            return inner.feed(self._utf8.decode(bytes(chunk)))
+                return self._parse(self._text_parser().parse, chunk)
+            if self._parser is None and self._mux is None:
+                if chunk[:1] == MUX_FIRST_BYTE:
+                    self._mux = MuxDecoder(strict=self.strict)
+            if self._mux is not None:
+                return self._unwrap(chunk)
+            return self._payload(chunk)
 
     def feed_line(self, line: str) -> int:
-        """Decode one complete text line (text formats only)."""
-        return self._text_inner().feed_line(line)
+        """Decode one complete text line, a feed of that line alone;
+        returns the ops appended (0 or 1).
+
+        The line is taken to be complete — a caller reading from input
+        that may end mid-line (a crash-truncated file, a live tail)
+        should use :meth:`feed`, which buffers an unterminated tail
+        for :meth:`flush`/:meth:`finish` to rule on.
+        """
+        text = line if line.endswith("\n") else line + "\n"
+        return self._parse(self._text_parser().take, text)
 
     def flush(self) -> int:
-        if self._inner is None:
-            return 0
-        return self._inner.flush()
+        """Rule on buffered input that never completed its line or
+        frame.
+
+        The writers terminate every record, so input that ends
+        mid-record is truncation evidence — and a byte cut through a
+        text record's trailing number can still parse as *valid* JSON
+        with a corrupted value, which the header count checks cannot
+        always catch.  An unterminated record therefore raises
+        :class:`TraceFormatError` under ``strict`` and is discarded
+        (marking the decoder degraded) in salvage mode.  Returns the
+        ops appended, which is always 0; kept for symmetry with
+        :meth:`feed`.
+
+        :meth:`finish` calls this, but a long-running consumer that
+        never reaches a definite end of input (the streaming service
+        tailing a live file) can flush explicitly without triggering
+        the header count checks.
+        """
+        if self._parser is not None:
+            error = self._parser.cut_short(self)
+            if error is not None:
+                self._damage(error)
+        return 0
 
     def finish(self) -> Trace:
-        if self._inner is None:
+        """Flush, run the end-of-stream checks (under ``strict``, the
+        declared counts), and return the trace."""
+        mux = self._mux
+        if mux is not None:
+            mux.flush()
+            # when the payload decoded cleanly, the envelope's damage
+            # is the stream's
+            if mux.error is not None and self.error in (None, mux.error):
+                self.error = TraceFormatError(f"damaged trace stream: {mux.error}")
+        parser = self._parser
+        if parser is None:
             raise TraceError("empty trace stream")
         if self._utf8 is not None:
             try:
-                tail = self._utf8.decode(b"", final=True)
+                self._utf8.decode(b"", final=True)
             except UnicodeDecodeError as exc:
-                self._inner.mark_damaged(exc)
-            else:
-                if tail:
-                    self._inner.feed(tail)
-        return self._inner.finish()
+                self.mark_damaged(exc)
+        self.flush()
+        parser.check_end(self)
+        if self.header is None:
+            raise TraceError("empty trace stream")
+        if self.strict:
+            ops = self._ops_adopted + self._ops_decoded
+            footer = parser.footer or {}
+            for what, source, declared, seen in (
+                ("task", "header", self.header.get("tasks"), self._tasks),
+                ("op", "header", self.header.get("ops"), ops),
+                ("op", "footer", footer.get("ops"), ops),
+            ):
+                if declared is not None and declared != seen:
+                    raise TraceFormatError(
+                        f"{what} count mismatch: {source} says {declared}, "
+                        f"stream has {seen}"
+                    )
+        self._trace.decode_stats = self.decode_stats()
+        return self._trace
 
     def mark_damaged(self, exc: Exception) -> None:
-        inner = self._inner
-        if inner is None:
-            inner = self._make_inner(binary=False)
-        inner.mark_damaged(exc)
+        """Record out-of-band stream damage (e.g. a truncated gzip
+        member noticed by the decompressor, not by any record)."""
+        self._damage(TraceFormatError(f"damaged trace stream: {exc}"))
+
+    # -- the shared decode ----------------------------------------------
+
+    def _damage(self, error: TraceFormatError) -> None:
+        if self.strict:
+            raise error from None
+        if self.error is None:
+            self.error = error
+
+    def _start(self, first: bytes) -> None:
+        """Pick the parser the stream's first byte selects."""
+        if first == MAGIC_V3[:1]:
+            self._parser = _FrameParser()
+        else:
+            self._parser = _TextParser()
+            self._utf8 = codecs.getincrementaldecoder("utf-8")()
+
+    def _text_parser(self) -> _TextParser:
+        """The parser text handed in as ``str`` goes to."""
+        if self._parser is None and self._mux is None:
+            self._start(b"")
+        if self._mux is not None or self._utf8 is None:
+            raise TraceError(
+                "cannot feed text into a binary (v3 or enveloped) "
+                "trace stream"
+            )
+        return self._parser
+
+    def _unwrap(self, chunk) -> int:
+        """Decode the frames of a single-session envelope: each DATA
+        payload is the next piece of the session's trace stream."""
+        mux = self._mux
+        appended = 0
+        for event in mux.feed(chunk):
+            if event[0] == "finish":
+                continue
+            sid = event[1]
+            if self._session is None:
+                self._session = sid
+            elif sid != self._session:
+                raise TraceError(
+                    f"multiplexed trace stream carries multiple sessions "
+                    f"({self._session!r} and {sid!r}); a single-trace reader "
+                    "cannot demultiplex it — use 'repro serve' or "
+                    "repro.stream.SessionRouter"
+                )
+            if self._ended:
+                self._damage(
+                    TraceFormatError(
+                        f"mux frame for session {sid!r} after its END frame"
+                    )
+                )
+                break
+            if event[0] == "end":
+                self._ended = True
+            else:
+                appended += self._payload(event[2])
+        if mux.error is not None and self.error is None:
+            self.error = mux.error
+        return appended
+
+    def _payload(self, data) -> int:
+        """Decode the next bytes of the trace stream itself."""
+        if not data:
+            return 0
+        if self._parser is None:
+            self._start(data[:1])
+        if self._utf8 is None:
+            return self._parse(self._parser.parse, bytes(data))
+        try:
+            text = self._utf8.decode(bytes(data))
+        except UnicodeDecodeError as exc:
+            self.mark_damaged(exc)
+            return 0
+        return self._parse(self._parser.parse, text)
+
+    def _parse(self, step: Callable[[Any, Any], None], data) -> int:
+        """Run the parser ``step`` over ``data``; returns the ops it
+        appended.  In salvage mode, damage after the header stops the
+        decode here."""
+        if self.error is not None:
+            return 0
+        self._bytes += len(data)
+        before = self._ops_adopted + self._ops_decoded
+        try:
+            step(self, data)
+        except TraceFormatError as exc:
+            if self.strict or self.header is None:
+                raise
+            self.error = exc
+        return self._ops_adopted + self._ops_decoded - before
+
+    def _take_header(self, record: Any) -> None:
+        """Negotiate the header: the format name, a version the
+        parser's encoding carries, :attr:`expect_version`, and from v2
+        on the kind table.  Positions in the kind table define the wire
+        codes, so a file written under a different (e.g. future,
+        reordered) vocabulary still decodes — or fails loudly on a kind
+        this reader does not know."""
+        if not isinstance(record, dict) or record.get("format") != FORMAT_NAME:
+            raise TraceError(f"not a {FORMAT_NAME} stream: {record!r}")
+        version = record.get("version")
+        parser = self._parser
+        if version not in parser.versions:
+            raise TraceError(parser.unsupported(version))
+        if self.expect_version is not None and version != self.expect_version:
+            raise TraceError(
+                f"expected trace version {self.expect_version}, "
+                f"stream is version {version}"
+            )
+        codes: List[int] = []
+        if version > 1:  # v1 op records name their kinds
+            names = record.get("kinds")
+            if not isinstance(names, list) or not names:
+                raise TraceError(f"v{version} stream header lacks its kind table")
+            for name in names:
+                try:
+                    codes.append(KIND_CODES[OpKind(name)])
+                except ValueError:
+                    raise TraceError(
+                        f"unknown operation kind {name!r} in header"
+                    ) from None
+        parser.tables(record, codes)
+        self._version = version
+        self.header = record
+
+    def _add_task(
+        self, record: Dict[str, Any], line: Optional[int] = None, where: str = ""
+    ) -> None:
+        """Add one task record; a repeated task id is damage."""
+        task = TaskInfo.from_dict(record)
+        if task.task in self._trace.tasks:
+            raise TraceFormatError(
+                f"duplicate task id {task.task!r}{where}", line=line
+            )
+        self._trace.add_task(task)
+        self._tasks += 1
+
+    def _adopt(
+        self,
+        kinds: bytes,
+        times: array,
+        task_ids: array,
+        columns: Dict[int, List[array]],
+        tops: Optional[Tuple[int, int]] = None,
+    ) -> None:
+        """Land one column batch, still in stream ids, in the store.
+
+        A batch that brings ``tops`` (its largest symbol and address
+        ids; v3) is adopted untranslated while
+        :meth:`_intern_identically` holds, which it can only until the
+        first swap of :attr:`trace`.  Any other batch has its ids
+        translated by :func:`~repro.trace.store.remap_batch`, the
+        helper :meth:`~repro.trace.store.TraceStore.adopt_tail` uses, so
+        the store interns only the values its ops use, in ascending
+        stream-id order.  v2 batches always translate: a v2 symbol
+        table also names branch kinds, which no store interns.
+        """
+        store = self._trace.store
+        # map the symbols and addresses defined since the last batch
+        self._store_syms += [-1] * (len(self._symbols) - len(self._store_syms))
+        self._store_addrs += [-1] * (len(self._addresses) - len(self._store_addrs))
+        if self._identity:
+            self._identity = tops is not None and self._intern_identically(
+                store, *tops
+            )
+        if not self._identity:
+            task_ids, columns = remap_batch(
+                task_ids,
+                columns,
+                store,
+                (self._store_syms, self._symbols.__getitem__),
+                (self._store_addrs, self._addresses.__getitem__),
+            )
+        store.adopt_batch(kinds, times, task_ids, columns)
+
+    def _intern_identically(self, store, top_sym: int, top_addr: int) -> bool:
+        """Intern the stream values up to a batch's largest ids, in
+        stream order; True while each lands on its own stream id.
+
+        Our writers define each value on first use, so stream order is
+        first-use order and the store's tables come out as a row-by-row
+        append would leave them.
+        """
+        for values, store_ids, mapped, top, table in (
+            (self._symbols, self._store_syms, self._syms_mapped, top_sym,
+             store.symbols),
+            (self._addresses, self._store_addrs, self._addrs_mapped,
+             top_addr, store.addresses),
+        ):
+            intern = table.intern
+            for i in range(mapped, top + 1):
+                sid = store_ids[i] = intern(values[i])
+                if sid != i:
+                    return False
+        self._syms_mapped = max(self._syms_mapped, top_sym + 1)
+        self._addrs_mapped = max(self._addrs_mapped, top_addr + 1)
+        return True
 
 
 def load_trace(

@@ -1,20 +1,23 @@
 """The session-frame envelope (cafa-mux): frame round-trips, the
 single-session ``AnyTraceDecoder`` path, and the demux property —
-arbitrary interleavings of session frames decode to per-session traces
-identical to separate decodes (v1, v2, and v3 payloads)."""
+under arbitrary interleavings of session frames, ``SessionRouter``
+analyzes each session as a separate stream of its bytes (v1, v2, and
+v3 payloads)."""
 
+import io
 import random
 
 import pytest
 
+from repro.stream import SessionRouter, StreamAnalyzer
 from repro.testing import TraceBuilder
 from repro.trace import (
     AnyTraceDecoder,
     MUX_MAGIC,
     MuxDecoder,
-    SessionDemuxer,
     TraceError,
     TraceFormatError,
+    TraceWriterV3,
     dumps_trace,
     dumps_trace_bytes,
     encode_data_frame,
@@ -24,6 +27,7 @@ from repro.trace import (
     encode_session,
     loads_trace,
 )
+from repro.trace.serialization import _dump_via_writer
 
 
 def make_trace(spin: int):
@@ -49,6 +53,26 @@ def make_trace(spin: int):
 
 def serialized(trace, version: int) -> bytes:
     return dumps_trace_bytes(trace, version=version)
+
+
+def halves(trace, version: int):
+    """``trace`` serialized at ``version`` (a v3 stream in one-op
+    batches) and cut where the records of its second half of ops
+    start."""
+    n = len(trace) // 2
+    if version == 3:
+        buf = io.BytesIO()
+        writer = TraceWriterV3(
+            buf, tasks=len(trace.tasks), ops=len(trace), batch_ops=1
+        )
+        _dump_via_writer(trace, writer)
+        payload, cut = buf.getvalue(), writer._batches[n][0]
+    else:
+        payload = serialized(trace, version)
+        lines = payload.splitlines(keepends=True)
+        ops = [i for i, line in enumerate(lines) if line.startswith(b'["o",')]
+        cut = sum(map(len, lines[: ops[n]]))
+    return payload[:cut], payload[cut:]
 
 
 def canonical(trace) -> str:
@@ -131,8 +155,6 @@ class TestSingleSessionDecoder:
             decoder.feed(stream[i : i + 50])
         back = decoder.finish()
         assert canonical(back) == canonical(loads_trace(payload))
-        assert decoder.multiplexed
-        assert decoder.session == "device-7"
 
     def test_loads_trace_accepts_enveloped_bytes(self):
         trace = make_trace(1)
@@ -154,6 +176,35 @@ class TestSingleSessionDecoder:
         with pytest.raises(TraceError, match="repro serve"):
             decoder.feed(stream)
 
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "salvage"])
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_frame_after_end_is_damage(self, version, strict):
+        b = TraceBuilder()
+        b.thread("T")
+        b.begin("T")
+        for i in range(5):
+            b.write("T", f"x{i}", site=f"s{i}")
+        b.end("T")
+        trace = b.build()
+        first, second = halves(trace, version)
+        stream = (
+            encode_mux_header()
+            + encode_data_frame("s", first)
+            + encode_end_frame("s")
+            + encode_data_frame("s", second)
+            + encode_end_frame("s")
+        )
+        message = "mux frame for session 's' after its END frame"
+        if strict:
+            with pytest.raises(TraceFormatError, match=message):
+                loads_trace(stream)
+            return
+        decoder = AnyTraceDecoder(strict=False)
+        decoder.feed(stream)
+        back = decoder.finish()
+        assert decoder.degraded and message in str(decoder.error)
+        assert list(back.ops) == list(trace.ops)[: len(trace) // 2]
+
 
 def interleave(rng, per_session_frames):
     """One arbitrary interleaving: merge the sessions' frame lists,
@@ -170,19 +221,37 @@ def interleave(rng, per_session_frames):
     return out
 
 
+def analyzed_alone(payload: bytes):
+    """(report strings, ops) of a ``StreamAnalyzer`` fed ``payload``."""
+    analyzer = StreamAnalyzer()
+    analyzer.feed(payload)
+    return [str(r) for r in analyzer.finish()], analyzer.profile.ops_ingested
+
+
+def routed(stream: bytes, rng=None):
+    """The session reports of an in-process ``SessionRouter`` fed
+    ``stream``, in pieces of random size when ``rng`` is given."""
+    router = SessionRouter(0)
+    pos = 0
+    while pos < len(stream):
+        step = rng.randrange(1, 500) if rng else len(stream)
+        router.feed(stream[pos : pos + step])
+        pos += step
+    return router.drain().sessions
+
+
 class TestDemuxProperty:
-    """The satellite property: for arbitrary record interleavings
-    across sessions, demuxed per-session traces are identical to
-    separate decodes — for every trace format version."""
+    """The demux property: for arbitrary record interleavings
+    across sessions, the router's per-session reports and op counts
+    equal those of a separate analysis of each session's bytes — for
+    every trace format version."""
 
     @pytest.mark.parametrize("version", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_interleavings_decode_like_separate_streams(self, version, seed):
         rng = random.Random(seed * 31 + version)
-        sessions = {f"dev-{k}": make_trace(k) for k in range(3)}
         payloads = {
-            sid: serialized(trace, version)
-            for sid, trace in sessions.items()
+            f"dev-{k}": serialized(make_trace(k), version) for k in range(3)
         }
         frames = {
             sid: encode_session(
@@ -191,16 +260,12 @@ class TestDemuxProperty:
             for sid, payload in payloads.items()
         }
         stream = encode_mux_header() + b"".join(interleave(rng, frames))
-        demux = SessionDemuxer()
-        pos = 0
-        while pos < len(stream):
-            step = rng.randrange(1, 500)
-            demux.feed(stream[pos : pos + step])
-            pos += step
-        traces = demux.finish()
-        assert sorted(traces) == sorted(sessions)
+        sessions = routed(stream, rng)
+        assert sorted(sessions) == sorted(payloads)
         for sid, payload in payloads.items():
-            assert canonical(traces[sid]) == canonical(loads_trace(payload))
+            report = sessions[sid]
+            assert report.ended and not report.degraded
+            assert (report.reports, report.ops) == analyzed_alone(payload)
 
     def test_sessions_may_mix_format_versions(self):
         rng = random.Random(17)
@@ -213,18 +278,20 @@ class TestDemuxProperty:
             sid: encode_session(sid, payload, chunk_size=128)
             for sid, payload in payloads.items()
         }
-        stream = encode_mux_header() + b"".join(interleave(rng, frames))
-        demux = SessionDemuxer()
-        demux.feed(stream)
-        traces = demux.finish()
+        sessions = routed(encode_mux_header() + b"".join(interleave(rng, frames)))
         for sid, payload in payloads.items():
-            assert canonical(traces[sid]) == canonical(loads_trace(payload))
+            report = sessions[sid]
+            assert report.ended and not report.degraded
+            assert (report.reports, report.ops) == analyzed_alone(payload)
 
     def test_frame_after_end_is_rejected(self):
         payload = serialized(make_trace(0), 2)
-        demux = SessionDemuxer()
-        demux.feed(
-            encode_mux_header() + b"".join(encode_session("s", payload))
+        sessions = routed(
+            encode_mux_header()
+            + b"".join(encode_session("s", payload))
+            + encode_data_frame("s", b"{}")
         )
-        with pytest.raises(TraceFormatError, match="after its END"):
-            demux.feed(encode_data_frame("s", b"{}"))
+        report = sessions["s"]
+        assert report.degraded
+        assert report.error == "data frames arrived after the session's END frame"
+        assert (report.reports, report.ops) == analyzed_alone(payload)

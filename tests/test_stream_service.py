@@ -8,7 +8,7 @@ from dataclasses import asdict
 import pytest
 
 import repro.hb.graph
-import repro.trace.binary
+import repro.trace.serialization
 from repro.apps import ALL_APPS, make_app
 from repro.cli import main
 from repro.detect import UseFreeDetector
@@ -238,13 +238,13 @@ class TestRangeDrive:
         trace = make_app("music", scale=0.1, seed=SEED).run().trace
         combined = concat_sessions(trace, sessions=3)
         translated = []
-        remap_batch = repro.trace.binary.remap_batch
+        remap_batch = repro.trace.serialization.remap_batch
 
         def counting(*args):
             translated.append(len(args[0]))
             return remap_batch(*args)
 
-        monkeypatch.setattr(repro.trace.binary, "remap_batch", counting)
+        monkeypatch.setattr(repro.trace.serialization, "remap_batch", counting)
         pieces = epoch_outcome(fed_bytes(combined, chunk=1 << 16))
         assert pieces[1]["epochs_retired"] == 3
         assert 0 < sum(translated) < len(combined)

@@ -16,11 +16,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps import ALL_APPS, make_app
 from repro.detect import UseFreeDetector
+from repro.stream import SessionRouter, StreamAnalyzer
 from repro.trace import (
+    AnyTraceDecoder,
     TraceError,
     TraceFormatError,
-    TraceStreamDecoder,
     dumps_trace,
+    encode_mux_header,
+    encode_session,
     load_trace_file,
     loads_trace,
 )
@@ -138,7 +141,7 @@ class TestIncrementalDecoder:
                 label="cuts",
             )
         )
-        decoder = TraceStreamDecoder()
+        decoder = AnyTraceDecoder()
         prev = 0
         for cut in cuts + [len(text)]:
             decoder.feed(text[prev:cut])
@@ -153,11 +156,11 @@ class TestIncrementalDecoder:
         unterminated final line must never be decoded on trust."""
         text, full_keys = app_stream("connectbot")
         assert text.endswith("\n")
-        decoder = TraceStreamDecoder()
+        decoder = AnyTraceDecoder()
         decoder.feed(text[:-1])  # final newline missing
         with pytest.raises(TraceFormatError, match="mid-line"):
             decoder.finish()
-        salvage = TraceStreamDecoder(strict=False)
+        salvage = AnyTraceDecoder(strict=False)
         salvage.feed(text[:-1])
         trace = salvage.finish()
         assert salvage.degraded
@@ -167,17 +170,17 @@ class TestIncrementalDecoder:
 
     def test_feed_line_matches_feed(self):
         text, _ = app_stream("connectbot")
-        by_line = TraceStreamDecoder()
+        by_line = AnyTraceDecoder()
         for line in text.splitlines():
             by_line.feed_line(line)
-        whole = TraceStreamDecoder()
+        whole = AnyTraceDecoder()
         whole.feed(text)
         a, b = by_line.finish(), whole.finish()
         assert dumps_trace(a, version=2) == dumps_trace(b, version=2) == text
 
     def test_salvage_decoder_reports_degraded(self):
         text, _ = app_stream("connectbot")
-        decoder = TraceStreamDecoder(strict=False)
+        decoder = AnyTraceDecoder(strict=False)
         decoder.feed(text[: len(text) // 2])
         decoder.feed("this is not json\n")
         assert decoder.degraded
@@ -210,3 +213,25 @@ class TestDamagedFiles:
             load_trace_file(path)
         salvaged = load_trace_file(path, strict=False)
         assert race_keys(salvaged) <= full_keys
+
+    def test_bytes_that_are_not_utf8_are_stream_damage(self):
+        # a text stream whose bytes stop being UTF-8: the loaders, the
+        # streaming analyzer and a daemon session all meet it with a
+        # named error, or in salvage mode with the feeds before it
+        text, _ = app_stream("connectbot")
+        head = text[: text.index("\n", len(text) // 2) + 1].encode("utf-8")
+        tail = b"\xff\xfe" + text[len(head):].encode("utf-8")
+        with pytest.raises(TraceFormatError, match="damaged.*utf-8"):
+            loads_trace(head + tail)
+        with pytest.raises(TraceFormatError, match="damaged.*utf-8"):
+            StreamAnalyzer().feed(head + tail)
+        analyzer = StreamAnalyzer(strict=False)
+        analyzer.feed(head)
+        analyzer.feed(tail)
+        analyzer.finish()
+        assert analyzer.decoder.degraded
+        assert len(analyzer.decoder.trace) == len(loads_trace(head, strict=False))
+        router = SessionRouter(0)
+        router.feed(encode_mux_header() + b"".join(encode_session("s", head + tail)))
+        session = router.drain().sessions["s"]
+        assert session.degraded and "utf-8" in session.error

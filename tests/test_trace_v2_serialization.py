@@ -15,10 +15,10 @@ from repro.detect import UseFreeDetector
 from repro.trace import (
     FORMAT_VERSION,
     SUPPORTED_VERSIONS,
+    AnyTraceDecoder,
     Trace,
     TraceError,
     TraceFormatError,
-    TraceStreamDecoder,
     dumps_trace,
     dumps_trace_bytes,
     load_trace,
@@ -79,7 +79,7 @@ class TestPropertyRoundTrips:
         cuts = data.draw(
             st.lists(st.integers(0, len(text)), max_size=8), label="cuts"
         )
-        decoder = TraceStreamDecoder()
+        decoder = AnyTraceDecoder()
         start = 0
         for cut in sorted(cuts) + [len(text)]:
             decoder.feed(text[start:cut])
@@ -284,7 +284,7 @@ def decoded(text, way):
         return loads_trace(text.encode("utf-8"))
     if way == "str":
         return loads_trace(text)
-    decoder = TraceStreamDecoder()
+    decoder = AnyTraceDecoder()
     if way == "4k-chunks":
         for start in range(0, len(text), 4096):
             decoder.feed(text[start:start + 4096])
@@ -325,7 +325,7 @@ class TestColumnBatches:
             monkeypatch.setattr(TraceStore, attr, counting(attr))
         trace = app_trace("connectbot", 0.05)
         text = dumps_trace(trace)
-        decoder = TraceStreamDecoder()
+        decoder = AnyTraceDecoder()
         starts = range(0, len(text), 4096)
         for start in starts:
             decoder.feed(text[start:start + 4096])

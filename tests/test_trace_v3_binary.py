@@ -14,7 +14,6 @@ from repro.apps import ALL_APPS, make_app
 from repro.detect import UseFreeDetector
 from repro.trace import (
     AnyTraceDecoder,
-    BinaryTraceDecoder,
     OpKind,
     Trace,
     TraceError,
@@ -24,6 +23,9 @@ from repro.trace import (
     dump_trace_binary,
     dumps_trace,
     dumps_trace_bytes,
+    encode_data_frame,
+    encode_end_frame,
+    encode_mux_header,
     load_trace_file,
     loads_trace,
     save_trace_file,
@@ -404,10 +406,40 @@ def batch_pieces(trace, batch_ops):
     return [blob[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
+def line_pieces(trace, ops_per_piece):
+    """``trace`` as a v2 stream cut after every ``ops_per_piece``-th op
+    line, so that every piece holds that many ops."""
+    pieces, lines, ops = [], [], 0
+    for line in dumps_trace(trace, version=2).splitlines(keepends=True):
+        lines.append(line)
+        ops += line.startswith('["o",')
+        if ops == ops_per_piece:
+            pieces.append("".join(lines).encode("utf-8"))
+            lines, ops = [], 0
+    return pieces + ["".join(lines).encode("utf-8")]
+
+
+def op_pieces(trace, case, ops_per_piece=97):
+    """``trace`` in pieces of ``ops_per_piece`` ops: v2 lines or v3
+    batches, bare or (``mux-``) each piece one DATA frame of a
+    single-session envelope."""
+    wrapped, _, version = case.rpartition("-")
+    if version == "v3":
+        pieces = batch_pieces(trace, ops_per_piece)
+    else:
+        pieces = line_pieces(trace, ops_per_piece)
+    if wrapped:
+        pieces = [encode_data_frame("s", piece) for piece in pieces]
+        pieces[0] = encode_mux_header() + pieces[0]
+        pieces[-1] += encode_end_frame("s")
+    return pieces
+
+
 class TestOneDecodePath:
     """Every v2 and v3 op reaches the store through ``adopt_batch``:
     until the trace is swapped the v3 ids are the store's ids, and
-    after a swap a batch's ids are translated into the new store."""
+    after a swap a v2 or v3 batch's ids are translated into the new
+    store as ``adopt_tail`` translates an epoch's tail."""
 
     @pytest.mark.parametrize("scale", [0.02, 0.2])
     @pytest.mark.parametrize("name", [app.name for app in ALL_APPS])
@@ -417,11 +449,12 @@ class TestOneDecodePath:
         reference = Trace(list(trace.ops), trace.tasks)
         assert store_columns(back.store) == store_columns(reference.store)
 
-    def test_swapped_stream_gives_the_adopt_tail_stores(self):
+    @pytest.mark.parametrize("case", ["v2", "v3", "mux-v2", "mux-v3"])
+    def test_swapped_stream_gives_the_adopt_tail_stores(self, case):
         trace = make_app("connectbot", scale=0.05, seed=1).run().trace
-        pieces = batch_pieces(trace, 97)
+        pieces = op_pieces(trace, case)
         assert len(pieces) >= 3
-        swapped, whole = BinaryTraceDecoder(), BinaryTraceDecoder()
+        swapped, whole = AnyTraceDecoder(), AnyTraceDecoder()
         start = 0
         for piece in pieces:
             swapped.feed(piece)
@@ -500,10 +533,13 @@ class TestAnyTraceDecoder:
             (dumps_trace(trace, version=2).encode("utf-8"), False),
         ]:
             decoder = AnyTraceDecoder()
-            assert decoder.binary is None
+            assert decoder.decode_stats() is None
             for start in range(0, len(blob), 997):
                 decoder.feed(blob[start : start + 997])
-            assert decoder.binary is binary
+            stats = decoder.decode_stats()
+            assert (stats.version, stats.batches > 0) == (
+                (3, True) if binary else (2, False)
+            )
             assert decoder.finish().ops == trace.ops
 
     def test_text_feed_into_binary_stream_rejected(self):

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.apps import ALL_APPS, make_app
 from repro.detect import UseFreeDetector
 from repro.trace import (
-    BinaryTraceDecoder,
+    AnyTraceDecoder,
     TraceError,
     TraceFormatError,
     dumps_trace_bytes,
@@ -118,7 +118,7 @@ class TestIncrementalDecoder:
     def test_chunked_feed_equals_one_shot(self):
         blob, _ = app_blob("connectbot")
         one_shot = loads_trace(blob)
-        decoder = BinaryTraceDecoder()
+        decoder = AnyTraceDecoder()
         for start in range(0, len(blob), 997):
             decoder.feed(blob[start : start + 997])
         chunked = decoder.finish()
@@ -127,14 +127,14 @@ class TestIncrementalDecoder:
 
     def test_flush_mid_frame_is_damage(self):
         blob, _ = app_blob("connectbot")
-        decoder = BinaryTraceDecoder(strict=False)
+        decoder = AnyTraceDecoder(strict=False)
         decoder.feed(blob[: len(blob) // 2])
         decoder.flush()
         assert decoder.degraded
 
     def test_degraded_decoder_ignores_later_feeds(self):
         blob, full_keys = app_blob("connectbot")
-        decoder = BinaryTraceDecoder(strict=False)
+        decoder = AnyTraceDecoder(strict=False)
         # corrupt one frame tag in the middle of the stream
         middle = header_end(blob) + (len(blob) - header_end(blob)) // 2
         damaged = blob[:middle] + b"\xff" + blob[middle + 1 :]
