@@ -37,8 +37,8 @@ STREAM_SCALE = bench_scale(default=0.02)
 
 def _stream(trace, gc):
     analyzer = StreamAnalyzer(gc=gc)
-    for line in dumps_trace(trace, version=2).splitlines():
-        analyzer.feed_line(line)
+    for line in dumps_trace(trace, version=2).splitlines(keepends=True):
+        analyzer.feed(line)
     reports = [str(r) for r in analyzer.finish()]
     return analyzer.profile, reports
 

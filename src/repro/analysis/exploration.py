@@ -86,17 +86,14 @@ def explore_seeds(
     """
     _validate_jobs(jobs)
     seed_list = list(seeds)
-    if jobs == 1 or len(seed_list) <= 1:
-        outcomes = [_explore_seed(seed, app_cls, scale) for seed in seed_list]
-    else:
-        outcomes = _fan_out(
-            _explore_seed,
-            seed_list,
-            (app_cls, scale),
-            jobs,
-            "explore",
-            describe=lambda seed: f"seed {seed} of app {app_cls.name!r}",
-        )
+    outcomes = _fan_out(
+        _explore_seed,
+        seed_list,
+        (app_cls, scale),
+        jobs,
+        "explore",
+        describe=lambda seed: f"seed {seed} of app {app_cls.name!r}",
+    )
     counter: Counter = Counter()
     per_seed: List[int] = []
     for count, keys in outcomes:

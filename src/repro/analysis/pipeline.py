@@ -85,21 +85,9 @@ def reproduce_table1(
     _validate_jobs(jobs)
     app_list = list(apps) if apps is not None else list(ALL_APPS)
     table = Table1()
-    if jobs == 1 or len(app_list) <= 1:
-        for app_cls in app_list:
-            table.evaluations.append(
-                _evaluate_app(app_cls, scale, seed, options)
-            )
-    else:
-        table.evaluations.extend(
-            _fan_out(
-                _evaluate_app,
-                app_list,
-                (scale, seed, options),
-                jobs,
-                "table1",
-            )
-        )
+    table.evaluations.extend(
+        _fan_out(_evaluate_app, app_list, (scale, seed, options), jobs, "table1")
+    )
     return table
 
 
@@ -158,18 +146,9 @@ def scaling_matrix(
     scale_list = list(scales) if scales is not None else [0.02, 0.05, 0.1]
     if not scale_list:
         raise ValueError("scaling_matrix needs at least one scale")
-    if jobs == 1 or len(app_list) <= 1:
-        results = [
-            _matrix_cell(app_cls, scale_list, seed) for app_cls in app_list
-        ]
-    else:
-        results = _fan_out(
-            _matrix_cell,
-            app_list,
-            (scale_list, seed),
-            jobs,
-            "scaling-matrix",
-        )
+    results = _fan_out(
+        _matrix_cell, app_list, (scale_list, seed), jobs, "scaling-matrix"
+    )
     return ScalingMatrix(
         scales=scale_list,
         seed=seed,
@@ -193,9 +172,4 @@ def reproduce_figure8(
     """
     _validate_jobs(jobs)
     app_list = list(apps) if apps is not None else list(ALL_APPS)
-    if jobs == 1 or len(app_list) <= 1:
-        return [
-            measure_slowdown(app_cls, scale=scale, seed=seed)
-            for app_cls in app_list
-        ]
     return _fan_out(measure_slowdown, app_list, (scale, seed), jobs, "figure8")

@@ -128,10 +128,7 @@ def generate_report(
     _validate_jobs(jobs)
     apps = list(apps) if apps is not None else list(ALL_APPS)
     args = (scale, seed, include_witnesses, include_slowdowns, apps[0].name)
-    if jobs == 1 or len(apps) <= 1:
-        parts = [_report_app(app_cls, *args) for app_cls in apps]
-    else:
-        parts = _fan_out(_report_app, apps, args, jobs, "report")
+    parts = _fan_out(_report_app, apps, args, jobs, "report")
 
     lines: List[str] = [
         "# CAFA evaluation report",

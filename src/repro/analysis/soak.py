@@ -3,7 +3,8 @@ that the online service reproduces the offline analysis exactly.
 
 This is the executable form of the streaming mode's core claim (see
 ``docs/streaming.md``): for any complete trace, feeding its v2 stream
-one record at a time through :class:`~repro.stream.StreamAnalyzer`
+one record at a time (one line per
+:meth:`~repro.stream.StreamAnalyzer.feed` call) and finishing it
 yields byte-identical race reports to the batch pipeline.  The harness
 backs the differential tests and the ``repro stream --selftest`` CLI.
 """
@@ -50,11 +51,12 @@ def soak_trace(
     options: Optional[DetectorOptions] = None,
     gc: bool = True,
 ) -> SoakResult:
-    """Replay ``trace`` line-by-line online; compare against offline."""
+    """Replay ``trace`` online, one v2 line per feed; compare against
+    offline."""
     offline = [str(r) for r in UseFreeDetector(trace, options).detect().reports]
     analyzer = StreamAnalyzer(options, gc=gc)
-    for line in dumps_trace(trace, version=2).splitlines():
-        analyzer.feed_line(line)
+    for line in dumps_trace(trace, version=2).splitlines(keepends=True):
+        analyzer.feed(line)
     online = [str(r) for r in analyzer.finish()]
     return SoakResult(
         name=name,

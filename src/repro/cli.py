@@ -220,16 +220,11 @@ def _cmd_stats(args) -> int:
     stream_profile = None
     if args.stream:
         from .stream import StreamAnalyzer
-        from .trace.serialization import _open_binary_for
+        from .trace.reader import tail_chunks
 
         analyzer = StreamAnalyzer()
-        with _open_binary_for(args.trace, "r") as fp:
-            read = getattr(fp, "read1", fp.read)
-            while True:
-                chunk = read(1 << 16)
-                if not chunk:
-                    break
-                analyzer.feed(chunk)
+        for chunk in tail_chunks(args.trace):
+            analyzer.feed(chunk)
         analyzer.finish()
         stream_profile = analyzer.profile
         if not args.json:
@@ -300,7 +295,8 @@ def _cmd_stream(args) -> int:
         )
         return 2
 
-    from .trace import TraceFormatError
+    from .trace import StreamDamageError, TraceError, TraceFormatError
+    from .trace.reader import DEFAULT_BACKOFF_INITIAL, Backoff, tail_chunks
 
     expect = _FORMAT_VERSIONS[args.format] if args.format else None
     analyzer = StreamAnalyzer(
@@ -308,51 +304,31 @@ def _cmd_stream(args) -> int:
         gc=not args.no_gc,
         expect_version=expect,
     )
+    # --follow tails with capped exponential backoff: an idle file costs
+    # ever-fewer wakeups (up to --poll-interval apart) instead of a
+    # fixed-rate busy poll, and any new data snaps the delay back down.
+    cap = max(args.poll_interval, 0.001)
+    backoff = Backoff(initial=min(DEFAULT_BACKOFF_INITIAL, cap), cap=cap)
     printed = 0
     try:
-        if args.trace == "-":
-            # Raw bytes off stdin.buffer: the decoder sniffs text (v1/v2)
-            # vs binary (v3) from the first byte, and the chunk path lets
-            # finish() rule on a crash-cut final record (a live pipe may
-            # hand us half-written lines or frames).
-            while True:
-                chunk = sys.stdin.buffer.read1(1 << 16)
-                if not chunk:
-                    break
+        try:
+            for chunk in tail_chunks(args.trace, args.follow, backoff):
                 analyzer.feed(chunk)
                 printed = _print_new_epochs(analyzer, printed)
-        else:
-            from .stream.transport import DEFAULT_BACKOFF_INITIAL, Backoff
-            from .trace.serialization import _STREAM_DAMAGE, _open_binary_for
-
-            # --follow tails with capped exponential backoff: an idle
-            # file costs ever-fewer wakeups (up to --poll-interval
-            # apart) instead of a fixed-rate busy poll, and any new
-            # data snaps the delay back down.
-            cap = max(args.poll_interval, 0.001)
-            backoff = Backoff(
-                initial=min(DEFAULT_BACKOFF_INITIAL, cap), cap=cap
-            )
-            with _open_binary_for(args.trace, "r") as fp:
-                read = getattr(fp, "read1", fp.read)
-                while True:
-                    try:
-                        chunk = read(1 << 16)
-                    except _STREAM_DAMAGE as exc:
-                        analyzer.decoder.mark_damaged(exc)
-                        break
-                    if chunk:
-                        backoff.reset()
-                        analyzer.feed(chunk)
-                        printed = _print_new_epochs(analyzer, printed)
-                        continue
-                    if not args.follow or analyzer.decoder.degraded:
-                        break
-                    backoff.wait()
+                if analyzer.decoder.degraded:
+                    break
+        except StreamDamageError as exc:
+            analyzer.decoder.mark_damaged(exc)
         analyzer.finish()
-    except TraceFormatError as exc:
-        print(f"stream: {exc} (use --salvage to analyze the valid prefix)",
-              file=sys.stderr)
+    except KeyboardInterrupt:
+        # Ctrl-C: the stream was cut off, not ended; close it as a
+        # daemon drain closes a session, with nothing checked
+        analyzer.close()
+    except TraceError as exc:
+        hint = ""
+        if isinstance(exc, TraceFormatError):
+            hint = " (use --salvage to analyze the valid prefix)"
+        print(f"stream: {exc}{hint}", file=sys.stderr)
         return 1
     printed = _print_new_epochs(analyzer, printed)
     if analyzer.decoder.degraded:
@@ -378,7 +354,8 @@ def _cmd_serve(args) -> int:
     from .obs import configure_json_logging, get_logger
     from .parallel import WorkerCrash
     from .stream import SessionRouter, SocketSource
-    from .trace import TraceError, TraceFormatError
+    from .trace import StreamDamageError, TraceError
+    from .trace.reader import tail_chunks
 
     metrics_on = not args.no_metrics
     configure_json_logging()
@@ -467,7 +444,7 @@ def _cmd_serve(args) -> int:
                             continue  # connection's envelope is damaged
                         try:
                             channel.feed(event[2])
-                        except (TraceFormatError, TraceError) as exc:
+                        except TraceError as exc:
                             log.warning(
                                 "session stream damaged",
                                 extra={"connection": event[1],
@@ -482,7 +459,7 @@ def _cmd_serve(args) -> int:
                         if channel is not None:
                             try:
                                 channel.close()
-                            except (TraceFormatError, TraceError) as exc:
+                            except TraceError as exc:
                                 log.warning(
                                     "session stream damaged at close",
                                     extra={"connection": event[1],
@@ -499,24 +476,20 @@ def _cmd_serve(args) -> int:
         else:
             channel = router.channel(args.input or "stdin")
             try:
-                if not args.input or args.input == "-":
-                    while True:
-                        chunk = sys.stdin.buffer.read1(1 << 16)
-                        if not chunk:
-                            break
+                try:
+                    for chunk in tail_chunks(args.input or "-"):
                         channel.feed(chunk)
+                except StreamDamageError as exc:
+                    if not args.salvage:
+                        raise
+                    # the input never reached its end: its sessions stay
+                    # open, and the drain closes them with what arrived
+                    log.warning("input stream damaged",
+                                extra={"input": args.input or "stdin",
+                                       "error": str(exc), "salvage": True})
                 else:
-                    from .trace.serialization import _open_binary_for
-
-                    with _open_binary_for(args.input, "r") as fp:
-                        read = getattr(fp, "read1", fp.read)
-                        while True:
-                            chunk = read(1 << 16)
-                            if not chunk:
-                                break
-                            channel.feed(chunk)
-                channel.close()
-            except (TraceFormatError, TraceError) as exc:
+                    channel.close()
+            except TraceError as exc:
                 log.error("input stream damaged",
                           extra={"input": args.input or "stdin",
                                  "error": str(exc)})
@@ -915,7 +888,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--follow",
         action="store_true",
         help="keep tailing the file for new records after reaching "
-        "its current end (Ctrl-C to stop)",
+        "its current end (Ctrl-C to stop: the open epoch is closed "
+        "and reported)",
     )
     stream.add_argument(
         "--poll-interval",

@@ -13,7 +13,10 @@ pool user shares a single contract:
   segfaulted native code, ``os._exit`` — surfaces as the same
   item-named ``RuntimeError`` (chained to the ``BrokenProcessPool``)
   instead of the pool's bare, item-less diagnostic;
-* ``jobs < 1`` and non-integral ``jobs`` are rejected loudly.
+* ``jobs < 1`` and non-integral ``jobs`` are rejected loudly;
+* a fan-out that needs one process (``jobs=1``, or at most one item)
+  runs in this process, in item order, and an item's own exception
+  propagates unwrapped.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ def fan_out(
     (``"app 'music'"``); fan-outs over other domains (e.g. the
     per-seed exploration) pass their own.
     """
+    if pool_size(jobs, len(items)) == 1:
+        return [fn(item, *args) for item in items]
     if describe is None:
         describe = _describe_default
     results: List[T] = [None] * len(items)  # type: ignore[list-item]

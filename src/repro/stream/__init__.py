@@ -16,14 +16,14 @@ from .service import (
     StreamProfile,
     merge_profiles,
 )
-from .synthetic import SESSION_ID_STRIDE, DuplicateSessionError, concat_sessions
-from .transport import (
+from ..trace.reader import (
     DEFAULT_BACKOFF_CAP,
     DEFAULT_BACKOFF_INITIAL,
     Backoff,
-    SocketSource,
     tail_chunks,
 )
+from .synthetic import SESSION_ID_STRIDE, DuplicateSessionError, concat_sessions
+from .transport import SocketSource
 
 __all__ = [
     "Backoff",

@@ -14,9 +14,15 @@ analysis never crosses a process boundary and the sharded reports are
 
 Backpressure is end to end: shard inboxes are bounded queues, so a
 shard that falls behind blocks the router's dispatch, which stops the
-transport from being read.  ``drain()`` is the graceful shutdown —
-every shard finishes its open sessions authoritatively
-(``StreamAnalyzer.finish``) and ships back per-session
+transport from being read.
+
+A session's END frame (or a plain channel's EOF) ends its stream: the
+shard finishes it with ``StreamAnalyzer.finish``, which runs the
+decoder's end-of-stream checks, so a cut session fails as the loaders
+would fail it.  ``drain()`` is the graceful shutdown — every shard
+closes the sessions still open with ``StreamAnalyzer.close`` (flushed,
+nothing checked: their streams were cut off, and their reports say
+"drained mid-session") and ships back per-session
 :class:`SessionReport`\\ s plus its merged profile; the router
 assembles them into one :class:`DaemonReport` with deterministic
 (session-sorted) ordering.
@@ -230,7 +236,10 @@ def _close_session(
     error = None
     degraded = False
     try:
-        reports = [str(r) for r in analyzer.finish()]
+        # an ended stream meets the decoder's end-of-stream checks; one
+        # the drain cuts off is only flushed
+        close = analyzer.finish if ended else analyzer.close
+        reports = [str(r) for r in close()]
     except _SESSION_ERRORS as exc:
         reports = []
         error = f"{type(exc).__name__}: {exc}"
@@ -517,13 +526,6 @@ class SessionRouter:
 
     def _end(self, sid: str) -> None:
         self._dispatch(sid, ("end", sid))
-
-    # public aliases for in-process feeding (tests, embedding)
-    def data(self, sid: str, payload: bytes) -> None:
-        self._data(sid, payload)
-
-    def end_session(self, sid: str) -> None:
-        self._end(sid)
 
     # -- live telemetry ------------------------------------------------
 

@@ -1,14 +1,15 @@
 """The online streaming detection service.
 
 :class:`StreamAnalyzer` is the long-running counterpart of the batch
-pipeline: trace records go in (v1/v2 text or v3 binary — file tail,
-stdin, or the in-process :meth:`~StreamAnalyzer.append` feed), race
+pipeline: trace records go in through :meth:`~StreamAnalyzer.feed`
+(v1/v2 text, v3 binary or a single-session envelope, in pieces of any
+size — a file tail, stdin, or one daemon session's frames), race
 reports come out as the analysis catches up — without ever holding more
 than the active *epoch* of the session in memory.
 
 Ingestion path::
 
-    bytes/lines ──> AnyTraceDecoder ──> columnar TraceStore
+    bytes/text ──> AnyTraceDecoder ──> columnar TraceStore
                                    │
                  range drive       ▼
         quiescence pre-pass        ─ kind/task columns: where the epoch ends
@@ -52,6 +53,12 @@ records arrive — mid-epoch reports from :meth:`detect_now` are
 therefore *provisional* (they can disappear).  Reports recorded at
 epoch retirement and at :meth:`finish` are authoritative: they are
 exactly what the batch detector emits for those ops.
+
+**End of stream.**  :meth:`finish` is for a stream that has ended (a
+file's or stdin's EOF, a session's END frame): it runs the decoder's
+end-of-stream checks first, so a cut stream fails as the loaders fail
+it.  :meth:`close` is for a stream cut off before its end (a daemon
+drain, Ctrl-C): it flushes and closes the last epoch, checking nothing.
 """
 
 from __future__ import annotations
@@ -64,7 +71,6 @@ from ..detect.report import RaceReport
 from ..obs.spans import span
 from ..trace import AnyTraceDecoder, OpKind, Trace
 from ..trace.store import KIND_CODES
-from ..trace.trace import TaskInfo
 from .incremental import IncrementalHB
 
 _BEGIN = KIND_CODES[OpKind.BEGIN]
@@ -144,7 +150,7 @@ class EpochSummary:
     reports: List[RaceReport]
     closure_bytes: int
     #: True for epochs dropped by quiescence GC; False for the final
-    #: epoch closed out by :meth:`StreamAnalyzer.finish`
+    #: epoch closed out by :meth:`StreamAnalyzer.close`
     retired: bool
 
 
@@ -203,23 +209,6 @@ class StreamAnalyzer:
         self._drain()
         return appended
 
-    def feed_line(self, line) -> int:
-        """Ingest one complete stream line; returns ops appended (0/1)."""
-        appended = self.decoder.feed_line(line)
-        self._drain()
-        return appended
-
-    def append(self, op) -> None:
-        """In-process feed: hand over one already-decoded operation."""
-        self.trace.append(op)
-        self.profile.records_ingested += 1
-        self._drain()
-
-    def add_task(self, info: TaskInfo) -> None:
-        """In-process feed: declare a task (before its first op)."""
-        self.trace.add_task(info)
-        self.profile.records_ingested += 1
-
     # -- the range drive -----------------------------------------------
 
     def _drain(self) -> None:
@@ -235,9 +224,7 @@ class StreamAnalyzer:
             self._epoch_ops += stop - start
             if quiesced:
                 self._retire_epoch()
-        self.profile.records_ingested = max(
-            self.profile.records_ingested, self.decoder.records
-        )
+        self.profile.records_ingested = self.decoder.records
 
     def _track(self, start: int, stop: int) -> Tuple[int, bool]:
         """The quiescence pre-pass over ops ``start`` to ``stop - 1``:
@@ -354,8 +341,19 @@ class StreamAnalyzer:
     # -- completion ----------------------------------------------------
 
     def finish(self) -> List[RaceReport]:
-        """Flush buffered input, close out the last epoch, and return
-        every authoritative report of the session (in epoch order)."""
+        """The stream has ended: run the decoder's end-of-stream checks
+        (:meth:`~repro.trace.AnyTraceDecoder.finish`: a record cut
+        short, a v3 stream without its footer, and under ``strict`` the
+        declared counts), then :meth:`close`."""
+        if not self._finished:
+            self.decoder.finish()
+        return self.close()
+
+    def close(self) -> List[RaceReport]:
+        """Close out the last epoch of a stream cut off before its end
+        (a daemon drain, Ctrl-C), flushing buffered input but checking
+        nothing against the header or footer, and return every
+        authoritative report of the session (in epoch order)."""
         if not self._finished:
             self._finished = True
             self.decoder.flush()

@@ -1,21 +1,14 @@
-"""Ingestion transports: file tail, stdin, and socket servers.
+"""The daemon's socket transport.
 
-Three ways bytes reach the streaming layer, all producing plain
-``bytes`` chunks for a decoder/router to consume:
-
-* :func:`tail_chunks` — drain a file (or any ``read``-able) and,
-  under ``follow=True``, keep polling it for growth.  Polling backs
-  off **exponentially** (:class:`Backoff`) between empty reads instead
-  of busy-spinning at a fixed interval: an idle tail costs a handful
-  of wakeups per doubling period, and the first byte of new data
-  resets the delay so a busy tail stays responsive.
-* :class:`SocketSource` — a Unix-domain or TCP listener accepting
-  many concurrent connections (one per uploading device, say), each
-  read by its own thread; chunks surface on a single bounded event
-  queue in arrival order, tagged with their connection id.  The
-  bounded queue is the transport end of the daemon's backpressure
-  chain: when the router stalls, reader threads stall, and the kernel
-  socket buffers throttle the senders.
+Files, growing files and stdin reach the streaming layer through the
+one chunk reader, :func:`repro.trace.reader.tail_chunks`; sockets come
+in here.  :class:`SocketSource` is a Unix-domain or TCP listener
+accepting many concurrent connections (one per uploading device, say),
+each read by its own thread; chunks surface on a single bounded event
+queue in arrival order, tagged with their connection id.  The bounded
+queue is the transport end of the daemon's backpressure chain: when
+the router stalls, reader threads stall, and the kernel socket buffers
+throttle the senders.
 """
 
 from __future__ import annotations
@@ -24,92 +17,7 @@ import os
 import queue
 import socket
 import threading
-import time
-from typing import Callable, Iterator, Optional, Tuple
-
-#: first sleep of an idle tail; short enough that a just-written byte
-#: is picked up promptly
-DEFAULT_BACKOFF_INITIAL = 0.05
-#: ceiling of the exponential backoff
-DEFAULT_BACKOFF_CAP = 0.5
-
-
-class Backoff:
-    """Exponential sleep schedule with a cap, counted for tests.
-
-    ``wait`` sleeps the current delay and doubles it (up to ``cap``);
-    ``reset`` drops back to ``initial``.  :attr:`sleep_count` and
-    :attr:`slept_total` expose exactly how much polling happened —
-    the busy-poll regression test counts them.
-    """
-
-    def __init__(
-        self,
-        initial: float = DEFAULT_BACKOFF_INITIAL,
-        cap: float = DEFAULT_BACKOFF_CAP,
-        factor: float = 2.0,
-    ) -> None:
-        if initial <= 0:
-            raise ValueError(f"initial must be > 0, got {initial}")
-        if cap < initial:
-            raise ValueError(f"cap {cap} must be >= initial {initial}")
-        if factor < 1.0:
-            raise ValueError(f"factor must be >= 1, got {factor}")
-        self.initial = initial
-        self.cap = cap
-        self.factor = factor
-        self.current = initial
-        self.sleep_count = 0
-        self.slept_total = 0.0
-
-    def wait(self, sleep: Callable[[float], None] = time.sleep) -> float:
-        """Sleep the current delay; returns it and advances the schedule."""
-        delay = self.current
-        sleep(delay)
-        self.sleep_count += 1
-        self.slept_total += delay
-        self.current = min(self.current * self.factor, self.cap)
-        return delay
-
-    def reset(self) -> None:
-        self.current = self.initial
-
-
-def tail_chunks(
-    read: Callable[[int], bytes],
-    follow: bool = False,
-    backoff: Optional[Backoff] = None,
-    sleep: Callable[[float], None] = time.sleep,
-    should_stop: Optional[Callable[[], bool]] = None,
-    chunk_size: int = 1 << 16,
-) -> Iterator[bytes]:
-    """Yield non-empty chunks from ``read(chunk_size)``.
-
-    Without ``follow`` the generator ends at the first empty read
-    (EOF).  With it, an empty read sleeps the backoff schedule and
-    retries — the ``tail -f`` shape — until ``should_stop()`` goes
-    true.  Any data resets the backoff.  Read errors propagate to the
-    caller (the stream CLI turns stream damage into salvage there).
-    """
-    if backoff is None:
-        backoff = Backoff()
-    while True:
-        chunk = read(chunk_size)
-        if chunk:
-            backoff.reset()
-            yield chunk
-            continue
-        if not follow:
-            return
-        if should_stop is not None and should_stop():
-            return
-        backoff.wait(sleep)
-
-
-# ---------------------------------------------------------------------------
-# Socket ingestion
-# ---------------------------------------------------------------------------
-
+from typing import Iterator, Optional, Tuple
 
 #: events surfaced by SocketSource: ("open", conn_id) / ("chunk",
 #: conn_id, bytes) / ("close", conn_id)

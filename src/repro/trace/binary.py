@@ -463,6 +463,13 @@ class _FrameParser:
                 branches.append(_BRANCH_INDEX[BranchKind(name)])
             except ValueError:
                 raise TraceError(f"unknown branch kind {name!r} in header") from None
+        for table, found in (("kinds", codes), ("branch_kinds", branches)):
+            # a kind or branch-kind column holds one byte per op
+            if len(found) > 256:
+                raise TraceError(
+                    f"v3 stream header's {table} table has {len(found)} "
+                    "names; a one-byte code has room for 256"
+                )
         self.codes, self.kind_map = codes, _translation(codes)
         self.branches, self.branch_map = len(branches), _translation(branches)
 

@@ -37,9 +37,13 @@ and v3 op reaches the store through one
 or batch (v3), its ids translated by
 :func:`~repro.trace.store.remap_batch` (a v3 stream's ids are the
 store's until the trace is first swapped); v1 records append one at a
-time.  All writers stream in constant transient memory
-(live state is the interning tables, which grow with the number of
-*distinct* symbols, not with trace length), and every version is
+time.  :meth:`AnyTraceDecoder.feed` is the decoder's one way in; the
+loaders read their input through the chunk reader
+(:func:`~repro.trace.reader.tail_chunks`), feed each read, and finish
+the decoder, which runs the end-of-stream checks.  All writers stream
+in constant transient memory (live state is the interning tables,
+which grow with the number of *distinct* symbols, not with trace
+length), and every version is
 transparently gzip-compressed when the file path ends in ``.gz``.
 ``load_trace`` auto-negotiates the version from the header;
 :func:`convert_trace_file` transcodes any version to any other through
@@ -55,7 +59,6 @@ import io
 import json
 import os
 import secrets
-import zlib
 from array import array
 from itertools import islice
 from pathlib import Path
@@ -65,6 +68,7 @@ from ..obs.spans import span
 from .binary import MAGIC_V3, TraceWriterV3, _FrameParser
 from .envelope import MUX_FIRST_BYTE, MuxDecoder
 from .operations import OpKind, operation_from_dict
+from .reader import _open_binary_for, tail_chunks
 from .store import (
     ADDR,
     BOOL,
@@ -81,7 +85,7 @@ from .store import (
     _SCHEMA_LIST,
     remap_batch,
 )
-from .trace import TaskInfo, Trace, TraceError, TraceFormatError
+from .trace import StreamDamageError, TaskInfo, Trace, TraceError, TraceFormatError
 
 FORMAT_NAME = "cafa-trace"
 #: the version new files are written in
@@ -263,10 +267,6 @@ def dump_trace_binary(trace: Trace, fp: IO[bytes]) -> None:
 # ---------------------------------------------------------------------------
 
 
-#: decompression/decoding failures that signal a physically truncated
-#: or corrupted stream rather than a logically malformed record
-_STREAM_DAMAGE = (EOFError, UnicodeDecodeError, gzip.BadGzipFile, zlib.error)
-
 #: the ``json`` C scanner: ``(value, end)`` of the one JSON value that
 #: starts at an offset, with none of ``json.loads``' whitespace handling
 _scan_value = json.JSONDecoder().scan_once
@@ -275,10 +275,6 @@ _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
 #: branch-kind wire name -> the store's enum index
 _BRANCH_OF_NAME = {kind.value: index for kind, index in _BRANCH_INDEX.items()}
-
-#: characters of whole lines :func:`load_trace` hands a text stream's
-#: decoder per feed (a v2 feed lands in one column batch)
-_TEXT_PIECE = 1 << 16
 
 
 class _TextParser:
@@ -323,30 +319,25 @@ class _TextParser:
 
     def parse(self, decoder: "AnyTraceDecoder", chunk: str) -> None:
         """Decode every complete line of the buffered text and
-        ``chunk``; an unterminated tail stays buffered."""
+        ``chunk``: the header and v1 records one at a time, a v2 body
+        through :meth:`_scan`.  An unterminated tail stays buffered."""
         text = self.buffer + chunk
+        self.taken = 0
         try:
-            self.take(decoder, text)
+            while not self.plans:
+                cut = text.find("\n", self.taken)
+                if cut < 0:
+                    return
+                line = text[self.taken:cut].strip()
+                self.taken = cut + 1
+                decoder._frames += 1
+                if line:
+                    self._line(decoder, line)
+            self._scan(decoder, text)
         finally:
             # the unconsumed tail, stored once per feed; an error leaves
             # it just past the failing line
             self.buffer = text[self.taken:]
-
-    def take(self, decoder: "AnyTraceDecoder", text: str) -> None:
-        """Decode the complete lines of ``text``: the header and v1
-        records one at a time, a v2 body through :meth:`_scan`.  Leaves
-        :attr:`taken` where the unread tail starts."""
-        self.taken = 0
-        while not self.plans:
-            cut = text.find("\n", self.taken)
-            if cut < 0:
-                return
-            line = text[self.taken:cut].strip()
-            self.taken = cut + 1
-            decoder._frames += 1
-            if line:
-                self._line(decoder, line)
-        self._scan(decoder, text)
 
     def cut_short(self, decoder: "AnyTraceDecoder") -> Optional[TraceFormatError]:
         """The error for a buffered line that never got its newline, if
@@ -558,7 +549,7 @@ class AnyTraceDecoder:
     files and pipes without knowing what was recorded into them.
     :meth:`feed` accepts ``bytes`` (sniffed; text is decoded
     incrementally as UTF-8) or ``str`` (text formats only, e.g. a
-    line-mode stdin); :meth:`feed_line` is text-only.
+    text stream's pieces), in pieces of any size.
 
     The parsers only parse; this class owns what the formats share.
     Records decode straight into :attr:`trace`, which is live from
@@ -679,18 +670,6 @@ class AnyTraceDecoder:
                 return self._unwrap(chunk)
             return self._payload(chunk)
 
-    def feed_line(self, line: str) -> int:
-        """Decode one complete text line, a feed of that line alone;
-        returns the ops appended (0 or 1).
-
-        The line is taken to be complete — a caller reading from input
-        that may end mid-line (a crash-truncated file, a live tail)
-        should use :meth:`feed`, which buffers an unterminated tail
-        for :meth:`flush`/:meth:`finish` to rule on.
-        """
-        text = line if line.endswith("\n") else line + "\n"
-        return self._parse(self._text_parser().take, text)
-
     def flush(self) -> int:
         """Rule on buffered input that never completed its line or
         frame.
@@ -713,7 +692,7 @@ class AnyTraceDecoder:
         if self._parser is not None:
             error = self._parser.cut_short(self)
             if error is not None:
-                self._damage(error)
+                self.mark_damaged(error)
         return 0
 
     def finish(self) -> Trace:
@@ -725,7 +704,7 @@ class AnyTraceDecoder:
             # when the payload decoded cleanly, the envelope's damage
             # is the stream's
             if mux.error is not None and self.error in (None, mux.error):
-                self.error = TraceFormatError(f"damaged trace stream: {mux.error}")
+                self.error = StreamDamageError(mux.error)
         parser = self._parser
         if parser is None:
             raise TraceError("empty trace stream")
@@ -733,7 +712,7 @@ class AnyTraceDecoder:
             try:
                 self._utf8.decode(b"", final=True)
             except UnicodeDecodeError as exc:
-                self.mark_damaged(exc)
+                self.mark_damaged(StreamDamageError(exc))
         self.flush()
         parser.check_end(self)
         if self.header is None:
@@ -754,18 +733,17 @@ class AnyTraceDecoder:
         self._trace.decode_stats = self.decode_stats()
         return self._trace
 
-    def mark_damaged(self, exc: Exception) -> None:
-        """Record out-of-band stream damage (e.g. a truncated gzip
-        member noticed by the decompressor, not by any record)."""
-        self._damage(TraceFormatError(f"damaged trace stream: {exc}"))
-
-    # -- the shared decode ----------------------------------------------
-
-    def _damage(self, error: TraceFormatError) -> None:
+    def mark_damaged(self, error: TraceFormatError) -> None:
+        """Meet damage found outside a record's parse (a truncated gzip
+        member the chunk reader names, a record cut short at the end, an
+        envelope frame after END): raise it under ``strict``; in salvage
+        mode keep the first damage and ignore later input."""
         if self.strict:
             raise error from None
         if self.error is None:
             self.error = error
+
+    # -- the shared decode ----------------------------------------------
 
     def _start(self, first: bytes) -> None:
         """Pick the parser the stream's first byte selects."""
@@ -805,7 +783,7 @@ class AnyTraceDecoder:
                     "repro.stream.SessionRouter"
                 )
             if self._ended:
-                self._damage(
+                self.mark_damaged(
                     TraceFormatError(
                         f"mux frame for session {sid!r} after its END frame"
                     )
@@ -830,7 +808,7 @@ class AnyTraceDecoder:
         try:
             text = self._utf8.decode(bytes(data))
         except UnicodeDecodeError as exc:
-            self.mark_damaged(exc)
+            self.mark_damaged(StreamDamageError(exc))
             return 0
         return self._parse(self._parser.parse, text)
 
@@ -966,9 +944,10 @@ def load_trace(
     """Read a trace previously written by :func:`dump_trace` /
     :func:`dump_trace_binary`.
 
-    ``fp`` may be a text or a binary stream; the format version is
-    negotiated from the first bytes (pass ``expect_version`` to
-    *require* one — the CLI's ``--format`` flag).
+    ``fp`` may be a text or a binary stream, read through the chunk
+    reader (:func:`~repro.trace.reader.tail_chunks`); the format
+    version is negotiated from the first bytes (pass ``expect_version``
+    to *require* one — the CLI's ``--format`` flag).
 
     Damaged input — truncated files (including one that merely ends
     mid-line or mid-frame: the writers terminate every record, so a
@@ -985,71 +964,26 @@ def load_trace(
 
 def _decode_stream(
     decoder: "AnyTraceDecoder",
-    fp,
+    source,
     after_feed: Optional[Callable[[], None]] = None,
 ) -> Trace:
-    """Feed the text or binary stream ``fp`` to ``decoder`` piece by
-    piece, then finish it; ``after_feed`` runs after every feed and
-    after the finish (:func:`convert_trace_file` writes out and drops
-    what each feed decoded)."""
+    """Feed ``source`` (a path, or an open text or binary stream) to
+    ``decoder`` a read at a time through the chunk reader, then finish
+    it; ``after_feed`` runs after every feed and after the finish
+    (:func:`convert_trace_file` writes out and drops what each feed
+    decoded)."""
     after_feed = after_feed or (lambda: None)
-    is_text = isinstance(fp, io.TextIOBase) or isinstance(
-        getattr(fp, "read", lambda *_a: "")(0), str
-    )
     try:
-        if is_text:
-            _feed_lines(decoder, fp, after_feed)
-        else:
-            # read1 (one underlying read per call) rather than read:
-            # BufferedReader.read over a truncated gzip member raises
-            # EOFError *inside* the fill loop, losing the decompressed
-            # prefix it had accumulated — read1 hands each piece over
-            # before the damage surfaces, so salvage sees the prefix.
-            read = getattr(fp, "read1", fp.read)
-            while True:
-                chunk = read(1 << 16)
-                if not chunk:
-                    break
-                decoder.feed(chunk)
-                after_feed()
-                if decoder.degraded:
-                    break
-    except _STREAM_DAMAGE as exc:
+        for chunk in tail_chunks(source):
+            decoder.feed(chunk)
+            after_feed()
+            if decoder.degraded:
+                break
+    except StreamDamageError as exc:
         decoder.mark_damaged(exc)
     trace = decoder.finish()
     after_feed()
     return trace
-
-
-def _feed_lines(
-    decoder: "AnyTraceDecoder", fp: IO[str], after_feed: Callable[[], None]
-) -> None:
-    """Hand a text stream to ``decoder.feed`` in pieces of about
-    :data:`_TEXT_PIECE` characters of whole lines.
-
-    Lines are read one at a time, so a decompressor that fails mid-file
-    (a truncated gzip member) has lost none of the lines before the
-    damage: they are fed before the error propagates.  ``feed``, not
-    ``feed_line``: a crash-truncated file's last line has no newline,
-    and only the buffer path lets ``finish`` tell a complete final
-    record from a cut one.
-    """
-    piece: List[str] = []
-    size = 0
-    try:
-        for line in fp:
-            piece.append(line)
-            size += len(line)
-            if size >= _TEXT_PIECE:
-                text, piece, size = "".join(piece), [], 0
-                decoder.feed(text)
-                after_feed()
-                if decoder.degraded:
-                    return
-    finally:
-        if piece and not decoder.degraded:
-            decoder.feed("".join(piece))
-            after_feed()
 
 
 # ---------------------------------------------------------------------------
@@ -1062,13 +996,6 @@ def _open_for(path: Union[str, Path], mode: str) -> IO[str]:
     if str(path).endswith(".gz"):
         return gzip.open(path, mode + "t", encoding="utf-8")
     return open(path, mode, encoding="utf-8")
-
-
-def _open_binary_for(path: Union[str, Path], mode: str) -> IO[bytes]:
-    """Binary stream for ``path``; transparently gzip on a ``.gz`` suffix."""
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "b")
-    return open(path, mode + "b")
 
 
 def save_trace_file(
@@ -1098,8 +1025,8 @@ def load_trace_file(
     ``strict=False`` salvages the valid prefix of a damaged file; see
     :func:`load_trace`.
     """
-    with _open_binary_for(path, "r") as fp:
-        return load_trace(fp, expect_version=expect_version, strict=strict)
+    decoder = AnyTraceDecoder(expect_version=expect_version, strict=strict)
+    return _decode_stream(decoder, path)
 
 
 def dumps_trace(trace: Trace, version: int = FORMAT_VERSION) -> str:
@@ -1170,8 +1097,7 @@ class _Transcode:
         self.tasks = 0
         self.ops = 0
         self._make_writer = make_writer
-        with _open_binary_for(src, "r") as fp:
-            _decode_stream(self.decoder, fp, self._drain)
+        _decode_stream(self.decoder, src, self._drain)
 
     def _drain(self) -> None:
         decoder = self.decoder

@@ -100,6 +100,19 @@ class TraceFormatError(TraceError):
         self.line = line
 
 
+class StreamDamageError(TraceFormatError):
+    """The bytes beneath the records are damaged: a compressed member
+    cut short or corrupt, or text that is not UTF-8.
+
+    The chunk reader (:func:`repro.trace.reader.tail_chunks`) raises it
+    after the pieces before the damage; a consumer that salvages hands
+    it to :meth:`~repro.trace.serialization.AnyTraceDecoder.mark_damaged`.
+    """
+
+    def __init__(self, cause: object):
+        super().__init__(f"damaged trace stream: {cause}")
+
+
 class OpsView(Sequence):
     """Read-only sequence view over a store's operations.
 

@@ -275,9 +275,23 @@ class TestProfiles:
         assert "stream profile:" in capsys.readouterr().out
 
 
+class Reads:
+    """An open stream whose reads return ``pieces``, then EOF forever."""
+
+    def __init__(self, *pieces):
+        self._pieces = iter(pieces)
+
+    def read(self, size):
+        return next(self._pieces, b"")
+
+
+class Interrupted(Exception):
+    pass
+
+
 class TestBackoff:
-    """Satellite: --follow must not busy-poll; the backoff doubles up
-    to its cap and any data resets it."""
+    """--follow must not busy-poll: the chunk reader's backoff doubles
+    up to its cap and any data resets it."""
 
     def test_delays_grow_exponentially_to_the_cap(self):
         slept = []
@@ -309,24 +323,19 @@ class TestBackoff:
         """The busy-poll regression test: over an idle stretch the
         tail must take exponentially *fewer* wakeups than fixed-rate
         polling — counted, not timed."""
-        reads = iter([b"x"] + [b""] * 8 + [b"y"] + [b""] * 8)
+        reads = Reads(b"x", *[b""] * 8, b"y")
         slept = []
         backoff = Backoff(initial=0.05, cap=0.8)
-        stop = {"n": 0}
 
-        def should_stop():
-            stop["n"] += 1
-            return stop["n"] > 18
+        def sleep(delay):
+            if len(slept) == 18:
+                raise Interrupted  # stands in for Ctrl-C
+            slept.append(delay)
 
-        chunks = list(
-            tail_chunks(
-                lambda size: next(reads, b""),
-                follow=True,
-                backoff=backoff,
-                sleep=slept.append,
-                should_stop=should_stop,
-            )
-        )
+        chunks = []
+        with pytest.raises(Interrupted):
+            for chunk in tail_chunks(reads, True, backoff, sleep):
+                chunks.append(chunk)
         assert chunks == [b"x", b"y"]
         # 18 idle reads but a doubling schedule: the first idle run
         # sleeps 0.05..0.8 and the data byte resets it
@@ -338,9 +347,7 @@ class TestBackoff:
         assert sum(slept) > 0.9 * 5
 
     def test_tail_without_follow_stops_at_eof(self):
-        reads = iter([b"a", b"b"])
-        chunks = list(tail_chunks(lambda size: next(reads, b"")))
-        assert chunks == [b"a", b"b"]
+        assert list(tail_chunks(Reads(b"a", b"b"))) == [b"a", b"b"]
 
 
 class TestDuplicateSessions:

@@ -14,7 +14,7 @@ from repro.apps import ALL_APPS, make_app
 from repro.detect import UseFreeDetector
 from repro.hb import CAFA_MODEL, CONVENTIONAL_MODEL, build_happens_before
 from repro.stream import IncrementalHB, StreamAnalyzer
-from repro.trace import Trace
+from repro.trace import Trace, dumps_trace
 
 from tests.test_property_runtime_hb import program_specs, run_program
 
@@ -193,13 +193,11 @@ def test_detect_now_anywhere_keeps_the_offline_reports(name, cuts, gc):
     """Provisional detections build the graph mid-stream; the next
     poll builds it again over the later ops too, and the session still
     ends with the offline reports."""
-    trace = app_trace(name)
+    lines = dumps_trace(app_trace(name), version=2).splitlines(keepends=True)
     analyzer = StreamAnalyzer(gc=gc)
-    for info in trace.tasks.values():
-        analyzer.add_task(info)
-    stops = {cut % len(trace) for cut in cuts}
-    for i, op in enumerate(trace):
-        analyzer.append(op)
+    stops = {cut % len(lines) for cut in cuts}
+    for i, line in enumerate(lines):
+        analyzer.feed(line)
         if i in stops:
             analyzer.detect_now()
     assert [str(r) for r in analyzer.finish()] == offline_reports(name)

@@ -64,33 +64,30 @@ def offline_reports(trace):
 
 
 def stream_reports(trace, **kwargs):
+    """An analyzer fed ``trace``'s v2 stream one record (line) per feed
+    and finished, with its reports."""
     analyzer = StreamAnalyzer(**kwargs)
-    for line in dumps_trace(trace, version=2).splitlines():
-        analyzer.feed_line(line)
+    for line in dumps_trace(trace, version=2).splitlines(keepends=True):
+        analyzer.feed(line)
     return analyzer, [str(r) for r in analyzer.finish()]
 
 
 class TestInProcessFeed:
-    """append()/add_task() — no serialization round-trip at all."""
+    """feed() record by record, provisional detection, the reports."""
 
-    def test_append_api_matches_offline(self):
+    def test_record_per_feed_matches_offline(self):
         trace = app_trace()
-        analyzer = StreamAnalyzer()
-        for info in trace.tasks.values():
-            analyzer.add_task(info)
-        for op in trace:
-            analyzer.append(op)
-        online = [str(r) for r in analyzer.finish()]
+        analyzer, online = stream_reports(trace)
         assert online == offline_reports(trace)
         assert analyzer.profile.ops_ingested == len(trace)
 
     def test_detect_now_is_provisional_and_harmless(self):
         trace = app_trace()
-        lines = dumps_trace(trace, version=2).splitlines()
+        lines = dumps_trace(trace, version=2).splitlines(keepends=True)
         analyzer = StreamAnalyzer(gc=False)
         half = len(lines) // 2
         for line in lines[:half]:
-            analyzer.feed_line(line)
+            analyzer.feed(line)
         provisional = {str(r.key) for r in analyzer.detect_now()}
         full_keys = {
             str(r.key) for r in UseFreeDetector(trace).detect().reports
@@ -98,7 +95,7 @@ class TestInProcessFeed:
         # A mid-stream snapshot can only see races among ops so far.
         assert provisional <= full_keys
         for line in lines[half:]:
-            analyzer.feed_line(line)
+            analyzer.feed(line)
         assert [str(r) for r in analyzer.finish()] == offline_reports(trace)
 
     def test_finish_is_idempotent_reports_accessor(self):
@@ -194,20 +191,10 @@ def fed_bytes(trace, chunk=None, version=3):
     return analyzer
 
 
-def fed_in_process(trace):
-    analyzer = StreamAnalyzer()
-    for info in trace.tasks.values():
-        analyzer.add_task(info)
-    for op in trace:
-        analyzer.append(op)
-    analyzer.finish()
-    return analyzer
-
-
 def epoch_outcome(analyzer):
     """Everything a session's epochs and profile report, except the
-    record count (a v3 stream's interning frames are records too; an
-    in-process feed has none)."""
+    record count (a v3 stream's records are frames, a v2 stream's
+    lines)."""
     epochs = [
         (e.index, e.ops, [str(r) for r in e.reports], e.closure_bytes, e.retired)
         for e in analyzer.epochs
@@ -220,7 +207,8 @@ def epoch_outcome(analyzer):
 class TestRangeDrive:
     """The analyzer drives its structures over op ranges; how the
     ops arrive (one v3 batch holding every epoch, small chunks of v3 or
-    of v2 text, one op at a time) changes no epoch, report or counter."""
+    of v2 text, one record per feed) changes no epoch, report or
+    counter."""
 
     @pytest.mark.parametrize("name", [app.name for app in ALL_APPS])
     def test_every_feed_gives_the_same_epochs(self, name):
@@ -229,7 +217,7 @@ class TestRangeDrive:
         assert whole[1]["epochs_retired"] == 3
         assert epoch_outcome(fed_bytes(combined, chunk=4096)) == whole
         assert epoch_outcome(fed_bytes(combined, chunk=4096, version=2)) == whole
-        assert epoch_outcome(fed_in_process(combined)) == whole
+        assert epoch_outcome(stream_reports(combined)[0]) == whole
 
     def test_batches_after_a_retirement_give_the_same_epochs(self, monkeypatch):
         # five 4,096-op v3 batches fed in 64 KiB pieces: the batches that
@@ -249,7 +237,7 @@ class TestRangeDrive:
         assert pieces[1]["epochs_retired"] == 3
         assert 0 < sum(translated) < len(combined)
         assert pieces == epoch_outcome(fed_bytes(combined))
-        assert pieces == epoch_outcome(fed_in_process(combined))
+        assert pieces == epoch_outcome(stream_reports(combined)[0])
 
     def test_v3_session_materializes_only_extracted_payloads(self, monkeypatch):
         """A v3 session materializes each lock and pointer op at most

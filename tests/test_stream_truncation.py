@@ -5,7 +5,7 @@ salvaged prefix whose detected races are a subset of the full trace's
 
 The cuts are driven by hypothesis over every stock app, at both
 arbitrary byte offsets and exact line boundaries, plus deterministic
-checks of the decoder's incremental ``feed``/``feed_line``/``flush``
+checks of the decoder's incremental ``feed``/``flush``/``finish``
 surface and the gzip-level damage path.
 """
 
@@ -24,6 +24,7 @@ from repro.trace import (
     dumps_trace,
     encode_mux_header,
     encode_session,
+    load_trace,
     load_trace_file,
     loads_trace,
 )
@@ -123,7 +124,7 @@ class TestArbitraryByteCuts:
 
 
 class TestIncrementalDecoder:
-    """feed() chunking, feed_line(), and flush() are equivalent."""
+    """feed() chunking, one line per feed, and flush() are equivalent."""
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -168,11 +169,11 @@ class TestIncrementalDecoder:
         assert len(trace) == len(loads_trace(text)) - 1
         assert race_keys(trace) <= full_keys
 
-    def test_feed_line_matches_feed(self):
+    def test_line_per_feed_matches_one_feed(self):
         text, _ = app_stream("connectbot")
         by_line = AnyTraceDecoder()
-        for line in text.splitlines():
-            by_line.feed_line(line)
+        for line in text.splitlines(keepends=True):
+            by_line.feed(line)
         whole = AnyTraceDecoder()
         whole.feed(text)
         a, b = by_line.finish(), whole.finish()
@@ -204,6 +205,21 @@ class TestDamagedFiles:
         salvaged = load_trace_file(path, strict=False)
         assert len(salvaged) < len(loads_trace(text))
         assert race_keys(salvaged) <= full_keys
+
+    def test_truncated_gzip_text_stream_keeps_its_prefix(self, tmp_path):
+        # a text stream has no read1: the reader reads it line by line,
+        # so the lines before the damage are salvaged as from bytes
+        text, _ = app_stream("connectbot")
+        path = tmp_path / "crash.trace.gz"
+        blob = gzip.compress(text.encode("utf-8"))
+        path.write_bytes(blob[: len(blob) // 2])
+        with gzip.open(path, "rt", encoding="utf-8") as fp:
+            with pytest.raises(TraceFormatError, match="damaged"):
+                load_trace(fp)
+        with gzip.open(path, "rt", encoding="utf-8") as fp:
+            salvaged = load_trace(fp, strict=False)
+        assert len(salvaged) > 0
+        assert len(salvaged) == len(load_trace_file(path, strict=False))
 
     def test_truncated_plain_file(self, tmp_path):
         text, full_keys = app_stream("connectbot")

@@ -289,8 +289,8 @@ def decoded(text, way):
         for start in range(0, len(text), 4096):
             decoder.feed(text[start:start + 4096])
     else:
-        for line in text.splitlines():
-            decoder.feed_line(line)
+        for line in text.splitlines(keepends=True):
+            decoder.feed(line)
     return decoder.finish()
 
 

@@ -547,7 +547,7 @@ class TestAnyTraceDecoder:
         decoder = AnyTraceDecoder()
         decoder.feed(dumps_trace_bytes(trace, version=3)[:64])
         with pytest.raises(TraceError, match="binary"):
-            decoder.feed_line('{"op": {}}')
+            decoder.feed('{"op": {}}\n')
 
     def test_empty_stream_rejected(self):
         with pytest.raises(TraceError, match="empty trace stream"):

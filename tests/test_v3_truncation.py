@@ -12,21 +12,25 @@ data.
 """
 
 import gzip
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps import ALL_APPS, make_app
 from repro.detect import UseFreeDetector
+from repro.stream import SessionRouter, StreamAnalyzer
 from repro.trace import (
     AnyTraceDecoder,
     TraceError,
     TraceFormatError,
     dumps_trace_bytes,
+    encode_mux_header,
+    encode_session,
     load_trace_file,
     loads_trace,
 )
-from repro.trace.binary import MAGIC_V3, TRAILER_LEN, _read_uvarint
+from repro.trace.binary import MAGIC_V3, TRAILER_LEN, _read_uvarint, _write_uvarint
 
 SCALE = 0.02
 SEED = 1
@@ -60,6 +64,50 @@ def header_end(blob):
     pos = len(MAGIC_V3) + 1  # magic + header tag byte
     length, pos = _read_uvarint(blob, pos, len(blob))
     return pos + length
+
+
+def with_header(blob, **fields):
+    """``blob`` with ``fields`` replaced in its header frame."""
+    start = len(MAGIC_V3) + 1  # magic + header tag byte
+    length, body = _read_uvarint(blob, start, len(blob))
+    header = json.loads(blob[body:body + length])
+    header.update(fields)
+    payload = json.dumps(header).encode("utf-8")
+    head = bytearray(blob[:start])
+    _write_uvarint(head, len(payload))
+    return bytes(head) + payload + blob[body + length:]
+
+
+class TestOversizedHeaderTables:
+    """A v3 kind or branch-kind column holds one byte per op, so a
+    header table of more than 256 names is refused while the header is
+    negotiated: a named error in either mode, and in a daemon one
+    session's error, not its neighbour's."""
+
+    @pytest.mark.parametrize(
+        "table, names", [("kinds", ["begin"]), ("branch_kinds", ["if-eqz"])]
+    )
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_refused_in_both_modes(self, table, names, strict):
+        blob = with_header(app_blob("connectbot")[0], **{table: names * 300})
+        with pytest.raises(TraceError, match=f"{table} table has 300 names"):
+            loads_trace(blob, strict=strict)
+
+    def test_daemon_session_closes_with_the_error_named(self):
+        good = app_blob("connectbot")[0]
+        bad = with_header(good, kinds=["begin"] * 300)
+        router = SessionRouter(0)
+        router.feed(
+            encode_mux_header()
+            + b"".join(encode_session("bad", bad) + encode_session("good", good))
+        )
+        sessions = router.drain().sessions
+        assert "kinds table has 300 names" in sessions["bad"].error
+        alone = StreamAnalyzer()
+        alone.feed(good)
+        assert sessions["good"].error is None
+        assert sessions["good"].reports == [str(r) for r in alone.finish()]
+        assert sessions["good"].reports
 
 
 class TestArbitraryByteCuts:
