@@ -13,11 +13,13 @@ and whose conclusion is not yet implied, adds the concluded edges, and
 repeats until no rule fires.
 
 Every rule is implemented once, here, over the store's columns (no
-:class:`Operation` is materialized): :func:`_scan` places ops in
-their tasks' program order, records the key ops and harvests the event
-facts they carry, and :func:`_build_relation` builds the relation of
-everything scanned: :func:`_build_key_graph` lays each task's key
-nodes out, :class:`_BaseRules` adds the base edges each key op enables
+:class:`Operation` is materialized): :func:`_scan` takes the key ops
+from the store's per-kind index, files each under its task and
+harvests the event facts they carry (no other op is visited), and
+:func:`_build_relation` builds the relation of everything scanned:
+:func:`_build_key_graph` lays each task's key nodes out, ending each
+chain at the task's last op, :class:`_BaseRules` adds the base edges
+each key op enables
 and the edges read off whole chains (the external-input chain and the
 queue-rule-1 seeding), and :func:`_fixpoint` runs the derived rules.
 :func:`build_happens_before` scans a complete trace and builds;
@@ -40,6 +42,7 @@ round entry, exactly as in a snapshot-per-round fixpoint.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -86,7 +89,7 @@ class BuildProfile:
     — is observable without a profiler.
     """
 
-    #: trace scan + event-record harvesting
+    #: key-op scan + event-record harvesting
     scan_seconds: float = 0.0
     #: key-graph construction + base-rule edges
     base_seconds: float = 0.0
@@ -106,6 +109,9 @@ class BuildProfile:
     bits_propagated: int = 0
     #: rule groups (per looper / per queue) evaluated, per rule and round
     groups_examined: int = 0
+    # The four closure-storage fields below take a walk of the whole
+    # closure, so no build fills them: HappensBefore.profile measures
+    # them on its first read.
     #: distinct chunk objects in the final reach vector
     chunks_allocated: int = 0
     #: block-table entries resolved by sharing a chunk already owned by
@@ -154,9 +160,6 @@ class _BuildState:
 
     trace: Trace
     config: ModelConfig
-    op_task: List[str] = field(default_factory=list)
-    op_pos: List[int] = field(default_factory=list)
-    task_ops: Dict[str, List[int]] = field(default_factory=dict)
     events: Dict[str, EventRecord] = field(default_factory=dict)
     task_begin: Dict[str, int] = field(default_factory=dict)
     task_end: Dict[str, int] = field(default_factory=dict)
@@ -164,18 +167,20 @@ class _BuildState:
     task_of_id: Dict[int, str] = field(default_factory=dict)
     #: the key ops (graph nodes), in trace order
     key_ops: List[int] = field(default_factory=list)
-    #: task -> the program-order positions of its key ops
-    task_key_pos: Dict[str, List[int]] = field(default_factory=dict)
+    #: task -> its key ops, ascending
+    task_keys: Dict[str, List[int]] = field(default_factory=dict)
+    #: the scan covers ops 0 to ``scanned - 1``
+    scanned: int = 0
     store: TraceStore = field(init=False)
-    #: per kind code: are ops of this kind key ops (graph nodes)?
-    key_by_code: List[bool] = field(init=False)
+    #: the kinds of the key ops (graph nodes)
+    key_kinds: Tuple[OpKind, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         self.store = self.trace.store
         locks = (OpKind.ACQUIRE, OpKind.RELEASE) if self.config.lock_edges else ()
-        self.key_by_code = [
-            kind in SYNC_KINDS or kind in locks for kind in KIND_LIST
-        ]
+        self.key_kinds = tuple(
+            kind for kind in KIND_LIST if kind in SYNC_KINDS or kind in locks
+        )
 
 
 def _effective_task(state: _BuildState, task: str) -> str:
@@ -189,37 +194,40 @@ def _effective_task(state: _BuildState, task: str) -> str:
     return task
 
 
+def _register_task(state: _BuildState, tid: int) -> str:
+    """Map task symbol id ``tid`` to the task whose program order its
+    ops join, and return that task."""
+    task = state.task_of_id[tid] = _effective_task(
+        state, state.store.symbols.value(tid)
+    )
+    state.task_keys.setdefault(task, [])
+    return task
+
+
 def _scan(state: _BuildState, start: int, stop: int) -> None:
-    """Scan ops ``start`` to ``stop - 1``, in trace order: append each
-    to its task's program order, record it if it is a key op (a graph
-    node), and harvest the task bound or event fact it carries."""
+    """Scan ops ``start`` to ``stop - 1``: take the range's key ops
+    (the graph nodes) from the store's per-kind index, and in trace
+    order add each to its task's key ops and harvest the task bound or
+    event fact it carries.  No other op is visited; the relation
+    locates one by its index alone
+    (:class:`~repro.hb.graph.HappensBefore`)."""
     store = state.store
+    keys = store.indices_of(*state.key_kinds, start=start, stop=stop)
+    state.key_ops += keys
+    state.scanned = stop
     kinds, task_ids = store.kinds, store.task_ids
-    task_of_id, task_ops = state.task_of_id, state.task_ops
-    op_task, op_pos = state.op_task, state.op_pos
-    key_by_code, key_ops, key_pos = state.key_by_code, state.key_ops, state.task_key_pos
-    for i in range(start, stop):
+    task_of_id, task_keys = state.task_of_id, state.task_keys
+    sends = _send_columns(store)
+    for i in keys:
         tid = task_ids[i]
         task = task_of_id.get(tid)
         if task is None:
-            task = task_of_id[tid] = _effective_task(
-                state, store.symbols.value(tid)
-            )
-        ops = task_ops.get(task)
-        if ops is None:
-            ops = task_ops[task] = []
-            key_pos[task] = []
-        pos = len(ops)
-        op_task.append(task)
-        op_pos.append(pos)
-        ops.append(i)
+            task = _register_task(state, tid)
+        task_keys[task].append(i)
         code = kinds[i]
-        if key_by_code[code]:
-            key_ops.append(i)
-            key_pos[task].append(pos)
-            # every harvested kind is a sync kind, hence a key op
-            if code in _HARVESTED:
-                _harvest(state, i, code)
+        # every harvested kind is a sync kind, hence a key op
+        if code in _HARVESTED:
+            _harvest(state, i, code, sends)
 
 
 def _event_record(state: _BuildState, event: str) -> EventRecord:
@@ -229,8 +237,28 @@ def _event_record(state: _BuildState, event: str) -> EventRecord:
     return rec
 
 
-def _harvest(state: _BuildState, i: int, code: int) -> None:
-    """Record the task bound or event send/dispatch fact of op ``i``.
+#: kind code -> the (event, delay, queue) payload columns of its ops
+_SendColumns = Dict[int, Tuple[array, Optional[array], array]]
+
+
+def _send_columns(store: TraceStore) -> _SendColumns:
+    """The payload columns of the store's sends and sendAtFronts (a
+    sendAtFront has no delay)."""
+    columns: _SendColumns = {}
+    for kind in (OpKind.SEND, OpKind.SEND_AT_FRONT):
+        delay = store.column(kind, "delay")[1] if kind is OpKind.SEND else None
+        columns[KIND_CODES[kind]] = (
+            store.column(kind, "event")[1],
+            delay,
+            store.column(kind, "queue")[1],
+        )
+    return columns
+
+
+def _harvest(state: _BuildState, i: int, code: int, sends: _SendColumns) -> None:
+    """Record the task bound or event send/dispatch fact of op ``i``;
+    a send's fields are read off ``sends`` (:func:`_send_columns`) at
+    its row.
 
     Facts are overwritten in trace order: a Send after a SendAtFront of
     the same event rewrites ``send_index``/``at_front`` (and vice
@@ -255,11 +283,14 @@ def _harvest(state: _BuildState, i: int, code: int) -> None:
         else:
             rec.end_index = i
         return
-    rec = _event_record(state, store.field_of(i, "event"))
+    events, delays, queues = sends[code]
+    row = store.rows[i]
+    symbol = store.symbols.value
+    rec = _event_record(state, symbol(events[row]))
     rec.send_index = i
     rec.at_front = code == _SEND_AT_FRONT
-    rec.delay = 0 if rec.at_front else store.field_of(i, "delay")
-    queue = store.field_of(i, "queue")
+    rec.delay = 0 if rec.at_front else delays[row]
+    queue = symbol(queues[row])
     if queue:
         rec.queue = queue
 
@@ -269,27 +300,33 @@ def _build_key_graph(
 ) -> Tuple[KeyGraph, Dict[str, List[int]], Dict[str, List[int]]]:
     """Create nodes for every key op and chain them per task.
 
-    Each task's chain goes through :meth:`KeyGraph.add_chain`, which
-    allocates its nodes in one uninterrupted run and thereby
+    Tasks are laid out in the order they first appear in the scanned
+    prefix.  Each task's chain goes through :meth:`KeyGraph.add_chain`,
+    which allocates its nodes in one uninterrupted run and thereby
     *guarantees* the contiguous-id invariant behind the query path's
     range probes (a broken run raises instead of degrading).  Each task
-    also gets a node at its last op, so it has one at its very end.
-    Returns the graph and each task's key positions and key nodes.
+    also gets a node at its last op inside the prefix, read off the
+    store's per-task index, so it has one at its very end.  Returns the
+    graph and each task's node ops and key nodes.
     """
+    last_op: Dict[str, int] = {}
+    for tid, last in state.store.task_last_ops(state.scanned):
+        task = state.task_of_id.get(tid)
+        if task is None:
+            task = _register_task(state, tid)
+        if last_op.get(task, -1) < last:
+            last_op[task] = last
     graph = KeyGraph()
-    task_key_positions: Dict[str, List[int]] = {}
+    task_node_ops: Dict[str, List[int]] = {}
     task_key_nodes: Dict[str, List[int]] = {}
-    for task, ops in state.task_ops.items():
+    for task, last in last_op.items():
         # a copy: the scan keeps appending to its own list
-        positions = list(state.task_key_pos[task])
-        last = len(ops) - 1
-        if not positions or positions[-1] != last:
-            positions.append(last)
-        task_key_positions[task] = positions
-        task_key_nodes[task] = graph.add_chain(
-            [ops[pos] for pos in positions], RULE_PROGRAM_ORDER
-        )
-    return graph, task_key_positions, task_key_nodes
+        ops = list(state.task_keys[task])
+        if not ops or ops[-1] != last:
+            ops.append(last)
+        task_node_ops[task] = ops
+        task_key_nodes[task] = graph.add_chain(ops, RULE_PROGRAM_ORDER)
+    return graph, task_node_ops, task_key_nodes
 
 
 class _BaseRules:
@@ -811,15 +848,17 @@ def _fixpoint(state: _BuildState, graph: KeyGraph, profile: BuildProfile) -> Non
     profile.events_repropagated = rules.events_repropagated
 
 
-def _task_bounds(state: _BuildState) -> Dict[str, Tuple[int, int]]:
+def _task_bounds(
+    state: _BuildState, task_node_ops: Dict[str, List[int]]
+) -> Dict[str, Tuple[int, int]]:
     """(begin op, end op) of every begun task; a task with no END
-    scanned ends at the last op of its program order."""
+    scanned ends at the last op of its program order in the prefix."""
     bounds: Dict[str, Tuple[int, int]] = {}
+    task_ids = state.store.task_ids
     for task, begin in state.task_begin.items():
         end = state.task_end.get(task)
         if end is None:
-            ops = state.task_ops.get(_effective_task(state, task), [])
-            end = ops[-1] if ops else begin
+            end = task_node_ops[state.task_of_id[task_ids[begin]]][-1]
         bounds[task] = (begin, end)
     return bounds
 
@@ -829,15 +868,18 @@ def _build_relation(state: _BuildState, profile: BuildProfile) -> HappensBefore:
 
     Lays the key nodes out task by task, adds the base edges in trace
     order and the chain edges, closes the graph and runs the fixpoint;
-    the phase timings and closure counters go into ``profile``.  The
-    scan state is only read, so a later scan can extend it and build
-    again.  Raises :class:`~repro.hb.graph.HBCycleError` if the base
-    graph is cyclic, then :class:`ModelNotApplicableError` if a base
-    edge points back in the trace.
+    the phase timings and closure-work counters go into ``profile``
+    (the closure's storage is sized when the relation's ``profile`` is
+    first read).  The build only registers the scanned tasks that have
+    no key op, as a later scan would, so a later scan can extend the
+    state and build again.  Raises
+    :class:`~repro.hb.graph.HBCycleError` if the base graph is cyclic,
+    then :class:`ModelNotApplicableError` if a base edge points back in
+    the trace.
     """
     _check_one_looper_per_queue(state)
     with span("hb.base_edges") as timed:
-        graph, task_key_positions, task_key_nodes = _build_key_graph(state)
+        graph, task_node_ops, task_key_nodes = _build_key_graph(state)
         base = _BaseRules(state, graph)
         for i in state.key_ops:
             base.step(i)
@@ -858,11 +900,11 @@ def _build_relation(state: _BuildState, profile: BuildProfile) -> HappensBefore:
     profile.bits_propagated = graph.bits_propagated
     return HappensBefore(
         graph=graph,
-        op_task=state.op_task,
-        op_pos=state.op_pos,
-        task_key_positions=task_key_positions,
+        task_ids=state.store.task_ids,
+        task_of_id=state.task_of_id,
+        task_key_ops=task_node_ops,
         task_key_nodes=task_key_nodes,
-        event_bounds=_task_bounds(state),
+        event_bounds=_task_bounds(state, task_node_ops),
         profile=profile,
     )
 
@@ -887,11 +929,4 @@ def build_happens_before(
         _scan(state, 0, len(trace))
     profile.scan_seconds = timed.seconds
 
-    hb = _build_relation(state, profile)
-    chunk_stats = hb.graph.chunk_stats()
-    if chunk_stats is not None:
-        profile.closure_bytes = chunk_stats.bytes
-        profile.chunks_allocated = chunk_stats.chunks_allocated
-        profile.chunks_shared = chunk_stats.chunks_shared
-        profile.dense_chunk_ratio = chunk_stats.dense_chunk_ratio
-    return hb
+    return _build_relation(state, profile)

@@ -8,13 +8,15 @@ as a fixpoint over a graph rather than with vector clocks.
 The graph here is a *key-node* graph.  Operations that can source or
 sink a cross-task edge (begin/end, fork/join, wait/notify, send,
 sendAtFront, register/perform, the IPC records — see
-:data:`repro.trace.SYNC_KINDS`) become graph nodes; all other
-operations (memory accesses, pointer records, branches) are located
-purely by their position inside their task's program order.  Because a
-task's operations form a chain, the reachable set of an arbitrary
-operation equals the reachable set of the first key node at or after it
-in the same task, so ordering queries between arbitrary operations
-reduce to key-node reachability plus two index comparisons.
+:data:`repro.trace.SYNC_KINDS`) become graph nodes, and so does each
+task's last operation; all other operations (memory accesses, pointer
+records, branches) are located purely by their task, read off the
+store's task column, and their index, which within a task follows
+program order.  Because a task's operations form a chain, the
+reachable set of an arbitrary operation equals the reachable set of
+the first key node at or after it in the same task, so ordering
+queries between arbitrary operations reduce to key-node reachability
+plus two bisections of the task's key-node op indices.
 
 Reachability over key nodes is kept as one chunked sparse bitset per
 node (:mod:`repro.hb.bits`) — fixed-width word chunks keyed by block
@@ -35,7 +37,9 @@ Two counters make the closure work observable:
 ``bits_propagated`` (reachability bits newly set by incremental
 propagation).  ``benchmarks/test_analysis_scaling.py`` asserts the
 former stays constant across the fixpoint, and
-``benchmarks/test_closure_engine.py`` bounds the closure's memory.
+``benchmarks/test_closure_engine.py`` bounds the closure's memory,
+which :attr:`HappensBefore.profile` measures (one walk of the closure)
+when it is first read.
 
 Querying takes two bisections and one bitset probe.  An arbitrary
 operation pair ``(a, b)`` reduces to the triple ``(ka, tb, hi)`` —
@@ -56,6 +60,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bits import ChunkStats, SparseBits, vector_stats
@@ -418,18 +423,10 @@ class KeyGraph:
         ``bit_count()``."""
         return self._closure()[u]
 
-    def closure_bytes(self) -> int:
-        """Memory retained by the closure's reach vector, in bytes,
-        measured sharing-aware (a chunk referenced from several block
-        tables is counted once).  Returns 0 when no closure has been
-        computed yet."""
-        if self._reach is None:
-            return 0
-        return vector_stats(self._reach).bytes
-
     def chunk_stats(self) -> Optional[ChunkStats]:
-        """Chunk-level storage accounting of the closure, or None when
-        it is not yet computed."""
+        """Chunk-level storage accounting of the closure (its bytes
+        measured sharing-aware: a chunk referenced from several block
+        tables is counted once), or None when it is not yet computed."""
         if self._reach is None:
             return None
         return vector_stats(self._reach)
@@ -467,22 +464,23 @@ class HappensBefore:
     def __init__(
         self,
         graph: KeyGraph,
-        op_task: Sequence[str],
-        op_pos: Sequence[int],
-        task_key_positions: Dict[str, List[int]],
+        task_ids: Sequence[int],
+        task_of_id: Dict[int, str],
+        task_key_ops: Dict[str, List[int]],
         task_key_nodes: Dict[str, List[int]],
         event_bounds: Dict[str, Tuple[int, int]],
         profile: BuildProfile,
     ) -> None:
         self.graph = graph
-        self._op_task = op_task
-        self._op_pos = op_pos
-        self._task_key_positions = task_key_positions
+        #: the store's per-op task symbol ids, and symbol id -> task
+        self._task_ids = task_ids
+        self._task_of_id = task_of_id
+        #: task -> the ops of its key nodes, ascending (so in program order)
+        self._task_key_ops = task_key_ops
         self._task_key_nodes = task_key_nodes
         self._event_bounds = event_bounds
-        #: the build's phase timings and counters
-        #: (:class:`repro.hb.builder.BuildProfile`)
-        self.profile = profile
+        #: the build's profile, its closure storage not yet measured
+        self._profile = profile
         #: query-side work counters (see :class:`QueryProfile`)
         self.query_profile = QueryProfile()
         #: task -> base node id of its (contiguous) key-node id range
@@ -497,30 +495,50 @@ class HappensBefore:
         #: (sig_a << 32 | sig_b) -> concurrent verdict, LRU-bounded
         self._pair_memo: OrderedDict[int, bool] = OrderedDict()
 
+    @cached_property
+    def profile(self) -> BuildProfile:
+        """The build's phase timings and counters
+        (:class:`repro.hb.builder.BuildProfile`).  The first read sizes
+        the closure's storage (``closure_bytes``, ``chunks_allocated``,
+        ``chunks_shared``, ``dense_chunk_ratio``) with one walk of the
+        reach vector; a build that nobody asks pays no walk."""
+        profile = self._profile
+        stats = self.graph.chunk_stats()
+        if stats is not None:
+            profile.closure_bytes = stats.bytes
+            profile.chunks_allocated = stats.chunks_allocated
+            profile.chunks_shared = stats.chunks_shared
+            profile.dense_chunk_ratio = stats.dense_chunk_ratio
+        return profile
+
     @property
     def iterations(self) -> int:
         """Fixpoint rounds the builder needed."""
-        return self.profile.rounds
+        return self._profile.rounds
 
     @property
     def derived_edges(self) -> int:
         """Edges contributed by the derived (fixpoint) rules."""
-        return sum(self.profile.edges_per_round)
+        return sum(self._profile.edges_per_round)
 
     # -- core queries -------------------------------------------------------
+
+    def _task_of(self, op: int) -> str:
+        """The task whose program order ``op`` is in."""
+        return self._task_of_id[self._task_ids[op]]
 
     def ordered(self, a: int, b: int) -> bool:
         """Strict happens-before between operation indices: ``a < b``."""
         prof = self.query_profile
         prof.queries += 1
-        ta, tb = self._op_task[a], self._op_task[b]
+        ta, tb = self._task_of(a), self._task_of(b)
         if ta == tb:
             prof.same_task += 1
-            return self._op_pos[a] < self._op_pos[b]
-        ka = self._first_key_at_or_after(ta, self._op_pos[a])
+            return a < b
+        ka = self._first_key_at_or_after(ta, a)
         if ka is None:
             return False
-        hi = bisect_right(self._task_key_positions.get(tb, ()), self._op_pos[b])
+        hi = bisect_right(self._task_key_ops.get(tb, ()), b)
         if hi == 0:
             return False
         prof.memo_misses += 1
@@ -548,7 +566,7 @@ class HappensBefore:
         identical to calling :meth:`concurrent` per pair.
         """
         prof = self.query_profile
-        op_task, op_pos = self._op_task, self._op_pos
+        task_ids, task_of_id = self._task_ids, self._task_of_id
         op_sig, signature, sig_parts = self._op_sig, self._signature, self._sig_parts
         hit = self._hit
         pair_memo = self._pair_memo
@@ -558,12 +576,12 @@ class HappensBefore:
         batched = queries = same_task = hits = misses = evictions = 0
         for a, b in pairs:
             batched += 1
-            ta, tb = op_task[a], op_task[b]
+            ta, tb = task_of_id[task_ids[a]], task_of_id[task_ids[b]]
             if ta == tb:
-                # ordered one way unless the positions coincide
+                # ordered one way unless the ops coincide
                 same_task += 1
                 queries += 1
-                append(op_pos[a] == op_pos[b])
+                append(a == b)
                 continue
             sa = op_sig.get(a)
             if sa is None:
@@ -617,12 +635,12 @@ class HappensBefore:
         """(begin op index, end op index) of a task."""
         return self._event_bounds[task]
 
-    def _first_key_at_or_after(self, task: str, pos: int) -> Optional[int]:
-        positions = self._task_key_positions.get(task)
-        if not positions:
+    def _first_key_at_or_after(self, task: str, op: int) -> Optional[int]:
+        key_ops = self._task_key_ops.get(task)
+        if not key_ops:
             return None
-        i = bisect_left(positions, pos)
-        if i == len(positions):
+        i = bisect_left(key_ops, op)
+        if i == len(key_ops):
             return None
         return self._task_key_nodes[task][i]
 
@@ -667,11 +685,11 @@ class HappensBefore:
         signature ids, so the batch memoizes whole concurrency verdicts
         under a single small-int key instead of hashing tuples.
         """
-        task, pos = self._op_task[op], self._op_pos[op]
-        positions = self._task_key_positions.get(task, ())
-        i = bisect_left(positions, pos)
-        if i < len(positions):
-            hi = i + 1 if positions[i] == pos else i
+        task = self._task_of(op)
+        key_ops = self._task_key_ops.get(task, ())
+        i = bisect_left(key_ops, op)
+        if i < len(key_ops):
+            hi = i + 1 if key_ops[i] == op else i
             triple = (self._task_key_nodes[task][i], task, hi)
         else:
             triple = (-1, task, i)
@@ -722,25 +740,24 @@ class HappensBefore:
         """
         if not self.ordered(a, b):
             return None
-        ta, tb = self._op_task[a], self._op_task[b]
+        ta, tb = self._task_of(a), self._task_of(b)
         if ta == tb:
             return [(a, "start"), (b, "program-order")]
-        ka = self._first_key_at_or_after(ta, self._op_pos[a])
+        ka = self._first_key_at_or_after(ta, a)
         if ka is None:
             raise HBInvariantError(
                 f"ordered({a}, {b}) holds but op {a} has no key node at or "
-                f"after position {self._op_pos[a]} in task {ta!r}; the "
-                "per-task key index disagrees with the reachability index"
+                f"after it in task {ta!r}; the per-task key index "
+                "disagrees with the reachability index"
             )
         reach = self.graph.reach_set(ka)
-        positions = self._task_key_positions[tb]
-        hi = bisect_right(positions, self._op_pos[b])
+        hi = bisect_right(self._task_key_ops[tb], b)
         target = self._first_reachable_key(reach, tb, hi)
         if target is None:
             raise HBInvariantError(
                 f"ordered({a}, {b}) holds but no key node of task {tb!r} at "
-                f"or before position {self._op_pos[b]} is reachable from "
-                f"node {ka}; the closure bitsets are inconsistent"
+                f"or before op {b} is reachable from node {ka}; the "
+                "closure bitsets are inconsistent"
             )
         path = self.graph.find_path(ka, target)
         if path is None:

@@ -17,7 +17,7 @@ Span names threaded through the engine (the catalog lives in
 
 ===================  ====================================================
 ``trace.decode``     one decoder ``feed`` chunk (text or binary)
-``hb.scan``          builder trace scan + event-record harvesting
+``hb.scan``          builder key-op scan + event-record harvesting
 ``hb.base_edges``    key-graph construction + base-rule edges
 ``hb.closure``       full transitive-closure computations
 ``hb.fixpoint``      the derived-rule fixpoint

@@ -55,7 +55,9 @@ class IncrementalHB:
 
     @property
     def profile(self) -> BuildProfile:
-        """Phase timings and closure counters of the latest build."""
+        """Phase timings and closure counters of the latest build (its
+        closure's storage is sized on first read, as a batch build's
+        is)."""
         return self.relation().profile
 
     @property
@@ -94,9 +96,6 @@ class IncrementalHB:
         self._built = self._ingested
 
     # -- queries -------------------------------------------------------
-
-    def closure_bytes(self) -> int:
-        return self.graph.closure_bytes()
 
     def relation(self) -> HappensBefore:
         """The relation of the ops ingested up to the latest poll."""

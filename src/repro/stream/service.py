@@ -266,7 +266,7 @@ class StreamAnalyzer:
         self.profile.polls += 1
         self.profile.fixpoint_rounds = self._rounds_retired + self.cafa.rounds
         self.profile.derived_edges = self._edges_retired + self.cafa.derived_edges
-        closure = self.cafa.closure_bytes()
+        closure = self.cafa.profile.closure_bytes
         self.profile.closure_bytes = closure
         if closure > self.profile.peak_closure_bytes:
             self.profile.peak_closure_bytes = closure

@@ -38,7 +38,6 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
-from heapq import merge
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .operations import (
@@ -260,7 +259,8 @@ class TraceStore:
         self.symbols = SymbolTable()
         self.addresses = AddressTable()
         self._buckets: List[Optional[_KindBucket]] = [None] * len(KIND_LIST)
-        #: task symbol id -> ascending op indices (the ``ops_of`` index)
+        #: task symbol id -> ascending op indices (the ``ops_of`` index),
+        #: in the order the tasks first appear
         self._task_ops: Dict[int, array] = {}
 
     def __len__(self) -> int:
@@ -523,18 +523,34 @@ class TraceStore:
         bucket = self._buckets[KIND_CODES[kind]]
         return list(bucket.indices) if bucket is not None else []
 
-    def indices_of(self, *kinds: OpKind) -> List[int]:
-        """Ascending merged indices of several kinds' operations."""
-        runs = []
+    def indices_of(
+        self, *kinds: OpKind, start: int = 0, stop: Optional[int] = None
+    ) -> List[int]:
+        """Ascending merged indices of several kinds' operations, those
+        from ``start`` to ``stop - 1`` (default: all), read off the
+        per-kind index arrays: no other op is visited."""
+        if stop is None:
+            stop = len(self.kinds)
+        found: List[int] = []
         for kind in kinds:
             bucket = self._buckets[KIND_CODES[kind]]
-            if bucket is not None and bucket.indices:
-                runs.append(bucket.indices)
-        if not runs:
-            return []
-        if len(runs) == 1:
-            return list(runs[0])
-        return list(merge(*runs))
+            if bucket is not None:
+                indices = bucket.indices
+                found += indices[bisect_left(indices, start):bisect_left(indices, stop)]
+        found.sort()
+        return found
+
+    def task_last_ops(self, stop: int) -> Iterator[Tuple[int, int]]:
+        """``(task symbol id, its last op before stop)`` for every task
+        with an op before ``stop``, in the order the tasks first
+        appear, read off the per-task index."""
+        for tid, ops in self._task_ops.items():
+            last = ops[-1]
+            if last >= stop:
+                if ops[0] >= stop:
+                    continue
+                last = ops[bisect_left(ops, stop) - 1]
+            yield tid, last
 
     def iter_meta(self) -> Iterator[Tuple[int, OpKind, str, int]]:
         """Yield ``(index, kind, task, time)`` without materializing

@@ -25,7 +25,9 @@ from repro.hb import (
     ModelConfig,
     build_happens_before,
 )
+from repro.hb.builder import _BuildState, _scan
 from repro.testing import TraceBuilder
+from repro.trace import Begin, End, Send, SendAtFront, Trace
 
 
 def cyclic_trace():
@@ -130,8 +132,10 @@ class TestExplainInvariantErrors:
         b.end("T1")
         b.begin("T2")
         b.end("T2")
-        hb = build_happens_before(b.build())
-        a, z = 0, len(hb._op_task) - 1
+        trace = b.build()
+        hb = build_happens_before(trace)
+        a, z = 0, len(trace) - 1
+        assert trace.task_of(a) == "T1" and trace.task_of(z) == "T2"
         assert hb.explain(a, z) is not None
         # Corrupt the successor lists: reachability (cached bitsets)
         # still says ordered, but no edge path exists any more.
@@ -158,3 +162,64 @@ class TestExplainInvariantErrors:
     def test_invariant_error_is_a_runtime_error(self):
         # Callers that catch RuntimeError keep working.
         assert issubclass(HBInvariantError, RuntimeError)
+
+
+class TestHarvestOrder:
+    """White-box: the scan harvests each event's send and dispatch
+    facts in trace order, and the last writer wins."""
+
+    L_QUEUE = "L.queue"
+
+    def _ops(self, *sends):
+        """T sends ``sends`` to event A; then A runs on looper L."""
+        ops = [Begin(task="T", time=0)]
+        for k, (front, queue) in enumerate(sends, start=1):
+            if front:
+                ops.append(SendAtFront(task="T", time=k, event="A", queue=queue))
+            else:
+                ops.append(Send(task="T", time=k, event="A", delay=k, queue=queue))
+        ops += [End(task="T", time=10), Begin(task="A", time=11), End(task="A", time=12)]
+        return ops
+
+    def _scanned(self, ops, stop):
+        b = TraceBuilder()
+        b.looper("L")
+        b.thread("T")
+        b.event("A", looper="L")
+        tasks = b.build(validate=False).tasks
+        state = _BuildState(trace=Trace(ops, tasks=tasks), config=CAFA_MODEL)
+        _scan(state, 0, stop)
+        return state
+
+    def test_a_send_after_a_send_at_front_rewrites_it(self):
+        ops = self._ops((True, "Q1"), (False, "Q2"))
+        rec = self._scanned(ops, 3).events["A"]
+        assert (rec.send_index, rec.at_front, rec.delay) == (2, False, 2)
+        assert rec.queue == "Q2"
+
+    def test_a_send_at_front_after_a_send_rewrites_it(self):
+        ops = self._ops((False, "Q1"), (True, ""))
+        rec = self._scanned(ops, 3).events["A"]
+        assert (rec.send_index, rec.at_front, rec.delay) == (2, True, 0)
+        # a send with no queue leaves the queue as it was
+        assert rec.queue == "Q1"
+
+    def test_the_begin_and_a_later_send_write_the_queue(self):
+        ops = self._ops((False, "Q1"))
+        state = self._scanned(ops, len(ops))
+        rec = state.events["A"]
+        # the BEGIN's task-table entry comes after the send
+        assert rec.queue == self.L_QUEUE and rec.looper == "L"
+        assert (rec.begin_index, rec.end_index) == (3, 4)
+        late = Send(task="T", time=13, event="A", delay=0, queue="Q3")
+        state = self._scanned(ops + [late], len(ops) + 1)
+        rec = state.events["A"]
+        assert rec.queue == "Q3" and rec.send_index == len(ops)
+
+    def test_scanned_ranges_harvest_as_one_scan(self):
+        ops = self._ops((False, "Q1"), (True, ""), (False, ""))
+        whole = self._scanned(ops, len(ops)).events
+        state = self._scanned(ops, 2)
+        for start, stop in ((2, 4), (4, len(ops))):
+            _scan(state, start, stop)
+        assert state.events == whole

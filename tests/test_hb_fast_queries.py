@@ -124,16 +124,24 @@ class TestQueryProfile:
         b.begin("B"); b.write("B", "x"); b.end("B")
         return b.build()
 
+    @staticmethod
+    def _first_ops(trace):
+        """The first op of task A and of task B."""
+        return (
+            next(i for i in range(len(trace)) if trace.task_of(i) == "A"),
+            next(i for i in range(len(trace)) if trace.task_of(i) == "B"),
+        )
+
     def test_counters_attribute_queries(self):
-        hb = build_happens_before(self._two_event_trace())
+        trace = self._two_event_trace()
+        hb = build_happens_before(trace)
         prof = hb.query_profile
         assert prof.queries == 0
         hb.ordered(0, 1)
         assert prof.queries == 1
         assert prof.same_task == 1  # ops 0 and 1 are both in task T
         before = prof.memo_misses
-        a = next(i for i, op in enumerate(hb._op_task) if op == "A")
-        b = next(i for i, op in enumerate(hb._op_task) if op == "B")
+        a, b = self._first_ops(trace)
         hb.ordered(a, b)  # a range probe: counted as a lookup
         assert prof.memo_misses == before + 1
         hb.concurrent_pairs([(a, b), (a, b)])  # the second is a memo hit
@@ -142,11 +150,11 @@ class TestQueryProfile:
         assert 0.0 < prof.memo_hit_rate <= 1.0
 
     def test_masks_materialize_lazily_and_are_counted(self):
-        hb = build_happens_before(self._two_event_trace())
+        trace = self._two_event_trace()
+        hb = build_happens_before(trace)
         prof = hb.query_profile
         assert prof.mask_tasks == 0 and prof.mask_bytes == 0
-        a = next(i for i, op in enumerate(hb._op_task) if op == "A")
-        b = next(i for i, op in enumerate(hb._op_task) if op == "B")
+        a, b = self._first_ops(trace)
         hb.ordered(a, b)
         assert prof.mask_tasks >= 1
         assert prof.mask_bytes > 0
@@ -163,8 +171,7 @@ class TestQueryProfile:
     def test_signatures_are_computed_for_queried_ops_only(self):
         trace = self._two_event_trace()
         hb = build_happens_before(trace)
-        a = next(i for i, op in enumerate(hb._op_task) if op == "A")
-        b = next(i for i, op in enumerate(hb._op_task) if op == "B")
+        a, b = self._first_ops(trace)
         hb.concurrent_pairs([(a, b)])
         assert set(hb._op_sig) == {a, b}
 

@@ -8,6 +8,7 @@ every generated trace and for several model configurations.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import build_happens_before
@@ -21,7 +22,9 @@ from repro.hb.builder import (
 )
 from repro.hb.reference import ReferenceHappensBefore
 from repro.runtime import AndroidSystem
+from repro.stream import IncrementalHB
 from repro.testing import TraceBuilder
+from repro.trace import Trace
 
 from tests.test_property_runtime_hb import program_specs, run_program
 
@@ -210,3 +213,86 @@ class TestCuratedEquivalence:
             b.begin(name)
             b.end(name)
         assert_equivalent(b.build(), CAFA_MODEL)
+
+
+def first_and_last_ops(trace, stop):
+    """task -> (first op, last op) among ``trace``'s first ``stop``."""
+    spans = {}
+    for i in range(stop):
+        task = trace.task_of(i)
+        spans[task] = (spans.get(task, (i, i))[0], i)
+    return spans
+
+
+class TestScanEdgeCases:
+    """Inputs generated traces never produce: a task with no key op,
+    and a streamed relation whose store holds ops past its last
+    ingest.  Each must agree with the oracle under both models."""
+
+    def _no_key_op_trace(self):
+        b = TraceBuilder()
+        b.looper("L")
+        b.thread("T")
+        b.thread("U")
+        b.event("E", looper="L")
+        b.event("F", looper="L")
+        b.begin("T"); b.send("T", "E"); b.write("T", "x")
+        # U and F have no key op: only a read and a write each
+        b.read("U", "x"); b.write("U", "y")
+        b.end("T")
+        b.read("F", "y"); b.write("F", "x")
+        b.begin("E"); b.read("E", "x"); b.write("E", "y"); b.end("E")
+        return b.build(validate=False)
+
+    @pytest.mark.parametrize(
+        "config", [CAFA_MODEL, CONVENTIONAL_MODEL], ids=["cafa", "conventional"]
+    )
+    def test_a_task_with_no_key_op_has_one_node_at_its_last_op(self, config):
+        trace = self._no_key_op_trace()
+        assert_equivalent(trace, config)
+        nodes = build_happens_before(trace, config).graph
+        node_ops = {nodes.op_of(n) for n in range(nodes.node_count)}
+        spans = first_and_last_ops(trace, len(trace))
+        assert spans["U"][1] in node_ops and spans["U"][0] not in node_ops
+        if config is CAFA_MODEL:
+            assert spans["F"][1] in node_ops and spans["F"][0] not in node_ops
+
+    def _late_tasks_trace(self):
+        b = TraceBuilder()
+        b.looper("L")
+        b.thread("T")
+        b.thread("U")
+        b.event("E", looper="L")
+        b.begin("L")
+        b.begin("T"); b.send("T", "E"); b.write("T", "x"); b.fork("T", "U")
+        b.end("T")
+        b.begin("E"); b.read("E", "x"); b.end("E")
+        b.begin("U"); b.write("U", "x"); b.end("U")
+        b.end("L")
+        return b.build()
+
+    @pytest.mark.parametrize(
+        "config", [CAFA_MODEL, CONVENTIONAL_MODEL], ids=["cafa", "conventional"]
+    )
+    def test_a_streamed_prefix_builds_only_the_prefix(self, config):
+        """At every cut, ops past the last ingest are in the store but
+        not in the relation: a task whose first op lies past the cut
+        has no node, and each task's chain ends at its last op inside
+        the cut."""
+        trace = self._late_tasks_trace()
+        for stop in range(1, len(trace) + 1):
+            online = IncrementalHB(trace, config)
+            online.ingest(0, stop)
+            online.poll()
+            hb = online.relation()
+            prefix = Trace([trace[i] for i in range(stop)], tasks=trace.tasks)
+            oracle = ReferenceHappensBefore(prefix, config)
+            for i in range(stop):
+                for j in range(stop):
+                    assert hb.ordered(i, j) == oracle.ordered(i, j), (stop, i, j)
+            graph = hb.graph
+            node_ops = [graph.op_of(n) for n in range(graph.node_count)]
+            assert max(node_ops) == stop - 1
+            if config is CAFA_MODEL:
+                lasts = {last for _, last in first_and_last_ops(trace, stop).values()}
+                assert lasts <= set(node_ops)

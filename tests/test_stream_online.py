@@ -69,6 +69,16 @@ def test_soak_profile_counters_are_sane():
     assert "peak closure bytes" in rendered
 
 
+def closure_fields(profile):
+    """The four closure-storage fields of a build profile."""
+    return (
+        profile.closure_bytes,
+        profile.chunks_allocated,
+        profile.chunks_shared,
+        profile.dense_chunk_ratio,
+    )
+
+
 def edge_triples(graph):
     return {(graph.op_of(u), graph.op_of(v), rule) for u, v, rule in graph.edges()}
 
@@ -92,6 +102,22 @@ def test_ingested_edges_match_the_batch_build(name, model):
     "model", [CAFA_MODEL, CONVENTIONAL_MODEL], ids=["cafa", "conventional"]
 )
 @pytest.mark.parametrize("name", APP_NAMES)
+def test_a_streamed_profile_sizes_the_closure_as_the_batch_build(name, model):
+    """A polled relation's profile reports the batch build's closure
+    storage, measured when it is first read."""
+    trace = app_trace(name)
+    batch = build_happens_before(trace, model)
+    online = IncrementalHB(trace, model)
+    online.ingest(0, len(trace))
+    online.poll()
+    assert online.profile.closure_bytes > 0
+    assert closure_fields(online.profile) == closure_fields(batch.profile)
+
+
+@pytest.mark.parametrize(
+    "model", [CAFA_MODEL, CONVENTIONAL_MODEL], ids=["cafa", "conventional"]
+)
+@pytest.mark.parametrize("name", APP_NAMES)
 def test_one_range_adds_edges_in_the_per_op_order(name, model):
     """A whole-trace range and op-by-op ranges leave the same scan, so
     the poll builds the edges, in the same insertion order, and the
@@ -104,7 +130,7 @@ def test_one_range_adds_edges_in_the_per_op_order(name, model):
     whole.poll()
     per_op.poll()
     assert list(whole.graph.edges()) == list(per_op.graph.edges())
-    assert whole.closure_bytes() == per_op.closure_bytes()
+    assert closure_fields(whole.profile) == closure_fields(per_op.profile)
 
 
 def test_ingest_only_scans():
@@ -137,7 +163,7 @@ def assert_same_build(streamed, batch):
     assert list(a.edges()) == list(b.edges())
     assert streamed.iterations == batch.iterations
     assert streamed.derived_edges == batch.derived_edges
-    assert a.closure_bytes() == b.closure_bytes()
+    assert closure_fields(streamed.profile) == closure_fields(batch.profile)
 
 
 def assert_polls_build_the_prefix_relation(trace, cuts, model):

@@ -158,9 +158,10 @@ class TestEpochGC:
 class TestClosureAccounting:
     def test_each_size_report_walks_each_closure_once(self, monkeypatch):
         """Sizing a closure walks its reach vector (``vector_stats``):
-        once per batch build, and once at each streaming poll (the
-        analyzer keeps one relation); closing an epoch reuses the size
-        its poll measured."""
+        never during a batch build, once at the first read of the
+        relation's profile and not at later reads, and once at each
+        streaming poll (the analyzer keeps one relation); closing an
+        epoch reuses the size its poll measured."""
         walks = []
         walk = repro.hb.graph.vector_stats
 
@@ -170,8 +171,11 @@ class TestClosureAccounting:
 
         monkeypatch.setattr(repro.hb.graph, "vector_stats", counted)
         hb = build_happens_before(app_trace())
-        assert len(walks) == 1
+        assert walks == []
         assert hb.profile.closure_bytes > 0
+        assert len(walks) == 1
+        assert hb.profile.chunks_allocated > 0
+        assert len(walks) == 1
         walks.clear()
         analyzer, _ = stream_reports(concat_sessions(app_trace(), sessions=3))
         assert analyzer.profile.epochs_retired == 3

@@ -189,6 +189,25 @@ class TestIndexViews:
     def test_indices_of_absent_kinds_is_empty(self):
         assert rich_trace().store.indices_of(OpKind.JOIN, OpKind.WAIT) == []
 
+    def test_indices_of_a_range_matches_legacy_scan(self):
+        trace = rich_trace()
+        kinds = (OpKind.BEGIN, OpKind.SEND, OpKind.JOIN, OpKind.PTR_WRITE)
+        n = len(trace)
+        for start in range(n + 1):
+            for stop in range(start, n + 1):
+                scan = [i for i in range(start, stop) if trace[i].kind in kinds]
+                assert trace.store.indices_of(*kinds, start=start, stop=stop) == scan
+
+    def test_task_last_ops_matches_legacy_scan(self):
+        trace = rich_trace()
+        store = trace.store
+        for stop in range(len(trace) + 1):
+            last = {}
+            for i in range(stop):
+                last[trace[i].task] = i
+            spans = [(store.symbols.value(tid), i) for tid, i in store.task_last_ops(stop)]
+            assert spans == list(last.items())
+
     def test_column_exposes_raw_ids(self):
         store = rich_trace().store
         indices, col = store.column(OpKind.READ, "var")
