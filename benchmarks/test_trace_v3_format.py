@@ -3,13 +3,15 @@
 Two claims, each pinned by a recorded bound in ``bounds_pr7.json``:
 
 * **Parse speed.**  Decoding the v3 framed binary (batch column
-  adoption straight into the store's typed arrays) must beat decoding
-  the same trace from v2 JSONL text by ``min_parse_speedup``.  v2 lands
+  adoption straight into the store's typed arrays, symbols, addresses
+  and task records from a few table frames) must beat decoding the
+  same trace from v2 JSONL text by ``min_parse_speedup``.  v2 lands
   each feed's ops as one column batch too, but scans every line as
-  JSON first.  The recorded win is ~1.8x (median of 15 best-of-5
-  rounds at ``REPRO_BENCH_SCALE=0.02``); the bound is 1.4x, between
-  that and parity with v2, so v3 decoding that loses its lead over
-  line-by-line JSON fails while machine jitter does not.
+  JSON first.  The recorded win is ~4.1x (median of 15 best-of-5
+  rounds at ``REPRO_BENCH_SCALE=0.02``; ~1.9x with one frame per
+  symbol, address and task record); the bound is 2.0x, between the
+  two, so v3 decoding that falls back to the cost of per-record
+  frames fails while machine jitter does not.
 
 * **Wire density.**  The v3 encoding must stay under
   ``max_size_ratio`` of the v2 text size and under

@@ -45,7 +45,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..trace import OpKind, SYNC_KINDS, TaskKind, Trace
 from ..obs.spans import span
@@ -337,20 +337,24 @@ class _BaseRules:
     The rules are stateful scans — a Wait pairs with *earlier*
     Notifies, an Acquire with the *latest* Release.  Fork, join and
     send edges look their partner BEGIN or END up in the completed
-    scan, where every partner that exists already has its node.
+    scan, where every partner that exists already has its node.  Each
+    handler gets the raw value of the payload field its rule pairs on,
+    read off the kind's column at the op's row: a symbol id (the rules
+    key monitors, listeners and locks by it) or an integer.
     """
 
     def __init__(self, state: _BuildState, graph: KeyGraph) -> None:
         self.state = state
         self.graph = graph
-        self.store = state.store
-        self._field = state.store.field_of
+        self.store = store = state.store
+        self._rows = store.rows
+        self._symbol = store.symbols.value
         self._notify_by_ticket: Dict[int, int] = {}
-        self._notify_by_monitor: Dict[str, List[int]] = {}
-        self._registers: Dict[str, List[int]] = {}
+        self._notify_by_monitor: Dict[int, List[int]] = {}
+        self._registers: Dict[int, List[int]] = {}
         self._ipc_calls: Dict[int, int] = {}
         self._ipc_replies: Dict[int, int] = {}
-        self._last_release: Dict[str, int] = {}
+        self._last_release: Dict[int, int] = {}
         #: (source op, target op, rule) of the first edge added that
         #: points back in the trace, if any
         self.late: Optional[Tuple[int, int, str]] = None
@@ -361,32 +365,43 @@ class _BaseRules:
         cls = type(self)
         handlers = {}
         if config.fork_join:
-            handlers[OpKind.FORK] = cls._fork
-            handlers[OpKind.JOIN] = cls._join
+            handlers[OpKind.FORK] = (cls._fork, "child")
+            handlers[OpKind.JOIN] = (cls._join, "child")
         if config.signal_wait:
-            handlers[OpKind.NOTIFY] = cls._notify
-            handlers[OpKind.WAIT] = cls._wait
+            handlers[OpKind.NOTIFY] = (cls._notify, "monitor")
+            handlers[OpKind.WAIT] = (cls._wait, "monitor")
         if config.listener:
-            handlers[OpKind.REGISTER] = cls._register
-            handlers[OpKind.PERFORM] = cls._perform
+            handlers[OpKind.REGISTER] = (cls._register, "listener")
+            handlers[OpKind.PERFORM] = (cls._perform, "listener")
         if config.send_begin:
-            handlers[OpKind.SEND] = cls._send
-            handlers[OpKind.SEND_AT_FRONT] = cls._send_at_front
+            handlers[OpKind.SEND] = (cls._send, "event")
+            handlers[OpKind.SEND_AT_FRONT] = (cls._send_at_front, "event")
         if config.ipc:
-            handlers[OpKind.IPC_CALL] = cls._ipc_call
-            handlers[OpKind.IPC_HANDLE] = cls._ipc_handle
-            handlers[OpKind.IPC_REPLY] = cls._ipc_reply
-            handlers[OpKind.IPC_RETURN] = cls._ipc_return
+            handlers[OpKind.IPC_CALL] = (cls._ipc_call, "txn")
+            handlers[OpKind.IPC_HANDLE] = (cls._ipc_handle, "txn")
+            handlers[OpKind.IPC_REPLY] = (cls._ipc_reply, "txn")
+            handlers[OpKind.IPC_RETURN] = (cls._ipc_return, "txn")
         if config.lock_edges:
-            handlers[OpKind.RELEASE] = cls._release
-            handlers[OpKind.ACQUIRE] = cls._acquire
-        self._handlers = [handlers.get(kind) for kind in KIND_LIST]
+            handlers[OpKind.RELEASE] = (cls._release, "lock")
+            handlers[OpKind.ACQUIRE] = (cls._acquire, "lock")
+        self._handlers: List[Optional[Callable]] = [None] * len(KIND_LIST)
+        #: per kind code, the column of the payload field its rule pairs on
+        self._paired_on: List[Optional[array]] = [None] * len(KIND_LIST)
+        for kind, (handler, field_name) in handlers.items():
+            code = KIND_CODES[kind]
+            self._handlers[code] = handler
+            self._paired_on[code] = store.column(kind, field_name)[1]
+        self._tickets = {
+            KIND_CODES[kind]: store.column(kind, "ticket")[1]
+            for kind in (OpKind.NOTIFY, OpKind.WAIT)
+        }
 
     def step(self, i: int) -> None:
         """Add the base edges key op ``i`` enables."""
-        handler = self._handlers[self.store.kinds[i]]
+        code = self.store.kinds[i]
+        handler = self._handlers[code]
         if handler is not None:
-            handler(self, i)
+            handler(self, i, self._paired_on[code][self._rows[i]])
 
     def chain_edges(self) -> None:
         """Edges read off whole chains of the scan rather than one op:
@@ -416,64 +431,67 @@ class _BaseRules:
         if begin is not None:
             self._edge(i, begin, rule)
 
-    def _fork(self, i: int) -> None:
-        self._to_begin(i, self._field(i, "child"), RULE_FORK)
+    def _ticket(self, i: int) -> int:
+        return self._tickets[self.store.kinds[i]][self._rows[i]]
 
-    def _join(self, i: int) -> None:
-        end = self.state.task_end.get(self._field(i, "child"))
+    def _fork(self, i: int, child: int) -> None:
+        self._to_begin(i, self._symbol(child), RULE_FORK)
+
+    def _join(self, i: int, child: int) -> None:
+        end = self.state.task_end.get(self._symbol(child))
         if end is not None:
             self._edge(end, i, RULE_JOIN)
 
-    def _notify(self, i: int) -> None:
-        ticket = self._field(i, "ticket")
+    def _notify(self, i: int, monitor: int) -> None:
+        ticket = self._ticket(i)
         if ticket >= 0:
             self._notify_by_ticket[ticket] = i
-        self._notify_by_monitor.setdefault(self._field(i, "monitor"), []).append(i)
+        self._notify_by_monitor.setdefault(monitor, []).append(i)
 
-    def _wait(self, i: int) -> None:
-        ticket = self._field(i, "ticket")
+    def _wait(self, i: int, monitor: int) -> None:
+        ticket = self._ticket(i)
         if ticket >= 0 and ticket in self._notify_by_ticket:
             self._edge(self._notify_by_ticket[ticket], i, RULE_SIGNAL_WAIT)
         else:
             # No pairing information: apply the rule as written —
             # every earlier notify of the monitor orders the wait.
-            for n in self._notify_by_monitor.get(self._field(i, "monitor"), ()):
+            for n in self._notify_by_monitor.get(monitor, ()):
                 self._edge(n, i, RULE_SIGNAL_WAIT)
 
-    def _register(self, i: int) -> None:
-        self._registers.setdefault(self._field(i, "listener"), []).append(i)
+    def _register(self, i: int, listener: int) -> None:
+        self._registers.setdefault(listener, []).append(i)
 
-    def _perform(self, i: int) -> None:
-        for r in self._registers.get(self._field(i, "listener"), ()):
+    def _perform(self, i: int, listener: int) -> None:
+        for r in self._registers.get(listener, ()):
             self._edge(r, i, RULE_LISTENER)
 
-    def _send(self, i: int) -> None:
-        self._to_begin(i, self._field(i, "event"), RULE_SEND)
+    def _send(self, i: int, event: int) -> None:
+        self._to_begin(i, self._symbol(event), RULE_SEND)
 
-    def _send_at_front(self, i: int) -> None:
-        self._to_begin(i, self._field(i, "event"), RULE_SEND_AT_FRONT)
+    def _send_at_front(self, i: int, event: int) -> None:
+        self._to_begin(i, self._symbol(event), RULE_SEND_AT_FRONT)
 
-    def _ipc_call(self, i: int) -> None:
-        self._ipc_calls[self._field(i, "txn")] = i
+    def _ipc_call(self, i: int, txn: int) -> None:
+        self._ipc_calls[txn] = i
 
-    def _ipc_handle(self, i: int) -> None:
-        call = self._ipc_calls.get(self._field(i, "txn"))
+    def _ipc_handle(self, i: int, txn: int) -> None:
+        call = self._ipc_calls.get(txn)
         if call is not None:
             self._edge(call, i, RULE_IPC_CALL)
 
-    def _ipc_reply(self, i: int) -> None:
-        self._ipc_replies[self._field(i, "txn")] = i
+    def _ipc_reply(self, i: int, txn: int) -> None:
+        self._ipc_replies[txn] = i
 
-    def _ipc_return(self, i: int) -> None:
-        reply = self._ipc_replies.get(self._field(i, "txn"))
+    def _ipc_return(self, i: int, txn: int) -> None:
+        reply = self._ipc_replies.get(txn)
         if reply is not None:
             self._edge(reply, i, RULE_IPC_REPLY)
 
-    def _release(self, i: int) -> None:
-        self._last_release[self._field(i, "lock")] = i
+    def _release(self, i: int, lock: int) -> None:
+        self._last_release[lock] = i
 
-    def _acquire(self, i: int) -> None:
-        release = self._last_release.get(self._field(i, "lock"))
+    def _acquire(self, i: int, lock: int) -> None:
+        release = self._last_release.get(lock)
         if release is not None:
             self._edge(release, i, RULE_LOCK)
 

@@ -31,6 +31,7 @@ with the text the graph builder raises for the same edge.
 
 from __future__ import annotations
 
+from array import array
 from itertools import compress
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -126,12 +127,30 @@ class VectorClockAnalysis:
         for k, c in enumerate(queried):
             slot[c] = k
 
-        payload = store.field_of
+        # payload fields are read off their kind's column at the op's
+        # row; the senders and receivers pair on raw values, which for
+        # a string field is its symbol id
+        rows = store.rows
+
+        def column(code: int, field: str) -> array:
+            return store.column(KIND_LIST[code], field)[1]
+
+        children = column(_JOIN, "child")
+        tickets = {code: column(code, "ticket") for code in (_NOTIFY, _WAIT)}
+        to_begin = {
+            code: (rule, column(code, field))
+            for code, (rule, field) in _TO_BEGIN.items()
+        }
+        receive = {
+            code: (sender, column(code, field))
+            for code, (sender, field) in _RECEIVE.items()
+        }
+        senders = {code: column(code, field) for code, field in _SENDERS.items()}
         external = trace.external_events()
         next_external = dict(zip(external, external[1:]))
         prev_external = dict(zip(external[1:], external))
         # only the ENDs some JOIN names keep their clocks
-        joinable = {payload(i, "child") for i in store.by_kind(OpKind.JOIN)}
+        joinable = set(map(symbols.value, set(children)))
 
         clocks = [[0] * len(queried)] * len(component)
         begun: Dict[str, int] = {}  # task -> its first BEGIN
@@ -139,8 +158,8 @@ class VectorClockAnalysis:
         waiting: Dict[str, List[List[int]]] = {}  # task -> fork/send clocks
         # END clocks of the joined tasks and of the chained externals
         ended: Dict[str, List[int]] = {}
-        sent: Dict[Tuple[int, object], List[int]] = {}  # (kind, field) -> clock
-        tickets: Dict[int, List[int]] = {}
+        sent: Dict[Tuple[int, int], List[int]] = {}  # (kind, raw field) -> clock
+        notified: Dict[int, List[int]] = {}  # ticket -> its notify's clock
         stamps = self._stamp
 
         sync_ops = compress(range(len(kinds)), map(_SYNC.__getitem__, kinds))
@@ -157,15 +176,17 @@ class VectorClockAnalysis:
                     if prev_external.get(task) in ended:
                         sources.append(ended[prev_external[task]])
                 elif code == _JOIN:
-                    child = payload(i, "child")
+                    child = symbols.value(children[rows[i]])
                     joined.setdefault(child, i)
                     if child in ended:
                         sources.append(ended[child])
-                elif code in _RECEIVE:
-                    sender, field = _RECEIVE[code]
-                    src = tickets.get(payload(i, "ticket")) if code == _WAIT else None
+                elif code in receive:
+                    sender, values = receive[code]
+                    src = None
+                    if code == _WAIT:
+                        src = notified.get(tickets[_WAIT][rows[i]])
                     if src is None:
-                        src = sent.get((sender, payload(i, field)))
+                        src = sent.get((sender, values[rows[i]]))
                     if src is not None:
                         sources.append(src)
                 for src in sources:
@@ -187,20 +208,20 @@ class VectorClockAnalysis:
                         )
                     if succ is not None or task in joinable:
                         ended[task] = vc
-                elif code in _TO_BEGIN:
-                    rule, field = _TO_BEGIN[code]
-                    target = payload(i, field)
+                elif code in to_begin:
+                    rule, values = to_begin[code]
+                    target = symbols.value(values[rows[i]])
                     if target in begun:
                         raise backward_edge_error(store, i, begun[target], rule)
                     waiting.setdefault(target, []).append(vc)
-                elif code in _SENDERS:
-                    key = (code, payload(i, _SENDERS[code]))
+                elif code in senders:
+                    key = (code, senders[code][rows[i]])
                     earlier = sent.get(key)
                     if earlier is not None and code in (_NOTIFY, _REGISTER):
                         sent[key] = [x if x > y else y for x, y in zip(earlier, vc)]
                     else:
                         sent[key] = vc
-                    if code == _NOTIFY and payload(i, "ticket") >= 0:
-                        tickets[payload(i, "ticket")] = vc
+                    if code == _NOTIFY and tickets[_NOTIFY][rows[i]] >= 0:
+                        notified[tickets[_NOTIFY][rows[i]]] = vc
             if i in want:
                 stamps[i] = (c, vc[slot[c]] - _SYNC[code], vc)

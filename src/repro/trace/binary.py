@@ -19,11 +19,23 @@ Wire layout
     frame*            tag:u8  length:uvarint  payload[length]
     trailer (16B)     footer_offset:u64le  "CAFA3FT\\n"
 
-Frame tags: 1 header (JSON), 2 task (JSON), 3 symbol (raw UTF-8),
-4 address (JSON list), 5 op batch, 6 footer (JSON).  ``uvarint`` is
-LEB128 (7 data bits per byte, high bit = continuation).  The first
-payload byte of the file is ``0x93`` — never a printable character, so
-readers sniff text vs binary from one byte.
+Frame tags: 1 header (JSON), 5 op batch, 6 footer (JSON), 7 table
+(JSON).  ``uvarint`` is LEB128 (7 data bits per byte, high bit =
+continuation).  The first payload byte of the file is ``0x93`` — never
+a printable character, so readers sniff text vs binary from one byte.
+
+A table frame holds, as one JSON object, the symbols and addresses
+defined since the previous table frame (``"symbols"``, a list of
+strings, and ``"addresses"``, a list of 3-lists; each defines the next
+ids in order) and the task records written since then (``"tasks"``,
+one list per :class:`~repro.trace.trace.TaskInfo` field, rows in
+order); a section with nothing new is left out.  The writer emits one
+before each batch that brings something new, one at ``finish``, and
+one whenever :data:`TABLE_TASK_ROWS` task records are pending.  Task
+records carry their own strings: a symbol is defined only for the ops'
+use, so a reader's symbol ids stay the store's.  Files written before
+table frames define each record in its own frame: 2 task (JSON), 3
+symbol (raw UTF-8), 4 address (JSON list); the reader still takes them.
 
 A batch payload is a mini segment: op count, a section directory
 (``key:uvarint enc:u8 count:uvarint bytes:uvarint`` per section), then
@@ -40,17 +52,16 @@ The header is the v2 header plus a ``branch_kinds`` vocabulary (the
 enum column's wire values are indices into it), and version negotiation
 works exactly as in v2: positions in the header tables define the wire
 codes, a reader remaps them to its own vocabulary or fails loudly.
-The footer records the frame offsets of every batch and side-table
-frame, and the trailer points back at the footer, so a byte cut
-*anywhere* is detectable: strict loads require the footer+trailer and
-the header count checks, salvage loads analyze the longest valid frame
-prefix.
+The footer records the frame offsets of every batch and table frame,
+and the trailer points back at the footer, so a byte cut *anywhere* is
+detectable: strict loads require the footer+trailer and the header
+count checks, salvage loads analyze the longest valid frame prefix.
 
 This module writes v3 (:class:`TraceWriterV3`) and parses its frames
 (:class:`_FrameParser`); reading goes through
 :class:`~repro.trace.serialization.AnyTraceDecoder`, which owns the
-header negotiation, the symbol and address tables and the store that
-every parsed batch lands in.
+header negotiation, the symbol and address tables, the task records
+and the store that every parsed batch lands in.
 """
 
 from __future__ import annotations
@@ -75,7 +86,7 @@ from .store import (
     _NONE,
     _SCHEMA_LIST,
 )
-from .trace import TraceError, TraceFormatError
+from .trace import TASK_FIELDS, TaskInfo, TaskKind, TraceError, TraceFormatError
 
 #: first bytes of every v3 file; byte 0 (0x93) is invalid UTF-8 *and*
 #: invalid JSON, so text-format readers reject v3 input immediately and
@@ -85,13 +96,15 @@ MAGIC_V3 = b"\x93CAFA-T3\r\n\x1a\x00"
 TRAILER_MAGIC = b"CAFA3FT\n"
 TRAILER_LEN = 8 + len(TRAILER_MAGIC)
 
-# Frame tags.
+# Frame tags.  Tags 2-4 define one record each; only files written
+# before table frames hold them.
 TAG_HEADER = 1
 TAG_TASK = 2
 TAG_SYM = 3
 TAG_ADDR = 4
 TAG_BATCH = 5
 TAG_FOOTER = 6
+TAG_TABLE = 7
 
 # Global section keys inside a batch; payload columns use
 # _column_key(kind_code, field_index).
@@ -105,6 +118,17 @@ _SEC_COLUMN_STRIDE = 16
 #: constant transient memory, large enough that per-batch overhead
 #: (directory + adoption scatter) amortizes away
 DEFAULT_BATCH_OPS = 4096
+
+#: task records a table frame holds at most: the writer flushes its
+#: pending records at this count, so it holds few at a time even when
+#: every task is written before the first op
+TABLE_TASK_ROWS = 512
+
+#: the sections a table frame may hold
+_TABLE_KEYS = frozenset({"symbols", "addresses", "tasks"})
+
+#: task-kind wire name -> TaskKind
+_TASK_KIND_OF = {kind.value: kind for kind in TaskKind}
 
 #: sanity cap on a single frame (a corrupt length must not allocate)
 _MAX_FRAME = 1 << 31
@@ -223,6 +247,38 @@ def _json_bytes(obj) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("utf-8")
 
 
+def _address(record: Any) -> tuple:
+    """An address record (a JSON 3-list) as the tuple it interns as;
+    raises ``ValueError`` or ``TypeError`` when it is none."""
+    if type(record) is not list or len(record) != 3:
+        raise ValueError("an address is a 3-element list")
+    value = tuple(record)
+    hash(value)  # it must intern
+    return value
+
+
+def _task_rows(columns: Any) -> List[TaskInfo]:
+    """The task records of a table frame's ``tasks`` section, one list
+    per :class:`~repro.trace.trace.TaskInfo` field; raises
+    ``ValueError`` when the section is malformed."""
+    if type(columns) is not dict or columns.keys() != set(TASK_FIELDS):
+        raise ValueError(f"task columns are not the fields {list(TASK_FIELDS)}")
+    lists = [columns[name] for name in TASK_FIELDS]
+    if any(type(column) is not list for column in lists) or len(
+        {len(column) for column in lists}
+    ) != 1:
+        raise ValueError("task columns are not lists of one length")
+    try:
+        lists[1] = [_TASK_KIND_OF[kind] for kind in lists[1]]
+    except (KeyError, TypeError):
+        unknown = next(
+            kind for kind in lists[1]
+            if type(kind) is not str or kind not in _TASK_KIND_OF
+        )
+        raise ValueError(f"unknown task kind {unknown!r}") from None
+    return list(map(TaskInfo, *lists))
+
+
 # ---------------------------------------------------------------------------
 # Writing
 # ---------------------------------------------------------------------------
@@ -235,9 +291,12 @@ class TraceWriterV3:
     with decoded payload values, exactly what the v2 serializer
     consumes) and are buffered up to ``batch_ops`` before one BATCH
     frame is emitted, so transient memory is constant in trace length.
-    Symbols and addresses are interned on first use, each as its own
-    frame *before* the batch that references it.  ``finish`` flushes
-    the final partial batch and writes the footer directory + trailer.
+    Symbols and addresses are interned on first use and task records
+    buffered; a TABLE frame defines them before the batch that
+    references them, and another goes out whenever
+    :data:`TABLE_TASK_ROWS` task records are pending.  ``finish``
+    flushes the final partial batch and table and writes the footer
+    directory + trailer.
     """
 
     def __init__(
@@ -257,13 +316,15 @@ class TraceWriterV3:
         self._offset = len(MAGIC_V3)
         self._sym_ids: Dict[str, int] = {}
         self._addr_ids: Dict[tuple, int] = {}
-        self._sym_offsets: List[int] = []
-        self._addr_offsets: List[int] = []
-        self._task_offsets: List[int] = []
+        self._tables: List[int] = []
         self._batches: List[Tuple[int, int]] = []
         self._ops_written = 0
         self._tasks_written = 0
         self._finished = False
+        # what the next table frame defines
+        self._t_syms: List[str] = []
+        self._t_addrs: List[list] = []
+        self._t_tasks: List[list] = [[] for _ in TASK_FIELDS]
         # batch buffers
         self._b_kinds = bytearray()
         self._b_times: List[int] = []
@@ -293,9 +354,7 @@ class TraceWriterV3:
         sid = self._sym_ids.get(value)
         if sid is None:
             sid = self._sym_ids[value] = len(self._sym_ids)
-            self._sym_offsets.append(
-                self._frame(TAG_SYM, value.encode("utf-8"))
-            )
+            self._t_syms.append(value)
         return sid
 
     def _addr(self, value) -> int:
@@ -303,15 +362,33 @@ class TraceWriterV3:
         aid = self._addr_ids.get(key)
         if aid is None:
             aid = self._addr_ids[key] = len(self._addr_ids)
-            self._addr_offsets.append(
-                self._frame(TAG_ADDR, _json_bytes(list(key)))
-            )
+            self._t_addrs.append(list(key))
         return aid
 
     def write_task(self, info: Dict[str, Any]) -> None:
-        """Emit one task-info frame (a :meth:`TaskInfo.to_dict` dict)."""
-        self._task_offsets.append(self._frame(TAG_TASK, _json_bytes(info)))
+        """Buffer one task record (a :meth:`TaskInfo.to_dict` dict)."""
+        for column, name in zip(self._t_tasks, TASK_FIELDS):
+            column.append(info[name])
         self._tasks_written += 1
+        if len(self._t_tasks[0]) >= TABLE_TASK_ROWS:
+            self._flush_table()
+
+    def _flush_table(self) -> None:
+        """Write the symbols, addresses and task records defined since
+        the last table frame as one table frame, if there are any."""
+        table: Dict[str, Any] = {}
+        if self._t_syms:
+            table["symbols"] = self._t_syms
+        if self._t_addrs:
+            table["addresses"] = self._t_addrs
+        if self._t_tasks[0]:
+            table["tasks"] = dict(zip(TASK_FIELDS, self._t_tasks))
+        if not table:
+            return
+        self._tables.append(self._frame(TAG_TABLE, _json_bytes(table)))
+        self._t_syms = []
+        self._t_addrs = []
+        self._t_tasks = [[] for _ in TASK_FIELDS]
 
     def write_row(self, code: int, time: int, task: str, values) -> None:
         """Buffer one op row (decoded payload values, schema order)."""
@@ -343,6 +420,7 @@ class TraceWriterV3:
         n = len(self._b_kinds)
         if not n:
             return
+        self._flush_table()
         sections: List[Tuple[int, int, int, bytes]] = [
             (SEC_KINDS, 0, n, bytes(self._b_kinds))
         ]
@@ -381,18 +459,18 @@ class TraceWriterV3:
         self._b_cols = {}
 
     def finish(self) -> None:
-        """Flush the final batch, write the footer frame and trailer."""
+        """Flush the final batch and table, write the footer frame and
+        trailer."""
         if self._finished:
             return
         self._finished = True
         self._flush_batch()
+        self._flush_table()
         footer = {
             "ops": self._ops_written,
             "tasks": self._tasks_written,
             "batches": [[offset, n] for offset, n in self._batches],
-            "symbol_frames": self._sym_offsets,
-            "address_frames": self._addr_offsets,
-            "task_frames": self._task_offsets,
+            "table_frames": self._tables,
         }
         footer_offset = self._frame(TAG_FOOTER, _json_bytes(footer))
         self._fp.write(struct.pack("<Q", footer_offset) + TRAILER_MAGIC)
@@ -567,6 +645,8 @@ class _FrameParser:
             except (ValueError, UnicodeDecodeError):
                 raise TraceError("unreadable v3 header frame") from None
             decoder._take_header(record)
+        elif tag == TAG_TABLE:
+            self._take_table(decoder, payload, offset)
         elif tag == TAG_TASK:
             self._take_task(decoder, payload, offset)
         elif tag == TAG_SYM:
@@ -591,12 +671,47 @@ class _FrameParser:
                 f"unknown frame tag {tag} at byte {offset}"
             )
 
+    def _take_table(self, decoder, payload: bytes, offset: int) -> None:
+        """Define a table frame's symbols and addresses and add its
+        task records; the whole frame is checked before any of it
+        lands."""
+        try:
+            table = json.loads(payload.decode("utf-8"))
+            if type(table) is not dict or not table.keys() <= _TABLE_KEYS:
+                raise ValueError(
+                    "a table frame is an object of symbols, addresses and tasks"
+                )
+            symbols = table.get("symbols", [])
+            if type(symbols) is not list or not all(
+                type(value) is str for value in symbols
+            ):
+                raise ValueError("symbols is not a list of strings")
+            addresses = table.get("addresses", [])
+            if type(addresses) is not list:
+                raise ValueError("addresses is not a list")
+            addresses = [_address(value) for value in addresses]
+            tasks = _task_rows(table["tasks"]) if "tasks" in table else []
+            decoder._add_tasks(tasks, where=f" in table frame at byte {offset}")
+        except TraceFormatError:
+            raise
+        except (ValueError, TypeError, UnicodeDecodeError) as exc:
+            raise TraceFormatError(
+                f"corrupt table frame at byte {offset} "
+                f"({exc.__class__.__name__}: {exc})"
+            ) from None
+        decoder._symbols += symbols
+        decoder._addresses += addresses
+        decoder.records += len(symbols) + len(addresses) + len(tasks)
+
     def _take_task(self, decoder, payload: bytes, offset: int) -> None:
         try:
             record = json.loads(payload.decode("utf-8"))
             if not isinstance(record, dict):
                 raise ValueError("task frame is not an object")
-            decoder._add_task(record, where=f" in task frame at byte {offset}")
+            decoder._add_tasks(
+                [TaskInfo.from_dict(record)],
+                where=f" in task frame at byte {offset}",
+            )
         except TraceFormatError:
             raise
         except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
@@ -608,11 +723,7 @@ class _FrameParser:
 
     def _take_addr(self, decoder, payload: bytes, offset: int) -> None:
         try:
-            record = json.loads(payload.decode("utf-8"))
-            if not isinstance(record, list) or len(record) != 3:
-                raise ValueError("address frame is not a 3-element list")
-            value = tuple(record)
-            hash(value)  # it must intern
+            value = _address(json.loads(payload.decode("utf-8")))
         except (ValueError, TypeError, UnicodeDecodeError) as exc:
             raise TraceFormatError(
                 f"corrupt address frame at byte {offset} ({exc})"

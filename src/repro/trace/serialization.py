@@ -20,8 +20,9 @@ comes in three versions:
 * **v3** (binary, :mod:`repro.trace.binary`): the same header and
   interning model as v2, but length-prefixed binary frames whose op
   batches are on-disk columnar segments, loaded with
-  ``array.frombytes``.  Written/read through the same entry points
-  here (``save_trace_file(..., version=3)`` and plain
+  ``array.frombytes``, and whose symbols, addresses and task records
+  travel in a few JSON table frames.  Written/read through the same
+  entry points here (``save_trace_file(..., version=3)`` and plain
   ``load_trace_file``, which sniffs text vs binary from the first
   byte).
 
@@ -31,7 +32,11 @@ from the first byte and hands the bytes to a parser that only parses —
 the v1/v2 line scanner here, the v3 frame parser in
 :mod:`repro.trace.binary`.  The decoder owns what the formats share:
 the live trace, header negotiation, task records, the stream's symbol
-and address tables, salvage, and the end-of-stream checks.  Every v2
+and address tables, salvage, and the end-of-stream checks.  Task
+records of every format land through one bulk method
+(:meth:`AnyTraceDecoder._add_tasks`: a v3 table frame's records at
+once, a v1/v2 line's or an older v3 task frame's one at a time), which
+refuses a repeated task id.  Every v2
 and v3 op reaches the store through one
 :meth:`~repro.trace.store.TraceStore.adopt_batch` call per feed (v2)
 or batch (v3), its ids translated by
@@ -367,7 +372,9 @@ class _TextParser:
         decoder.records += 1
         try:
             if isinstance(record, dict) and "task_info" in record:
-                decoder._add_task(record["task_info"], line=lineno)
+                decoder._add_tasks(
+                    [TaskInfo.from_dict(record["task_info"])], line=lineno
+                )
             elif isinstance(record, dict) and "op" in record:
                 decoder.trace.append(operation_from_dict(record["op"]))
                 decoder._ops_decoded += 1
@@ -455,7 +462,9 @@ class _TextParser:
                         hash(value)  # it must intern
                         decoder._addresses.append(value)
                     elif type(record) is dict and "task_info" in record:
-                        decoder._add_task(record["task_info"], line=lineno)
+                        decoder._add_tasks(
+                            [TaskInfo.from_dict(record["task_info"])], line=lineno
+                        )
                     else:
                         raise TraceFormatError(
                             f"unrecognized trace record: {record!r}", line=lineno
@@ -862,17 +871,24 @@ class AnyTraceDecoder:
         self._version = version
         self.header = record
 
-    def _add_task(
-        self, record: Dict[str, Any], line: Optional[int] = None, where: str = ""
+    def _add_tasks(
+        self, infos: List[TaskInfo], line: Optional[int] = None, where: str = ""
     ) -> None:
-        """Add one task record; a repeated task id is damage."""
-        task = TaskInfo.from_dict(record)
-        if task.task in self._trace.tasks:
-            raise TraceFormatError(
-                f"duplicate task id {task.task!r}{where}", line=line
-            )
-        self._trace.add_task(task)
-        self._tasks += 1
+        """Add task records, in order: all of them, or, when one
+        repeats a task id (of the trace or of an earlier record in
+        ``infos``), none, and the repeat is damage."""
+        tasks = self._trace.tasks
+        new = {info.task: info for info in infos}
+        if len(new) < len(infos) or not new.keys().isdisjoint(tasks.keys()):
+            seen = set(tasks)
+            for info in infos:
+                if info.task in seen:
+                    raise TraceFormatError(
+                        f"duplicate task id {info.task!r}{where}", line=line
+                    )
+                seen.add(info.task)
+        tasks.update(new)
+        self._tasks += len(new)
 
     def _adopt(
         self,

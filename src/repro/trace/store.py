@@ -38,7 +38,10 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+)
 
 from .operations import (
     Address,
@@ -247,7 +250,7 @@ class TraceStore:
     """Struct-of-arrays storage for a trace's operation list."""
 
     __slots__ = ("kinds", "times", "task_ids", "rows", "symbols", "addresses",
-                 "_buckets", "_task_ops")
+                 "_buckets")
 
     def __init__(self) -> None:
         #: per-op kind code ('B'), timestamp ('q'), task symbol id ('i')
@@ -259,9 +262,6 @@ class TraceStore:
         self.symbols = SymbolTable()
         self.addresses = AddressTable()
         self._buckets: List[Optional[_KindBucket]] = [None] * len(KIND_LIST)
-        #: task symbol id -> ascending op indices (the ``ops_of`` index),
-        #: in the order the tasks first appear
-        self._task_ops: Dict[int, array] = {}
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -331,10 +331,6 @@ class TraceStore:
         except BaseException:
             self._truncate(i)
             raise
-        ops = self._task_ops.get(tid)
-        if ops is None:
-            ops = self._task_ops[tid] = array("i")
-        ops.append(i)
         return i
 
     def _truncate(self, n: int) -> None:
@@ -369,19 +365,18 @@ class TraceStore:
         The caller guarantees that every id indexes this store's
         symbol/address tables (:func:`remap_batch` translates a
         batch's ids into them), so the columns are adopted wholesale
-        and only the derived indices (``rows``, bucket index arrays,
-        the per-task index) are computed here, in one scatter pass.
+        and only the derived indices (``rows`` and the bucket index
+        arrays) are computed here, in one scatter pass.
         """
         base = len(self.kinds)
         self.kinds.frombytes(kinds)
         self.times.extend(times)
         self.task_ids.extend(task_ids)
         buckets = self._buckets
-        task_ops = self._task_ops
         rows_append = self.rows.append
         cursor: Dict[int, list] = {}
         i = base
-        for code, tid in zip(kinds, task_ids):
+        for code in kinds:
             ent = cursor.get(code)
             if ent is None:
                 bucket = buckets[code]
@@ -392,10 +387,6 @@ class TraceStore:
             ent[0] = row + 1
             rows_append(row)
             ent[1](i)
-            ops = task_ops.get(tid)
-            if ops is None:
-                ops = task_ops[tid] = array("i")
-            ops.append(i)
             i += 1
         for code, columns in bucket_columns.items():
             bucket = buckets[code]
@@ -511,12 +502,13 @@ class TraceStore:
     # -- index views ------------------------------------------------------
 
     def ops_of(self, task: str) -> List[int]:
-        """Ascending indices of ``task``'s operations — O(1) lookup."""
+        """Ascending indices of ``task``'s operations, from one scan of
+        the task column."""
         tid = self.symbols.id_of(task)
         if tid is None:
             return []
-        ops = self._task_ops.get(tid)
-        return list(ops) if ops is not None else []
+        task_ids = self.task_ids
+        return list(compress(range(len(task_ids)), map(tid.__eq__, task_ids)))
 
     def by_kind(self, kind: OpKind) -> List[int]:
         """Ascending indices of one kind's operations — O(1) lookup."""
@@ -540,17 +532,11 @@ class TraceStore:
         found.sort()
         return found
 
-    def task_last_ops(self, stop: int) -> Iterator[Tuple[int, int]]:
+    def task_last_ops(self, stop: int) -> Iterable[Tuple[int, int]]:
         """``(task symbol id, its last op before stop)`` for every task
         with an op before ``stop``, in the order the tasks first
-        appear, read off the per-task index."""
-        for tid, ops in self._task_ops.items():
-            last = ops[-1]
-            if last >= stop:
-                if ops[0] >= stop:
-                    continue
-                last = ops[bisect_left(ops, stop) - 1]
-            yield tid, last
+        appear, from one pass over the task column."""
+        return dict(zip(self.task_ids[:stop], range(stop))).items()
 
     def iter_meta(self) -> Iterator[Tuple[int, OpKind, str, int]]:
         """Yield ``(index, kind, task, time)`` without materializing
@@ -606,9 +592,6 @@ class TraceStore:
         for bucket in self._buckets:
             if bucket is not None:
                 total += bucket.memory_bytes()
-        total += sys.getsizeof(self._task_ops)
-        for ops in self._task_ops.values():
-            total += sys.getsizeof(ops)
         return total
 
 

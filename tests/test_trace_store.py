@@ -51,8 +51,8 @@ def rich_trace():
 
 def store_columns(store):
     """Everything ``store`` holds, as plain values: the global columns,
-    each kind bucket's index array and payload columns, both interning
-    tables and the per-task index (column-for-column equality)."""
+    each kind bucket's index array and payload columns, and both
+    interning tables (column-for-column equality)."""
     return {
         "kinds": bytes(store.kinds),
         "times": list(store.times),
@@ -67,7 +67,6 @@ def store_columns(store):
         "addresses": [
             store.addresses.value(k) for k in range(len(store.addresses))
         ],
-        "task_ops": {tid: list(ops) for tid, ops in store._task_ops.items()},
     }
 
 

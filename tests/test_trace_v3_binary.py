@@ -5,16 +5,21 @@ the sniffing :class:`AnyTraceDecoder` facade."""
 
 import gzip
 import io
+import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import ALL_APPS, make_app
+from repro.cli import main
 from repro.detect import UseFreeDetector
 from repro.trace import (
     AnyTraceDecoder,
     OpKind,
+    TaskInfo,
+    TaskKind,
     Trace,
     TraceError,
     TraceFormatError,
@@ -29,6 +34,19 @@ from repro.trace import (
     load_trace_file,
     loads_trace,
     save_trace_file,
+)
+from repro.trace.binary import (
+    MAGIC_V3,
+    TAG_ADDR,
+    TAG_BATCH,
+    TAG_FOOTER,
+    TAG_HEADER,
+    TAG_SYM,
+    TAG_TABLE,
+    TAG_TASK,
+    TRAILER_LEN,
+    _json_bytes,
+    _read_uvarint,
 )
 from repro.trace.operations import BranchKind, operation_from_dict
 from repro.trace.serialization import _dump_via_writer
@@ -178,15 +196,65 @@ class TestBatching:
         assert loads_trace(small.getvalue()).ops == trace.ops
 
 
-def v3_stream(*steps, damaged=None):
+class PerRecordWriter(TraceWriterV3):
+    """The v3 layout of files written before table frames: each
+    symbol, address and task record in its own frame (tags 3, 4 and
+    2), written as soon as it is defined."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._task_offsets = []
+
+    def _sym(self, value):
+        fresh = value not in self._sym_ids
+        sid = super()._sym(value)
+        if fresh:
+            self._frame(TAG_SYM, self._t_syms.pop().encode("utf-8"))
+        return sid
+
+    def _addr(self, value):
+        fresh = tuple(value) not in self._addr_ids
+        aid = super()._addr(value)
+        if fresh:
+            self._frame(TAG_ADDR, _json_bytes(self._t_addrs.pop()))
+        return aid
+
+    def write_task(self, info):
+        self._task_offsets.append(self._frame(TAG_TASK, _json_bytes(info)))
+        self._tasks_written += 1
+
+
+def frames(blob):
+    """``(byte offset, tag, payload)`` of every frame in a v3 stream."""
+    found, pos = [], len(MAGIC_V3)
+    while pos < len(blob) - TRAILER_LEN:
+        length, body = _read_uvarint(blob, pos + 1, len(blob))
+        found.append((pos, blob[pos], blob[body:body + length]))
+        pos = body + length
+    return found
+
+
+def table_frames(blob):
+    """``(byte offset, decoded table)`` of every table frame in a v3
+    stream."""
+    return [
+        (offset, json.loads(payload))
+        for offset, tag, payload in frames(blob)
+        if tag == TAG_TABLE
+    ]
+
+
+def v3_stream(*steps, damaged=None, per_record=False):
     """A v3 stream written with one op per batch from ``steps``: a
-    ``(code, time, task, values)`` row or a task-info dict.  Rows from
-    the one marked ``damaged=k`` on write ``-1`` for the symbol ids of
-    ``"T"``, as a corrupt file would."""
+    ``(code, time, task, values)`` row or a task-info dict, in table
+    frames or, with ``per_record``, in :class:`PerRecordWriter`'s
+    layout.  Rows from the one marked ``damaged=k`` on write ``-1`` for
+    the symbol ids of ``"T"``, as a corrupt file would."""
     buf = io.BytesIO()
     rows = sum(1 for step in steps if not isinstance(step, dict))
     tasks = len(steps) - rows
-    writer = TraceWriterV3(buf, tasks=tasks, ops=rows, batch_ops=1)
+    cls = PerRecordWriter if per_record else TraceWriterV3
+    writer = cls(buf, tasks=tasks, ops=rows, batch_ops=1)
     intern = writer._sym
     for k, step in enumerate(steps):
         if isinstance(step, dict):
@@ -235,22 +303,55 @@ class TestMalformedFrames:
 
     def test_repeated_task_frame_is_a_format_error(self):
         info = {"task": "U", "task_kind": "thread"}
-        blob = v3_stream(info, (self.BEGIN, 1, "U", []), info)
+        blob = v3_stream(info, (self.BEGIN, 1, "U", []), info, per_record=True)
         trace = self._salvaged(
             blob, 1, r"duplicate task id 'U' in task frame at byte \d+"
         )
         assert list(trace.tasks) == ["U"]
 
+    def test_repeated_task_in_a_later_table_frame_is_a_format_error(self):
+        info = TaskInfo("U", TaskKind.THREAD).to_dict()
+        blob = v3_stream(info, (self.BEGIN, 1, "U", []), info)
+        (_first, _), (offset, table) = table_frames(blob)
+        assert table["tasks"]["task"] == ["U"]
+        trace = self._salvaged(
+            blob, 1, rf"duplicate task id 'U' in table frame at byte {offset}$"
+        )
+        assert list(trace.tasks) == ["U"]
+
+    def test_repeated_task_within_a_table_frame_is_a_format_error(self):
+        infos = [TaskInfo(task, TaskKind.THREAD).to_dict() for task in "UVU"]
+        blob = v3_stream(*infos, (self.BEGIN, 1, "U", []))
+        ((offset, table),) = table_frames(blob)
+        assert table["tasks"]["task"] == ["U", "V", "U"]
+        trace = self._salvaged(
+            blob, 0, rf"duplicate task id 'U' in table frame at byte {offset}$"
+        )
+        assert trace.tasks == {}
+
     def test_unhashable_address_is_a_format_error(self):
         blob = v3_stream(
             (self.BEGIN, 1, "U", []),
             (self.PTR_READ, 2, "U", [("obj", 1, "fgh"), None, "m", 0]),
+            per_record=True,
         )
         # the same length, so no later frame offset moves
         blob = blob.replace(b'["obj",1,"fgh"]', b'["obj",[1],"f"]')
         offset = blob.index(b'["obj",[1],"f"]') - 2  # tag, length
         self._salvaged(
             blob, 1, rf"corrupt address frame at byte {offset} .*unhashable"
+        )
+
+    def test_unhashable_address_in_a_table_frame_is_a_format_error(self):
+        blob = v3_stream(
+            (self.BEGIN, 1, "U", []),
+            (self.PTR_READ, 2, "U", [("obj", 1, "fgh"), None, "m", 0]),
+        )
+        blob = blob.replace(b'["obj",1,"fgh"]', b'["obj",[1],"f"]')
+        (_first, _), (offset, table) = table_frames(blob)
+        assert table["addresses"] == [["obj", [1], "f"]]
+        self._salvaged(
+            blob, 1, rf"corrupt table frame at byte {offset} .*unhashable"
         )
 
 
@@ -346,7 +447,7 @@ class TestConvert:
         infos = [info.to_dict() for info in app_trace.tasks.values()]
         rows = list(app_trace.store.rows_encoded())
         buf = io.BytesIO()
-        writer = TraceWriterV3(
+        writer = PerRecordWriter(
             buf, tasks=len(infos), ops=len(rows), batch_ops=64
         )
         for info in infos:
@@ -362,6 +463,36 @@ class TestConvert:
         src.write_bytes(buf.getvalue())
         self._repeat_fails_and_salvages(
             tmp_path, app_trace, src, 2, rf"in task frame at byte {offset}"
+        )
+
+    def test_repeated_task_in_a_table_frame_fails_the_convert(
+        self, tmp_path, app_trace
+    ):
+        infos = [info.to_dict() for info in app_trace.tasks.values()]
+        rows = list(app_trace.store.rows_encoded())
+        buf = io.BytesIO()
+        writer = TraceWriterV3(
+            buf, tasks=len(infos), ops=len(rows), batch_ops=64
+        )
+        for info in infos:
+            writer.write_task(info)
+        for row in rows[:200]:
+            writer.write_row(*row)
+        writer.write_task(infos[0])  # goes out before the fourth batch
+        for row in rows[200:]:
+            writer.write_row(*row)
+        writer.finish()
+        blob = buf.getvalue()
+        first, offset = [
+            offset
+            for offset, table in table_frames(blob)
+            if infos[0]["task"] in table.get("tasks", {}).get("task", ())
+        ]
+        assert first < writer._batches[0][0] < writer._batches[2][0] < offset
+        src = tmp_path / "repeat.v3"
+        src.write_bytes(blob)
+        self._repeat_fails_and_salvages(
+            tmp_path, app_trace, src, 2, rf"in table frame at byte {offset}$"
         )
 
     @pytest.fixture(scope="class")
@@ -391,6 +522,62 @@ class TestConvert:
             lambda: convert_trace_file(path, tmp_path / "out", version=dst)
         )
         assert convert_peak < load_peak / 2, (convert_peak, load_peak)
+
+
+#: v3 files in the layout written before table frames (each symbol,
+#: address and task record in its own frame), made by the writer of
+#: that time from vlc at scale 0.01, seed 0: plain, gzipped, and as the
+#: one session of a cafa-mux envelope
+PER_RECORD = Path(__file__).parent / "data" / "v3_per_record"
+PER_RECORD_FILES = ["vlc.v3", "vlc.v3.gz", "vlc.mux"]
+
+
+def decoded(trace):
+    """What a load gives: the ops, the task records in order, the
+    store's symbol and address tables, the records decoded and the
+    use-free reports."""
+    store = trace.store
+    return (
+        list(trace.ops),
+        [info.to_dict() for info in trace.tasks.values()],
+        [store.symbols.value(i) for i in range(len(store.symbols))],
+        [store.addresses.value(i) for i in range(len(store.addresses))],
+        trace.decode_stats.records,
+        [str(r) for r in UseFreeDetector(trace).detect().reports],
+    )
+
+
+class TestPerRecordFiles:
+    """Files written before table frames load as the same trace saved
+    in table frames does, and ``repro convert`` rewrites them into
+    table frames."""
+
+    def test_files_hold_per_record_frames(self):
+        tags = {tag for _offset, tag, _payload in frames(
+            (PER_RECORD / "vlc.v3").read_bytes()
+        )}
+        assert tags == {TAG_HEADER, TAG_TASK, TAG_SYM, TAG_ADDR, TAG_BATCH,
+                        TAG_FOOTER}
+
+    @pytest.mark.parametrize("name", PER_RECORD_FILES)
+    def test_decodes_as_the_table_layout_does(self, tmp_path, name):
+        old = load_trace_file(PER_RECORD / name)
+        path = tmp_path / "tables.v3"
+        save_trace_file(old, path, version=3)
+        new = load_trace_file(path)
+        assert decoded(old) == decoded(new)
+        assert len(old) == 325 and len(old.tasks) == 70
+        assert len(decoded(old)[-1]) == 7
+        assert new.decode_stats.frames < old.decode_stats.frames
+
+    def test_convert_rewrites_into_table_frames(self, tmp_path, capsys):
+        src = PER_RECORD / "vlc.v3"
+        out, direct = tmp_path / "out.v3", tmp_path / "direct.v3"
+        assert main(["convert", str(src), str(out)]) == 0
+        save_trace_file(load_trace_file(src), direct, version=3)
+        assert out.read_bytes() == direct.read_bytes()
+        assert table_frames(out.read_bytes())
+        assert not table_frames(src.read_bytes())
 
 
 def batch_pieces(trace, batch_ops):
